@@ -27,6 +27,7 @@ from .encoder import (
     encode_video_batch,
     init_params,
     sample_frame_indices,
+    sample_frames,
 )
 from .errors import (
     CheckpointChecksumError,

@@ -104,7 +104,10 @@ def load_checkpoint(path) -> Checkpoint:
     declared = 0
     for _ in range(n_tensors):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        try:
+            name = r.take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(f"{source}: tensor name is not valid UTF-8") from None
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}q") if ndim else ()
         if any(d < 1 for d in shape):

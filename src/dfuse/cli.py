@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import Corpus, SynthConfig, gen_corpus, load_corpus
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, sample_frames
 from .errors import DfuseError, UsageError, ValidationError
 from .evaluation import (
     DEFAULT_TEMPLATE,
@@ -222,7 +222,9 @@ def _cmd_pretrain_teacher(values: dict) -> int:
     )
     params = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=values["sigma"], log=print)
     val_videos, val_texts = corpus.paired("labeled-val")
-    final_val = validation_loss(params, val_videos, val_texts, enc_cfg, values["sigma"])
+    final_val = validation_loss(
+        params, sample_frames(val_videos, enc_cfg), val_texts, enc_cfg, values["sigma"]
+    )
     out = Path(values["out"])
     save_checkpoint(out, Checkpoint(
         enc_cfg, LossConfig(sigma=values["sigma"], lambda_=0.0),

@@ -334,6 +334,8 @@ def load_corpus(path) -> Corpus:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(payload, dict):
+                raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
             if synth is None:
                 if payload.get("record") != "header" or payload.get("format") != FORMAT_TAG:
                     raise CorpusFormatError(f"{path}: line {lineno}: missing corpus header")

@@ -5,6 +5,12 @@ uniformly sampled frames through the video tower, mean-pool the per-frame
 outputs, and L2-normalize; texts are single feature vectors through the text
 tower. Teacher and student share this architecture, so their flat parameter
 vectors always have identical layouts (the prerequisite for weight fusion).
+
+Raw frame stacks are validated and frame-sampled once, by ``sample_frames``,
+into one dense ``(N, n_frames, d_v)`` array; training samples each split once
+per run and gathers batch rows from it. ``video_forward`` only ever sees such
+arrays. ``encode_video``/``encode_video_batch`` take raw stacks and sample them
+on the way in.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ class ParamVector:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64).ravel()
-        total = sum(int(np.prod(shape)) for _, shape in self.layout)
+        total = sum(math.prod(shape) for _, shape in self.layout)
         if total != self.values.size:
             raise UsageError(
                 f"layout declares {total} values but {self.values.size} were given"
@@ -54,19 +60,18 @@ class ParamVector:
         offsets = {}
         pos = 0
         for name, shape in self.layout:
-            size = int(np.prod(shape))
-            offsets[name] = (pos, tuple(shape))
+            size = math.prod(shape)
+            offsets[name] = (pos, pos + size, tuple(shape))
             pos += size
         self._offsets = offsets
 
     def tensor(self, name: str) -> np.ndarray:
         """View of one named tensor, reshaped; shares memory with ``values``."""
         try:
-            pos, shape = self._offsets[name]
+            start, stop, shape = self._offsets[name]
         except KeyError:
             raise UsageError(f"no tensor named {name!r} in layout") from None
-        size = int(np.prod(shape))
-        return self.values[pos:pos + size].reshape(shape)
+        return self.values[start:stop].reshape(shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
@@ -161,18 +166,31 @@ def _check_stack(stack, dim: int, index: int) -> np.ndarray:
     return arr
 
 
-def video_forward(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> TowerCache:
-    """Encode a batch of frame stacks; returns embeddings plus backprop cache."""
+def sample_frames(stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
+    """Validate raw (T, d_v) frame stacks and sample ``cfg.n_frames`` frames of each.
+
+    Returns a C-contiguous ``(N, n_frames, d_v)`` float64 array: the only input
+    ``video_forward`` accepts. Call once per split and gather rows per batch.
+    """
     if len(stacks) == 0:
         raise UsageError("empty video batch")
-    selected = []
+    frames = np.empty((len(stacks), cfg.n_frames, cfg.input_dim_video))
     for i, stack in enumerate(stacks):
         arr = _check_stack(stack, cfg.input_dim_video, i)
-        idx = sample_frame_indices(arr.shape[0], cfg.n_frames)
-        selected.append(arr[idx])
-    frames = np.concatenate(selected, axis=0)  # (B * n_frames, d_v)
+        frames[i] = arr[sample_frame_indices(arr.shape[0], cfg.n_frames)]
+    return frames
+
+
+def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -> TowerCache:
+    """Encode a batch of sampled frames (from ``sample_frames``); embeddings plus cache."""
+    shape = (cfg.n_frames, cfg.input_dim_video)
+    if not isinstance(stacks, np.ndarray) or stacks.ndim != 3 or stacks.shape[1:] != shape:
+        raise UsageError(f"video batch must be a sampled (B, {shape[0]}, {shape[1]}) array")
+    b = stacks.shape[0]
+    if b == 0:
+        raise UsageError("empty video batch")
+    frames = np.ascontiguousarray(stacks, dtype=np.float64).reshape(b * cfg.n_frames, -1)
     u, h = _tower_apply(params, "video", frames)
-    b = len(stacks)
     pooled = np.einsum("bne->be", u.reshape(b, cfg.n_frames, cfg.embed_dim)) / cfg.n_frames
     return _normalize_with_cache(frames, h, pooled)
 
@@ -196,7 +214,7 @@ def text_forward(params: ParamVector, features, cfg: EncoderConfig) -> TowerCach
 
 def encode_video(params: ParamVector, frames, cfg: EncoderConfig) -> np.ndarray:
     """Unit-norm embedding of one video (a (T, input_dim_video) frame stack)."""
-    return video_forward(params, [frames], cfg).z[0]
+    return encode_video_batch(params, [frames], cfg)[0]
 
 
 def encode_text(params: ParamVector, feature, cfg: EncoderConfig) -> np.ndarray:
@@ -205,11 +223,17 @@ def encode_text(params: ParamVector, feature, cfg: EncoderConfig) -> np.ndarray:
 
 
 def encode_video_batch(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
-    return video_forward(params, stacks, cfg).z
+    """Unit-norm embeddings of raw frame stacks, sampled on the way in."""
+    return video_forward(params, sample_frames(stacks, cfg), cfg).z
 
 
 def encode_text_batch(params: ParamVector, features, cfg: EncoderConfig) -> np.ndarray:
     return text_forward(params, features, cfg).z
+
+
+def encode_sampled(params: ParamVector, frames: np.ndarray, features, cfg: EncoderConfig):
+    """``(z_v, z_t)``: unit-norm embeddings of sampled frames and of text features."""
+    return video_forward(params, frames, cfg).z, text_forward(params, features, cfg).z
 
 
 @dataclass(eq=False)

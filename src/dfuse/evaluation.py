@@ -336,7 +336,19 @@ class ParsedReport:
     rank_list: RankList
 
 
+def _per_class_entry(payload: dict) -> tuple[str, float, int]:
+    name, acc, count = payload["class"], payload["accuracy"], payload["count"]
+    if not isinstance(name, str):
+        raise TypeError(f"class must be a string, got {name!r}")
+    if isinstance(acc, bool) or not isinstance(acc, (int, float)):
+        raise TypeError(f"accuracy must be a number, got {acc!r}")
+    if isinstance(count, bool) or not isinstance(count, int):
+        raise TypeError(f"count must be an integer, got {count!r}")
+    return name, acc, count
+
+
 def parse_report_records(lines) -> ParsedReport:
+    """Parse a report's JSON Lines; every malformed line raises ``UsageError`` naming it."""
     summary = None
     per_acc: dict[str, float] = {}
     per_count: dict[str, int] = {}
@@ -348,14 +360,22 @@ def parse_report_records(lines) -> ParsedReport:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise UsageError(f"report line {lineno}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(payload, dict):
+            raise UsageError(f"report line {lineno}: expected a JSON object")
         kind = payload.get("record")
-        if kind == "summary":
-            summary = payload
-        elif kind == "per_class":
-            per_acc[payload["class"]] = payload["accuracy"]
-            per_count[payload["class"]] = payload["count"]
-        elif kind == "ranks":
-            ranks = RankList(np.asarray(payload["ranks"]), payload["gallery_size"])
+        try:
+            if kind == "summary":
+                summary = payload
+            elif kind == "per_class":
+                name, acc, count = _per_class_entry(payload)
+                per_acc[name] = acc
+                per_count[name] = count
+            elif kind == "ranks":
+                ranks = RankList(np.asarray(payload["ranks"]), payload["gallery_size"])
+        except KeyError as exc:
+            raise UsageError(f"report line {lineno}: {kind} record is missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"report line {lineno}: malformed {kind} record: {exc}") from None
     if summary is None or ranks is None:
         raise UsageError("report is missing its summary or ranks record")
     return ParsedReport(summary, per_acc, per_count, ranks)

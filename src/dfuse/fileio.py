@@ -8,12 +8,24 @@ import tempfile
 from pathlib import Path
 
 
+def _new_file_mode() -> int:
+    """The mode ``open()`` gives a new file: 0o666 less the process umask."""
+    mask = os.umask(0)
+    os.umask(mask)
+    return 0o666 & ~mask
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename."""
+    """Write via a temp file in the same directory, then rename.
+
+    ``mkstemp`` creates the temp file at mode 0600 whatever the umask, so the
+    file gets the usual new-file mode before it takes the target's name.
+    """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
+            os.fchmod(fh.fileno(), _new_file_mode())
             fh.write(data)
         os.replace(tmp, target)
     except BaseException:

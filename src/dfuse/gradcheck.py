@@ -22,9 +22,9 @@ from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     ParamVector,
-    encode_text_batch,
-    encode_video_batch,
+    encode_sampled,
     init_params,
+    sample_frames,
 )
 from .losses import LossConfig, total_loss, total_loss_grad
 from .training import make_pseudo_labels
@@ -95,8 +95,12 @@ def _random_instance(trial: int, seed: int):
         input_dim_video=dv, input_dim_text=dt, hidden_dim=hidden,
         embed_dim=embed, n_frames=n_frames, seed=int(rng.integers(0, 2**31)),
     ))
-    pseudo = make_pseudo_labels(teacher, unlabeled_videos, unlabeled_texts, enc_cfg, sigma)
-    return enc_cfg, cfg, params, labeled_videos, labeled_texts, unlabeled_videos, unlabeled_texts, pseudo
+    labeled_frames = sample_frames(labeled_videos, enc_cfg)
+    unlabeled_frames = sample_frames(unlabeled_videos, enc_cfg)
+    pseudo = make_pseudo_labels(
+        *encode_sampled(teacher, unlabeled_frames, unlabeled_texts, enc_cfg), sigma
+    )
+    return enc_cfg, cfg, params, labeled_frames, labeled_texts, unlabeled_frames, unlabeled_texts, pseudo
 
 
 def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
@@ -104,12 +108,8 @@ def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
 
     def loss_fn(pv: ParamVector) -> float:
         # Forward-only evaluation; the backward path under test never runs here.
-        labeled = EmbeddingBatch(
-            encode_video_batch(pv, lv, enc_cfg), encode_text_batch(pv, lt, enc_cfg)
-        )
-        student_u = EmbeddingBatch(
-            encode_video_batch(pv, uv, enc_cfg), encode_text_batch(pv, ut, enc_cfg)
-        )
+        labeled = EmbeddingBatch(*encode_sampled(pv, lv, lt, enc_cfg))
+        student_u = EmbeddingBatch(*encode_sampled(pv, uv, ut, enc_cfg))
         return total_loss(labeled, student_u, pseudo, cfg)
 
     _, analytic = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg)

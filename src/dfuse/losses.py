@@ -6,12 +6,17 @@ the cross-entropy of the student's row/column softmax scores against the
 teacher's, computed on unlabeled batches. The total is
 ``contrastive + lambda * distillation`` and has a hand-derived analytic
 gradient; gradient correctness is pinned by finite differences elsewhere.
+
+Every term is a function of one logits matrix through its row and column
+softmaxes. ``total_loss_grad`` builds each matrix and its softmaxes once per
+step and takes the loss and the gradient from them; the public per-term
+functions run the same arithmetic, so both routes give the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +29,7 @@ from .encoder import (
     video_forward,
 )
 from .errors import UsageError
-from .numerics import (
-    as_matrix,
-    log_softmax_rows,
-    matmul,
-    similarity_matrix,
-    softmax_rows,
-)
+from .numerics import as_matrix, matmul, scaled_dots, similarity_matrix, softmax_pair
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,61 @@ class PseudoLabelBatch:
         return int(self.teacher_logits.shape[0])
 
 
+class _Scores(NamedTuple):
+    """Softmax and log-softmax of a logits matrix along rows (video-to-text) and columns."""
+
+    p_rows: np.ndarray
+    logp_rows: np.ndarray
+    p_cols: np.ndarray
+    logp_cols: np.ndarray
+
+
+def _scores(s: np.ndarray) -> _Scores:
+    return _Scores(*softmax_pair(s), *softmax_pair(s.T))
+
+
+def _contrastive(sc: _Scores, b: int):
+    l_v2t = -float(np.einsum("ii->", sc.logp_rows)) / b
+    l_t2v = -float(np.einsum("ii->", sc.logp_cols)) / b
+    return l_v2t + l_t2v, (l_v2t, l_t2v)
+
+
+def _contrastive_grad(sc: _Scores, b: int) -> np.ndarray:
+    eye = np.eye(b)
+    return (sc.p_rows - eye) / b + ((sc.p_cols - eye) / b).T
+
+
+def _distillation(sc: _Scores, teacher: _Scores, b: int):
+    l_v2t = -float(np.einsum("ij,ij->", teacher.p_rows, sc.logp_rows)) / b
+    l_t2v = -float(np.einsum("ij,ij->", teacher.p_cols, sc.logp_cols)) / b
+    return l_v2t + l_t2v, (l_v2t, l_t2v)
+
+
+def _distillation_grad(sc: _Scores, teacher: _Scores, b: int) -> np.ndarray:
+    return (sc.p_rows - teacher.p_rows) / b + ((sc.p_cols - teacher.p_cols) / b).T
+
+
+def _check_contrastive_size(b: int) -> None:
+    if b < 2:
+        raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
+
+
+def _check_pseudo_size(b: int, pseudo: PseudoLabelBatch) -> None:
+    if b != pseudo.batch_size:
+        raise UsageError(
+            f"student batch size {b} does not match teacher logits {pseudo.batch_size}"
+        )
+
+
 def contrastive_loss(batch: EmbeddingBatch, cfg: LossConfig):
     """Symmetric InfoNCE on a labeled batch.
 
     Returns ``(total, (video_to_text, text_to_video))``, each term the mean
     negative log-softmax of the diagonal, so both are >= 0.
     """
-    b = batch.batch_size
-    if b < 2:
-        raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
+    _check_contrastive_size(batch.batch_size)
     s = similarity_matrix(batch.z_v, batch.z_t, cfg.sigma)
-    l_v2t = -float(np.einsum("ii->", log_softmax_rows(s))) / b
-    l_t2v = -float(np.einsum("ii->", log_softmax_rows(s.T))) / b
-    return l_v2t + l_t2v, (l_v2t, l_t2v)
+    return _contrastive(_scores(s), batch.batch_size)
 
 
 def distillation_loss(student: EmbeddingBatch, pseudo: PseudoLabelBatch, cfg: LossConfig):
@@ -85,16 +126,9 @@ def distillation_loss(student: EmbeddingBatch, pseudo: PseudoLabelBatch, cfg: Lo
     text-to-video direction; each term is bounded below by the matching
     teacher entropy (Gibbs inequality).
     """
-    b = student.batch_size
-    if b != pseudo.batch_size:
-        raise UsageError(
-            f"student batch size {b} does not match teacher logits {pseudo.batch_size}"
-        )
+    _check_pseudo_size(student.batch_size, pseudo)
     s = similarity_matrix(student.z_v, student.z_t, cfg.sigma)
-    x = pseudo.teacher_logits
-    l_v2t = -float(np.einsum("ij,ij->", softmax_rows(x), log_softmax_rows(s))) / b
-    l_t2v = -float(np.einsum("ij,ij->", softmax_rows(x.T), log_softmax_rows(s.T))) / b
-    return l_v2t + l_t2v, (l_v2t, l_t2v)
+    return _distillation(_scores(s), _scores(pseudo.teacher_logits), student.batch_size)
 
 
 def total_loss(
@@ -120,11 +154,7 @@ def total_loss(
 def contrastive_grad_logits(s: np.ndarray) -> np.ndarray:
     """Gradient of the batch-mean contrastive loss w.r.t. the logits matrix."""
     s = as_matrix(s, "logits")
-    b = s.shape[0]
-    eye = np.eye(b)
-    g_rows = (softmax_rows(s) - eye) / b
-    g_cols = ((softmax_rows(s.T) - eye) / b).T
-    return g_rows + g_cols
+    return _contrastive_grad(_scores(s), s.shape[0])
 
 
 def distillation_grad_logits(student_logits: np.ndarray, teacher_logits: np.ndarray) -> np.ndarray:
@@ -137,10 +167,7 @@ def distillation_grad_logits(student_logits: np.ndarray, teacher_logits: np.ndar
     x = as_matrix(teacher_logits, "teacher logits")
     if s.shape != x.shape or s.shape[0] != s.shape[1]:
         raise UsageError(f"logit shapes must be equal and square, got {s.shape} vs {x.shape}")
-    b = s.shape[0]
-    g_rows = (softmax_rows(s) - softmax_rows(x)) / b
-    g_cols = ((softmax_rows(s.T) - softmax_rows(x.T)) / b).T
-    return g_rows + g_cols
+    return _distillation_grad(_scores(s), _scores(x), s.shape[0])
 
 
 def _embedding_grad_backward(
@@ -163,11 +190,29 @@ def _embedding_grad_backward(
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
 
 
+def _pair_forward(params: ParamVector, frames, texts, cfg: LossConfig, enc_cfg: EncoderConfig):
+    """Both towers on one batch plus the softmax scores of its logits matrix."""
+    cache_v = video_forward(params, frames, enc_cfg)
+    cache_t = text_forward(params, texts, enc_cfg)
+    b = cache_v.z.shape[0]
+    if b != cache_t.z.shape[0]:
+        raise UsageError(f"batch size mismatch: {b} videos vs {cache_t.z.shape[0]} texts")
+    return cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)), b
+
+
+def _pair_backward(grads, params, cache_v, cache_t, g, cfg: LossConfig, enc_cfg: EncoderConfig):
+    """Backprop a logits gradient ``g`` through the similarity into both towers."""
+    _embedding_grad_backward(
+        grads, params, "video", cache_v, matmul(g, cache_t.z) / cfg.sigma, enc_cfg.n_frames
+    )
+    _embedding_grad_backward(grads, params, "text", cache_t, matmul(g.T, cache_v.z) / cfg.sigma, 1)
+
+
 def total_loss_grad(
     params: ParamVector,
-    labeled_videos: Sequence,
+    labeled_videos: np.ndarray,
     labeled_texts,
-    unlabeled_videos: Sequence | None,
+    unlabeled_videos: np.ndarray | None,
     unlabeled_texts,
     pseudo: PseudoLabelBatch | None,
     cfg: LossConfig,
@@ -176,54 +221,43 @@ def total_loss_grad(
 ):
     """Loss and analytic gradient of the combined objective w.r.t. ``params``.
 
-    Encodes the raw inputs with ``params``, evaluates the same loss functions
-    as ``total_loss`` (the returned loss is bit-identical to calling them on
-    the same embeddings), and backpropagates through the softmax blocks,
-    similarity, normalization, pooling, and both towers. ``labeled_pseudo``
-    optionally adds a distillation term on the labeled batch as well.
+    Videos are sampled frame arrays (``encoder.sample_frames``). Encodes the
+    inputs with ``params``, builds each batch's logits matrix and softmaxes
+    once, and takes from them both the loss (bit-identical to ``total_loss``
+    on the same embeddings) and the gradient, backpropagated through the
+    softmax blocks, similarity, normalization, pooling, and both towers.
+    ``labeled_pseudo`` optionally adds a distillation term on the labeled
+    batch as well.
 
     Returns ``(loss, grad)`` with ``grad.layout == params.layout``.
     """
-    cache_vl = video_forward(params, labeled_videos, enc_cfg)
-    cache_tl = text_forward(params, labeled_texts, enc_cfg)
-    labeled = EmbeddingBatch(cache_vl.z, cache_tl.z)
-
     if (unlabeled_videos is None) != (pseudo is None):
         raise UsageError("unlabeled inputs and pseudo labels must be given together")
-    student_u = None
-    cache_vu = cache_tu = None
-    if unlabeled_videos is not None:
-        cache_vu = video_forward(params, unlabeled_videos, enc_cfg)
-        cache_tu = text_forward(params, unlabeled_texts, enc_cfg)
-        student_u = EmbeddingBatch(cache_vu.z, cache_tu.z)
+    cache_vl, cache_tl, sc_l, b_l = _pair_forward(params, labeled_videos, labeled_texts, cfg, enc_cfg)
+    _check_contrastive_size(b_l)
+    loss, _ = _contrastive(sc_l, b_l)
+    g_l = _contrastive_grad(sc_l, b_l)
 
-    loss = total_loss(labeled, student_u, pseudo, cfg)
+    if unlabeled_videos is not None:
+        cache_vu, cache_tu, sc_u, b_u = _pair_forward(
+            params, unlabeled_videos, unlabeled_texts, cfg, enc_cfg
+        )
+        _check_pseudo_size(b_u, pseudo)
+        target_u = _scores(pseudo.teacher_logits)
+        distill, _ = _distillation(sc_u, target_u, b_u)
+        loss = loss + cfg.lambda_ * distill
     if labeled_pseudo is not None:
-        extra, _ = distillation_loss(labeled, labeled_pseudo, cfg)
+        _check_pseudo_size(b_l, labeled_pseudo)
+        target_l = _scores(labeled_pseudo.teacher_logits)
+        extra, _ = _distillation(sc_l, target_l, b_l)
         loss = loss + cfg.lambda_ * extra
+        g_l = g_l + cfg.lambda_ * _distillation_grad(sc_l, target_l, b_l)
 
     grads = {name: np.zeros(shape) for name, shape in params.layout}
-
-    s_l = similarity_matrix(labeled.z_v, labeled.z_t, cfg.sigma)
-    g_l = contrastive_grad_logits(s_l)
-    if labeled_pseudo is not None:
-        g_l = g_l + cfg.lambda_ * distillation_grad_logits(s_l, labeled_pseudo.teacher_logits)
-    _embedding_grad_backward(
-        grads, params, "video", cache_vl, matmul(g_l, labeled.z_t) / cfg.sigma, enc_cfg.n_frames
-    )
-    _embedding_grad_backward(
-        grads, params, "text", cache_tl, matmul(g_l.T, labeled.z_v) / cfg.sigma, 1
-    )
-
-    if student_u is not None and cfg.lambda_ != 0.0:
-        s_u = similarity_matrix(student_u.z_v, student_u.z_t, cfg.sigma)
-        g_u = cfg.lambda_ * distillation_grad_logits(s_u, pseudo.teacher_logits)
-        _embedding_grad_backward(
-            grads, params, "video", cache_vu, matmul(g_u, student_u.z_t) / cfg.sigma, enc_cfg.n_frames
-        )
-        _embedding_grad_backward(
-            grads, params, "text", cache_tu, matmul(g_u.T, student_u.z_v) / cfg.sigma, 1
-        )
+    _pair_backward(grads, params, cache_vl, cache_tl, g_l, cfg, enc_cfg)
+    if unlabeled_videos is not None and cfg.lambda_ != 0.0:
+        g_u = cfg.lambda_ * _distillation_grad(sc_u, target_u, b_u)
+        _pair_backward(grads, params, cache_vu, cache_tu, g_u, cfg, enc_cfg)
 
     flat = np.concatenate([grads[name].ravel() for name, _ in params.layout])
     return loss, ParamVector(flat, params.layout)

@@ -43,20 +43,26 @@ def logsumexp(v) -> float:
     return m + float(np.log(np.einsum("i->", np.exp(arr - m))))
 
 
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, shift-invariant and stable."""
-    arr = as_matrix(m, "softmax input")
+def softmax_pair(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax and log-softmax of a 2-D float64 array, from one shift and exp.
+
+    No input checks: for logits the caller built itself. ``softmax_rows`` and
+    ``log_softmax_rows`` are the checked entry points and return the same bits.
+    """
     shifted = arr - arr.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.einsum("ij->i", e)[:, None]
+    total = np.einsum("ij->i", e)
+    return e / total[:, None], shifted - np.log(total)[:, None]
+
+
+def softmax_rows(m) -> np.ndarray:
+    """Row-wise softmax, shift-invariant and stable."""
+    return softmax_pair(as_matrix(m, "softmax input"))[0]
 
 
 def log_softmax_rows(m) -> np.ndarray:
     """Row-wise log-softmax, computed without forming unstable ratios."""
-    arr = as_matrix(m, "log-softmax input")
-    shifted = arr - arr.max(axis=1, keepdims=True)
-    lse = np.log(np.einsum("ij->i", np.exp(shifted)))
-    return shifted - lse[:, None]
+    return softmax_pair(as_matrix(m, "log-softmax input"))[1]
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
@@ -89,4 +95,9 @@ def similarity_matrix(a, b, sigma: float) -> np.ndarray:
         )
     if not np.isfinite(sigma) or sigma <= 0:
         raise UsageError(f"temperature must be a positive finite real, got {sigma}")
-    return np.einsum("ik,jk->ij", am, bm) / sigma
+    return scaled_dots(am, bm, sigma)
+
+
+def scaled_dots(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
+    """Unchecked core of ``similarity_matrix``, for embeddings the caller just produced."""
+    return np.einsum("ik,jk->ij", a, b) / sigma

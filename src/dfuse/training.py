@@ -6,6 +6,12 @@ the contrastive loss on labeled batches with teacher-distillation on
 unlabeled batches, and returns the checkpoint with the lowest labeled
 validation loss. Everything is seeded; identical inputs give bit-identical
 outputs.
+
+Each run validates and frame-samples every split once (``sample_frames``)
+and gathers batch rows from the dense arrays; the frozen teacher encodes the
+unlabeled pool (and the labeled-train split, when distilling on it) once per
+run, and each step's pseudo-labels are the logits of the gathered rows.
+Row-wise encoding makes this bit-identical to encoding every batch afresh.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from .encoder import (
     EmbeddingBatch,
     EncoderConfig,
     ParamVector,
-    encode_text_batch,
-    encode_video_batch,
+    encode_sampled,
     init_params,
+    sample_frames,
 )
 from .errors import TrainingDivergedError, UsageError
 from .losses import LossConfig, PseudoLabelBatch, contrastive_loss, total_loss_grad
@@ -116,24 +122,19 @@ class _IndexBatcher:
         return out
 
 
-def make_pseudo_labels(
-    teacher: ParamVector, videos, texts, enc_cfg: EncoderConfig, sigma: float
-) -> PseudoLabelBatch:
-    """Teacher similarity logits over one unlabeled batch of candidate pairs."""
-    if len(videos) != len(texts):
-        raise UsageError(f"batch has {len(videos)} videos but {len(texts)} texts")
-    if len(videos) < 2:
+def make_pseudo_labels(teacher_v: np.ndarray, teacher_t: np.ndarray, sigma: float) -> PseudoLabelBatch:
+    """Teacher similarity logits over one batch of teacher video/text embeddings."""
+    if len(teacher_v) != len(teacher_t):
+        raise UsageError(f"batch has {len(teacher_v)} videos but {len(teacher_t)} texts")
+    if len(teacher_v) < 2:
         raise UsageError("pseudo labels need batch size >= 2 (no negatives otherwise)")
-    x_v = encode_video_batch(teacher, videos, enc_cfg)
-    x_t = encode_text_batch(teacher, texts, enc_cfg)
-    return PseudoLabelBatch(similarity_matrix(x_v, x_t, sigma))
+    return PseudoLabelBatch(similarity_matrix(teacher_v, teacher_t, sigma))
 
 
-def validation_loss(params, videos, texts, enc_cfg, sigma: float) -> float:
-    """Contrastive-only loss over a full held-out split, in corpus order."""
-    z_v = encode_video_batch(params, videos, enc_cfg)
-    z_t = encode_text_batch(params, texts, enc_cfg)
-    value, _ = contrastive_loss(EmbeddingBatch(z_v, z_t), LossConfig(sigma=sigma, lambda_=0.0))
+def validation_loss(params, frames, texts, enc_cfg, sigma: float) -> float:
+    """Contrastive-only loss over a full held-out split (sampled frames), in corpus order."""
+    batch = EmbeddingBatch(*encode_sampled(params, frames, texts, enc_cfg))
+    value, _ = contrastive_loss(batch, LossConfig(sigma=sigma, lambda_=0.0))
     return value
 
 
@@ -158,6 +159,8 @@ def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
         raise UsageError("pretraining corpus has no labeled-val pairs")
     if len(train_videos) < 2 * train_cfg.batch_size_labeled:
         raise UsageError("labeled-train split must hold at least two batches")
+    train_frames = sample_frames(train_videos, enc_cfg)
+    val_frames = sample_frames(val_videos, enc_cfg)
 
     loss_cfg = LossConfig(sigma=sigma, lambda_=0.0)
     params = init_params(enc_cfg)
@@ -167,19 +170,18 @@ def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
         np.random.default_rng([train_cfg.seed, _LABELED_STREAM]),
     )
     _log_line(log, 0, float("nan"),
-              validation_loss(params, val_videos, val_texts, enc_cfg, sigma))
+              validation_loss(params, val_frames, val_texts, enc_cfg, sigma))
     for step in range(1, train_cfg.max_steps + 1):
         idx = batcher.next_batch()
         loss, grad = total_loss_grad(
-            params, [train_videos[i] for i in idx], train_texts[idx],
-            None, None, None, loss_cfg, enc_cfg,
+            params, train_frames[idx], train_texts[idx], None, None, None, loss_cfg, enc_cfg,
         )
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
         params, state = adamw_step(params, grad, state, train_cfg)
         if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
             _log_line(log, step, loss,
-                      validation_loss(params, val_videos, val_texts, enc_cfg, sigma))
+                      validation_loss(params, val_frames, val_texts, enc_cfg, sigma))
     return params
 
 
@@ -210,11 +212,12 @@ def train_student(
     """Train a student from teacher init; select by labeled validation loss.
 
     Each step draws one labeled batch and one unlabeled batch (seeded
-    shuffling), encodes the unlabeled batch with the frozen teacher to get
-    soft targets, takes one combined gradient step, and every ``eval_every``
-    steps evaluates the contrastive loss on the labeled validation split.
-    The returned record holds the parameters with the minimum validation
-    loss over all evaluations, including the step-0 one.
+    shuffling), takes the frozen teacher's soft targets for the unlabeled
+    batch from its once-per-run encoding of the pool, takes one combined
+    gradient step, and every ``eval_every`` steps evaluates the contrastive
+    loss on the labeled validation split. The returned record holds the
+    parameters with the minimum validation loss over all evaluations,
+    including the step-0 one.
     """
     train_videos, train_texts = corpus.paired("labeled-train")
     val_videos, val_texts = corpus.paired("labeled-val")
@@ -227,6 +230,8 @@ def train_student(
         )
     unlabeled_videos, unlabeled_texts = corpus.unpaired("unlabeled")
     use_distill = loss_cfg.lambda_ != 0.0 and len(unlabeled_videos) > 0
+    train_frames = sample_frames(train_videos, enc_cfg)
+    val_frames = sample_frames(val_videos, enc_cfg)
 
     student = teacher.copy()
     state = init_optimizer_state(student)
@@ -243,33 +248,39 @@ def train_student(
             len(unlabeled_texts), train_cfg.batch_size_unlabeled,
             np.random.default_rng([train_cfg.seed, _UNLABELED_TEXT_STREAM]),
         )
+        unlabeled_frames = sample_frames(unlabeled_videos, enc_cfg)
+        teacher_uv, teacher_ut = encode_sampled(teacher, unlabeled_frames, unlabeled_texts, enc_cfg)
+        if train_cfg.distill_on_labeled:
+            teacher_lv, teacher_lt = encode_sampled(teacher, train_frames, train_texts, enc_cfg)
 
     def snapshot(step, val):
         return CheckpointRecord(student.copy(), step, val, enc_cfg, loss_cfg, train_cfg)
 
-    val0 = validation_loss(student, val_videos, val_texts, enc_cfg, loss_cfg.sigma)
+    val0 = validation_loss(student, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
     _log_line(log, 0, float("nan"), val0)
     best = snapshot(0, val0)
 
     for step in range(1, train_cfg.max_steps + 1):
         idx = labeled_batcher.next_batch()
-        lv = [train_videos[i] for i in idx]
-        lt = train_texts[idx]
         uv = ut = pseudo = labeled_pseudo = None
         if use_distill:
-            uv = [unlabeled_videos[i] for i in video_batcher.next_batch()]
-            ut = unlabeled_texts[text_batcher.next_batch()]
-            pseudo = make_pseudo_labels(teacher, uv, ut, enc_cfg, loss_cfg.sigma)
+            vidx = video_batcher.next_batch()
+            tidx = text_batcher.next_batch()
+            uv, ut = unlabeled_frames[vidx], unlabeled_texts[tidx]
+            pseudo = make_pseudo_labels(teacher_uv[vidx], teacher_ut[tidx], loss_cfg.sigma)
             if train_cfg.distill_on_labeled:
-                labeled_pseudo = make_pseudo_labels(teacher, lv, lt, enc_cfg, loss_cfg.sigma)
+                labeled_pseudo = make_pseudo_labels(
+                    teacher_lv[idx], teacher_lt[idx], loss_cfg.sigma
+                )
         loss, grad = total_loss_grad(
-            student, lv, lt, uv, ut, pseudo, loss_cfg, enc_cfg, labeled_pseudo=labeled_pseudo
+            student, train_frames[idx], train_texts[idx], uv, ut, pseudo, loss_cfg, enc_cfg,
+            labeled_pseudo=labeled_pseudo,
         )
         if not np.isfinite(loss):
             raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
         student, state = adamw_step(student, grad, state, train_cfg)
         if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
-            val = validation_loss(student, val_videos, val_texts, enc_cfg, loss_cfg.sigma)
+            val = validation_loss(student, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
             _log_line(log, step, loss, val)
             if val < best.val_loss:
                 best = snapshot(step, val)

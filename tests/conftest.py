@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from dfuse.corpus import SynthConfig, build_corpus
@@ -38,3 +41,9 @@ def tiny_enc(tiny_synth):
         input_dim_video=tiny_synth.d_v, input_dim_text=tiny_synth.d_t,
         hidden_dim=10, embed_dim=6, n_frames=2, seed=3,
     )
+
+
+@pytest.fixture(scope="session")
+def golden_digests():
+    """Artifact SHA-256s recorded on an earlier commit (see ``about`` in the file)."""
+    return json.loads((Path(__file__).parent / "golden_digests.json").read_text(encoding="utf-8"))

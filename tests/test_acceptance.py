@@ -23,6 +23,7 @@ from dfuse.evaluation import (
     recall_at_k,
     retrieval_ranks,
 )
+from dfuse.fileio import sha256_file
 from dfuse.gradcheck import run_gradcheck
 from dfuse.losses import LossConfig, PseudoLabelBatch, distillation_grad_logits, total_loss
 from dfuse.training import make_pseudo_labels
@@ -165,9 +166,12 @@ def test_ac3_distillation_fixed_point():
     params = init_params(enc)
     videos = [rng.standard_normal((3, 6)) for _ in range(4)]
     texts = rng.standard_normal((4, 5))
-    pseudo = make_pseudo_labels(params, videos, texts, enc, 0.05)
     from dfuse.encoder import encode_text_batch, encode_video_batch
     from dfuse.numerics import similarity_matrix
+
+    pseudo = make_pseudo_labels(
+        encode_video_batch(params, videos, enc), encode_text_batch(params, texts, enc), 0.05
+    )
 
     student_logits = similarity_matrix(
         encode_video_batch(params, videos, enc),
@@ -322,3 +326,14 @@ def test_ac10_full_pipeline_determinism(pipeline):
     ]
     criterion("AC10 determinism", not differing,
               "; ".join(differing) or f"{len(COMPARED_FILES)} artifacts byte-identical across runs")
+
+
+def test_golden_digests(pipeline, golden_digests):
+    root, _ = pipeline["a"]
+    golden = golden_digests["pipeline"]
+    differing = [name for name in COMPARED_FILES if sha256_file(root / name) != golden.get(name)]
+    ok = not differing and set(golden) == set(COMPARED_FILES)
+    criterion("golden digests", ok,
+              ("differ: " + ", ".join(differing) if differing else
+               f"{len(COMPARED_FILES)} artifacts match the recorded digests")
+              + f" (recorded with numpy {golden_digests['numpy']}, running {np.__version__})")

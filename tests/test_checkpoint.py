@@ -103,6 +103,18 @@ class TestCorruption:
             load_checkpoint(path)
 
 
+    def test_non_utf8_tensor_name(self, tmp_path, ckpt):
+        path = tmp_path / "c.ckpt"
+        data = bytearray(checkpoint_bytes(ckpt))
+        # magic, 6 config ints, sigma/lambda, step, val_loss, tensor count, name length
+        name_at = len(MAGIC) + 8 * (6 + 2 + 1 + 1 + 1) + 2
+        assert data[name_at:name_at + 5] == b"video"
+        data[name_at] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(CheckpointFormatError, match="not valid UTF-8"):
+            load_checkpoint(path)
+
+
 class TestFormat:
     def test_magic_tag(self, ckpt):
         data = checkpoint_bytes(ckpt)

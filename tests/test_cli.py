@@ -203,6 +203,25 @@ class TestPipelineCommands:
         ranks_a = [int(r.split("\t")[1]) for r in rows]
         assert ranks_a == sorted(ranks_a)
 
+    def test_report_with_non_numeric_accuracy_is_usage_error(self, mini_pipeline, tmp_path,
+                                                              capsys):
+        root, _, videos = mini_pipeline
+        out = tmp_path / "cls"
+        assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
+                             "--corpus", str(videos), "--out", str(out)]) == 0
+        lines = (tmp_path / "cls.jsonl").read_text().splitlines()
+        record = json.loads(lines[1])
+        record["accuracy"] = "x"
+        lines[1] = json.dumps(record)
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert cli_dispatch(["report-class-delta", "--report-a", str(tmp_path / "bad.jsonl"),
+                             "--report-b", str(tmp_path / "cls.jsonl"),
+                             "--out", str(tmp_path / "delta.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: report line 2:") and err.count("\n") == 1
+        assert not (tmp_path / "delta.tsv").exists()
+
     def test_sweep_alpha_outputs(self, mini_pipeline):
         root, _, videos = mini_pipeline
         assert cli_dispatch([

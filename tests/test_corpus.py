@@ -147,6 +147,14 @@ class TestLoadErrors:
         with pytest.raises(CorpusRecordError, match=record_id):
             load_corpus(path)
 
+    def test_json_list_line_names_file_and_line(self, tmp_path, tiny_synth):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        lines[1] = "[1, 2]"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 2: expected a JSON object"):
+            load_corpus(path)
+
     def test_missing_header(self, tmp_path):
         path = tmp_path / "broken.jsonl"
         path.write_text('{"record": "item", "id": "x"}\n')

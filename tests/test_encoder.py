@@ -12,6 +12,9 @@ from dfuse.encoder import (
     init_params,
     param_layout,
     sample_frame_indices,
+    sample_frames,
+    text_forward,
+    video_forward,
 )
 from dfuse.errors import DegenerateEmbeddingError, UsageError
 
@@ -133,6 +136,89 @@ class TestEncodeVideo:
     def test_empty_batch(self, params, enc_cfg):
         with pytest.raises(UsageError):
             encode_video_batch(params, [], enc_cfg)
+
+
+class TestSampleFrames:
+    def test_shape_and_rows(self, enc_cfg):
+        rng = np.random.default_rng(6)
+        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in (1, 5)]
+        frames = sample_frames(stacks, enc_cfg)
+        assert frames.shape == (2, enc_cfg.n_frames, enc_cfg.input_dim_video)
+        assert frames.flags["C_CONTIGUOUS"]
+        for stack, sampled in zip(stacks, frames):
+            idx = sample_frame_indices(len(stack), enc_cfg.n_frames)
+            np.testing.assert_array_equal(sampled, stack[idx])
+
+    def test_rejects_non_finite_stack(self, enc_cfg):
+        bad = np.zeros((3, enc_cfg.input_dim_video))
+        bad[1, 2] = np.nan
+        with pytest.raises(UsageError, match="frame stack 1 contains non-finite"):
+            sample_frames([np.zeros((2, enc_cfg.input_dim_video)), bad], enc_cfg)
+
+    def test_rejects_wrong_dim(self, enc_cfg):
+        with pytest.raises(UsageError, match="frame stack 0 has dim"):
+            sample_frames([np.zeros((2, enc_cfg.input_dim_video + 1))], enc_cfg)
+
+    def test_rejects_empty_stack_and_batch(self, enc_cfg):
+        with pytest.raises(UsageError, match="T >= 1"):
+            sample_frames([np.zeros((0, enc_cfg.input_dim_video))], enc_cfg)
+        with pytest.raises(UsageError, match="empty video batch"):
+            sample_frames([], enc_cfg)
+
+    def test_video_forward_takes_only_sampled_arrays(self, params, enc_cfg):
+        stack = np.zeros((enc_cfg.n_frames, enc_cfg.input_dim_video))
+        with pytest.raises(UsageError):
+            video_forward(params, [stack], enc_cfg)  # a raw list of stacks
+        with pytest.raises(UsageError):
+            video_forward(params, stack[None, :-1], enc_cfg)  # wrong frame count
+        with pytest.raises(UsageError):
+            video_forward(params, stack[None][:0], enc_cfg)  # empty batch
+
+
+def _per_stack_video_embeddings(params, stacks, cfg):
+    """The per-batch, per-stack frame gather that video_forward ran on raw stacks."""
+    selected = [np.asarray(s)[sample_frame_indices(len(s), cfg.n_frames)] for s in stacks]
+    frames = np.concatenate(selected, axis=0)
+    h = np.tanh(np.einsum("ij,kj->ik", frames, params.tensor("video.w1"), optimize=False)
+                + params.tensor("video.b1"))
+    u = np.einsum("ij,kj->ik", h, params.tensor("video.w2"), optimize=False) \
+        + params.tensor("video.b2")
+    pooled = np.einsum("bne->be", u.reshape(len(stacks), cfg.n_frames, cfg.embed_dim)) / cfg.n_frames
+    return frames, pooled / np.sqrt(np.einsum("ij,ij->i", pooled, pooled))[:, None]
+
+
+# (n_frames, clip lengths to draw from, batch size); the first has T < n_frames.
+DENSE_SHAPES = [(4, (2,), 3), (3, (1, 3, 8), 5), (8, (8,), 7), (2, (5, 6), 2)]
+
+
+class TestDensePath:
+    @pytest.mark.parametrize("n_frames,lengths,batch", DENSE_SHAPES)
+    def test_sampled_forward_equals_per_stack_gather(self, n_frames, lengths, batch):
+        rng = np.random.default_rng([7, n_frames, batch])
+        cfg = EncoderConfig(6, 5, 9, 4, n_frames=n_frames, seed=n_frames)
+        params = init_params(cfg)
+        stacks = [rng.standard_normal((int(rng.choice(lengths)), 6)) for _ in range(batch)]
+        want_frames, want_z = _per_stack_video_embeddings(params, stacks, cfg)
+        cache = video_forward(params, sample_frames(stacks, cfg), cfg)
+        assert cache.x.tobytes() == want_frames.tobytes()
+        assert cache.z.tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("n_frames,lengths,batch", DENSE_SHAPES)
+    def test_pool_rows_equal_per_batch_encoding(self, n_frames, lengths, batch):
+        rng = np.random.default_rng([8, n_frames, batch])
+        cfg = EncoderConfig(7, 3, 5, 6, n_frames=n_frames, seed=batch)
+        params = init_params(cfg)
+        n = 3 * batch + 1
+        stacks = [rng.standard_normal((int(rng.choice(lengths)), 7)) for _ in range(n)]
+        texts = rng.standard_normal((n, 3))
+        pool = sample_frames(stacks, cfg)
+        z_v = video_forward(params, pool, cfg).z
+        z_t = text_forward(params, texts, cfg).z
+        for _ in range(4):
+            idx = rng.permutation(n)[:batch]
+            per_batch_v = encode_video_batch(params, [stacks[i] for i in idx], cfg)
+            assert per_batch_v.tobytes() == z_v[idx].tobytes()
+            assert encode_text_batch(params, texts[idx], cfg).tobytes() == z_t[idx].tobytes()
 
 
 class TestEncodeText:

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -344,6 +345,36 @@ class TestEvaluateModel:
         table = report_table(report)
         assert table.startswith("metric\tvalue")
         assert f"mdr\t{report.mdr}" in table
+
+    def _report_lines(self, tiny_corpus, tiny_enc):
+        report = evaluate_model(
+            init_params(tiny_enc), tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth)
+        )
+        return report_jsonl(report).splitlines(keepends=True)
+
+    def test_report_json_list_line_names_line(self, tiny_corpus, tiny_enc):
+        lines = self._report_lines(tiny_corpus, tiny_enc)
+        lines[1] = "[1, 2]\n"
+        with pytest.raises(UsageError, match="report line 2: expected a JSON object"):
+            parse_report_records(lines)
+
+    @pytest.mark.parametrize("key", ["accuracy", "count"])
+    def test_report_per_class_missing_key_names_line(self, tiny_corpus, tiny_enc, key):
+        lines = self._report_lines(tiny_corpus, tiny_enc)
+        record = json.loads(lines[2])
+        assert record["record"] == "per_class"
+        del record[key]
+        lines[2] = json.dumps(record) + "\n"
+        with pytest.raises(UsageError, match=f"report line 3: per_class record is missing '{key}'"):
+            parse_report_records(lines)
+
+    def test_report_non_numeric_accuracy_names_line(self, tiny_corpus, tiny_enc):
+        lines = self._report_lines(tiny_corpus, tiny_enc)
+        record = json.loads(lines[2])
+        record["accuracy"] = "x"
+        lines[2] = json.dumps(record) + "\n"
+        with pytest.raises(UsageError, match="report line 3: malformed per_class record"):
+            parse_report_records(lines)
 
     def test_default_template_matches_published_prompt(self):
         assert DEFAULT_TEMPLATE == "a video of a person {c}"

@@ -1,0 +1,33 @@
+import os
+import stat
+
+import pytest
+
+from dfuse.checkpointio import Checkpoint, save_checkpoint
+from dfuse.corpus import gen_corpus
+from dfuse.encoder import init_params
+from dfuse.losses import LossConfig
+
+
+@pytest.fixture
+def umask_022():
+    previous = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(previous)
+
+
+def _mode(path) -> int:
+    return stat.S_IMODE(os.stat(path).st_mode)
+
+
+def test_outputs_follow_umask(tmp_path, umask_022, tiny_synth, enc_cfg):
+    corpus = tmp_path / "corpus.jsonl"
+    gen_corpus(tiny_synth, corpus)
+    ckpt = tmp_path / "model.ckpt"
+    save_checkpoint(ckpt, Checkpoint(enc_cfg, LossConfig(), init_params(enc_cfg), 0, 1.0))
+    assert _mode(corpus) == 0o644
+    assert _mode(ckpt) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.ckpt"]
+

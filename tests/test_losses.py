@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dfuse.encoder import EmbeddingBatch, encode_text_batch, encode_video_batch
+from dfuse.encoder import EmbeddingBatch, encode_text_batch, encode_video_batch, sample_frames
 from dfuse.errors import UsageError
 from dfuse.gradcheck import finite_difference_grad, relative_errors
 from dfuse.losses import (
@@ -237,7 +237,10 @@ class TestTotalLossGrad:
         rng = np.random.default_rng(24)
         lv, lt, uv, ut, pseudo = self._instance(rng, enc_cfg)
         cfg = LossConfig(sigma=0.2, lambda_=0.7)
-        loss, grad = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg)
+        loss, grad = total_loss_grad(
+            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
+            pseudo, cfg, enc_cfg,
+        )
         labeled = EmbeddingBatch(
             encode_video_batch(params, lv, enc_cfg), encode_text_batch(params, lt, enc_cfg)
         )
@@ -262,7 +265,10 @@ class TestTotalLossGrad:
             )
             return total_loss(labeled, student, pseudo, cfg)
 
-        _, analytic = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg)
+        _, analytic = total_loss_grad(
+            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
+            pseudo, cfg, enc_cfg,
+        )
         numeric = finite_difference_grad(loss_fn, params)
         assert float(relative_errors(analytic, numeric).max()) < 1e-4
 
@@ -284,7 +290,8 @@ class TestTotalLossGrad:
             return base + cfg.lambda_ * extra
 
         loss, analytic = total_loss_grad(
-            params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo=labeled_pseudo
+            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
+            pseudo, cfg, enc_cfg, labeled_pseudo=labeled_pseudo,
         )
         assert loss == pytest.approx(loss_fn(params), abs=0)
         numeric = finite_difference_grad(loss_fn, params)
@@ -301,6 +308,8 @@ class TestTotalLossGrad:
             )
             return total_loss(labeled, None, None, cfg)
 
-        _, analytic = total_loss_grad(params, lv, lt, None, None, None, cfg, enc_cfg)
+        _, analytic = total_loss_grad(
+            params, sample_frames(lv, enc_cfg), lt, None, None, None, cfg, enc_cfg
+        )
         numeric = finite_difference_grad(loss_fn, params)
         assert float(relative_errors(analytic, numeric).max()) < 1e-4

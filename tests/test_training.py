@@ -1,12 +1,20 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 import dfuse.training as training
+from dfuse.checkpointio import Checkpoint, checkpoint_bytes
 from dfuse.corpus import build_corpus
-from dfuse.encoder import ParamVector, init_params
+from dfuse.encoder import (
+    ParamVector,
+    encode_text_batch,
+    encode_video_batch,
+    init_params,
+    sample_frames,
+)
 from dfuse.errors import TrainingDivergedError, UsageError
 from dfuse.losses import LossConfig
 from dfuse.numerics import similarity_matrix
@@ -95,12 +103,13 @@ class TestIndexBatcher:
 
 class TestMakePseudoLabels:
     def test_matches_student_logits_bit_exactly(self, tiny_corpus, tiny_enc):
-        from dfuse.encoder import encode_text_batch, encode_video_batch
-
         params = init_params(tiny_enc)
         videos, texts = tiny_corpus.unpaired("unlabeled")
         videos, texts = videos[:5], texts[:5]
-        pseudo = make_pseudo_labels(params, videos, texts, tiny_enc, 0.05)
+        pseudo = make_pseudo_labels(
+            encode_video_batch(params, videos, tiny_enc),
+            encode_text_batch(params, texts, tiny_enc), 0.05,
+        )
         student_logits = similarity_matrix(
             encode_video_batch(params, videos, tiny_enc),
             encode_text_batch(params, texts, tiny_enc),
@@ -112,13 +121,19 @@ class TestMakePseudoLabels:
         params = init_params(tiny_enc)
         videos, texts = tiny_corpus.unpaired("unlabeled")
         with pytest.raises(UsageError):
-            make_pseudo_labels(params, videos[:1], texts[:1], tiny_enc, 0.05)
+            make_pseudo_labels(
+                encode_video_batch(params, videos[:1], tiny_enc),
+                encode_text_batch(params, texts[:1], tiny_enc), 0.05,
+            )
 
     def test_rejects_count_mismatch(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
         videos, texts = tiny_corpus.unpaired("unlabeled")
         with pytest.raises(UsageError):
-            make_pseudo_labels(params, videos[:3], texts[:4], tiny_enc, 0.05)
+            make_pseudo_labels(
+                encode_video_batch(params, videos[:3], tiny_enc),
+                encode_text_batch(params, texts[:4], tiny_enc), 0.05,
+            )
 
     def test_symmetric_when_towers_and_inputs_coincide(self, tiny_enc):
         # Copy the video tower into the text tower and feed identical content:
@@ -129,7 +144,10 @@ class TestMakePseudoLabels:
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((4, tiny_enc.input_dim_video))
         videos = [feats[i:i + 1] for i in range(4)]
-        pseudo = make_pseudo_labels(params, videos, feats, tiny_enc, 0.05)
+        pseudo = make_pseudo_labels(
+            encode_video_batch(params, videos, tiny_enc),
+            encode_text_batch(params, feats, tiny_enc), 0.05,
+        )
         np.testing.assert_array_equal(pseudo.teacher_logits, pseudo.teacher_logits.T)
 
 
@@ -203,7 +221,9 @@ class TestTrainStudent:
             _small_train_cfg(lr=3e-4),
         )
         val_videos, val_texts = tiny_corpus.paired("labeled-val")
-        recomputed = validation_loss(record.params, val_videos, val_texts, tiny_enc, 0.05)
+        recomputed = validation_loss(
+            record.params, sample_frames(val_videos, tiny_enc), val_texts, tiny_enc, 0.05
+        )
         assert record.val_loss == recomputed
 
     def test_pure_finetune_without_unlabeled(self, tiny_synth, tiny_enc):
@@ -232,6 +252,18 @@ class TestTrainStudent:
         flagged = train_student(teacher, tiny_corpus, tiny_enc, loss_cfg,
                                 _small_train_cfg(lr=3e-4, distill_on_labeled=True))
         assert not np.array_equal(plain.params.values, flagged.params.values)
+
+    def test_distill_on_labeled_checkpoint_matches_golden(self, tiny_corpus, tiny_enc,
+                                                          golden_digests):
+        # The acceptance pipeline never distills on labeled batches, so pin this path here.
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        loss_cfg = LossConfig(sigma=0.05, lambda_=0.999)
+        record = train_student(teacher, tiny_corpus, tiny_enc, loss_cfg,
+                               _small_train_cfg(lr=3e-4, distill_on_labeled=True))
+        data = checkpoint_bytes(
+            Checkpoint(tiny_enc, loss_cfg, record.params, record.step, record.val_loss)
+        )
+        assert hashlib.sha256(data).hexdigest() == golden_digests["distill_on_labeled_student"]
 
     def test_undersized_labeled_split_rejected(self, tiny_corpus, tiny_enc):
         teacher = init_params(tiny_enc)
