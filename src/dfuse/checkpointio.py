@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .encoder import EncoderConfig, ParamVector
+from .encoder import EncoderConfig, ParamVector, param_layout
 from .errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -137,4 +137,8 @@ def load_checkpoint(path) -> Checkpoint:
         params = ParamVector(values, tuple(layout))
     except UsageError as exc:
         raise CheckpointFormatError(f"{source}: invalid stored configuration: {exc}") from exc
+    if params.layout != param_layout(enc_cfg):
+        raise CheckpointLayoutError(
+            f"{source}: stored tensor layout does not match the stored encoder configuration"
+        )
     return Checkpoint(enc_cfg, loss_cfg, params, int(step), float(val_loss))

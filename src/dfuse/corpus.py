@@ -13,9 +13,19 @@ with the same seed share their concepts and feature maps regardless of split
 sizes or frames per video. That is how a single-frame pretraining corpus and
 a multi-frame video corpus end up in the same planted world.
 
-File format: JSON Lines. The first line is a header carrying the full
-generation config; each further line is one record with inline feature
-arrays. Floats round-trip exactly through ``repr``.
+File format (``dfuse-corpus-v1``): JSON Lines. The first line is a header
+carrying the full generation config; each further line is one record with
+inline feature arrays. Floats round-trip exactly through ``repr``.
+
+``gen_corpus`` streams the file one ``json.dumps`` line at a time through the
+atomic temp-file writer, so the whole text is never held in memory.
+``load_corpus`` reads the file line by line in binary mode and parses each
+record line with orjson. A line orjson rejects is parsed again with ``json``,
+so ``NaN``/``Infinity``, integers too large for a double and syntax errors
+give the stdlib's values and messages; the header line always goes through
+``json``. Both parsers give the same bits for every feature value. orjson
+reads other integers past 64 bits as floats, so ``concept_id`` and
+``pair_index`` must be 64-bit integers whichever parser read them.
 """
 
 from __future__ import annotations
@@ -23,14 +33,14 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CorpusFormatError, CorpusRecordError, UsageError
-from .fileio import atomic_write_text
+from .fileio import atomic_write_chunks
 
 SPLITS = ("labeled-train", "labeled-val", "unlabeled", "eval")
 PAIRED_SPLITS = ("labeled-train", "labeled-val", "eval")
@@ -201,10 +211,10 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
     return Corpus(cfg, records)
 
 
-def corpus_to_jsonl(corpus: "Corpus") -> str:
-    out = StringIO()
+def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
+    """The corpus file, one encoded line at a time."""
     header = {"record": "header", "format": FORMAT_TAG, "synth": asdict(corpus.synth)}
-    out.write(json.dumps(header) + "\n")
+    yield (json.dumps(header) + "\n").encode()
     for rec in corpus.records:
         payload = {
             "record": "item",
@@ -216,14 +226,13 @@ def corpus_to_jsonl(corpus: "Corpus") -> str:
             "class_name": rec.class_name,
             "features": rec.features.tolist(),
         }
-        out.write(json.dumps(payload) + "\n")
-    return out.getvalue()
+        yield (json.dumps(payload) + "\n").encode()
 
 
 def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
     """Generate and write a corpus file; returns the in-memory corpus."""
     corpus = build_corpus(cfg)
-    atomic_write_text(path, corpus_to_jsonl(corpus))
+    atomic_write_chunks(path, corpus_lines(corpus))
     return corpus
 
 
@@ -276,14 +285,26 @@ class Corpus:
             raise UsageError(f"unknown split {split!r}; expected one of {SPLITS}")
 
 
+def _is_int64(value) -> bool:
+    # orjson reads integers outside 64 bits as floats and ``json`` as ints;
+    # rejecting both makes the result independent of which parser read the line.
+    return type(value) is int and -(1 << 63) <= value < (1 << 63)
+
+
 def _validate_record(rec: CorpusRecord, synth: SynthConfig) -> None:
     if rec.kind not in ("video", "text"):
         raise CorpusRecordError(f"record {rec.id!r}: unknown kind {rec.kind!r}")
     if rec.split not in SPLITS:
         raise CorpusRecordError(f"record {rec.id!r}: unknown split {rec.split!r}")
+    if not _is_int64(rec.concept_id):
+        raise CorpusRecordError(f"record {rec.id!r}: concept_id must be a 64-bit integer")
     if rec.concept_id < 0:
         raise CorpusRecordError(f"record {rec.id!r}: negative concept_id")
-    if not np.all(np.isfinite(rec.features)):
+    if rec.pair_index is not None and not _is_int64(rec.pair_index):
+        raise CorpusRecordError(f"record {rec.id!r}: pair_index must be a 64-bit integer")
+    if rec.class_name is not None and not isinstance(rec.class_name, str):
+        raise CorpusRecordError(f"record {rec.id!r}: class_name must be a string")
+    if not np.isfinite(rec.features).all():
         raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
     if rec.kind == "video":
         if rec.features.ndim != 2 or rec.features.shape[0] < 1:
@@ -317,23 +338,55 @@ def _validate_pairing(corpus: Corpus) -> None:
                 )
 
 
+_BLANK = object()
+
+
+def _lines(fh) -> Iterator[bytes]:
+    """Lines of a binary file, split at LF, CRLF or a lone CR as text mode does."""
+    for line in fh:
+        if b"\r" in line:
+            yield from line.splitlines()
+        else:
+            yield line
+
+
+def _loads_stdlib(line: bytes, path: Path, lineno: int):
+    """Parse one line with ``json``; ``_BLANK`` for a whitespace-only line."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusFormatError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})") from None
+    if not text.strip():
+        return _BLANK
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+
+
 def load_corpus(path) -> Corpus:
     """Parse and validate a corpus file.
 
     Parse failures name the line; invariant violations name the record id.
     """
+    # Imported here: commands that read no corpus skip orjson's import cost.
+    import orjson
+
     path = Path(path)
     records: list[CorpusRecord] = []
     synth = None
     seen_ids = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+    with open(path, "rb", buffering=1 << 16) as fh:
+        for lineno, line in enumerate(_lines(fh), start=1):
+            if synth is None:  # orjson would read header integers past 64 bits as floats
+                payload = _loads_stdlib(line, path, lineno)
+            else:
+                try:
+                    payload = orjson.loads(line)
+                except orjson.JSONDecodeError:
+                    payload = _loads_stdlib(line, path, lineno)
+            if payload is _BLANK:
                 continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(payload, dict):
                 raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
             if synth is None:
@@ -353,13 +406,15 @@ def load_corpus(path) -> Corpus:
                     id=payload["id"],
                     kind=payload["kind"],
                     split=payload["split"],
-                    concept_id=int(payload["concept_id"]),
+                    concept_id=payload["concept_id"],
                     features=np.asarray(payload["features"], dtype=np.float64),
                     class_name=payload.get("class_name"),
                     pair_index=payload.get("pair_index"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: malformed record: {exc}") from exc
+            if not isinstance(rec.id, str):
+                raise CorpusFormatError(f"{path}: line {lineno}: record id must be a string")
             if rec.id in seen_ids:
                 raise CorpusRecordError(f"record {rec.id!r}: duplicate id")
             seen_ids.add(rec.id)

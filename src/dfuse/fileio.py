@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
 
 
@@ -15,23 +16,29 @@ def _new_file_mode() -> int:
     return 0o666 & ~mask
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename.
+def atomic_write_chunks(path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks via a temp file in the same directory, then rename.
 
     ``mkstemp`` creates the temp file at mode 0600 whatever the umask, so the
-    file gets the usual new-file mode before it takes the target's name.
+    file gets the usual new-file mode before it takes the target's name. If
+    writing fails, or ``chunks`` raises part way, the temp file is removed and
+    the target is left as it was.
     """
     target = Path(path)
     fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _new_file_mode())
-            fh.write(data)
+            fh.writelines(chunks)
         os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_bytes(path, data: bytes) -> None:
+    atomic_write_chunks(path, (data,))
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -10,7 +10,7 @@ from dfuse.checkpointio import (
     load_checkpoint,
     save_checkpoint,
 )
-from dfuse.encoder import init_params
+from dfuse.encoder import ParamVector, init_params
 from dfuse.errors import (
     CheckpointChecksumError,
     CheckpointFormatError,
@@ -112,6 +112,21 @@ class TestCorruption:
         data[name_at] = 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointFormatError, match="not valid UTF-8"):
+            load_checkpoint(path)
+
+
+    def test_layout_must_match_encoder_config(self, tmp_path, ckpt):
+        # swapped video.w1 dims hold the same number of values, so only the
+        # comparison with the configured layout can catch them
+        layout = tuple((name, shape[::-1]) if name == "video.w1" else (name, shape)
+                       for name, shape in ckpt.params.layout)
+        assert layout != ckpt.params.layout
+        path = tmp_path / "swapped.ckpt"
+        save_checkpoint(path, Checkpoint(
+            ckpt.enc_cfg, ckpt.loss_cfg, ParamVector(ckpt.params.values, layout),
+            step=0, val_loss=0.0,
+        ))
+        with pytest.raises(CheckpointLayoutError, match="does not match"):
             load_checkpoint(path)
 
 

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from dfuse.checkpointio import load_checkpoint
+from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import load_corpus
+from dfuse.encoder import ParamVector
 from dfuse.evaluation import parse_report_records
 from dfuse.fileio import sha256_file
 
@@ -98,6 +99,32 @@ class TestConfigResolution:
     def test_bad_typed_value(self, capsys):
         assert cli_dispatch(["gen-corpus", "--seed", "not-a-number", "--out", "x"]) == 1
         assert "seed" in capsys.readouterr().err
+
+
+def _edit_json(*indices, **changes):
+    def edit(lines):
+        for index in indices:
+            payload = json.loads(lines[index])
+            payload.update(changes)
+            lines[index] = json.dumps(payload).encode()
+    return edit
+
+
+def _non_utf8_id(lines):
+    lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+
+
+# Corpus edits that ended in a Python traceback (the float concept_id was
+# silently truncated instead) before load_corpus checked for them; tiny video
+# records are 3 frames of 8 features.
+CORPUS_EDITS = {
+    "non-utf8-byte": _non_utf8_id,
+    "int-feature-too-large-for-float": _edit_json(1, features=[[10**400] * 8] * 3),
+    "list-id": _edit_json(1, id=["vid", 0]),
+    "float-concept-id": _edit_json(1, concept_id=0.5),
+    "string-pair-index": _edit_json(1, 2, pair_index="x"),
+    "list-class-name": _edit_json(1, class_name=["concept_0"]),
+}
 
 
 @pytest.fixture(scope="module")
@@ -251,6 +278,42 @@ class TestPipelineCommands:
         ])
         assert code == 2
         assert "checksum" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
+    def test_malformed_corpus_is_one_error_line(self, mini_pipeline, tmp_path, capsys, edit):
+        root, _, videos = mini_pipeline
+        lines = videos.read_bytes().split(b"\n")
+        edit(lines)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        code = cli_dispatch([
+            "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
+            "--out", str(tmp_path / "rep"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_checkpoint_layout_mismatch_is_one_error_line(self, mini_pipeline, tmp_path,
+                                                         capsys):
+        root, _, videos = mini_pipeline
+        teacher = load_checkpoint(root / "teacher.ckpt")
+        layout = tuple((name, shape[::-1]) if name == "video.w1" else (name, shape)
+                       for name, shape in teacher.params.layout)
+        bad = tmp_path / "swapped.ckpt"
+        save_checkpoint(bad, Checkpoint(teacher.enc_cfg, teacher.loss_cfg,
+                                        ParamVector(teacher.params.values, layout),
+                                        teacher.step, teacher.val_loss))
+        capsys.readouterr()
+        code = cli_dispatch([
+            "eval-retrieval", "--ckpt", str(bad), "--corpus", str(videos),
+            "--out", str(tmp_path / "rep"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: {bad}: stored tensor layout") and err.count("\n") == 1
 
     def test_missing_corpus_is_usage_error(self, mini_pipeline, capsys):
         root, _, _ = mini_pipeline

@@ -1,14 +1,16 @@
 import dataclasses
 import json
+from decimal import Decimal, localcontext
 
 import numpy as np
+import orjson
 import pytest
 
 from dfuse.corpus import (
     SynthConfig,
     build_corpus,
     concept_vectors,
-    corpus_to_jsonl,
+    corpus_lines,
     gen_corpus,
     load_corpus,
     prompt_feature,
@@ -18,13 +20,18 @@ from dfuse.corpus import (
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
 
 
-class TestGeneration:
-    def test_same_seed_byte_identical(self, tiny_synth):
-        assert corpus_to_jsonl(build_corpus(tiny_synth)) == corpus_to_jsonl(build_corpus(tiny_synth))
+def _written(cfg, path):
+    gen_corpus(cfg, path)
+    return path.read_bytes()
 
-    def test_different_seed_differs(self, tiny_synth):
+
+class TestGeneration:
+    def test_same_seed_byte_identical(self, tmp_path, tiny_synth):
+        assert _written(tiny_synth, tmp_path / "a.jsonl") == _written(tiny_synth, tmp_path / "b.jsonl")
+
+    def test_different_seed_differs(self, tmp_path, tiny_synth):
         other = dataclasses.replace(tiny_synth, seed=tiny_synth.seed + 1)
-        assert corpus_to_jsonl(build_corpus(tiny_synth)) != corpus_to_jsonl(build_corpus(other))
+        assert _written(tiny_synth, tmp_path / "a.jsonl") != _written(other, tmp_path / "b.jsonl")
 
     def test_split_counts(self, tiny_corpus, tiny_synth):
         assert len(tiny_corpus.videos("labeled-train")) == tiny_synth.n_labeled_train
@@ -119,7 +126,7 @@ class TestRoundTrip:
         path = tmp_path / "corpus.jsonl"
         gen_corpus(tiny_synth, path)
         original = path.read_bytes()
-        assert corpus_to_jsonl(load_corpus(path)).encode() == original
+        assert b"".join(corpus_lines(load_corpus(path))) == original
 
 
 class TestLoadErrors:
@@ -195,6 +202,169 @@ class TestLoadErrors:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorpusRecordError, match=payload["id"]):
             load_corpus(path)
+
+    def _edit_record(self, path, index, **changes):
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[index])
+        payload.update(changes)
+        lines[index] = json.dumps(payload)
+        path.write_text("\n".join(lines) + "\n")
+        return payload
+
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, tiny_synth):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 3: not valid UTF-8"):
+            load_corpus(path)
+
+    def test_integer_feature_too_large_for_a_float(self, tmp_path, tiny_synth):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[1])
+        payload["features"][0][0] = 10**400
+        lines[1] = json.dumps(payload)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 2: malformed record"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_line_only_stdlib_json_accepts_keeps_its_error(self, tmp_path, tiny_synth, value):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[1])
+        payload["features"][0][0] = value
+        lines[1] = json.dumps(payload)
+        with pytest.raises(orjson.JSONDecodeError):
+            orjson.loads(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusRecordError, match=f"{payload['id']}.*non-finite features"):
+            load_corpus(path)
+
+    def test_id_must_be_a_string(self, tmp_path, tiny_synth):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        self._edit_record(path, 1, id=["vid", 0])
+        with pytest.raises(CorpusFormatError,
+                           match=f"{path.name}: line 2: record id must be a string"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", [0.5, True, "0", 2**63, 2**64])
+    def test_concept_id_must_be_a_64_bit_integer(self, tmp_path, tiny_synth, value):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        payload = self._edit_record(path, 1, concept_id=value)
+        with pytest.raises(CorpusRecordError,
+                           match=f"{payload['id']}.*concept_id must be a 64-bit integer"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", ["x", 0.0, False, -(2**64)])
+    def test_pair_index_must_be_a_64_bit_integer(self, tmp_path, tiny_synth, value):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        payload = self._edit_record(path, 1, pair_index=value)
+        self._edit_record(path, 2, pair_index=value)
+        with pytest.raises(CorpusRecordError,
+                           match=f"{payload['id']}.*pair_index must be a 64-bit integer"):
+            load_corpus(path)
+
+    @pytest.mark.parametrize("value", [["concept_0"], 3])
+    def test_class_name_must_be_a_string(self, tmp_path, tiny_synth, value):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        payload = self._edit_record(path, 1, class_name=value)
+        with pytest.raises(CorpusRecordError,
+                           match=f"{payload['id']}.*class_name must be a string"):
+            load_corpus(path)
+
+    def test_null_line_is_not_blank(self, tmp_path, tiny_synth):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        lines[1] = "null"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError, match="line 2: expected a JSON object"):
+            load_corpus(path)
+
+
+def _records(corpus):
+    return [(r.id, r.kind, r.split, r.concept_id, r.pair_index, r.class_name,
+             r.features.tobytes()) for r in corpus.records]
+
+
+class TestLineHandling:
+    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+    def test_newlines_split_lines_as_text_mode_does(self, tmp_path, tiny_synth, newline):
+        path = tmp_path / "corpus.jsonl"
+        expected = _records(gen_corpus(tiny_synth, path))
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert _records(load_corpus(path)) == expected
+
+    @pytest.mark.parametrize("blank", [b"", b" \t ", "\u3000".encode(), b"\x1c"])
+    def test_whitespace_only_lines_are_skipped(self, tmp_path, tiny_synth, blank):
+        path = tmp_path / "corpus.jsonl"
+        expected = _records(gen_corpus(tiny_synth, path))
+        lines = path.read_bytes().split(b"\n")
+        lines[0:0] = [blank]
+        lines[3:3] = [blank]
+        path.write_bytes(b"\n".join(lines))
+        assert _records(load_corpus(path)) == expected
+
+
+def _exact_halfway(x: float) -> str:
+    """The decimal exactly halfway between ``x`` and the next double up."""
+    with localcontext() as ctx:
+        ctx.prec = 1200
+        return str((Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2)
+
+
+def _feature_tokens(rng) -> list[str]:
+    bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
+    doubles = bits.view(np.float64)
+    subnormal_bits = rng.integers(1, 2**52, size=400, dtype=np.uint64)
+    subnormal_bits[::2] |= np.uint64(1 << 63)
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                        2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1])
+    values = np.concatenate([doubles[np.isfinite(doubles)], subnormal_bits.view(np.float64),
+                             special])
+    tokens = [fmt(float(v)) for v in values for fmt in (
+        repr, "%.17g".__mod__, "%.20e".__mod__, "%.25g".__mod__, "%.16g".__mod__,
+        "%.3e".__mod__,
+    )]
+    moderate = values[(np.abs(values) > 1e-40) & (np.abs(values) < 1e40)][:600]
+    tokens += [_exact_halfway(float(v)) for v in moderate]
+    tokens += [_exact_halfway(float(v)) for v in subnormal_bits[:40].view(np.float64)]
+    tokens += [str(int(v)) for v in rng.integers(-(2**62), 2**62, size=200)]
+    tokens += [str(int(v) << int(s)) for v, s in zip(rng.integers(1, 2**62, size=200),
+                                                      rng.integers(2, 960, size=200))]
+    tokens += [str(2**64 - 1), str(2**64), str(2**64 + 1), str(-(2**63) - 1), str(2**63)]
+    # short spellings of the largest doubles round up to infinity, which no corpus holds
+    return [t for t in tokens if np.isfinite(float(t))]
+
+
+class TestFeatureBits:
+    def test_load_matches_stdlib_json_bit_for_bit(self, tmp_path):
+        tokens = _feature_tokens(np.random.default_rng(4242))
+        d_v, rows_per_record = 64, 32
+        tokens += ["0"] * (-len(tokens) % d_v)
+        rows = ["[" + ", ".join(tokens[i:i + d_v]) + "]" for i in range(0, len(tokens), d_v)]
+        chunks = [rows[i:i + rows_per_record] for i in range(0, len(rows), rows_per_record)]
+        synth = SynthConfig(d_v=d_v, d_t=d_v, n_labeled_train=0, n_labeled_val=0,
+                            n_unlabeled=len(chunks), n_eval=0)
+        header = {"record": "header", "format": "dfuse-corpus-v1",
+                  "synth": dataclasses.asdict(synth)}
+        lines = [json.dumps(header)]
+        for i, chunk in enumerate(chunks):
+            lines.append(
+                f'{{"record": "item", "id": "vid-unlabeled-{i:05d}", "kind": "video", '
+                f'"split": "unlabeled", "concept_id": 0, "pair_index": null, '
+                f'"class_name": null, "features": [{", ".join(chunk)}]}}'
+            )
+        path = tmp_path / "bits.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        loaded = load_corpus(path)
+        assert len(loaded.records) == len(chunks)
+        for rec, line in zip(loaded.records, lines[1:]):
+            orjson.loads(line)  # every line takes the orjson path
+            expected = np.asarray(json.loads(line)["features"], dtype=np.float64)
+            assert rec.features.shape == expected.shape
+            assert np.array_equal(rec.features.view(np.uint64), expected.view(np.uint64))
 
 
 class TestPromptFeature:

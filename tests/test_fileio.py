@@ -6,6 +6,7 @@ import pytest
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.corpus import gen_corpus
 from dfuse.encoder import init_params
+from dfuse.fileio import atomic_write_chunks
 from dfuse.losses import LossConfig
 
 
@@ -31,3 +32,23 @@ def test_outputs_follow_umask(tmp_path, umask_022, tiny_synth, enc_cfg):
     assert _mode(ckpt) == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl", "model.ckpt"]
 
+
+
+def _failing_stream():
+    yield b"first line\n"
+    raise RuntimeError("generator failed mid-write")
+
+
+def test_stream_failing_mid_write_leaves_no_file(tmp_path):
+    with pytest.raises(RuntimeError, match="mid-write"):
+        atomic_write_chunks(tmp_path / "corpus.jsonl", _failing_stream())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stream_failing_mid_write_keeps_the_old_target(tmp_path):
+    target = tmp_path / "corpus.jsonl"
+    target.write_bytes(b"old contents\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        atomic_write_chunks(target, _failing_stream())
+    assert target.read_bytes() == b"old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
