@@ -17,8 +17,11 @@ File format (``dfuse-corpus-v1``): JSON Lines. The first line is a header
 carrying the full generation config; each further line is one record with
 inline feature arrays. Floats round-trip exactly through ``repr``.
 
-``gen_corpus`` streams the file one ``json.dumps`` line at a time through the
-atomic temp-file writer, so the whole text is never held in memory.
+``gen_corpus`` streams the file one line at a time through the atomic
+temp-file writer, so the whole text is never held in memory. Each line has
+the bytes ``json.dumps`` gives the record; ``corpus_lines`` writes the
+features through orjson where that spells every value the same, and falls
+back to ``json.dumps`` for the whole line where it might not.
 ``load_corpus`` reads the file line by line in binary mode and parses each
 record line with orjson. A line orjson rejects is parsed again with ``json``,
 so ``NaN``/``Infinity``, integers too large for a double and syntax errors
@@ -212,7 +215,19 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
 
 
 def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
-    """The corpus file, one encoded line at a time."""
+    """The corpus file, one encoded line at a time.
+
+    Every line is the bytes of ``json.dumps(payload)``. orjson writes the
+    same shortest round-trip digits as ``repr``, and spells a float
+    differently only in exponent form (``1e16``, ``9.2e-6``), below 1e-4
+    (``0.0000505``) and for a non-finite value (``null``). A record whose
+    orjson features contain ``e``, ``n`` or ``0.0000`` is therefore written
+    whole by ``json.dumps``; any other gets orjson's features spliced after
+    ``json.dumps`` of its other fields.
+    """
+    # Imported here: commands that write no corpus skip orjson's import cost.
+    import orjson
+
     header = {"record": "header", "format": FORMAT_TAG, "synth": asdict(corpus.synth)}
     yield (json.dumps(header) + "\n").encode()
     for rec in corpus.records:
@@ -224,9 +239,14 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
             "concept_id": rec.concept_id,
             "pair_index": rec.pair_index,
             "class_name": rec.class_name,
-            "features": rec.features.tolist(),
         }
-        yield (json.dumps(payload) + "\n").encode()
+        values = rec.features.tolist()
+        features = orjson.dumps(values).replace(b",", b", ")
+        if b"e" in features or b"n" in features or b"0.0000" in features:
+            payload["features"] = values
+            yield (json.dumps(payload) + "\n").encode()
+        else:  # "features" is the last key, so it goes before the closing brace
+            yield json.dumps(payload)[:-1].encode() + b', "features": ' + features + b"}\n"
 
 
 def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
@@ -362,6 +382,10 @@ def _loads_stdlib(line: bytes, path: Path, lineno: int):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise CorpusFormatError(
+            f"{path}: line {lineno}: invalid JSON (nested too deeply)"
+        ) from None
 
 
 def load_corpus(path) -> Corpus:

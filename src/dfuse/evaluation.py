@@ -360,6 +360,8 @@ def parse_report_records(lines) -> ParsedReport:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
             raise UsageError(f"report line {lineno}: invalid JSON ({exc.msg})") from exc
+        except RecursionError:
+            raise UsageError(f"report line {lineno}: invalid JSON (nested too deeply)") from None
         if not isinstance(payload, dict):
             raise UsageError(f"report line {lineno}: expected a JSON object")
         kind = payload.get("record")

@@ -22,19 +22,23 @@ def atomic_write_chunks(path, chunks: Iterable[bytes]) -> None:
     ``mkstemp`` creates the temp file at mode 0600 whatever the umask, so the
     file gets the usual new-file mode before it takes the target's name. If
     writing fails, or ``chunks`` raises part way, the temp file is removed and
-    the target is left as it was.
+    the target is left as it was. An ``OSError`` is raised again naming the
+    target, since the temp file's name means nothing to the caller.
     """
     target = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            os.fchmod(fh.fileno(), _new_file_mode())
-            fh.writelines(chunks)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=target.parent or Path("."), prefix=target.name + ".")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), _new_file_mode())
+                fh.writelines(chunks)
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(target)) from exc
 
 
 def atomic_write_bytes(path, data: bytes) -> None:

@@ -114,6 +114,10 @@ def _non_utf8_id(lines):
     lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
 
 
+def _deeply_nested(lines):
+    lines[1] = b"[" * 100_000
+
+
 # Corpus edits that ended in a Python traceback (the float concept_id was
 # silently truncated instead) before load_corpus checked for them; tiny video
 # records are 3 frames of 8 features.
@@ -124,6 +128,7 @@ CORPUS_EDITS = {
     "float-concept-id": _edit_json(1, concept_id=0.5),
     "string-pair-index": _edit_json(1, 2, pair_index="x"),
     "list-class-name": _edit_json(1, class_name=["concept_0"]),
+    "deeply-nested-line": _deeply_nested,
 }
 
 
@@ -249,6 +254,18 @@ class TestPipelineCommands:
         assert err.startswith("error: report line 2:") and err.count("\n") == 1
         assert not (tmp_path / "delta.tsv").exists()
 
+    def test_report_nested_too_deeply_is_usage_error(self, mini_pipeline, tmp_path, capsys):
+        root, _, _ = mini_pipeline
+        bad = tmp_path / "deep.jsonl"
+        bad.write_text("[" * 100_000 + "\n")
+        capsys.readouterr()
+        assert cli_dispatch(["report-rank-dist", "--report-a", str(bad),
+                             "--report-b", str(root / "cls_teacher.jsonl"),
+                             "--out", str(tmp_path / "dist.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: report line 1: invalid JSON (nested too deeply)\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl"]
+
     def test_sweep_alpha_outputs(self, mini_pipeline):
         root, _, videos = mini_pipeline
         assert cli_dispatch([
@@ -339,6 +356,24 @@ class TestPipelineCommands:
         assert "dims" in capsys.readouterr().err
 
 
+class TestWriteFailures:
+    @pytest.mark.parametrize("where", ["missing-dir", "existing-dir"])
+    def test_error_names_the_output_not_a_temp_file(self, tmp_path, capsys, where):
+        if where == "missing-dir":
+            out = tmp_path / "missing" / "corpus.jsonl"
+        else:
+            out = tmp_path / "corpus.jsonl"
+            out.mkdir()
+        capsys.readouterr()
+        assert cli_dispatch(["gen-corpus", *TINY_CORPUS_ARGS, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": '{out}'\n")
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.rglob("*")) == (
+            [] if where == "missing-dir" else ["corpus.jsonl"]
+        )
+
+
 class TestGradcheckCommand:
     def test_small_run_passes(self, capsys):
         assert cli_dispatch(["gradcheck", "--trials", "3", "--seed", "2"]) == 0
@@ -386,6 +421,19 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "gen-corpus" in proc.stdout
+
+    def test_import_does_not_load_orjson(self):
+        # Commands that read or write no corpus pay only the import; orjson
+        # is imported where a corpus is read or written.
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, dfuse.cli; print('orjson' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_console_script(self):
         import shutil

@@ -7,6 +7,8 @@ import orjson
 import pytest
 
 from dfuse.corpus import (
+    Corpus,
+    CorpusRecord,
     SynthConfig,
     build_corpus,
     concept_vectors,
@@ -282,6 +284,17 @@ class TestLoadErrors:
         with pytest.raises(CorpusFormatError, match="line 2: expected a JSON object"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("index", [0, 1])
+    def test_line_nested_too_deeply_names_file_and_line(self, tmp_path, tiny_synth, index):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        lines[index] = "[" * 100_000
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusFormatError,
+                           match=f"{path.name}: line {index + 1}: invalid JSON "
+                                 r"\(nested too deeply\)"):
+            load_corpus(path)
+
 
 def _records(corpus):
     return [(r.id, r.kind, r.split, r.concept_id, r.pair_index, r.class_name,
@@ -338,6 +351,36 @@ def _feature_tokens(rng) -> list[str]:
     return [t for t in tokens if np.isfinite(float(t))]
 
 
+def _writer_values(rng) -> np.ndarray:
+    """Doubles whose spelling by orjson and by ``repr`` differ, or nearly do."""
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64, endpoint=False)
+    subnormal_bits = rng.integers(1, 2**52, size=400, dtype=np.uint64)
+    subnormal_bits[::2] |= np.uint64(1 << 63)
+    # repr switches notation at 1e-4 and 1e16, orjson at 1e-5 (below it writes 9.2e-6)
+    neighbours = []
+    for edge in (1e-5, 1e-4, 1e16):
+        for direction in (0.0, np.inf):
+            steps = [float(np.nextafter(edge, direction))]
+            for _ in range(5):
+                steps.append(float(np.nextafter(steps[-1], direction)))
+            neighbours += steps + [-x for x in steps]
+    exponents = np.arange(-1074, 1024)
+    return np.concatenate([
+        np.ldexp(1.0, exponents),
+        np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents),
+        -np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents),
+        bits.view(np.float64),
+        subnormal_bits.view(np.float64),
+        neighbours,
+        rng.standard_normal(1200) * 10.0 ** rng.integers(-4, 16, 1200),
+    ])
+
+
+# Each written alone, so that no other value on the line decides its branch.
+_LONE_VALUES = [1e-5, 1e-4, 1e16, 0.0, -0.0, np.nan, np.inf, -np.inf, 260.00007701747694,
+                -5309780.000098817, 0.1, 1.0]
+
+
 class TestFeatureBits:
     def test_load_matches_stdlib_json_bit_for_bit(self, tmp_path):
         tokens = _feature_tokens(np.random.default_rng(4242))
@@ -365,6 +408,41 @@ class TestFeatureBits:
             expected = np.asarray(json.loads(line)["features"], dtype=np.float64)
             assert rec.features.shape == expected.shape
             assert np.array_equal(rec.features.view(np.uint64), expected.view(np.uint64))
+
+    def test_writer_matches_json_dumps_line_for_line(self, monkeypatch):
+        values = _writer_values(np.random.default_rng(1312))
+        values = np.concatenate([values, np.zeros(-len(values) % 6)])
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
+        records = []
+        for i, start in enumerate(range(0, len(values), 6)):
+            video, text = values[start:start + 4].reshape(2, 2), values[start + 4:start + 6]
+            records.append(CorpusRecord(f"vid-{i}", "video", "eval", i, video, f"c{i}", i))
+            records.append(CorpusRecord(f"txt-{i}", "text", "unlabeled", i, text))
+        for i, x in enumerate(_LONE_VALUES):
+            records.append(CorpusRecord(f"lone-{i}", "text", "unlabeled", 0, np.array([x, 0.5])))
+        splices = []  # per json.dumps call: did the writer leave "features" out of it?
+        dumps = json.dumps
+
+        def spy(obj):
+            splices.append("features" not in obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(json, "dumps", spy)
+        written = list(corpus_lines(Corpus(synth, records)))
+        monkeypatch.undo()
+        header = {"record": "header", "format": "dfuse-corpus-v1",
+                  "synth": dataclasses.asdict(synth)}
+        expected = [json.dumps(header)]
+        for rec in records:
+            expected.append(json.dumps({
+                "record": "item", "id": rec.id, "kind": rec.kind, "split": rec.split,
+                "concept_id": rec.concept_id, "pair_index": rec.pair_index,
+                "class_name": rec.class_name, "features": rec.features.tolist(),
+            }))
+        assert written == [(line + "\n").encode() for line in expected]
+        record_splices = splices[1:]
+        assert len(record_splices) == len(records)
+        assert 0 < sum(record_splices) < len(records)  # both branches of the writer ran
 
 
 class TestPromptFeature:

@@ -376,5 +376,11 @@ class TestEvaluateModel:
         with pytest.raises(UsageError, match="report line 3: malformed per_class record"):
             parse_report_records(lines)
 
+    def test_report_line_nested_too_deeply_names_line(self, tiny_corpus, tiny_enc):
+        lines = self._report_lines(tiny_corpus, tiny_enc)
+        lines[1] = "[" * 100_000 + "\n"
+        with pytest.raises(UsageError, match=r"report line 2: invalid JSON \(nested too deeply\)"):
+            parse_report_records(lines)
+
     def test_default_template_matches_published_prompt(self):
         assert DEFAULT_TEMPLATE == "a video of a person {c}"

@@ -52,3 +52,21 @@ def test_stream_failing_mid_write_keeps_the_old_target(tmp_path):
         atomic_write_chunks(target, _failing_stream())
     assert target.read_bytes() == b"old contents\n"
     assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+
+
+def test_missing_directory_error_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "corpus.jsonl"
+    with pytest.raises(FileNotFoundError) as info:
+        atomic_write_chunks(target, [b"line\n"])
+    assert info.value.filename == str(target)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_directory_as_target_error_names_it_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        atomic_write_chunks(target, [b"line\n"])
+    assert info.value.filename == str(target)
+    assert str(info.value) == f"[Errno 21] Is a directory: '{target}'"
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
