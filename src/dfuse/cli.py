@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
@@ -257,19 +257,16 @@ def _cmd_train_student(values: dict) -> int:
     return 0
 
 
-def _same_architecture(a: EncoderConfig, b: EncoderConfig) -> bool:
-    return (
-        a.input_dim_video == b.input_dim_video and a.input_dim_text == b.input_dim_text
-        and a.hidden_dim == b.hidden_dim and a.embed_dim == b.embed_dim
-        and a.n_frames == b.n_frames
-    )
+def _check_fusable(teacher: Checkpoint, student: Checkpoint) -> None:
+    # Equal configs up to the init seed: layouts alone would miss n_frames.
+    if replace(teacher.enc_cfg, seed=0) != replace(student.enc_cfg, seed=0):
+        raise UsageError("teacher and student encoder architectures differ; cannot fuse")
 
 
 def _cmd_fuse(values: dict) -> int:
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
-    if not _same_architecture(teacher.enc_cfg, student.enc_cfg):
-        raise UsageError("teacher and student encoder architectures differ; cannot fuse")
+    _check_fusable(teacher, student)
     fused = fuse_weights(teacher.params, student.params, FusionConfig(alpha=values["alpha"]))
     out = Path(values["out"])
     # A fused model carries no validation history of its own.
@@ -338,8 +335,7 @@ def _impact_tsv(rows: list[dict], impact_alpha: float) -> str:
 def _cmd_sweep_alpha(values: dict) -> int:
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
-    if not _same_architecture(teacher.enc_cfg, student.enc_cfg):
-        raise UsageError("teacher and student encoder architectures differ; cannot fuse")
+    _check_fusable(teacher, student)
     corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     prompts = build_prompt_set(corpus.synth, _templates(values))
     alphas = _parse_alphas(values["alphas"])

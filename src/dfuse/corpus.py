@@ -28,7 +28,10 @@ so ``NaN``/``Infinity``, integers too large for a double and syntax errors
 give the stdlib's values and messages; the header line always goes through
 ``json``. Both parsers give the same bits for every feature value. orjson
 reads other integers past 64 bits as floats, so ``concept_id`` and
-``pair_index`` must be 64-bit integers whichever parser read them.
+``pair_index`` must be 64-bit integers whichever parser read them. Feature
+values must be JSON numbers; ``_numbers_only`` proves that, and finiteness,
+for a typical orjson-parsed line from three byte scans, and every other line
+gets the element-wise checks.
 """
 
 from __future__ import annotations
@@ -223,7 +226,10 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
     (``0.0000505``) and for a non-finite value (``null``). A record whose
     orjson features contain ``e``, ``n`` or ``0.0000`` is therefore written
     whole by ``json.dumps``; any other gets orjson's features spliced after
-    ``json.dumps`` of its other fields.
+    ``json.dumps`` of its other fields. Every non-finite value takes the
+    ``json.dumps`` branch (orjson spells it ``null``), so that branch alone
+    checks finiteness and raises ``CorpusRecordError`` naming the record:
+    ``load_corpus`` would reject the file.
     """
     # Imported here: commands that write no corpus skip orjson's import cost.
     import orjson
@@ -243,6 +249,8 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
         values = rec.features.tolist()
         features = orjson.dumps(values).replace(b",", b", ")
         if b"e" in features or b"n" in features or b"0.0000" in features:
+            if not np.isfinite(rec.features).all():
+                raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
             payload["features"] = values
             yield (json.dumps(payload) + "\n").encode()
         else:  # "features" is the last key, so it goes before the closing brace
@@ -250,8 +258,13 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
 
 
 def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
-    """Generate and write a corpus file; returns the in-memory corpus."""
-    corpus = build_corpus(cfg)
+    """Generate and write a corpus file; returns the in-memory corpus.
+
+    Noise large enough to overflow ends in the writer's ``CorpusRecordError``
+    and no file, instead of numpy overflow warnings.
+    """
+    with np.errstate(over="ignore"):
+        corpus = build_corpus(cfg)
     atomic_write_chunks(path, corpus_lines(corpus))
     return corpus
 
@@ -311,7 +324,7 @@ def _is_int64(value) -> bool:
     return type(value) is int and -(1 << 63) <= value < (1 << 63)
 
 
-def _validate_record(rec: CorpusRecord, synth: SynthConfig) -> None:
+def _validate_record(rec: CorpusRecord, synth: SynthConfig, known_finite: bool = False) -> None:
     if rec.kind not in ("video", "text"):
         raise CorpusRecordError(f"record {rec.id!r}: unknown kind {rec.kind!r}")
     if rec.split not in SPLITS:
@@ -324,7 +337,7 @@ def _validate_record(rec: CorpusRecord, synth: SynthConfig) -> None:
         raise CorpusRecordError(f"record {rec.id!r}: pair_index must be a 64-bit integer")
     if rec.class_name is not None and not isinstance(rec.class_name, str):
         raise CorpusRecordError(f"record {rec.id!r}: class_name must be a string")
-    if not np.isfinite(rec.features).all():
+    if not known_finite and not np.isfinite(rec.features).all():
         raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
     if rec.kind == "video":
         if rec.features.ndim != 2 or rec.features.shape[0] < 1:
@@ -370,6 +383,28 @@ def _lines(fh) -> Iterator[bytes]:
             yield line
 
 
+def _numbers_only(line: bytes) -> bool:
+    """Cheap screen of a line orjson parsed: True only if its features are finite numbers.
+
+    Past its first ``"features"``, a line as ``corpus_lines`` writes it holds
+    only digits, ``-``, ``.``, ``e``, brackets, commas and spaces. A string
+    needs a quote there, and ``true``, ``false`` and ``null`` (which numpy
+    reads as 1.0, 0.0 and nan) a ``u`` or an ``l``; orjson rejects ``NaN``,
+    ``Infinity`` and numbers too large for a double. Three ``memchr`` scans,
+    no allocation; a line that fails the screen gets the exact checks.
+    """
+    at = line.find(b'"features"') + len(b'"features"')
+    return (at >= len(b'"features"') and line.find(b'"', at) < 0
+            and line.find(b"u", at) < 0 and line.find(b"l", at) < 0)
+
+
+def _holds_non_number(value) -> bool:
+    """Whether a parsed feature value is, or holds at any depth, a string or a boolean."""
+    if type(value) is list:
+        return any(_holds_non_number(v) for v in value)
+    return type(value) is str or type(value) is bool
+
+
 def _loads_stdlib(line: bytes, path: Path, lineno: int):
     """Parse one line with ``json``; ``_BLANK`` for a whitespace-only line."""
     try:
@@ -402,11 +437,13 @@ def load_corpus(path) -> Corpus:
     seen_ids = set()
     with open(path, "rb", buffering=1 << 16) as fh:
         for lineno, line in enumerate(_lines(fh), start=1):
+            by_orjson = False
             if synth is None:  # orjson would read header integers past 64 bits as floats
                 payload = _loads_stdlib(line, path, lineno)
             else:
                 try:
                     payload = orjson.loads(line)
+                    by_orjson = True
                 except orjson.JSONDecodeError:
                     payload = _loads_stdlib(line, path, lineno)
             if payload is _BLANK:
@@ -442,7 +479,13 @@ def load_corpus(path) -> Corpus:
             if rec.id in seen_ids:
                 raise CorpusRecordError(f"record {rec.id!r}: duplicate id")
             seen_ids.add(rec.id)
-            _validate_record(rec, synth)
+            # numpy would read "1.5" as 1.5 and true as 1.0. The screen also
+            # proves finiteness, so it replaces the per-record isfinite pass; the
+            # array has at most 64 dims here, which bounds the recursion.
+            numbers_only = by_orjson and _numbers_only(line)
+            if not numbers_only and _holds_non_number(payload["features"]):
+                raise CorpusRecordError(f"record {rec.id!r}: features must be JSON numbers")
+            _validate_record(rec, synth, known_finite=numbers_only)
             records.append(rec)
     if synth is None:
         raise CorpusFormatError(f"{path}: line 1: empty file, missing corpus header")

@@ -11,6 +11,11 @@ into one dense ``(N, n_frames, d_v)`` array; training samples each split once
 per run and gathers batch rows from it. ``video_forward`` only ever sees such
 arrays. ``encode_video``/``encode_video_batch`` take raw stacks and sample them
 on the way in.
+
+A ``ParamVector`` may also hold a stack of K weight vectors, ``(K, n_params)``.
+The forward pass then gives ``(K, B, embed_dim)`` embeddings for the same
+inputs in one call; einsum's ``...`` axes run each slice through the inner
+loops of the one-vector call, so every slice has that call's bits.
 """
 
 from __future__ import annotations
@@ -44,18 +49,22 @@ class EncoderConfig:
 class ParamVector:
     """All encoder weights as one flat float64 array plus a named layout.
 
-    Treated as immutable by every consumer; call ``copy()`` before mutating.
+    A 2-D ``values`` is a stack of K weight vectors, one per row, that the
+    forward pass evaluates at once; any other shape is flattened. Treated as
+    immutable by every consumer; call ``copy()`` before mutating.
     """
 
     values: np.ndarray
     layout: tuple[tuple[str, tuple[int, ...]], ...]
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64).ravel()
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2:
+            self.values = self.values.ravel()
         total = sum(math.prod(shape) for _, shape in self.layout)
-        if total != self.values.size:
+        if total != self.values.shape[-1]:
             raise UsageError(
-                f"layout declares {total} values but {self.values.size} were given"
+                f"layout declares {total} values but {self.values.shape[-1]} were given"
             )
         offsets = {}
         pos = 0
@@ -66,12 +75,12 @@ class ParamVector:
         self._offsets = offsets
 
     def tensor(self, name: str) -> np.ndarray:
-        """View of one named tensor, reshaped; shares memory with ``values``."""
+        """View of one named tensor, reshaped (``(K, *shape)`` for a stack); shares memory."""
         try:
             start, stop, shape = self._offsets[name]
         except KeyError:
             raise UsageError(f"no tensor named {name!r} in layout") from None
-        return self.values[start:stop].reshape(shape)
+        return self.values[..., start:stop].reshape(self.values.shape[:-1] + shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
@@ -81,7 +90,7 @@ class ParamVector:
 
     @property
     def n_params(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
 
 def _tensor_specs(cfg: EncoderConfig):
@@ -134,7 +143,8 @@ class TowerCache(NamedTuple):
 
 
 def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ij,kj->ik", x, w, optimize=False) + b
+    # x (..., rows, in), w (..., out, in), b (..., out): leading axes broadcast.
+    return np.einsum("...ij,...kj->...ik", x, w, optimize=False) + b[..., None, :]
 
 
 def _tower_apply(params: ParamVector, prefix: str, x: np.ndarray):
@@ -148,9 +158,9 @@ def _normalize_with_cache(x, h, pooled) -> TowerCache:
     bad = np.flatnonzero(norms < ZERO_NORM_THRESHOLD)
     if bad.size:
         raise DegenerateEmbeddingError(
-            f"pooled embedding {int(bad[0])} has norm {norms[bad[0]]:.3e}"
+            f"pooled embedding {int(bad[0]) % norms.shape[-1]} has norm {norms.flat[bad[0]]:.3e}"
         )
-    return TowerCache(x, h, pooled, norms, pooled / norms[:, None])
+    return TowerCache(x, h, pooled, norms, pooled / norms[..., None])
 
 
 def _check_stack(stack, dim: int, index: int) -> np.ndarray:
@@ -191,7 +201,8 @@ def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -
         raise UsageError("empty video batch")
     frames = np.ascontiguousarray(stacks, dtype=np.float64).reshape(b * cfg.n_frames, -1)
     u, h = _tower_apply(params, "video", frames)
-    pooled = np.einsum("bne->be", u.reshape(b, cfg.n_frames, cfg.embed_dim)) / cfg.n_frames
+    per_frame = u.reshape(u.shape[:-2] + (b, cfg.n_frames, cfg.embed_dim))
+    pooled = np.einsum("...bne->...be", per_frame) / cfg.n_frames
     return _normalize_with_cache(frames, h, pooled)
 
 

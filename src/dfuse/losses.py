@@ -11,6 +11,9 @@ Every term is a function of one logits matrix through its row and column
 softmaxes. ``total_loss_grad`` builds each matrix and its softmaxes once per
 step and takes the loss and the gradient from them; the public per-term
 functions run the same arithmetic, so both routes give the same bits.
+``loss_forward`` is the forward half of ``total_loss_grad``; given a stack of
+K weight vectors it returns the K losses in one pass, each with the bits of
+the one-vector call.
 """
 
 from __future__ import annotations
@@ -72,13 +75,20 @@ class _Scores(NamedTuple):
 
 
 def _scores(s: np.ndarray) -> _Scores:
-    return _Scores(*softmax_pair(s), *softmax_pair(s.T))
+    return _Scores(*softmax_pair(s), *softmax_pair(s.swapaxes(-1, -2)))
 
 
+# The term reductions keep any leading stack axes: a numpy scalar for one
+# logits matrix, a (K,) array for a stack. Public entry points return floats.
 def _contrastive(sc: _Scores, b: int):
-    l_v2t = -float(np.einsum("ii->", sc.logp_rows)) / b
-    l_t2v = -float(np.einsum("ii->", sc.logp_cols)) / b
+    l_v2t = -np.einsum("...ii->...", sc.logp_rows) / b
+    l_t2v = -np.einsum("...ii->...", sc.logp_cols) / b
     return l_v2t + l_t2v, (l_v2t, l_t2v)
+
+
+def _as_floats(term):
+    total, (v2t, t2v) = term
+    return float(total), (float(v2t), float(t2v))
 
 
 def _contrastive_grad(sc: _Scores, b: int) -> np.ndarray:
@@ -87,8 +97,8 @@ def _contrastive_grad(sc: _Scores, b: int) -> np.ndarray:
 
 
 def _distillation(sc: _Scores, teacher: _Scores, b: int):
-    l_v2t = -float(np.einsum("ij,ij->", teacher.p_rows, sc.logp_rows)) / b
-    l_t2v = -float(np.einsum("ij,ij->", teacher.p_cols, sc.logp_cols)) / b
+    l_v2t = -np.einsum("...ij,...ij->...", teacher.p_rows, sc.logp_rows) / b
+    l_t2v = -np.einsum("...ij,...ij->...", teacher.p_cols, sc.logp_cols) / b
     return l_v2t + l_t2v, (l_v2t, l_t2v)
 
 
@@ -116,7 +126,7 @@ def contrastive_loss(batch: EmbeddingBatch, cfg: LossConfig):
     """
     _check_contrastive_size(batch.batch_size)
     s = similarity_matrix(batch.z_v, batch.z_t, cfg.sigma)
-    return _contrastive(_scores(s), batch.batch_size)
+    return _as_floats(_contrastive(_scores(s), batch.batch_size))
 
 
 def distillation_loss(student: EmbeddingBatch, pseudo: PseudoLabelBatch, cfg: LossConfig):
@@ -128,7 +138,9 @@ def distillation_loss(student: EmbeddingBatch, pseudo: PseudoLabelBatch, cfg: Lo
     """
     _check_pseudo_size(student.batch_size, pseudo)
     s = similarity_matrix(student.z_v, student.z_t, cfg.sigma)
-    return _distillation(_scores(s), _scores(pseudo.teacher_logits), student.batch_size)
+    return _as_floats(
+        _distillation(_scores(s), _scores(pseudo.teacher_logits), student.batch_size)
+    )
 
 
 def total_loss(
@@ -190,14 +202,29 @@ def _embedding_grad_backward(
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
 
 
-def _pair_forward(params: ParamVector, frames, texts, cfg: LossConfig, enc_cfg: EncoderConfig):
-    """Both towers on one batch plus the softmax scores of its logits matrix."""
+class _Pair(NamedTuple):
+    """One batch's forward state: tower caches, logits scores, size, teacher targets."""
+
+    cache_v: TowerCache
+    cache_t: TowerCache
+    scores: _Scores
+    b: int
+    target: _Scores | None
+
+
+def _pair_forward(params: ParamVector, frames, texts, cfg: LossConfig, enc_cfg: EncoderConfig,
+                  pseudo: PseudoLabelBatch | None = None) -> _Pair:
+    """Both towers on one batch, the softmax scores of its logits, and the teacher's."""
     cache_v = video_forward(params, frames, enc_cfg)
     cache_t = text_forward(params, texts, enc_cfg)
-    b = cache_v.z.shape[0]
-    if b != cache_t.z.shape[0]:
-        raise UsageError(f"batch size mismatch: {b} videos vs {cache_t.z.shape[0]} texts")
-    return cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)), b
+    b = cache_v.z.shape[-2]
+    if b != cache_t.z.shape[-2]:
+        raise UsageError(f"batch size mismatch: {b} videos vs {cache_t.z.shape[-2]} texts")
+    target = None
+    if pseudo is not None:
+        _check_pseudo_size(b, pseudo)
+        target = _scores(pseudo.teacher_logits)
+    return _Pair(cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)), b, target)
 
 
 def _pair_backward(grads, params, cache_v, cache_t, g, cfg: LossConfig, enc_cfg: EncoderConfig):
@@ -206,6 +233,43 @@ def _pair_backward(grads, params, cache_v, cache_t, g, cfg: LossConfig, enc_cfg:
         grads, params, "video", cache_v, matmul(g, cache_t.z) / cfg.sigma, enc_cfg.n_frames
     )
     _embedding_grad_backward(grads, params, "text", cache_t, matmul(g.T, cache_v.z) / cfg.sigma, 1)
+
+
+def loss_forward(
+    params: ParamVector,
+    labeled_videos: np.ndarray,
+    labeled_texts,
+    unlabeled_videos: np.ndarray | None,
+    unlabeled_texts,
+    pseudo: PseudoLabelBatch | None,
+    cfg: LossConfig,
+    enc_cfg: EncoderConfig,
+    labeled_pseudo: PseudoLabelBatch | None = None,
+):
+    """Forward half of ``total_loss_grad``: ``(loss, labeled, unlabeled)``.
+
+    ``labeled``/``unlabeled`` (None without unlabeled inputs) hold the state
+    the backward pass needs. When ``params`` stacks K weight vectors, the loss
+    is a ``(K,)`` array whose entry k has the bits of the one-vector call on
+    row k; otherwise it is a numpy scalar.
+    """
+    if (unlabeled_videos is None) != (pseudo is None):
+        raise UsageError("unlabeled inputs and pseudo labels must be given together")
+    labeled = _pair_forward(params, labeled_videos, labeled_texts, cfg, enc_cfg)
+    _check_contrastive_size(labeled.b)
+    loss, _ = _contrastive(labeled.scores, labeled.b)
+
+    unlabeled = None
+    if unlabeled_videos is not None:
+        unlabeled = _pair_forward(params, unlabeled_videos, unlabeled_texts, cfg, enc_cfg, pseudo)
+        distill, _ = _distillation(unlabeled.scores, unlabeled.target, unlabeled.b)
+        loss = loss + cfg.lambda_ * distill
+    if labeled_pseudo is not None:
+        _check_pseudo_size(labeled.b, labeled_pseudo)
+        labeled = labeled._replace(target=_scores(labeled_pseudo.teacher_logits))
+        extra, _ = _distillation(labeled.scores, labeled.target, labeled.b)
+        loss = loss + cfg.lambda_ * extra
+    return loss, labeled, unlabeled
 
 
 def total_loss_grad(
@@ -231,33 +295,19 @@ def total_loss_grad(
 
     Returns ``(loss, grad)`` with ``grad.layout == params.layout``.
     """
-    if (unlabeled_videos is None) != (pseudo is None):
-        raise UsageError("unlabeled inputs and pseudo labels must be given together")
-    cache_vl, cache_tl, sc_l, b_l = _pair_forward(params, labeled_videos, labeled_texts, cfg, enc_cfg)
-    _check_contrastive_size(b_l)
-    loss, _ = _contrastive(sc_l, b_l)
-    g_l = _contrastive_grad(sc_l, b_l)
-
-    if unlabeled_videos is not None:
-        cache_vu, cache_tu, sc_u, b_u = _pair_forward(
-            params, unlabeled_videos, unlabeled_texts, cfg, enc_cfg
-        )
-        _check_pseudo_size(b_u, pseudo)
-        target_u = _scores(pseudo.teacher_logits)
-        distill, _ = _distillation(sc_u, target_u, b_u)
-        loss = loss + cfg.lambda_ * distill
-    if labeled_pseudo is not None:
-        _check_pseudo_size(b_l, labeled_pseudo)
-        target_l = _scores(labeled_pseudo.teacher_logits)
-        extra, _ = _distillation(sc_l, target_l, b_l)
-        loss = loss + cfg.lambda_ * extra
-        g_l = g_l + cfg.lambda_ * _distillation_grad(sc_l, target_l, b_l)
+    loss, labeled, unlabeled = loss_forward(
+        params, labeled_videos, labeled_texts, unlabeled_videos, unlabeled_texts,
+        pseudo, cfg, enc_cfg, labeled_pseudo,
+    )
+    g_l = _contrastive_grad(labeled.scores, labeled.b)
+    if labeled.target is not None:
+        g_l = g_l + cfg.lambda_ * _distillation_grad(labeled.scores, labeled.target, labeled.b)
 
     grads = {name: np.zeros(shape) for name, shape in params.layout}
-    _pair_backward(grads, params, cache_vl, cache_tl, g_l, cfg, enc_cfg)
-    if unlabeled_videos is not None and cfg.lambda_ != 0.0:
-        g_u = cfg.lambda_ * _distillation_grad(sc_u, target_u, b_u)
-        _pair_backward(grads, params, cache_vu, cache_tu, g_u, cfg, enc_cfg)
+    _pair_backward(grads, params, labeled.cache_v, labeled.cache_t, g_l, cfg, enc_cfg)
+    if unlabeled is not None and cfg.lambda_ != 0.0:
+        g_u = cfg.lambda_ * _distillation_grad(unlabeled.scores, unlabeled.target, unlabeled.b)
+        _pair_backward(grads, params, unlabeled.cache_v, unlabeled.cache_t, g_u, cfg, enc_cfg)
 
     flat = np.concatenate([grads[name].ravel() for name, _ in params.layout])
-    return loss, ParamVector(flat, params.layout)
+    return float(loss), ParamVector(flat, params.layout)

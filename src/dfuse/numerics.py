@@ -5,6 +5,10 @@ reduction here goes through non-optimized ``einsum``, never BLAS, so the
 accumulation order is fixed left-to-right and results reproduce
 bit-identically across runs and thread counts. Weight-fusion endpoint
 comparisons depend on that.
+
+The unchecked primitives (``softmax_pair``, ``row_norms``, ``scaled_dots``)
+also take a stack of matrices with leading axes: einsum's ``...`` runs the
+same inner loop over each slice, so every slice gets the bits of the 2-D call.
 """
 
 from __future__ import annotations
@@ -44,15 +48,15 @@ def logsumexp(v) -> float:
 
 
 def softmax_pair(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise softmax and log-softmax of a 2-D float64 array, from one shift and exp.
+    """Row-wise softmax and log-softmax of a float64 array, from one shift and exp.
 
     No input checks: for logits the caller built itself. ``softmax_rows`` and
     ``log_softmax_rows`` are the checked entry points and return the same bits.
     """
-    shifted = arr - arr.max(axis=1, keepdims=True)
+    shifted = arr - arr.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    total = np.einsum("ij->i", e)
-    return e / total[:, None], shifted - np.log(total)[:, None]
+    total = np.einsum("...ij->...i", e)
+    return e / total[..., None], shifted - np.log(total)[..., None]
 
 
 def softmax_rows(m) -> np.ndarray:
@@ -66,7 +70,7 @@ def log_softmax_rows(m) -> np.ndarray:
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", m, m))
+    return np.sqrt(np.einsum("...ij,...ij->...i", m, m))
 
 
 def l2_normalize_rows(m) -> np.ndarray:
@@ -100,4 +104,4 @@ def similarity_matrix(a, b, sigma: float) -> np.ndarray:
 
 def scaled_dots(a: np.ndarray, b: np.ndarray, sigma: float) -> np.ndarray:
     """Unchecked core of ``similarity_matrix``, for embeddings the caller just produced."""
-    return np.einsum("ik,jk->ij", a, b) / sigma
+    return np.einsum("...ik,...jk->...ij", a, b) / sigma

@@ -81,6 +81,19 @@ def naive_total(z_v_l, z_t_l, z_v_u, z_t_u, teacher_logits, sigma, lam):
     return contrastive + lam * distill
 
 
+def naive_finite_difference_grad(loss_of, values, h=1e-5):
+    """Central differences, one coordinate at a time: ``loss_of`` maps a flat
+    float64 weight array to a float. Perturbs a fresh copy per evaluation."""
+    grad = np.zeros_like(values)
+    for i in range(values.size):
+        plus = values.copy()
+        plus[i] += h
+        minus = values.copy()
+        minus[i] -= h
+        grad[i] = (loss_of(plus) - loss_of(minus)) / (2.0 * h)
+    return grad
+
+
 def naive_ranks(sims, true_index):
     """Sort-based rank oracle with the pessimistic tie policy."""
     ranks = []

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +131,9 @@ CORPUS_EDITS = {
     "string-pair-index": _edit_json(1, 2, pair_index="x"),
     "list-class-name": _edit_json(1, class_name=["concept_0"]),
     "deeply-nested-line": _deeply_nested,
+    # numpy read these as 1.4795118009 and 1.0 before load_corpus checked types
+    "numeric-string-feature": _edit_json(1, features=[["1.4795118009"] * 8] * 3),
+    "boolean-among-float-features": _edit_json(1, features=[[0.5] * 7 + [True]] * 3),
 }
 
 
@@ -202,6 +207,35 @@ class TestPipelineCommands:
             "--alpha", "1.5", "--out", str(root / "bad.ckpt"),
         ])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["fuse", "sweep-alpha"])
+    def test_fusion_needs_equal_configs_up_to_seed(self, mini_pipeline, tmp_path, capsys,
+                                                   command):
+        root, _, videos = mini_pipeline
+        student = load_checkpoint(root / "student.ckpt")
+
+        def student_with(**changes):
+            path = tmp_path / f"student-{'-'.join(changes)}.ckpt"
+            save_checkpoint(path, Checkpoint(
+                dataclasses.replace(student.enc_cfg, **changes), student.loss_cfg,
+                student.params, student.step, student.val_loss,
+            ))
+            return path
+
+        def run(student_path, out):
+            args = [command, "--teacher", str(root / "teacher.ckpt"),
+                    "--student", str(student_path), "--out", str(tmp_path / out)]
+            if command == "sweep-alpha":
+                args += ["--corpus", str(videos), "--alphas", "0,1"]
+            return cli_dispatch(args)
+
+        # Same tensor layout, different frame count: fusing would mix two models.
+        capsys.readouterr()
+        assert run(student_with(n_frames=student.enc_cfg.n_frames + 1), "frames") == 1
+        assert capsys.readouterr().err == (
+            "error: teacher and student encoder architectures differ; cannot fuse\n"
+        )
+        assert run(student_with(seed=student.enc_cfg.seed + 1), "seed") == 0
 
     def test_eval_classify_and_reports(self, mini_pipeline):
         root, _, videos = mini_pipeline
@@ -372,6 +406,21 @@ class TestWriteFailures:
         assert sorted(p.name for p in tmp_path.rglob("*")) == (
             [] if where == "missing-dir" else ["corpus.jsonl"]
         )
+
+
+    def test_overflowing_noise_is_one_error_line_and_no_file(self, tmp_path, capsys):
+        # The noise overflows to inf, which orjson would write as null.
+        out = tmp_path / "corpus.jsonl"
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            code = cli_dispatch(["gen-corpus", *TINY_CORPUS_ARGS, "--noise-sigma", "1e308",
+                                 "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: record 'vid-labeled-train-00000': non-finite features\n"
+        )
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGradcheckCommand:

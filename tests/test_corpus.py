@@ -156,6 +156,67 @@ class TestLoadErrors:
         with pytest.raises(CorpusRecordError, match=record_id):
             load_corpus(path)
 
+    @staticmethod
+    def _first(lines, kind):
+        return next(i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line)
+
+    @pytest.mark.parametrize("case", [
+        "numeric-string", "true-among-floats", "false-in-text", "features-not-last",
+        "escaped-features-key",
+    ])
+    def test_non_numeric_feature_names_record_id(self, tmp_path, tiny_synth, case):
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        index = self._first(lines, "text" if case == "false-in-text" else "video")
+        payload = json.loads(lines[index])
+        feats = payload["features"]
+        if case == "numeric-string":  # numpy would read it as the number
+            feats[0][0] = repr(feats[0][0])
+        elif case == "true-among-floats":  # numpy would read it as 1.0
+            feats[1][2] = True
+        elif case == "false-in-text":
+            feats[-1] = False
+        elif case == "features-not-last":
+            feats[2][0] = "0.5"
+            payload = {"features": payload.pop("features"), **payload}
+        else:
+            feats[0][1] = True
+        lines[index] = json.dumps(payload)
+        if case == "escaped-features-key":
+            lines[index] = lines[index].replace('"features"', '"feat\\u0075res"')
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusRecordError,
+                           match=f"^record '{payload['id']}': features must be JSON numbers$"):
+            load_corpus(path)
+
+    def test_numbers_after_a_later_key_still_load(self, tmp_path, tiny_synth):
+        # A "t" after the features (here in class_name) sends the record to the
+        # exact type check, which passes it.
+        path = self._write_corpus(tmp_path, tiny_synth)
+        original = path.read_bytes()
+        lines = original.decode().splitlines()
+        index = self._first(lines, "video")
+        payload = json.loads(lines[index])
+        lines[index] = json.dumps({"features": payload.pop("features"), **payload})
+        path.write_text("\n".join(lines) + "\n")
+        assert b"".join(corpus_lines(load_corpus(path))) == original
+
+    @pytest.mark.parametrize("where", ["in-a-row", "whole-value"])
+    def test_null_feature_is_non_finite(self, tmp_path, tiny_synth, where):
+        # orjson parses these lines, and numpy reads null as nan.
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[1])
+        if where == "in-a-row":
+            payload["features"][1][3] = None
+        else:
+            payload["features"] = None
+        lines[1] = json.dumps(payload)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusRecordError,
+                           match=f"^record '{payload['id']}': non-finite features$"):
+            load_corpus(path)
+
     def test_json_list_line_names_file_and_line(self, tmp_path, tiny_synth):
         path = self._write_corpus(tmp_path, tiny_synth)
         lines = path.read_text().splitlines()
@@ -377,7 +438,7 @@ def _writer_values(rng) -> np.ndarray:
 
 
 # Each written alone, so that no other value on the line decides its branch.
-_LONE_VALUES = [1e-5, 1e-4, 1e16, 0.0, -0.0, np.nan, np.inf, -np.inf, 260.00007701747694,
+_LONE_VALUES = [1e-5, 1e-4, 1e16, 0.0, -0.0, 260.00007701747694,
                 -5309780.000098817, 0.1, 1.0]
 
 
@@ -411,6 +472,7 @@ class TestFeatureBits:
 
     def test_writer_matches_json_dumps_line_for_line(self, monkeypatch):
         values = _writer_values(np.random.default_rng(1312))
+        values = values[np.isfinite(values)]  # the writer rejects the rest (next test)
         values = np.concatenate([values, np.zeros(-len(values) % 6)])
         synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
         records = []
@@ -443,6 +505,17 @@ class TestFeatureBits:
         record_splices = splices[1:]
         assert len(record_splices) == len(records)
         assert 0 < sum(record_splices) < len(records)  # both branches of the writer ran
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_writer_rejects_non_finite_features_naming_the_record(self, bad):
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
+        records = [CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25])),
+                   CorpusRecord("txt-1", "text", "unlabeled", 0, np.array([0.5, bad]))]
+        lines = corpus_lines(Corpus(synth, records))
+        assert len([next(lines), next(lines)]) == 2  # header and the finite record
+        with pytest.raises(CorpusRecordError, match=r"^record 'txt-1': non-finite features$"):
+            next(lines)
 
 
 class TestPromptFeature:

@@ -99,6 +99,41 @@ class TestParamVector:
         assert params.values[0] != dup.values[0]
 
 
+class TestStackedParams:
+    """A (K, n_params) ParamVector runs K weight vectors through one forward."""
+
+    def _stack(self, params, k=3):
+        rng = np.random.default_rng(40)
+        values = params.values + 1e-3 * rng.standard_normal((k, params.n_params))
+        return ParamVector(values, params.layout)
+
+    def test_tensor_views_gain_a_leading_axis(self, params):
+        stack = self._stack(params)
+        assert stack.n_params == params.n_params
+        w1 = stack.tensor("video.w1")
+        assert w1.shape == (3,) + params.tensor("video.w1").shape
+        assert np.shares_memory(w1, stack.values)
+        assert ParamVector(stack.values[1], params.layout).tensor("video.w1").tobytes() \
+            == w1[1].tobytes()
+
+    def test_every_slice_has_the_one_vector_bits(self, params, enc_cfg):
+        rng = np.random.default_rng(41)
+        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in (1, 2, 5, 9)]
+        frames = sample_frames(stacks, enc_cfg)
+        texts = rng.standard_normal((4, enc_cfg.input_dim_text))
+        stack = self._stack(params)
+        cache_v = video_forward(stack, frames, enc_cfg)
+        cache_t = text_forward(stack, texts, enc_cfg)
+        assert cache_v.z.shape == (3, 4, enc_cfg.embed_dim)
+        for k in range(3):
+            one = ParamVector(stack.values[k].copy(), params.layout)
+            want = video_forward(one, frames, enc_cfg)
+            assert cache_v.x.tobytes() == want.x.tobytes()  # input rows are shared
+            for name in ("h", "pooled", "norms", "z"):
+                assert getattr(cache_v, name)[k].tobytes() == getattr(want, name).tobytes()
+            assert cache_t.z[k].tobytes() == text_forward(one, texts, enc_cfg).z.tobytes()
+
+
 class TestEncodeVideo:
     def test_unit_norm(self, params, enc_cfg):
         rng = np.random.default_rng(0)
