@@ -18,6 +18,7 @@ from dfuse import (
     build_prompt_set,
     evaluate_model,
     fuse_weights,
+    prepare_eval,
     pretrain_teacher,
     sweep_alpha,
     train_student,
@@ -47,10 +48,10 @@ student = train_student(
 
 # --- the sweep ----------------------------------------------------------------
 
-prompts = build_prompt_set(videos.synth)
+eval_inputs = prepare_eval(videos, enc, build_prompt_set(videos.synth))
 rows = sweep_alpha(
     teacher, student, [round(0.1 * i, 1) for i in range(11)],
-    lambda pv: evaluate_model(pv, videos, enc, prompts),
+    lambda pv: evaluate_model(pv, eval_inputs, enc),
 )
 
 print("alpha   top1    r@1     r@5     mdr")

@@ -19,6 +19,7 @@ from dfuse import (
     evaluate_model,
     fuse_weights,
     per_class_delta,
+    prepare_eval,
     pretrain_teacher,
     rank_distribution,
     train_student,
@@ -47,9 +48,9 @@ student = train_student(
 ).params
 fused = fuse_weights(teacher, student, FusionConfig(alpha=0.4))
 
-prompts = build_prompt_set(videos.synth)
-report_teacher = evaluate_model(teacher, videos, enc, prompts)
-report_fused = evaluate_model(fused, videos, enc, prompts)
+eval_inputs = prepare_eval(videos, enc, build_prompt_set(videos.synth))
+report_teacher = evaluate_model(teacher, eval_inputs, enc)
+report_fused = evaluate_model(fused, eval_inputs, enc)
 
 print(f"teacher: top1={report_teacher.top1:.3f}  r@1={report_teacher.recall_at[1]:.3f}  "
       f"mdr={report_teacher.mdr}")

@@ -54,6 +54,7 @@ from .evaluation import (
     evaluate_model,
     median_rank,
     per_class_delta,
+    prepare_eval,
     rank_distribution,
     recall_at_k,
     retrieval_ranks,

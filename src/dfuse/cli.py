@@ -7,7 +7,9 @@ gradient checking. Every option resolves as:
     command default < config file (key = value lines) < DFUSE_SEED (seed only) < flag
 
 Each run that writes files also writes a ``<output>.manifest.json`` with the
-resolved configuration and SHA-256 checksums of its inputs. Exit codes:
+resolved configuration and SHA-256 checksums of its inputs. A corpus input is
+hashed as ``load_corpus`` reads it, so its bytes are read once; any other
+input is hashed when the manifest is written. Exit codes:
 0 success, 1 usage error, 2 runtime or validation failure.
 """
 
@@ -33,6 +35,7 @@ from .evaluation import (
     delta_tsv,
     evaluate_model,
     parse_report_records,
+    prepare_eval,
     rank_distribution,
     rank_distribution_tsv,
     report_jsonl,
@@ -137,12 +140,20 @@ def _require_file(path, what: str) -> Path:
 
 
 def _write_manifest(anchor: Path, command: str, values: dict, inputs: list[Path],
-                    outputs: list[str]) -> None:
+                    outputs: list[str], corpus: Corpus | None = None) -> None:
+    """Write ``<anchor>.manifest.json``; ``corpus`` is the loaded ``values["corpus"]``.
+
+    The corpus input takes the digest ``load_corpus`` computed from the bytes
+    it read; every path in ``inputs`` is hashed here.
+    """
+    digests = {str(p): sha256_file(p) for p in inputs}
+    if corpus is not None:
+        digests[str(Path(values["corpus"]))] = corpus.sha256
     payload = {
         "command": command,
         # user-facing keys: internal names may carry a keyword-dodging underscore
         "config": {k.rstrip("_"): v for k, v in sorted(values.items())},
-        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "inputs": digests,
         "outputs": outputs,
     }
     atomic_write_text(str(anchor) + ".manifest.json",
@@ -230,7 +241,7 @@ def _cmd_pretrain_teacher(values: dict) -> int:
         enc_cfg, LossConfig(sigma=values["sigma"], lambda_=0.0),
         params, step=train_cfg.max_steps, val_loss=final_val,
     ))
-    _write_manifest(out, "pretrain-teacher", values, [Path(values["corpus"])], [out.name])
+    _write_manifest(out, "pretrain-teacher", values, [], [out.name], corpus)
     print(f"wrote {out} (final val loss {final_val:.6f})")
     return 0
 
@@ -251,8 +262,8 @@ def _cmd_train_student(values: dict) -> int:
     save_checkpoint(out, Checkpoint(
         teacher.enc_cfg, loss_cfg, record.params, record.step, record.val_loss,
     ))
-    _write_manifest(out, "train-student", values,
-                    [Path(values["teacher"]), Path(values["corpus"])], [out.name])
+    _write_manifest(out, "train-student", values, [Path(values["teacher"])], [out.name],
+                    corpus)
     print(f"wrote {out} (best step {record.step}, val loss {record.val_loss:.6f})")
     return 0
 
@@ -339,9 +350,10 @@ def _cmd_sweep_alpha(values: dict) -> int:
     corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     prompts = build_prompt_set(corpus.synth, _templates(values))
     alphas = _parse_alphas(values["alphas"])
+    inputs = prepare_eval(corpus, teacher.enc_cfg, prompts)
 
     def evaluate(params):
-        return evaluate_model(params, corpus, teacher.enc_cfg, prompts)
+        return evaluate_model(params, inputs, teacher.enc_cfg)
 
     rows = [_metric_row(a, rep) for a, rep in sweep_alpha(teacher.params, student.params, alphas, evaluate)]
     stem = Path(values["out"])
@@ -355,8 +367,7 @@ def _cmd_sweep_alpha(values: dict) -> int:
         atomic_write_text(str(stem) + ".impact.tsv", _impact_tsv(rows, impact_alpha))
         outputs.append(stem.name + ".impact.tsv")
     _write_manifest(stem, "sweep-alpha", values,
-                    [Path(values["teacher"]), Path(values["student"]), Path(values["corpus"])],
-                    outputs)
+                    [Path(values["teacher"]), Path(values["student"])], outputs, corpus)
     print(f"wrote {stem}.tsv with {len(rows)} rows")
     return 0
 
@@ -365,13 +376,13 @@ def _run_eval(values: dict, command: str, printed: tuple[str, ...]) -> int:
     ckpt = load_checkpoint(_require_file(values["ckpt"], "checkpoint"))
     corpus = _load_corpus_for(ckpt.enc_cfg, _require_file(values["corpus"], "corpus file"))
     prompts = build_prompt_set(corpus.synth, _templates(values))
-    report = evaluate_model(ckpt.params, corpus, ckpt.enc_cfg, prompts)
+    report = evaluate_model(ckpt.params, prepare_eval(corpus, ckpt.enc_cfg, prompts),
+                            ckpt.enc_cfg)
     stem = Path(values["out"])
     atomic_write_text(str(stem) + ".tsv", report_table(report))
     atomic_write_text(str(stem) + ".jsonl", report_jsonl(report))
-    _write_manifest(stem, command, values,
-                    [Path(values["ckpt"]), Path(values["corpus"])],
-                    [stem.name + ".tsv", stem.name + ".jsonl"])
+    _write_manifest(stem, command, values, [Path(values["ckpt"])],
+                    [stem.name + ".tsv", stem.name + ".jsonl"], corpus)
     summary = report_summary(report)
     for metric in printed:
         print(f"{metric}\t{summary[metric]!r}")

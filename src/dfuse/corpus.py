@@ -36,6 +36,8 @@ gets the element-wise checks.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import zlib
@@ -98,7 +100,7 @@ class SynthConfig:
             raise UsageError("identity_maps is incompatible with a video domain shift")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CorpusRecord:
     id: str
     kind: str    # "video" | "text"
@@ -270,11 +272,16 @@ def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
 
 
 class Corpus:
-    """Loaded corpus: generation config plus validated records, indexed by split."""
+    """Loaded corpus: generation config plus validated records, indexed by split.
 
-    def __init__(self, synth: SynthConfig, records: list[CorpusRecord]):
+    ``sha256`` is the hex SHA-256 of the file bytes ``load_corpus`` read, or
+    None for a corpus built in memory.
+    """
+
+    def __init__(self, synth: SynthConfig, records: list[CorpusRecord], sha256: str | None = None):
         self.synth = synth
         self.records = records
+        self.sha256 = sha256
         self._by_split: dict[str, dict[str, list[CorpusRecord]]] = {
             split: {"video": [], "text": []} for split in SPLITS
         }
@@ -339,15 +346,16 @@ def _validate_record(rec: CorpusRecord, synth: SynthConfig, known_finite: bool =
         raise CorpusRecordError(f"record {rec.id!r}: class_name must be a string")
     if not known_finite and not np.isfinite(rec.features).all():
         raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
+    shape = rec.features.shape
     if rec.kind == "video":
-        if rec.features.ndim != 2 or rec.features.shape[0] < 1:
+        if len(shape) != 2 or shape[0] < 1:
             raise CorpusRecordError(f"record {rec.id!r}: video features must be (T, d_v), T >= 1")
-        if rec.features.shape[1] != synth.d_v:
+        if shape[1] != synth.d_v:
             raise CorpusRecordError(
-                f"record {rec.id!r}: video feature dim {rec.features.shape[1]} != d_v {synth.d_v}"
+                f"record {rec.id!r}: video feature dim {shape[1]} != d_v {synth.d_v}"
             )
     else:
-        if rec.features.ndim != 1 or rec.features.shape[0] != synth.d_t:
+        if len(shape) != 1 or shape[0] != synth.d_t:
             raise CorpusRecordError(
                 f"record {rec.id!r}: text features must be a d_t={synth.d_t} vector"
             )
@@ -372,6 +380,27 @@ def _validate_pairing(corpus: Corpus) -> None:
 
 
 _BLANK = object()
+
+
+class _HashingReader(io.RawIOBase):
+    """Raw reader that feeds every chunk it reads to a SHA-256 digest.
+
+    Under a ``BufferedReader`` it sees the file in whole buffer-sized reads,
+    so hashing costs one ``update`` per chunk, not one per line.
+    """
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        n = self._raw.readinto(buffer)
+        if n:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
 
 
 def _lines(fh) -> Iterator[bytes]:
@@ -427,6 +456,7 @@ def load_corpus(path) -> Corpus:
     """Parse and validate a corpus file.
 
     Parse failures name the line; invariant violations name the record id.
+    The file's bytes are hashed as they are read (``Corpus.sha256``).
     """
     # Imported here: commands that read no corpus skip orjson's import cost.
     import orjson
@@ -435,7 +465,8 @@ def load_corpus(path) -> Corpus:
     records: list[CorpusRecord] = []
     synth = None
     seen_ids = set()
-    with open(path, "rb", buffering=1 << 16) as fh:
+    with open(path, "rb", buffering=0) as raw, \
+            io.BufferedReader(_HashingReader(raw), 1 << 16) as fh:
         for lineno, line in enumerate(_lines(fh), start=1):
             by_orjson = False
             if synth is None:  # orjson would read header integers past 64 bits as floats
@@ -463,14 +494,10 @@ def load_corpus(path) -> Corpus:
             if payload.get("record") != "item":
                 raise CorpusFormatError(f"{path}: line {lineno}: expected an item record")
             try:
-                rec = CorpusRecord(
-                    id=payload["id"],
-                    kind=payload["kind"],
-                    split=payload["split"],
-                    concept_id=payload["concept_id"],
-                    features=np.asarray(payload["features"], dtype=np.float64),
-                    class_name=payload.get("class_name"),
-                    pair_index=payload.get("pair_index"),
+                rec = CorpusRecord(  # id, kind, split, concept_id, features, class_name, pair_index
+                    payload["id"], payload["kind"], payload["split"], payload["concept_id"],
+                    np.asarray(payload["features"], dtype=np.float64),
+                    payload.get("class_name"), payload.get("pair_index"),
                 )
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: malformed record: {exc}") from exc
@@ -487,9 +514,10 @@ def load_corpus(path) -> Corpus:
                 raise CorpusRecordError(f"record {rec.id!r}: features must be JSON numbers")
             _validate_record(rec, synth, known_finite=numbers_only)
             records.append(rec)
+        digest = fh.raw.digest.hexdigest()
     if synth is None:
         raise CorpusFormatError(f"{path}: line 1: empty file, missing corpus header")
-    corpus = Corpus(synth, records)
+    corpus = Corpus(synth, records, digest)
     _validate_pairing(corpus)
     return corpus
 

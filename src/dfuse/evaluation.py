@@ -7,13 +7,22 @@ ascending class index). Retrieval ranks use a pessimistic tie policy: gallery
 items tied with the true item count as ranked ahead of it, so reported
 metrics never flatter the model. The even-count median returns the lower
 middle element, keeping median ranks integral.
+
+Evaluation has two steps. ``prepare_eval`` does the work that does not depend
+on the weights, once per corpus and prompt set: it samples the eval frames,
+stacks the eval texts and turns each eval video's ``class_name`` into a class
+index. ``evaluate_model`` then does only the weight-dependent work for one
+model: two tower forwards over the eval pairs, one text forward over every
+(class, template) prompt row, the ranks and the metrics. A ``PromptSet``
+holds its raw prompt features as one ``(classes, templates, d_t)`` array,
+built once by ``build_prompt_set``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +32,8 @@ from .encoder import (
     ParamVector,
     encode_text_batch,
     encode_video,
-    encode_video_batch,
+    sample_frames,
+    video_forward,
 )
 from .errors import UsageError
 from .numerics import as_matrix, l2_normalize_rows
@@ -32,46 +42,60 @@ DEFAULT_TEMPLATE = "a video of a person {c}"
 RECALL_KS = (1, 5, 10)
 
 
-@dataclass(frozen=True)
+def _check_prompts(templates: tuple[str, ...], classes: tuple[str, ...]) -> None:
+    if len(templates) < 1:
+        raise UsageError("prompt set needs at least one template")
+    if len(classes) < 2:
+        raise UsageError("prompt set needs at least two classes")
+    for t in templates:
+        if t.count("{c}") != 1:
+            raise UsageError(f"template {t!r} must contain the placeholder {{c}} exactly once")
+
+
+@dataclass(frozen=True, eq=False)
 class PromptSet:
-    """Prompt templates plus a per-(class, template) raw text-feature source."""
+    """Prompt templates, class names and the raw text features of every prompt.
+
+    ``features[c, t]`` is the raw text-feature vector of class ``c`` written
+    with template ``t``: a ``(classes, templates, d_t)`` float64 array.
+    """
 
     templates: tuple[str, ...]
     classes: tuple[str, ...]
-    features: Callable[[int, int], np.ndarray]  # (class_idx, template_idx) -> vector
+    features: np.ndarray
 
     def __post_init__(self):
-        if len(self.templates) < 1:
-            raise UsageError("prompt set needs at least one template")
-        if len(self.classes) < 2:
-            raise UsageError("prompt set needs at least two classes")
-        for t in self.templates:
-            if t.count("{c}") != 1:
-                raise UsageError(f"template {t!r} must contain the placeholder {{c}} exactly once")
+        _check_prompts(self.templates, self.classes)
+        features = np.asarray(self.features, dtype=np.float64)
+        if features.ndim != 3 or features.shape[:2] != (len(self.classes), len(self.templates)):
+            raise UsageError(
+                f"prompt features must be a ({len(self.classes)}, {len(self.templates)}, d_t) "
+                f"array, got shape {features.shape}"
+            )
+        object.__setattr__(self, "features", features)
 
 
 def build_prompt_set(synth, templates: Sequence[str] = (DEFAULT_TEMPLATE,)) -> PromptSet:
-    """Prompt set over a synthetic corpus's concept classes."""
+    """Prompt set over a synthetic corpus's concept classes, features built once."""
     classes = tuple(class_name_for(k, synth.n_concepts) for k in range(synth.n_concepts))
     templates = tuple(templates)
+    _check_prompts(templates, classes)  # before any template is formatted
     raw = prompt_feature_fn(synth)
-
-    def features(class_idx: int, template_idx: int) -> np.ndarray:
-        text = templates[template_idx].format(c=classes[class_idx])
-        return raw(text, class_idx)
-
+    features = np.array([[raw(t.format(c=name), k) for t in templates]
+                         for k, name in enumerate(classes)])
     return PromptSet(templates, classes, features)
 
 
 def class_embeddings(params: ParamVector, prompts: PromptSet, enc_cfg: EncoderConfig) -> np.ndarray:
-    """One unit-norm embedding per class: normalized mean of template embeddings."""
-    rows = []
-    n_templates = len(prompts.templates)
-    for c in range(len(prompts.classes)):
-        feats = np.stack([prompts.features(c, j) for j in range(n_templates)])
-        z = encode_text_batch(params, feats, enc_cfg)
-        rows.append(np.einsum("te->e", z) / n_templates)
-    return l2_normalize_rows(np.stack(rows))
+    """One unit-norm embedding per class: normalized mean of template embeddings.
+
+    One text forward covers every (class, template) row; rows are encoded
+    independently, so this has the bits of one forward per class.
+    """
+    n_classes, n_templates, d_t = prompts.features.shape
+    z = encode_text_batch(params, prompts.features.reshape(n_classes * n_templates, d_t), enc_cfg)
+    mean = np.einsum("cte->ce", z.reshape(n_classes, n_templates, -1)) / n_templates
+    return l2_normalize_rows(mean)
 
 
 def ranked_classes(scores: np.ndarray) -> np.ndarray:
@@ -92,13 +116,22 @@ def classify_zero_shot(
     return [prompts.classes[i] for i in order[:k]]
 
 
-def topk_accuracy(predictions: Sequence[Sequence[int]], labels: Sequence[int], k: int) -> float:
-    """Fraction of items whose label appears among the first k predictions."""
+def topk_accuracy(predictions, labels, k: int) -> float:
+    """Fraction of items whose label appears among the first k predictions.
+
+    ``predictions`` is a 2-D array (or equal-length lists) of class indices,
+    one ranked row per item.
+    """
     if len(predictions) != len(labels):
         raise UsageError(f"{len(predictions)} prediction lists vs {len(labels)} labels")
     if k < 1:
         raise UsageError("k must be >= 1")
-    hits = sum(1 for ranked, label in zip(predictions, labels) if label in list(ranked)[:k])
+    if len(labels) == 0:
+        raise UsageError("no items to score")
+    ranked = np.asarray(predictions)
+    if ranked.ndim != 2:
+        raise UsageError("predictions must be a 2-D array of class indices")
+    hits = int(np.count_nonzero((ranked[:, :k] == np.asarray(labels)[:, None]).any(axis=1)))
     return hits / len(labels)
 
 
@@ -141,7 +174,7 @@ def retrieval_ranks(query_emb, gallery_emb, true_index) -> RankList:
         raise UsageError("true_index out of gallery range")
     sims = np.einsum("qe,ge->qg", q, g)
     s_true = sims[np.arange(q.shape[0]), true_index]
-    ranks = np.einsum("qg->q", (sims >= s_true[:, None]).astype(np.int64))
+    ranks = np.count_nonzero(sims >= s_true[:, None], axis=1)
     return RankList(ranks, gallery_size=int(g.shape[0]))
 
 
@@ -188,43 +221,59 @@ class EvalReport:
             raise UsageError("per-class accuracy and count keys must match")
 
 
-def evaluate_model(
-    params: ParamVector, corpus: Corpus, enc_cfg: EncoderConfig, prompts: PromptSet
-) -> EvalReport:
-    """Full zero-shot evaluation on the corpus eval split.
+@dataclass(frozen=True, eq=False)
+class EvalInputs:
+    """The weight-independent inputs of ``evaluate_model``, from ``prepare_eval``."""
 
-    Text-to-video retrieval over the aligned eval pairs plus prompt-based
-    classification of the eval videos against the prompt classes.
-    """
+    frames: np.ndarray   # (N, n_frames, d_v) sampled eval videos, in pair order
+    texts: np.ndarray    # (N, d_t) eval texts, in pair order
+    labels: np.ndarray   # (N,) prompt class index of each eval video
+    prompts: PromptSet
+
+
+def prepare_eval(corpus: Corpus, enc_cfg: EncoderConfig, prompts: PromptSet) -> EvalInputs:
+    """Sample, stack and label the corpus eval split once, for any number of models."""
     videos, texts = corpus.paired("eval")
     if len(videos) == 0:
         raise UsageError("corpus has no eval pairs")
-    gallery = encode_video_batch(params, videos, enc_cfg)
-    queries = encode_text_batch(params, texts, enc_cfg)
-    ranks = retrieval_ranks(queries, gallery, np.arange(len(videos)))
-    recall = {k: recall_at_k(ranks, k) for k in RECALL_KS}
-    mdr = median_rank(ranks)
-
+    frames = sample_frames(videos, enc_cfg)
     class_index = {name: i for i, name in enumerate(prompts.classes)}
     labels = []
     for rec in sorted(corpus.videos("eval"), key=lambda r: r.pair_index):
         if rec.class_name is None or rec.class_name not in class_index:
             raise UsageError(f"eval video {rec.id!r} has no usable class_name")
         labels.append(class_index[rec.class_name])
+    return EvalInputs(frames, texts, np.asarray(labels, dtype=np.intp), prompts)
+
+
+def evaluate_model(params: ParamVector, inputs: EvalInputs, enc_cfg: EncoderConfig) -> EvalReport:
+    """Full zero-shot evaluation of one model on prepared eval inputs.
+
+    Text-to-video retrieval over the aligned eval pairs plus prompt-based
+    classification of the eval videos against the prompt classes.
+    """
+    gallery = video_forward(params, inputs.frames, enc_cfg).z
+    queries = encode_text_batch(params, inputs.texts, enc_cfg)
+    ranks = retrieval_ranks(queries, gallery, np.arange(len(gallery)))
+    recall = {k: recall_at_k(ranks, k) for k in RECALL_KS}
+    mdr = median_rank(ranks)
+
+    prompts, labels = inputs.prompts, inputs.labels
     cls_emb = class_embeddings(params, prompts, enc_cfg)
     order = ranked_classes(np.einsum("be,ce->bc", gallery, cls_emb))
     top1 = topk_accuracy(order, labels, 1)
     top5 = topk_accuracy(order, labels, min(5, len(prompts.classes)))
 
+    n_classes = len(prompts.classes)
+    counts = np.bincount(labels, minlength=n_classes)
+    hits = np.bincount(labels[order[:, 0] == labels], minlength=n_classes)
     per_acc: dict[str, float] = {}
     per_count: dict[str, int] = {}
-    labels_arr = np.asarray(labels)
-    for name, idx in class_index.items():
-        mask = labels_arr == idx
-        count = int(np.count_nonzero(mask))
+    for idx, name in enumerate(prompts.classes):
+        count = int(counts[idx])
         if count == 0:
             continue
-        per_acc[name] = float(np.count_nonzero(order[mask, 0] == idx)) / count
+        per_acc[name] = float(hits[idx]) / count
         per_count[name] = count
 
     return EvalReport(

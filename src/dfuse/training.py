@@ -138,6 +138,13 @@ def validation_loss(params, frames, texts, enc_cfg, sigma: float) -> float:
     return value
 
 
+def _check_step(loss: float, grad: ParamVector, step: int) -> None:
+    if not np.isfinite(loss):
+        raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
+    if not np.isfinite(grad.values).all():
+        raise TrainingDivergedError(f"non-finite gradient at step {step}")
+
+
 def _log_line(log, step: int, train_loss: float, val_loss: float) -> None:
     if log is not None:
         log(f"{step}\t{train_loss:.6f}\t{val_loss:.6f}")
@@ -176,8 +183,7 @@ def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
         loss, grad = total_loss_grad(
             params, train_frames[idx], train_texts[idx], None, None, None, loss_cfg, enc_cfg,
         )
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
+        _check_step(loss, grad, step)
         params, state = adamw_step(params, grad, state, train_cfg)
         if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
             _log_line(log, step, loss,
@@ -276,8 +282,7 @@ def train_student(
             student, train_frames[idx], train_texts[idx], uv, ut, pseudo, loss_cfg, enc_cfg,
             labeled_pseudo=labeled_pseudo,
         )
-        if not np.isfinite(loss):
-            raise TrainingDivergedError(f"non-finite loss {loss} at step {step}")
+        _check_step(loss, grad, step)
         student, state = adamw_step(student, grad, state, train_cfg)
         if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
             val = validation_loss(student, val_frames, val_texts, enc_cfg, loss_cfg.sigma)

@@ -123,6 +123,18 @@ def naive_topk(predictions, labels, k):
     return hits / len(labels)
 
 
+def loop_class_embeddings(encode, normalize, features):
+    """Per-class prompt embeddings: one ``encode`` call per class over its
+    ``(templates, d_t)`` rows, the template mean, then ``normalize`` of the
+    stacked class rows."""
+    n_templates = features.shape[1]
+    rows = []
+    for c in range(features.shape[0]):
+        z = encode(features[c])
+        rows.append(np.einsum("te->e", z) / n_templates)
+    return normalize(np.stack(rows))
+
+
 def unit_rows(rng, b, d):
     """Random unit-norm rows for building embedding batches."""
     m = rng.standard_normal((b, d))

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,6 +318,23 @@ class TestPipelineCommands:
         assert [row.split("\t")[0] for row in impact] == \
             ["model", "teacher", "student", "fused", "delta"]
 
+    def test_sweep_endpoints_equal_standalone_reports(self, mini_pipeline, tmp_path):
+        root, _, videos = mini_pipeline
+        summaries = {}
+        for name in ("teacher", "student"):
+            assert cli_dispatch(["eval-retrieval", "--ckpt", str(root / f"{name}.ckpt"),
+                                 "--corpus", str(videos), "--out", str(tmp_path / name)]) == 0
+            with open(tmp_path / f"{name}.jsonl") as fh:
+                summaries[name] = parse_report_records(fh).summary
+        assert cli_dispatch(["sweep-alpha", "--teacher", str(root / "teacher.ckpt"),
+                             "--student", str(root / "student.ckpt"), "--corpus", str(videos),
+                             "--alphas", "0,0.5,1", "--out", str(tmp_path / "sweep")]) == 0
+        rows = [json.loads(line) for line in (tmp_path / "sweep.jsonl").read_text().splitlines()]
+        by_alpha = {row["alpha"]: row for row in rows if row["record"] == "alpha_row"}
+        for alpha, name in ((0.0, "teacher"), (1.0, "student")):
+            for metric in ("top1", "top5", "r_at_1", "r_at_5", "r_at_10", "mdr"):
+                assert by_alpha[alpha][metric] == summaries[name][metric], (name, metric)
+
     def test_corrupted_checkpoint_is_runtime_failure(self, mini_pipeline, capsys):
         root, _, videos = mini_pipeline
         bad = root / "corrupt.ckpt"
@@ -388,6 +406,72 @@ class TestPipelineCommands:
         ])
         assert code == 1
         assert "dims" in capsys.readouterr().err
+
+
+def _newline_variant(path, newline: bytes, out):
+    out.write_bytes(path.read_bytes().replace(b"\n", newline))
+    return out
+
+
+class TestManifestDigests:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_corpus_digest_covers_the_raw_bytes(self, mini_pipeline, tmp_path, newline):
+        # The corpus digest comes from the loader's read pass, which splits
+        # lines after hashing: every manifest must hold the file's own SHA-256.
+        root, images, videos = mini_pipeline
+        images = _newline_variant(images, newline, tmp_path / "images.jsonl")
+        videos = _newline_variant(videos, newline, tmp_path / "videos.jsonl")
+        teacher, student = root / "teacher.ckpt", root / "student.ckpt"
+        small = ["--max-steps", "2", "--eval-every", "1", "--batch-size-labeled", "4",
+                 "--batch-size-unlabeled", "4"]
+        runs = {
+            "pretrain-teacher": (["--corpus", str(images), *small, "--hidden-dim", "10",
+                                  "--embed-dim", "6"], images, "t.ckpt"),
+            "train-student": (["--teacher", str(teacher), "--corpus", str(videos), *small],
+                              videos, "s.ckpt"),
+            "eval-retrieval": (["--ckpt", str(teacher), "--corpus", str(videos)],
+                               videos, "ret"),
+            "eval-classify": (["--ckpt", str(student), "--corpus", str(videos)],
+                              videos, "cls"),
+            "sweep-alpha": (["--teacher", str(teacher), "--student", str(student),
+                             "--corpus", str(videos), "--alphas", "0,1"], videos, "sweep"),
+        }
+        for command, (args, corpus, out) in runs.items():
+            assert cli_dispatch([command, *args, "--out", str(tmp_path / out)]) == 0
+            manifest = json.loads((tmp_path / f"{out}.manifest.json").read_text())
+            assert manifest["inputs"][str(corpus)] == sha256_file(corpus), command
+            if command in ("eval-retrieval", "eval-classify", "train-student"):
+                ckpt = Path(args[1])
+                assert manifest["inputs"][str(ckpt)] == sha256_file(ckpt), command
+
+
+class TestTrainingDivergence:
+    @pytest.mark.parametrize("command", ["pretrain-teacher", "train-student"])
+    def test_non_finite_gradient_is_one_error_line_and_no_checkpoint(
+            self, mini_pipeline, tmp_path, capsys, monkeypatch, command):
+        import dfuse.training as training
+
+        real = training.total_loss_grad
+
+        def nan_gradient(*args, **kwargs):
+            loss, grad = real(*args, **kwargs)
+            values = grad.values.copy()
+            values[0] = float("nan")
+            return loss, ParamVector(values, grad.layout)
+
+        monkeypatch.setattr(training, "total_loss_grad", nan_gradient)
+        root, images, videos = mini_pipeline
+        if command == "pretrain-teacher":
+            args = ["--corpus", str(images), "--batch-size-labeled", "8"]
+        else:
+            args = ["--teacher", str(root / "teacher.ckpt"), "--corpus", str(videos),
+                    "--batch-size-labeled", "4", "--batch-size-unlabeled", "4"]
+        capsys.readouterr()
+        code = cli_dispatch([command, *args, "--max-steps", "5",
+                             "--out", str(tmp_path / "model.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: non-finite gradient at step 1\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestWriteFailures:

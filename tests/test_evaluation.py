@@ -19,6 +19,7 @@ from dfuse.evaluation import (
     median_rank,
     parse_report_records,
     per_class_delta,
+    prepare_eval,
     rank_distribution,
     rank_distribution_tsv,
     recall_at_k,
@@ -27,7 +28,14 @@ from dfuse.evaluation import (
     retrieval_ranks,
     topk_accuracy,
 )
-from naive import naive_median, naive_ranks, naive_recall, naive_topk, unit_rows
+from naive import (
+    loop_class_embeddings,
+    naive_median,
+    naive_ranks,
+    naive_recall,
+    naive_topk,
+    unit_rows,
+)
 
 
 class TestRetrievalRanks:
@@ -63,6 +71,19 @@ class TestRetrievalRanks:
         inverse = np.argsort(perm)
         permuted = retrieval_ranks(q, g[perm], inverse[true_index])
         np.testing.assert_array_equal(base.ranks, permuted.ranks)
+
+    def test_exact_ties_match_sort_oracle(self):
+        # Small integer entries make many dot products tie exactly.
+        rng = np.random.default_rng(14)
+        for _ in range(30):
+            nq, ng, d = (int(x) for x in rng.integers(2, 12, size=3))
+            q = rng.integers(-1, 2, size=(nq, d)).astype(float)
+            g = rng.integers(-1, 2, size=(ng, d)).astype(float)
+            g[1:1 + ng // 2] = g[0]  # duplicate gallery rows tie for every query
+            true_index = rng.integers(0, ng, size=nq)
+            sims = q @ g.T
+            got = retrieval_ranks(q, g, true_index)
+            np.testing.assert_array_equal(got.ranks, naive_ranks(sims, true_index))
 
     def test_errors(self):
         rng = np.random.default_rng(3)
@@ -136,19 +157,34 @@ class TestTopkAccuracy:
             k = int(rng.integers(1, c + 1))
             assert topk_accuracy(preds, labels, k) == naive_topk(preds, labels, k)
 
+    def test_ranked_array_matches_loop_oracle(self):
+        # The shape evaluate_model passes: an argsort order array and label array.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n, c = int(rng.integers(1, 40)), int(rng.integers(2, 10))
+            order = np.argsort(-rng.standard_normal((n, c)), axis=1, kind="stable")
+            labels = rng.integers(0, c, size=n)
+            for k in range(1, c + 2):
+                want = naive_topk(order.tolist(), labels.tolist(), k)
+                got = topk_accuracy(order, labels, k)
+                assert type(got) is float and got == want  # reports print repr()
+                assert topk_accuracy(order.tolist(), labels.tolist(), k) == want
+
     def test_length_mismatch(self):
         with pytest.raises(UsageError):
             topk_accuracy([[0]], [0, 1], 1)
 
+    def test_empty_and_ragged_inputs_are_usage_errors(self):
+        with pytest.raises(UsageError):
+            topk_accuracy(np.zeros((0, 3), dtype=int), [], 1)
+        with pytest.raises(UsageError):
+            topk_accuracy([0, 1], [0, 1], 1)
+
 
 def _prompt_set_from_features(features_by_class, templates=("a video of a person {c}",)):
     classes = tuple(f"class_{i}" for i in range(len(features_by_class)))
-    table = [np.asarray(f, dtype=float) for f in features_by_class]
-
-    def features(class_idx, template_idx):
-        return table[class_idx]
-
-    return PromptSet(tuple(templates), classes, features)
+    table = np.array([[f] * len(templates) for f in features_by_class], dtype=float)
+    return PromptSet(tuple(templates), classes, table)
 
 
 def _tied_tower_params(enc_cfg):
@@ -214,7 +250,7 @@ class TestClassifyZeroShot:
         prompts = PromptSet(
             ("a video of a person {c}", "a clip of {c}"),
             ("a", "b"),
-            lambda c, t: feats[c][t],
+            np.stack([feats[0], feats[1]]),
         )
         emb = class_embeddings(params, prompts, enc_cfg)
         from dfuse.encoder import encode_text_batch
@@ -225,13 +261,43 @@ class TestClassifyZeroShot:
             want = l2_normalize_rows(z.mean(axis=0, keepdims=True))[0]
             np.testing.assert_allclose(emb[c], want, atol=1e-12)
 
+    @pytest.mark.parametrize("n_templates", [1, 2, 3, 5])
+    def test_one_forward_matches_per_class_loop_bitwise(self, tiny_corpus, tiny_enc,
+                                                        n_templates):
+        from dfuse.encoder import encode_text_batch
+        from dfuse.numerics import l2_normalize_rows
+
+        templates = ["a video of a person {c}", "a clip of {c}", "{c}", "someone doing {c}",
+                     "footage: {c}"][:n_templates]
+        prompts = build_prompt_set(tiny_corpus.synth, templates)
+        assert prompts.features.shape == (tiny_corpus.synth.n_concepts, n_templates,
+                                          tiny_enc.input_dim_text)
+        params = init_params(tiny_enc)
+        want = loop_class_embeddings(
+            lambda rows: encode_text_batch(params, rows, tiny_enc), l2_normalize_rows,
+            prompts.features,
+        )
+        np.testing.assert_array_equal(class_embeddings(params, prompts, tiny_enc), want)
+
+    def test_prompt_features_match_the_prompt_feature_generator(self, tiny_synth):
+        from dfuse.corpus import prompt_feature
+
+        prompts = build_prompt_set(tiny_synth, ["a video of a person {c}", "a clip of {c}"])
+        for c, name in enumerate(prompts.classes):
+            for t, template in enumerate(prompts.templates):
+                want = prompt_feature(tiny_synth, template.format(c=name), c)
+                np.testing.assert_array_equal(prompts.features[c, t], want)
+
     def test_prompt_set_validation(self):
+        feats = np.zeros((2, 1, 3))
         with pytest.raises(UsageError):
-            PromptSet(("no placeholder",), ("a", "b"), lambda c, t: None)
+            PromptSet(("no placeholder",), ("a", "b"), feats)
         with pytest.raises(UsageError):
-            PromptSet(("{c} and {c}",), ("a", "b"), lambda c, t: None)
+            PromptSet(("{c} and {c}",), ("a", "b"), feats)
         with pytest.raises(UsageError):
-            PromptSet(("{c}",), ("only",), lambda c, t: None)
+            PromptSet(("{c}",), ("only",), feats[:1])
+        with pytest.raises(UsageError, match="prompt features must be"):
+            PromptSet(("{c}",), ("a", "b"), np.zeros((2, 2, 3)))
 
 
 class TestDeltaTable:
@@ -315,7 +381,7 @@ class TestEvaluateModel:
     def test_full_report_on_tiny_corpus(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
         prompts = build_prompt_set(tiny_corpus.synth)
-        report = evaluate_model(params, tiny_corpus, tiny_enc, prompts)
+        report = evaluate_model(params, prepare_eval(tiny_corpus, tiny_enc, prompts), tiny_enc)
         assert report.top5 >= report.top1
         assert report.recall_at[10] >= report.recall_at[5] >= report.recall_at[1]
         assert sum(report.per_class_count.values()) == len(report.rank_list)
@@ -325,9 +391,9 @@ class TestEvaluateModel:
         import dataclasses
         params_a = init_params(tiny_enc)
         params_b = init_params(dataclasses.replace(tiny_enc, seed=77))
-        prompts = build_prompt_set(tiny_corpus.synth)
-        rep_a = evaluate_model(params_a, tiny_corpus, tiny_enc, prompts)
-        rep_b = evaluate_model(params_b, tiny_corpus, tiny_enc, prompts)
+        inputs = prepare_eval(tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth))
+        rep_a = evaluate_model(params_a, inputs, tiny_enc)
+        rep_b = evaluate_model(params_b, inputs, tiny_enc)
         rows = dict(per_class_delta(rep_a, rep_b))
         counts = rep_a.per_class_count
         weighted = sum(rows[c] * counts[c] for c in rows) / sum(counts.values())
@@ -336,7 +402,7 @@ class TestEvaluateModel:
     def test_report_round_trip(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
         prompts = build_prompt_set(tiny_corpus.synth)
-        report = evaluate_model(params, tiny_corpus, tiny_enc, prompts)
+        report = evaluate_model(params, prepare_eval(tiny_corpus, tiny_enc, prompts), tiny_enc)
         parsed = parse_report_records(io.StringIO(report_jsonl(report)))
         assert parsed.summary["top1"] == report.top1
         assert parsed.summary["mdr"] == report.mdr
@@ -347,9 +413,8 @@ class TestEvaluateModel:
         assert f"mdr\t{report.mdr}" in table
 
     def _report_lines(self, tiny_corpus, tiny_enc):
-        report = evaluate_model(
-            init_params(tiny_enc), tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth)
-        )
+        inputs = prepare_eval(tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth))
+        report = evaluate_model(init_params(tiny_enc), inputs, tiny_enc)
         return report_jsonl(report).splitlines(keepends=True)
 
     def test_report_json_list_line_names_line(self, tiny_corpus, tiny_enc):

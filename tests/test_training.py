@@ -284,6 +284,37 @@ class TestTrainStudent:
             train_student(teacher, tiny_corpus, tiny_enc, LossConfig(), _small_train_cfg())
 
 
+def _poison_gradient_at(monkeypatch, step: int, value: float) -> None:
+    """Patch ``total_loss_grad`` so that call ``step`` returns a finite loss and
+    a gradient with one ``value`` entry."""
+    real = training.total_loss_grad
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        loss, grad = real(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == step:
+            values = grad.values.copy()
+            values[1] = value
+            grad = ParamVector(values, grad.layout)
+        return loss, grad
+
+    monkeypatch.setattr(training, "total_loss_grad", poisoned)
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("trainer", ["pretrain_teacher", "train_student"])
+    def test_aborts_naming_the_step(self, tiny_corpus, tiny_enc, monkeypatch, trainer, value):
+        _poison_gradient_at(monkeypatch, 3, value)
+        with pytest.raises(TrainingDivergedError, match="^non-finite gradient at step 3$"):
+            if trainer == "pretrain_teacher":
+                pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+            else:
+                train_student(init_params(tiny_enc), tiny_corpus, tiny_enc, LossConfig(),
+                              _small_train_cfg())
+
+
 class TestTrainConfig:
     def test_working_defaults(self):
         cfg = TrainConfig()
