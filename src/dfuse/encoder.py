@@ -12,6 +12,17 @@ per run and gathers batch rows from it. ``video_forward`` only ever sees such
 arrays. ``encode_video``/``encode_video_batch`` take raw stacks and sample them
 on the way in.
 
+Still images (T=1 records, sampled to ``n_frames`` copies) share one tower
+pass: when every frame slot of every video in a batch has slot 0's bits,
+``video_forward`` runs the tower once per video and repeats its output rows
+``n_frames`` times. Rows pass through the tower independently, so pooling,
+the ``TowerCache`` and the gradients see the same bits as a pass over every
+frame row. The test compares bits, not values, so ``0.0``/``-0.0`` and
+different NaN payloads never count as equal. A batch whose first video has
+different bits in its first two slots is rejected at once; a short clip that
+samples to repeated slots (T=2 gives ``[0, 0, 1, 1]``) is rejected only after
+the compare over the whole batch.
+
 A ``ParamVector`` may also hold a stack of K weight vectors, ``(K, n_params)``.
 The forward pass then gives ``(K, B, embed_dim)`` embeddings for the same
 inputs in one call; einsum's ``...`` axes run each slice through the inner
@@ -185,10 +196,24 @@ def sample_frames(stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
     if len(stacks) == 0:
         raise UsageError("empty video batch")
     frames = np.empty((len(stacks), cfg.n_frames, cfg.input_dim_video))
+    indices = {}  # clip length T -> its frame indices
     for i, stack in enumerate(stacks):
         arr = _check_stack(stack, cfg.input_dim_video, i)
-        frames[i] = arr[sample_frame_indices(arr.shape[0], cfg.n_frames)]
+        t = arr.shape[0]
+        if t not in indices:
+            indices[t] = sample_frame_indices(t, cfg.n_frames)
+        frames[i] = arr[indices[t]]
     return frames
+
+
+def _is_still(videos: np.ndarray) -> bool:
+    """Whether every frame slot of every video has slot 0's bits (C-contiguous float64)."""
+    if videos.shape[1] == 1:
+        return False  # one slot: nothing to share
+    if videos[0, 0].tobytes() != videos[0, 1].tobytes():
+        return False  # first two slots differ: rejected for two small byte strings
+    bits = videos.view(np.uint64)
+    return bool((bits == bits[:, :1]).all())
 
 
 def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -> TowerCache:
@@ -199,8 +224,15 @@ def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -
     b = stacks.shape[0]
     if b == 0:
         raise UsageError("empty video batch")
-    frames = np.ascontiguousarray(stacks, dtype=np.float64).reshape(b * cfg.n_frames, -1)
-    u, h = _tower_apply(params, "video", frames)
+    videos = np.ascontiguousarray(stacks, dtype=np.float64)
+    frames = videos.reshape(b * cfg.n_frames, -1)
+    if _is_still(videos):
+        # One tower pass per video; repeating its rows gives the per-frame bits.
+        u, h = _tower_apply(params, "video", videos[:, 0])
+        u = np.repeat(u, cfg.n_frames, axis=-2)
+        h = np.repeat(h, cfg.n_frames, axis=-2)
+    else:
+        u, h = _tower_apply(params, "video", frames)
     per_frame = u.reshape(u.shape[:-2] + (b, cfg.n_frames, cfg.embed_dim))
     pooled = np.einsum("...bne->...be", per_frame) / cfg.n_frames
     return _normalize_with_cache(frames, h, pooled)

@@ -47,9 +47,21 @@ def _check_prompts(templates: tuple[str, ...], classes: tuple[str, ...]) -> None
         raise UsageError("prompt set needs at least one template")
     if len(classes) < 2:
         raise UsageError("prompt set needs at least two classes")
+    import string  # here, not at module level: it adds about 1 ms to every command's import
+
     for t in templates:
-        if t.count("{c}") != 1:
-            raise UsageError(f"template {t!r} must contain the placeholder {{c}} exactly once")
+        # Exactly one plain {c} field: anything else would fail, or drop the
+        # class name, when the template is formatted.
+        try:
+            fields = [(name, spec, conv) for _, name, spec, conv in string.Formatter().parse(t)
+                      if name is not None]
+        except ValueError as exc:
+            raise UsageError(f"template {t!r} is not a valid format string: {exc}") from None
+        if fields != [("c", "", None)]:
+            raise UsageError(
+                f"template {t!r} must contain the placeholder {{c}} exactly once "
+                "and no other format field"
+            )
 
 
 @dataclass(frozen=True, eq=False)

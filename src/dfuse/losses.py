@@ -189,14 +189,19 @@ def _embedding_grad_backward(
     # L2 normalization: du = (g - (g . z) z) / ||u||
     dots = np.einsum("ij,ij->i", dz, cache.z)
     dpooled = (dz - dots[:, None] * cache.z) / cache.norms[:, None]
+    w2 = params.tensor(prefix + ".w2")
     if n_pool > 1:
-        du = np.repeat(dpooled / n_pool, n_pool, axis=0)
+        # A video's frame rows share one gradient row: take dh on the pooled
+        # rows and repeat it (row batching keeps the bits).
+        dpooled = dpooled / n_pool
+        du = np.repeat(dpooled, n_pool, axis=0)
+        dh = np.repeat(matmul(dpooled, w2), n_pool, axis=0)
     else:
         du = dpooled
-    w2 = params.tensor(prefix + ".w2")
+        dh = matmul(du, w2)
+    # The weight gradients sum over all frame rows: their summation order is the bits.
     grads[prefix + ".b2"] += np.einsum("ij->j", du)
     grads[prefix + ".w2"] += np.einsum("ij,ik->jk", du, cache.h)
-    dh = matmul(du, w2)
     da = dh * (1.0 - cache.h * cache.h)
     grads[prefix + ".b1"] += np.einsum("ij->j", da)
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
@@ -303,11 +308,10 @@ def total_loss_grad(
     if labeled.target is not None:
         g_l = g_l + cfg.lambda_ * _distillation_grad(labeled.scores, labeled.target, labeled.b)
 
-    grads = {name: np.zeros(shape) for name, shape in params.layout}
+    grad = ParamVector(np.zeros(params.n_params), params.layout)
+    grads = {name: grad.tensor(name) for name, _ in params.layout}  # views into grad
     _pair_backward(grads, params, labeled.cache_v, labeled.cache_t, g_l, cfg, enc_cfg)
     if unlabeled is not None and cfg.lambda_ != 0.0:
         g_u = cfg.lambda_ * _distillation_grad(unlabeled.scores, unlabeled.target, unlabeled.b)
         _pair_backward(grads, params, unlabeled.cache_v, unlabeled.cache_t, g_u, cfg, enc_cfg)
-
-    flat = np.concatenate([grads[name].ravel() for name, _ in params.layout])
-    return float(loss), ParamVector(flat, params.layout)
+    return float(loss), grad

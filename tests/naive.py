@@ -94,6 +94,43 @@ def naive_finite_difference_grad(loss_of, values, h=1e-5):
     return grad
 
 
+def naive_video_forward(params, frames, cfg):
+    """The video tower on every frame row of a sampled ``(B, n_frames, d_v)``
+    array (no shared still-image pass), then mean pooling and L2 normalization.
+    Returns ``TowerCache`` fields ``(x, h, pooled, norms, z)``; a stacked
+    ``(K, P)`` ``params`` gives a leading K axis."""
+    from dfuse.encoder import TowerCache
+
+    b, n, d = frames.shape
+    x = np.ascontiguousarray(frames, dtype=np.float64).reshape(b * n, d)
+
+    def affine(rows, name):
+        w = params.tensor(f"video.{name[0]}")
+        bias = params.tensor(f"video.{name[1]}")
+        return np.einsum("...ij,...kj->...ik", rows, w, optimize=False) + bias[..., None, :]
+
+    h = np.tanh(affine(x, ("w1", "b1")))
+    u = affine(h, ("w2", "b2"))
+    pooled = np.einsum("...bne->...be", u.reshape(u.shape[:-2] + (b, n, -1))) / n
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", pooled, pooled))
+    return TowerCache(x, h, pooled, norms, pooled / norms[..., None])
+
+
+def naive_tower_backward(grads, params, prefix, cache, dz, n_pool):
+    """Backprop ``dz`` through normalization, pooling and one tower with the
+    pooled gradient repeated to every frame row before any product; adds into
+    ``grads[name]`` in place."""
+    dots = np.einsum("ij,ij->i", dz, cache.z)
+    dpooled = (dz - dots[:, None] * cache.z) / cache.norms[:, None]
+    du = np.repeat(dpooled / n_pool, n_pool, axis=0) if n_pool > 1 else dpooled
+    grads[prefix + ".b2"] += np.einsum("ij->j", du)
+    grads[prefix + ".w2"] += np.einsum("ij,ik->jk", du, cache.h)
+    dh = np.einsum("ij,jk->ik", du, params.tensor(prefix + ".w2"), optimize=False)
+    da = dh * (1.0 - cache.h * cache.h)
+    grads[prefix + ".b1"] += np.einsum("ij->j", da)
+    grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
+
+
 def naive_ranks(sims, true_index):
     """Sort-based rank oracle with the pessimistic tie policy."""
     ranks = []
@@ -133,6 +170,12 @@ def loop_class_embeddings(encode, normalize, features):
         z = encode(features[c])
         rows.append(np.einsum("te->e", z) / n_templates)
     return normalize(np.stack(rows))
+
+
+def same_bits(a, b):
+    """Equal shapes and equal float64 bit patterns (0.0 vs -0.0 and NaN payloads differ)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def unit_rows(rng, b, d):

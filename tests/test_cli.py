@@ -301,6 +301,32 @@ class TestPipelineCommands:
         assert err == "error: report line 1: invalid JSON (nested too deeply)\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl"]
 
+    # A bad --templates value is a usage error, like a template without {c}.
+    @pytest.mark.parametrize("command", ["eval-retrieval", "eval-classify", "sweep-alpha"])
+    @pytest.mark.parametrize("template", ["{c} {x}", "{c} {", "} {c}", "{{c}}", "{c!r}",
+                                          "{c:>9}", "{c.upper}", "{c[0]}", "{} {c}", "{c}{c}"])
+    def test_bad_template_is_one_error_line(self, mini_pipeline, tmp_path, capsys,
+                                            command, template):
+        root, _, videos = mini_pipeline
+        if command == "sweep-alpha":
+            args = ["--teacher", str(root / "teacher.ckpt"),
+                    "--student", str(root / "student.ckpt"), "--alphas", "0,1"]
+        else:
+            args = ["--ckpt", str(root / "teacher.ckpt")]
+        capsys.readouterr()
+        code = cli_dispatch([command, *args, "--corpus", str(videos),
+                             "--templates", template, "--out", str(tmp_path / "rep")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: template {template!r} ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_escaped_braces_around_the_placeholder_are_text(self, mini_pipeline, tmp_path):
+        root, _, videos = mini_pipeline
+        assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
+                             "--corpus", str(videos), "--templates", "{{ {c} }}|{c}",
+                             "--out", str(tmp_path / "cls")]) == 0
+
     def test_sweep_alpha_outputs(self, mini_pipeline):
         root, _, videos = mini_pipeline
         assert cli_dispatch([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dfuse import encoder
 from dfuse.encoder import (
     EmbeddingBatch,
     EncoderConfig,
@@ -17,6 +18,7 @@ from dfuse.encoder import (
     video_forward,
 )
 from dfuse.errors import DegenerateEmbeddingError, UsageError
+from naive import naive_video_forward, same_bits
 
 
 class TestSampleFrameIndices:
@@ -184,6 +186,23 @@ class TestSampleFrames:
             idx = sample_frame_indices(len(stack), enc_cfg.n_frames)
             np.testing.assert_array_equal(sampled, stack[idx])
 
+    def test_indices_computed_once_per_clip_length(self, enc_cfg, monkeypatch):
+        calls = []
+        real = encoder.sample_frame_indices
+
+        def counting(t, n):
+            calls.append(t)
+            return real(t, n)
+
+        monkeypatch.setattr(encoder, "sample_frame_indices", counting)
+        rng = np.random.default_rng(9)
+        lengths = (1, 5, 1, 2, 5, 5, 1, 9)
+        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in lengths]
+        frames = sample_frames(stacks, enc_cfg)
+        assert sorted(calls) == [1, 2, 5, 9]
+        for stack, sampled in zip(stacks, frames):
+            assert sampled.tobytes() == stack[real(len(stack), enc_cfg.n_frames)].tobytes()
+
     def test_rejects_non_finite_stack(self, enc_cfg):
         bad = np.zeros((3, enc_cfg.input_dim_video))
         bad[1, 2] = np.nan
@@ -254,6 +273,85 @@ class TestDensePath:
             per_batch_v = encode_video_batch(params, [stacks[i] for i in idx], cfg)
             assert per_batch_v.tobytes() == z_v[idx].tobytes()
             assert encode_text_batch(params, texts[idx], cfg).tobytes() == z_t[idx].tobytes()
+
+
+STILL_CFG = EncoderConfig(6, 5, 9, 4, n_frames=4, seed=19)
+
+
+def still_batch(kind: str, rng) -> np.ndarray:
+    """Sampled ``(5, 4, 6)`` frames: still images, mixed clip lengths, or near misses."""
+    d = STILL_CFG.input_dim_video
+    lengths = {"still": (1, 1, 1, 1, 1), "still-first-then-clips": (1, 8, 8, 8, 8),
+               "clips-then-one-still": (8, 8, 1, 8, 8)}.get(kind, (1, 1, 1, 1, 1))
+    stacks = [rng.standard_normal((t, d)) for t in lengths]
+    if kind == "signed-zero":
+        # Two frames that differ only in the sign of one zero: slots [0, 0, 1, 1].
+        pair = np.repeat(stacks[3], 2, axis=0)
+        pair[0, 2], pair[1, 2] = 0.0, -0.0
+        stacks[3] = pair
+    frames = sample_frames(stacks, STILL_CFG)
+    if kind == "nan-payload":
+        # Not a valid input, but the bit test must not call two NaNs equal.
+        bits = frames.view(np.uint64)
+        bits[2, :, 1] = np.float64(np.nan).view(np.uint64)
+        bits[2, 3, 1] += 1
+    return frames
+
+
+STILL_KINDS = {"still": True, "still-first-then-clips": False,
+               "clips-then-one-still": False, "signed-zero": False, "nan-payload": False}
+
+
+class TestStillBatches:
+    """A batch of still images runs the tower once per video, with the per-frame bits."""
+
+    @pytest.fixture
+    def tower_rows(self, monkeypatch):
+        rows = []
+        real = encoder._tower_apply
+
+        def recording(params, prefix, x):
+            rows.append(x.shape[-2])
+            return real(params, prefix, x)
+
+        monkeypatch.setattr(encoder, "_tower_apply", recording)
+        return rows
+
+    @pytest.mark.parametrize("kind", sorted(STILL_KINDS))
+    def test_cache_equals_every_row_forward(self, kind, tower_rows):
+        params = init_params(STILL_CFG)
+        frames = still_batch(kind, np.random.default_rng([31, len(kind)]))
+        with np.errstate(invalid="ignore"):
+            cache = video_forward(params, frames, STILL_CFG)
+            want = naive_video_forward(params, frames, STILL_CFG)
+        b, n = frames.shape[:2]
+        assert tower_rows == [b if STILL_KINDS[kind] else b * n]
+        for field in cache._fields:
+            assert same_bits(getattr(cache, field), getattr(want, field)), field
+
+    @pytest.mark.parametrize("kind", ["still", "clips-then-one-still", "signed-zero"])
+    def test_stacked_params_equal_every_row_forward(self, kind, tower_rows):
+        params = init_params(STILL_CFG)
+        rng = np.random.default_rng(32)
+        stack = ParamVector(params.values + 1e-3 * rng.standard_normal((3, params.n_params)),
+                            params.layout)
+        frames = still_batch(kind, rng)
+        cache = video_forward(stack, frames, STILL_CFG)
+        assert cache.z.shape == (3, frames.shape[0], STILL_CFG.embed_dim)
+        want = naive_video_forward(stack, frames, STILL_CFG)
+        for field in cache._fields:
+            assert same_bits(getattr(cache, field), getattr(want, field)), field
+        for k in range(3):
+            one = video_forward(ParamVector(stack.values[k].copy(), params.layout), frames,
+                                STILL_CFG)
+            for field in ("h", "pooled", "norms", "z"):
+                assert same_bits(getattr(cache, field)[k], getattr(one, field)), field
+
+    def test_one_frame_slot_never_takes_the_shared_pass(self, tower_rows):
+        cfg = EncoderConfig(6, 5, 9, 4, n_frames=1, seed=3)
+        frames = sample_frames([np.ones((1, 6))] * 3, cfg)
+        video_forward(init_params(cfg), frames, cfg)
+        assert tower_rows == [3]
 
 
 class TestEncodeText:

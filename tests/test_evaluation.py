@@ -294,6 +294,13 @@ class TestClassifyZeroShot:
             PromptSet(("no placeholder",), ("a", "b"), feats)
         with pytest.raises(UsageError):
             PromptSet(("{c} and {c}",), ("a", "b"), feats)
+        for template in ("{c} {x}", "{{c}}", "{c!s}", "{c:>4}", "{c.x}", "{0}{c}"):
+            with pytest.raises(UsageError, match="no other format field"):
+                PromptSet((template,), ("a", "b"), feats)
+        for template in ("{c} {", "{c} }"):
+            with pytest.raises(UsageError, match="not a valid format string"):
+                PromptSet((template,), ("a", "b"), feats)
+        PromptSet(("{{literal}} {c}",), ("a", "b"), feats)
         with pytest.raises(UsageError):
             PromptSet(("{c}",), ("only",), feats[:1])
         with pytest.raises(UsageError, match="prompt features must be"):

@@ -3,11 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from dfuse import losses
 from dfuse.encoder import (
     EmbeddingBatch,
+    EncoderConfig,
     ParamVector,
     encode_text_batch,
     encode_video_batch,
+    init_params,
     sample_frames,
 )
 from dfuse.errors import UsageError
@@ -23,11 +26,15 @@ from dfuse.losses import (
     total_loss,
     total_loss_grad,
 )
+from dfuse.numerics import matmul
 from naive import (
     naive_contrastive,
     naive_distillation,
     naive_finite_difference_grad,
     naive_total,
+    naive_tower_backward,
+    naive_video_forward,
+    same_bits,
     unit_rows,
 )
 
@@ -333,3 +340,119 @@ class TestTotalLossGrad:
         )
         numeric = loop_fd_grad(loss_fn, params)
         assert float(relative_errors(analytic, numeric).max()) < 1e-4
+
+
+def every_row_total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo=None):
+    """``total_loss_grad`` without any row sharing: every frame row through the
+    video tower, the pooled gradient repeated to every frame row before any
+    product, and per-tensor zero arrays concatenated at the end."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(losses, "video_forward", naive_video_forward)
+        loss, labeled, unlabeled = loss_forward(
+            params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo
+        )
+    g_l = losses._contrastive_grad(labeled.scores, labeled.b)
+    if labeled.target is not None:
+        g_l = g_l + cfg.lambda_ * losses._distillation_grad(
+            labeled.scores, labeled.target, labeled.b
+        )
+    terms = [(labeled, g_l)]
+    if unlabeled is not None and cfg.lambda_ != 0.0:
+        terms.append((unlabeled, cfg.lambda_ * losses._distillation_grad(
+            unlabeled.scores, unlabeled.target, unlabeled.b)))
+    grads = {name: np.zeros(shape) for name, shape in params.layout}
+    for pair, g in terms:
+        dz_v = np.einsum("ij,jk->ik", g, pair.cache_t.z, optimize=False) / cfg.sigma
+        dz_t = np.einsum("ij,jk->ik", g.T, pair.cache_v.z, optimize=False) / cfg.sigma
+        naive_tower_backward(grads, params, "video", pair.cache_v, dz_v, enc_cfg.n_frames)
+        naive_tower_backward(grads, params, "text", pair.cache_t, dz_t, 1)
+    return loss, np.concatenate([grads[name].ravel() for name, _ in params.layout])
+
+
+SHARED_CFG = EncoderConfig(6, 5, 9, 4, n_frames=4, seed=23)
+
+
+def _videos(kind, rng, b=5):
+    """Sampled frames for one batch: still images, one still among clips, or a signed zero."""
+    d = SHARED_CFG.input_dim_video
+    lengths = {"still": [1] * b, "mixed": [8, 8, 1] + [8] * (b - 3)}.get(kind, [1] * b)
+    stacks = [rng.standard_normal((t, d)) for t in lengths]
+    if kind == "signed-zero":
+        pair = np.repeat(stacks[1], 2, axis=0)
+        pair[0, 4], pair[1, 4] = 0.0, -0.0
+        stacks[1] = pair
+    return sample_frames(stacks, SHARED_CFG)
+
+
+class TestSharedRows:
+    """Still-image forward and pooled-row backward keep the every-row bits."""
+
+    @pytest.mark.parametrize("kind", ["still", "mixed", "signed-zero"])
+    @pytest.mark.parametrize("with_labeled_pseudo", [False, True])
+    def test_loss_and_gradient_equal_every_row_path(self, kind, with_labeled_pseudo):
+        rng = np.random.default_rng([43, len(kind), with_labeled_pseudo])
+        params = init_params(SHARED_CFG)
+        b, d_t = 5, SHARED_CFG.input_dim_text
+        lv, uv = _videos(kind, rng, b), _videos(kind, rng, b)
+        lt, ut = rng.standard_normal((b, d_t)), rng.standard_normal((b, d_t))
+        pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b)))
+        labeled_pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b))) \
+            if with_labeled_pseudo else None
+        cfg = LossConfig(sigma=0.1, lambda_=0.7)
+        loss, grad = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG,
+                                     labeled_pseudo=labeled_pseudo)
+        want_loss, want_grad = every_row_total_loss_grad(
+            params, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG, labeled_pseudo
+        )
+        assert same_bits(np.float64(loss), want_loss)
+        assert grad.layout == params.layout
+        assert same_bits(grad.values, want_grad)
+        for name, shape in params.layout:
+            assert grad.tensor(name).shape == shape
+
+    def test_contrastive_only_still_batch(self):
+        rng = np.random.default_rng(44)
+        params = init_params(SHARED_CFG)
+        lv = _videos("still", rng, 6)
+        lt = rng.standard_normal((6, SHARED_CFG.input_dim_text))
+        cfg = LossConfig(sigma=0.05, lambda_=0.0)
+        loss, grad = total_loss_grad(params, lv, lt, None, None, None, cfg, SHARED_CFG)
+        want_loss, want_grad = every_row_total_loss_grad(
+            params, lv, lt, None, None, None, cfg, SHARED_CFG
+        )
+        assert same_bits(np.float64(loss), want_loss)
+        assert same_bits(grad.values, want_grad)
+
+    @pytest.mark.parametrize("kind", ["still", "mixed", "signed-zero"])
+    def test_stacked_losses_equal_every_row_losses(self, kind):
+        # The (K, P) stack gradcheck evaluates its perturbations with.
+        rng = np.random.default_rng([45, len(kind)])
+        params = init_params(SHARED_CFG)
+        b, d_t = 4, SHARED_CFG.input_dim_text
+        lv, uv = _videos(kind, rng, b), _videos(kind, rng, b)
+        lt, ut = rng.standard_normal((b, d_t)), rng.standard_normal((b, d_t))
+        pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b)))
+        cfg = LossConfig(sigma=0.2, lambda_=0.999)
+        stack = ParamVector(params.values + 1e-5 * rng.standard_normal((7, params.n_params)),
+                            params.layout)
+        stacked = loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
+        assert stacked.shape == (7,)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(losses, "video_forward", naive_video_forward)
+            every_row = loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
+        assert same_bits(stacked, every_row)
+        for k in range(7):
+            one = ParamVector(stack.values[k].copy(), params.layout)
+            single = loss_forward(one, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
+            assert same_bits(stacked[k], single)
+
+    @pytest.mark.parametrize("b,n,e,hidden", [(1, 2, 3, 4), (5, 4, 4, 9), (64, 4, 32, 32),
+                                              (7, 8, 5, 3), (3, 3, 16, 16)])
+    def test_pooled_row_dh_equals_repeated_row_matmul(self, b, n, e, hidden):
+        rng = np.random.default_rng([46, b, n])
+        dpooled = rng.standard_normal((b, e)) * np.exp(rng.uniform(-20, 20, size=(b, 1)))
+        w2 = rng.standard_normal((e, hidden))
+        rows = dpooled / n
+        pooled_rows = np.repeat(matmul(rows, w2), n, axis=0)
+        repeated_rows = matmul(np.repeat(rows, n, axis=0), w2)
+        assert same_bits(pooled_rows, repeated_rows)
