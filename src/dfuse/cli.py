@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import Corpus, SynthConfig, gen_corpus, load_corpus
-from .encoder import EncoderConfig, sample_frames
+from .encoder import EncoderConfig, check_seed, sample_frames
 from .errors import DfuseError, UsageError, ValidationError
 from .evaluation import (
     DEFAULT_TEMPLATE,
@@ -219,17 +219,18 @@ def _cmd_gen_corpus(values: dict) -> int:
 
 
 def _cmd_pretrain_teacher(values: dict) -> int:
-    corpus = load_corpus(_require_file(values["corpus"], "corpus file"))
-    enc_cfg = EncoderConfig(
-        input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t,
-        hidden_dim=values["hidden_dim"], embed_dim=values["embed_dim"],
-        n_frames=values["n_frames"], seed=values["seed"],
-    )
     train_cfg = TrainConfig(
         lr=values["lr"], batch_size_labeled=values["batch_size_labeled"],
         batch_size_unlabeled=values["batch_size_unlabeled"],
         max_steps=values["max_steps"], eval_every=values["eval_every"],
         seed=values["seed"], weight_decay=values["weight_decay"],
+    )
+    check_seed(values["seed"])  # before the corpus read that EncoderConfig needs
+    corpus = load_corpus(_require_file(values["corpus"], "corpus file"))
+    enc_cfg = EncoderConfig(
+        input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t,
+        hidden_dim=values["hidden_dim"], embed_dim=values["embed_dim"],
+        n_frames=values["n_frames"], seed=values["seed"],
     )
     params = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=values["sigma"], log=print)
     val_videos, val_texts = corpus.paired("labeled-val")
@@ -247,8 +248,6 @@ def _cmd_pretrain_teacher(values: dict) -> int:
 
 
 def _cmd_train_student(values: dict) -> int:
-    teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
-    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     loss_cfg = LossConfig(sigma=values["sigma"], lambda_=values["lambda_"])
     train_cfg = TrainConfig(
         lr=values["lr"], batch_size_labeled=values["batch_size_labeled"],
@@ -257,6 +256,8 @@ def _cmd_train_student(values: dict) -> int:
         seed=values["seed"], weight_decay=values["weight_decay"],
         distill_on_labeled=values["distill_on_labeled"],
     )
+    teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
+    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     record = train_student(teacher.params, corpus, teacher.enc_cfg, loss_cfg, train_cfg, log=print)
     out = Path(values["out"])
     save_checkpoint(out, Checkpoint(
@@ -561,6 +562,9 @@ def cli_dispatch(argv) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'MemoryError'}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)

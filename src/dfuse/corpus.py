@@ -94,6 +94,8 @@ class SynthConfig:
         for field in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
             if int(getattr(self, field)) < 0:
                 raise UsageError(f"SynthConfig.{field} must be >= 0")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.identity_maps and not (self.d_v == self.d_t == self.latent_dim):
             raise UsageError("identity_maps requires d_v = d_t = latent_dim")
         if self.identity_maps and self.video_domain_shift != 0.0:

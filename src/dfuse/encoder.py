@@ -54,6 +54,13 @@ class EncoderConfig:
         for field in ("input_dim_video", "input_dim_text", "hidden_dim", "embed_dim", "n_frames"):
             if int(getattr(self, field)) < 1:
                 raise UsageError(f"EncoderConfig.{field} must be >= 1")
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a seed a checkpoint cannot store: it is written as a signed 64-bit integer."""
+    if not 0 <= seed < 2**63:
+        raise UsageError(f"seed must be >= 0 and < 2**63, got {seed}")
 
 
 @dataclass(eq=False)
@@ -164,14 +171,24 @@ def _tower_apply(params: ParamVector, prefix: str, x: np.ndarray):
     return u, h
 
 
-def _normalize_with_cache(x, h, pooled) -> TowerCache:
-    norms = row_norms(pooled)
+def reject_zero_norms(norms: np.ndarray) -> None:
+    """Raise ``DegenerateEmbeddingError`` naming the first row of ``norms`` (last
+    axis; a stack is searched slice by slice) below ``ZERO_NORM_THRESHOLD``."""
     bad = np.flatnonzero(norms < ZERO_NORM_THRESHOLD)
     if bad.size:
         raise DegenerateEmbeddingError(
             f"pooled embedding {int(bad[0]) % norms.shape[-1]} has norm {norms.flat[bad[0]]:.3e}"
         )
-    return TowerCache(x, h, pooled, norms, pooled / norms[..., None])
+
+
+def _normalize_with_cache(x, h, pooled, joined: bool) -> TowerCache:
+    norms = row_norms(pooled)
+    if not joined:
+        reject_zero_norms(norms)
+    # A joined caller rejects zero-norm rows itself; the clamp keeps numpy from
+    # warning on them and is the identity on every row that passes.
+    z = pooled / np.maximum(norms, ZERO_NORM_THRESHOLD)[..., None]
+    return TowerCache(x, h, pooled, norms, z)
 
 
 def _check_stack(stack, dim: int, index: int) -> np.ndarray:
@@ -216,14 +233,25 @@ def _is_still(videos: np.ndarray) -> bool:
     return bool((bits == bits[:, :1]).all())
 
 
-def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -> TowerCache:
-    """Encode a batch of sampled frames (from ``sample_frames``); embeddings plus cache."""
+def check_video_batch(stacks, cfg: EncoderConfig) -> np.ndarray:
+    """Reject anything but a non-empty sampled ``(B, n_frames, d_v)`` array; returns it."""
     shape = (cfg.n_frames, cfg.input_dim_video)
     if not isinstance(stacks, np.ndarray) or stacks.ndim != 3 or stacks.shape[1:] != shape:
         raise UsageError(f"video batch must be a sampled (B, {shape[0]}, {shape[1]}) array")
-    b = stacks.shape[0]
-    if b == 0:
+    if stacks.shape[0] == 0:
         raise UsageError("empty video batch")
+    return stacks
+
+
+def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig,
+                  joined: bool = False) -> TowerCache:
+    """Encode a batch of sampled frames (from ``sample_frames``); embeddings plus cache.
+
+    ``joined=True`` is for a caller that encodes several batches at once: it
+    has checked each one (``check_video_batch``) and checks each one's norms
+    (``reject_zero_norms``) itself.
+    """
+    b = (stacks if joined else check_video_batch(stacks, cfg)).shape[0]
     videos = np.ascontiguousarray(stacks, dtype=np.float64)
     frames = videos.reshape(b * cfg.n_frames, -1)
     if _is_still(videos):
@@ -235,11 +263,11 @@ def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -
         u, h = _tower_apply(params, "video", frames)
     per_frame = u.reshape(u.shape[:-2] + (b, cfg.n_frames, cfg.embed_dim))
     pooled = np.einsum("...bne->...be", per_frame) / cfg.n_frames
-    return _normalize_with_cache(frames, h, pooled)
+    return _normalize_with_cache(frames, h, pooled, joined)
 
 
-def text_forward(params: ParamVector, features, cfg: EncoderConfig) -> TowerCache:
-    """Encode a batch of raw text feature vectors; returns embeddings plus cache."""
+def check_text_batch(features, cfg: EncoderConfig) -> np.ndarray:
+    """Raw text features as a finite float64 ``(B, d_t)`` array, B >= 1; one vector is one row."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim == 1:
         x = x[None, :]
@@ -249,10 +277,20 @@ def text_forward(params: ParamVector, features, cfg: EncoderConfig) -> TowerCach
         raise UsageError(
             f"text features have dim {x.shape[1]}, encoder expects {cfg.input_dim_text}"
         )
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise UsageError("text features contain non-finite entries")
+    return x
+
+
+def text_forward(params: ParamVector, features, cfg: EncoderConfig,
+                 joined: bool = False) -> TowerCache:
+    """Encode a batch of raw text feature vectors; returns embeddings plus cache.
+
+    ``joined=True`` as for ``video_forward``, with ``check_text_batch``.
+    """
+    x = features if joined else check_text_batch(features, cfg)
     u, h = _tower_apply(params, "text", x)
-    return _normalize_with_cache(x, h, u)
+    return _normalize_with_cache(x, h, u, joined)
 
 
 def encode_video(params: ParamVector, frames, cfg: EncoderConfig) -> np.ndarray:

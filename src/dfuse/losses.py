@@ -14,6 +14,15 @@ functions run the same arithmetic, so both routes give the same bits.
 ``loss_forward`` is the forward half of ``total_loss_grad``; given a stack of
 K weight vectors it returns the K losses in one pass, each with the bits of
 the one-vector call.
+
+One evaluation encodes all its batches, labeled rows first, in one
+``video_forward`` and one ``text_forward`` call; each term reads its batch's
+rows as views of that cache. Rows pass through the towers independently, so
+this gives the bits of encoding each batch alone. Each batch is checked
+before the rows are joined, and errors come in the order and with the
+messages that encoding batch after batch gives. The backward pass stays per
+batch: a weight gradient summed over the joined rows would sum in another
+order and change the bits.
 """
 
 from __future__ import annotations
@@ -28,6 +37,9 @@ from .encoder import (
     EncoderConfig,
     ParamVector,
     TowerCache,
+    check_text_batch,
+    check_video_batch,
+    reject_zero_norms,
     text_forward,
     video_forward,
 )
@@ -217,19 +229,62 @@ class _Pair(NamedTuple):
     target: _Scores | None
 
 
-def _pair_forward(params: ParamVector, frames, texts, cfg: LossConfig, enc_cfg: EncoderConfig,
-                  pseudo: PseudoLabelBatch | None = None) -> _Pair:
-    """Both towers on one batch, the softmax scores of its logits, and the teacher's."""
-    cache_v = video_forward(params, frames, enc_cfg)
-    cache_t = text_forward(params, texts, enc_cfg)
-    b = cache_v.z.shape[-2]
-    if b != cache_t.z.shape[-2]:
-        raise UsageError(f"batch size mismatch: {b} videos vs {cache_t.z.shape[-2]} texts")
-    target = None
-    if pseudo is not None:
-        _check_pseudo_size(b, pseudo)
-        target = _scores(pseudo.teacher_logits)
-    return _Pair(cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)), b, target)
+def _pair(cache_v: TowerCache, cache_t: TowerCache, cfg: LossConfig,
+          target: _Scores | None = None) -> _Pair:
+    return _Pair(cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)),
+                 cache_v.z.shape[-2], target)
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _rows(cache: TowerCache, start: int, stop: int, n_pool: int) -> TowerCache:
+    """Views of rows ``start:stop`` (pooled rows; ``n_pool`` tower rows each) of a cache."""
+    a, z = start * n_pool, stop * n_pool
+    return TowerCache(cache.x[a:z], cache.h[..., a:z, :], cache.pooled[..., start:stop, :],
+                      cache.norms[..., start:stop], cache.z[..., start:stop, :])
+
+
+def _encode_batches(params: ParamVector, batches, enc_cfg: EncoderConfig):
+    """``(cache_v, cache_t)`` of each ``(videos, texts, size_check)`` batch, as row
+    views of one ``video_forward`` and one ``text_forward`` over all their rows.
+
+    Rows pass through the towers independently, so each batch gets the bits of
+    encoding it alone. Each batch's input checks and ``size_check(b)`` run
+    before the rows are joined, and errors come in the order encoding batch
+    after batch raises them: a batch's zero-norm embedding comes before any
+    check after its forward. So when a check fails, the batches checked before
+    it are still encoded and their norms checked first.
+    """
+    videos, texts, error = [], [], None
+    try:
+        for v, t, size_check in batches:
+            videos.append(check_video_batch(v, enc_cfg))
+            texts.append(check_text_batch(t, enc_cfg))
+            b = videos[-1].shape[0]
+            if b != texts[-1].shape[0]:
+                raise UsageError(f"batch size mismatch: {b} videos vs {texts[-1].shape[0]} texts")
+            size_check(b)
+    except UsageError as exc:
+        error = exc
+    if videos:
+        joined_v = video_forward(params, _join(videos), enc_cfg, joined=True)
+    if texts:
+        joined_t = text_forward(params, _join(texts), enc_cfg, joined=True)
+    caches, start_v, start_t = [], 0, 0
+    for i, v in enumerate(videos):
+        cache_v = _rows(joined_v, start_v, start_v + v.shape[0], enc_cfg.n_frames)
+        reject_zero_norms(cache_v.norms)
+        if i == len(texts):
+            break  # this batch's texts failed their check
+        cache_t = _rows(joined_t, start_t, start_t + texts[i].shape[0], 1)
+        reject_zero_norms(cache_t.norms)
+        caches.append((cache_v, cache_t))
+        start_v, start_t = start_v + v.shape[0], start_t + texts[i].shape[0]
+    if error is not None:
+        raise error
+    return caches
 
 
 def _pair_backward(grads, params, cache_v, cache_t, g, cfg: LossConfig, enc_cfg: EncoderConfig):
@@ -260,13 +315,18 @@ def loss_forward(
     """
     if (unlabeled_videos is None) != (pseudo is None):
         raise UsageError("unlabeled inputs and pseudo labels must be given together")
-    labeled = _pair_forward(params, labeled_videos, labeled_texts, cfg, enc_cfg)
-    _check_contrastive_size(labeled.b)
-    loss, _ = _contrastive(labeled.scores, labeled.b)
-
+    batches = [(labeled_videos, labeled_texts, _check_contrastive_size)]
+    if pseudo is not None:
+        batches.append((unlabeled_videos, unlabeled_texts,
+                        lambda b: _check_pseudo_size(b, pseudo)))
+    caches = _encode_batches(params, batches, enc_cfg)
+    labeled = _pair(*caches[0], cfg)
     unlabeled = None
-    if unlabeled_videos is not None:
-        unlabeled = _pair_forward(params, unlabeled_videos, unlabeled_texts, cfg, enc_cfg, pseudo)
+    if pseudo is not None:
+        unlabeled = _pair(*caches[1], cfg, _scores(pseudo.teacher_logits))
+
+    loss, _ = _contrastive(labeled.scores, labeled.b)
+    if unlabeled is not None:
         distill, _ = _distillation(unlabeled.scores, unlabeled.target, unlabeled.b)
         loss = loss + cfg.lambda_ * distill
     if labeled_pseudo is not None:

@@ -55,6 +55,8 @@ class TrainConfig:
             raise UsageError(f"lr must be positive, got {self.lr}")
         if self.batch_size_labeled < 2 or self.batch_size_unlabeled < 2:
             raise UsageError("batch sizes must be >= 2")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.max_steps < 1:
             raise UsageError("max_steps must be >= 1")
         if self.eval_every < 1:

@@ -94,11 +94,12 @@ def naive_finite_difference_grad(loss_of, values, h=1e-5):
     return grad
 
 
-def naive_video_forward(params, frames, cfg):
+def naive_video_forward(params, frames, cfg, joined=False):
     """The video tower on every frame row of a sampled ``(B, n_frames, d_v)``
     array (no shared still-image pass), then mean pooling and L2 normalization.
     Returns ``TowerCache`` fields ``(x, h, pooled, norms, z)``; a stacked
-    ``(K, P)`` ``params`` gives a leading K axis."""
+    ``(K, P)`` ``params`` gives a leading K axis. Norms are never checked:
+    ``joined`` only matches ``video_forward``'s signature."""
     from dfuse.encoder import TowerCache
 
     b, n, d = frames.shape
@@ -129,6 +130,77 @@ def naive_tower_backward(grads, params, prefix, cache, dz, n_pool):
     da = dh * (1.0 - cache.h * cache.h)
     grads[prefix + ".b1"] += np.einsum("ij->j", da)
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
+
+
+def per_batch_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo=None):
+    """The objective with each batch through its own ``video_forward`` and
+    ``text_forward`` call, its checks right after its forward, and the loss and
+    gradient formulas written out in the order the production code evaluates
+    them (which fixes their bits). Raises what that per-batch order raises.
+    Returns ``(loss, grads)``: for a stacked ``(K, P)`` ``params`` a ``(K,)``
+    loss and ``grads`` None, else a numpy scalar and per-tensor gradients."""
+    from dfuse.encoder import text_forward, video_forward
+    from dfuse.errors import UsageError
+
+    if (uv is None) != (pseudo is None):
+        raise UsageError("unlabeled inputs and pseudo labels must be given together")
+
+    def softmaxes(s):  # p_rows, logp_rows, p_cols, logp_cols
+        out = []
+        for m in (s, s.swapaxes(-1, -2)):
+            shifted = m - m.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            total = np.einsum("...ij->...i", e)
+            out += [e / total[..., None], shifted - np.log(total)[..., None]]
+        return out
+
+    def encode(videos, texts):
+        cv = video_forward(params, videos, enc_cfg)
+        ct = text_forward(params, texts, enc_cfg)
+        b = cv.z.shape[-2]
+        if b != ct.z.shape[-2]:
+            raise UsageError(f"batch size mismatch: {b} videos vs {ct.z.shape[-2]} texts")
+        return cv, ct, b, softmaxes(np.einsum("...ik,...jk->...ij", cv.z, ct.z) / cfg.sigma)
+
+    stacked = params.values.ndim == 2
+
+    def distill(sc, teacher, b):
+        if b != teacher.batch_size:
+            raise UsageError(
+                f"student batch size {b} does not match teacher logits {teacher.batch_size}"
+            )
+        t = softmaxes(teacher.teacher_logits)
+        loss = (-np.einsum("...ij,...ij->...", t[0], sc[1]) / b
+                + -np.einsum("...ij,...ij->...", t[2], sc[3]) / b)
+        return loss, None if stacked else (sc[0] - t[0]) / b + ((sc[2] - t[2]) / b).T
+
+    cv, ct, b, sc = encode(lv, lt)
+    if b < 2:
+        raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
+    loss = -np.einsum("...ii->...", sc[1]) / b + -np.einsum("...ii->...", sc[3]) / b
+    g_l = None if stacked else (sc[0] - np.eye(b)) / b + ((sc[2] - np.eye(b)) / b).T
+    terms = [(cv, ct)]
+    if uv is not None:
+        cv_u, ct_u, b_u, sc_u = encode(uv, ut)
+        value, g_u = distill(sc_u, pseudo, b_u)
+        loss = loss + cfg.lambda_ * value
+        if cfg.lambda_ != 0.0:
+            terms.append((cv_u, ct_u))
+    if labeled_pseudo is not None:
+        value, g_lp = distill(sc, labeled_pseudo, b)
+        loss = loss + cfg.lambda_ * value
+        if not stacked:
+            g_l = g_l + cfg.lambda_ * g_lp
+    if stacked:
+        return loss, None
+    logit_grads = [g_l] + ([cfg.lambda_ * g_u] if len(terms) > 1 else [])
+    grads = {name: np.zeros(shape) for name, shape in params.layout}
+    for (cache_v, cache_t), g in zip(terms, logit_grads):
+        dz_v = np.einsum("ij,jk->ik", g, cache_t.z, optimize=False) / cfg.sigma
+        dz_t = np.einsum("ij,jk->ik", g.T, cache_v.z, optimize=False) / cfg.sigma
+        naive_tower_backward(grads, params, "video", cache_v, dz_v, enc_cfg.n_frames)
+        naive_tower_backward(grads, params, "text", cache_t, dz_t, 1)
+    return loss, grads
 
 
 def naive_ranks(sims, true_index):

@@ -550,6 +550,99 @@ class TestGradcheckCommand:
         assert "failed" in capsys.readouterr().err
 
 
+_HUGE_SEED = "99999999999999999999999"
+
+
+class TestOutOfRangeArguments:
+    """Seeds and trial counts numpy or the checkpoint format cannot take are
+    one error line and exit 1, before any input is read and with no output."""
+
+    @pytest.mark.parametrize("argv,env,message", [
+        (["gen-corpus", "--seed", "-1", "--out", "{out}/c.jsonl"], None,
+         "seed must be >= 0, got -1"),
+        (["pretrain-teacher", "--seed", "-2", "--corpus", "{images}", "--out", "{out}/t.ckpt"],
+         None, "seed must be >= 0, got -2"),
+        (["pretrain-teacher", "--seed", _HUGE_SEED, "--corpus", "{images}",
+          "--out", "{out}/t.ckpt"], None, f"seed must be >= 0 and < 2**63, got {_HUGE_SEED}"),
+        (["pretrain-teacher", "--seed", str(2**63), "--corpus", "{images}",
+          "--out", "{out}/t.ckpt"], None, f"seed must be >= 0 and < 2**63, got {2**63}"),
+        (["train-student", "--teacher", "{root}/teacher.ckpt", "--corpus", "{videos}",
+          "--out", "{out}/s.ckpt"], "-5", "seed must be >= 0, got -5"),
+        (["gradcheck", "--seed", "-1"], None, "seed must be >= 0, got -1"),
+        (["gradcheck", "--trials", "0"], None, "trials must be >= 1, got 0"),
+        (["gradcheck", "--trials", "-3"], None, "trials must be >= 1, got -3"),
+    ])
+    def test_one_error_line_and_no_output(self, mini_pipeline, tmp_path, monkeypatch, capsys,
+                                          argv, env, message):
+        import dfuse.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the work started before the arguments were checked")
+
+        for name in ("gen_corpus", "pretrain_teacher", "train_student",
+                     "load_corpus", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, no_work)
+        if env is None:
+            monkeypatch.delenv("DFUSE_SEED", raising=False)
+        else:
+            monkeypatch.setenv("DFUSE_SEED", env)
+        root, images, videos = mini_pipeline
+        paths = {"out": tmp_path, "root": root, "images": images, "videos": videos}
+        capsys.readouterr()
+        assert cli_dispatch([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_largest_storable_seed_round_trips(self, mini_pipeline, tmp_path):
+        _, images, _ = mini_pipeline
+        out = tmp_path / "t.ckpt"
+        assert cli_dispatch(["pretrain-teacher", "--corpus", str(images), "--hidden-dim", "4",
+                             "--embed-dim", "3", "--max-steps", "2", "--batch-size-labeled", "8",
+                             "--seed", str(2**63 - 1), "--out", str(out)]) == 0
+        assert load_checkpoint(out).enc_cfg.seed == 2**63 - 1
+
+
+class TestOutOfMemory:
+    """A ``MemoryError`` is one error line and exit 2, leaving no file behind."""
+
+    def test_during_training(self, mini_pipeline, tmp_path, monkeypatch, capsys):
+        import dfuse.cli as cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 23.8 GiB for an array with shape "
+                              "(3200000000,) and data type float64")
+
+        monkeypatch.setattr(cli, "pretrain_teacher", exhausted)
+        _, images, _ = mini_pipeline
+        capsys.readouterr()
+        code = cli_dispatch(["pretrain-teacher", "--corpus", str(images),
+                             "--out", str(tmp_path / "t.ckpt")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: Unable to allocate 23.8 GiB for an array with shape "
+            "(3200000000,) and data type float64\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_part_way_through_a_write(self, tmp_path, monkeypatch, capsys):
+        import dfuse.corpus as corpus
+
+        real = corpus.corpus_lines
+
+        def exhausted(c):
+            yield next(real(c))
+            raise MemoryError
+
+        monkeypatch.setattr(corpus, "corpus_lines", exhausted)
+        capsys.readouterr()
+        code = cli_dispatch(["gen-corpus", *TINY_CORPUS_ARGS, "--out", str(tmp_path / "c.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: out of memory: MemoryError\n"
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestAuxiliaryOutputs:
     def test_delta_limit_truncates(self, mini_pipeline):
         root, _, _ = mini_pipeline

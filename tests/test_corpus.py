@@ -544,6 +544,8 @@ class TestSynthConfigValidation:
             SynthConfig(noise_sigma=-0.1)
         with pytest.raises(UsageError):
             SynthConfig(n_eval=-1)
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            SynthConfig(seed=-1)
         with pytest.raises(UsageError):
             SynthConfig(identity_maps=True, d_v=32, d_t=32, latent_dim=16)
         with pytest.raises(UsageError):

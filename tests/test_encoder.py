@@ -396,3 +396,9 @@ class TestEncoderConfig:
             EncoderConfig(0, 4, 4, 4)
         with pytest.raises(UsageError):
             EncoderConfig(4, 4, 4, 4, n_frames=0)
+
+    def test_rejects_seeds_a_checkpoint_cannot_store(self):
+        for seed in (-1, 2**63):
+            with pytest.raises(UsageError, match=r"seed must be >= 0 and < 2\*\*63"):
+                EncoderConfig(4, 4, 4, 4, seed=seed)
+        assert EncoderConfig(4, 4, 4, 4, seed=2**63 - 1).seed == 2**63 - 1

@@ -5,6 +5,7 @@ import pytest
 
 from dfuse import gradcheck
 from dfuse.encoder import EmbeddingBatch, ParamVector, encode_sampled
+from dfuse.errors import UsageError
 from dfuse.losses import loss_forward, total_loss, total_loss_grad
 from naive import naive_finite_difference_grad
 
@@ -81,3 +82,29 @@ def test_chunked_stack_covers_every_coordinate():
     grad = gradcheck.finite_difference_grad(losses, params, h=1e-4)
     assert sum(calls) == 2 * n and max(calls) == 2 * gradcheck._FD_CHUNK
     np.testing.assert_allclose(grad.values, 2.0 * weights * params.values, atol=1e-8)
+
+
+@pytest.mark.parametrize("trial", range(3))
+def test_stack_size_leaves_the_gradient_bits(trial, monkeypatch):
+    enc_cfg, cfg, params, lv, lt, uv, ut, pseudo = _instance(trial)
+
+    def losses(stack):
+        return loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0]
+
+    grads = []
+    for chunk in (1, 16, 64):
+        monkeypatch.setattr(gradcheck, "_FD_CHUNK", chunk)
+        grads.append(gradcheck.finite_difference_grad(losses, params).values.tobytes())
+    assert params.n_params > 64
+    assert grads[0] == grads[1] == grads[2]
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"trials": 0}, "trials must be >= 1, got 0"),
+    ({"trials": -3}, "trials must be >= 1, got -3"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+])
+def test_out_of_range_arguments_are_usage_errors(kwargs, message):
+    with pytest.raises(UsageError) as info:
+        gradcheck.run_gradcheck(**kwargs)
+    assert str(info.value) == message

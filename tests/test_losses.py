@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from dfuse.encoder import (
     init_params,
     sample_frames,
 )
-from dfuse.errors import UsageError
+from dfuse.errors import DegenerateEmbeddingError, UsageError
 from dfuse.gradcheck import relative_errors
 from dfuse.losses import (
     LossConfig,
@@ -34,6 +35,7 @@ from naive import (
     naive_total,
     naive_tower_backward,
     naive_video_forward,
+    per_batch_loss_grad,
     same_bits,
     unit_rows,
 )
@@ -456,3 +458,194 @@ class TestSharedRows:
         pooled_rows = np.repeat(matmul(rows, w2), n, axis=0)
         repeated_rows = matmul(np.repeat(rows, n, axis=0), w2)
         assert same_bits(pooled_rows, repeated_rows)
+
+
+def _clips(rng, b, cfg=SHARED_CFG):
+    """Sampled frames of b clips of 1 to 8 frames (short ones repeat frames)."""
+    stacks = [rng.standard_normal((int(rng.integers(1, 9)), cfg.input_dim_video))
+              for _ in range(b)]
+    return sample_frames(stacks, cfg)
+
+
+def _one_pass_instance(seed, labeled="clip", b_l=5, b_u=5):
+    rng = np.random.default_rng(seed)
+    d_t = SHARED_CFG.input_dim_text
+    lv = _videos("still", rng, b_l) if labeled == "still" else _clips(rng, b_l)
+    return dict(
+        lv=lv, lt=rng.standard_normal((b_l, d_t)), uv=_clips(rng, b_u),
+        ut=rng.standard_normal((b_u, d_t)),
+        pseudo=PseudoLabelBatch(rng.uniform(-6, 6, size=(b_u, b_u))),
+        labeled_pseudo=PseudoLabelBatch(rng.uniform(-6, 6, size=(b_l, b_l))),
+    )
+
+
+def _count_tower_calls(mp):
+    counts = {"video": 0, "text": 0}
+    for tower, real in (("video", losses.video_forward), ("text", losses.text_forward)):
+        def counted(*args, _tower=tower, _real=real, **kwargs):
+            counts[_tower] += 1
+            return _real(*args, **kwargs)
+        mp.setattr(losses, f"{tower}_forward", counted)
+    return counts
+
+
+class TestOneTowerPass:
+    """Both batches go through one video and one text tower call, with the
+    bits of encoding each batch on its own."""
+
+    @pytest.mark.parametrize("case", ["clip/clip", "still/clip", "5 labeled/3 unlabeled",
+                                      "labeled_pseudo", "lambda 0"])
+    def test_loss_and_every_gradient_tensor_equal_per_batch_oracle(self, case):
+        inst = _one_pass_instance(
+            [47, len(case)], labeled="still" if case == "still/clip" else "clip",
+            b_u=3 if case.startswith("5") else 5,
+        )
+        cfg = LossConfig(sigma=0.1, lambda_=0.0 if case == "lambda 0" else 0.7)
+        labeled_pseudo = inst["labeled_pseudo"] if case == "labeled_pseudo" else None
+        args = (inst["lv"], inst["lt"], inst["uv"], inst["ut"], inst["pseudo"], cfg, SHARED_CFG)
+        params = init_params(SHARED_CFG)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_tower_calls(mp)
+            loss, grad = total_loss_grad(params, *args, labeled_pseudo=labeled_pseudo)
+        assert counts == {"video": 1, "text": 1}
+        want_loss, want_grads = per_batch_loss_grad(params, *args, labeled_pseudo)
+        assert same_bits(np.float64(loss), want_loss)
+        for name, shape in params.layout:
+            assert same_bits(grad.tensor(name), want_grads[name]), name
+
+    def test_stacked_losses_equal_per_batch_oracle(self):
+        inst = _one_pass_instance(48, b_u=3)
+        params = init_params(SHARED_CFG)
+        rng = np.random.default_rng(49)
+        stack = ParamVector(params.values + 1e-5 * rng.standard_normal((6, params.n_params)),
+                            params.layout)
+        cfg = LossConfig(sigma=0.2, lambda_=0.999)
+        args = (inst["lv"], inst["lt"], inst["uv"], inst["ut"], inst["pseudo"], cfg, SHARED_CFG)
+        with pytest.MonkeyPatch.context() as mp:
+            counts = _count_tower_calls(mp)
+            got = loss_forward(stack, *args, inst["labeled_pseudo"])[0]
+        assert counts == {"video": 1, "text": 1}
+        want, _ = per_batch_loss_grad(stack, *args, inst["labeled_pseudo"])
+        assert got.shape == (6,)
+        assert same_bits(got, want)
+
+    def test_pseudo_label_softmax_follows_the_teacher_logits(self, monkeypatch):
+        # The teacher's softmax is taken once per call, never kept on the batch:
+        # logits changed between calls are what the second call sees.
+        inst = _one_pass_instance(50)
+        params = init_params(SHARED_CFG)
+        seen = []
+        real = losses._scores
+
+        def recording(s):
+            seen.append(s)
+            return real(s)
+
+        monkeypatch.setattr(losses, "_scores", recording)
+        cfg = LossConfig(sigma=0.1, lambda_=0.5)
+        pseudo = inst["pseudo"]
+        args = (params, inst["lv"], inst["lt"], inst["uv"], inst["ut"], pseudo, cfg, SHARED_CFG)
+        first = loss_forward(*args)[0]
+        assert sum(s is pseudo.teacher_logits for s in seen) == 1
+        assert len(seen) == 3  # two batches' student logits, then the teacher's
+        pseudo.teacher_logits[...] = pseudo.teacher_logits.T
+        second = loss_forward(*args)[0]
+        want, _ = per_batch_loss_grad(*args)
+        assert len(seen) == 6
+        assert not same_bits(first, second)
+        assert same_bits(second, want)
+
+
+def _zero_bias_params():
+    """Weights whose all-zero input rows encode to zero-norm embeddings."""
+    params = init_params(SHARED_CFG)
+    for name in ("video.b1", "video.b2", "text.b1", "text.b2"):
+        params.tensor(name)[...] = 0.0
+    return params
+
+
+def _with_column(m):
+    return np.hstack([m, np.ones((m.shape[0], 1))])
+
+
+# Each edit breaks one thing; applied in this order, any two of them compose.
+_FAULTS = {
+    "labeled zero-norm video": ("lv", lambda a: _set_row(a, 3)),
+    "labeled zero-norm text": ("lt", lambda a: _set_row(a, 0)),
+    "unlabeled zero-norm video": ("uv", lambda a: _set_row(a, 1)),
+    "unlabeled zero-norm text": ("ut", lambda a: _set_row(a, 0)),
+    "labeled text dim": ("lt", _with_column),
+    "unlabeled video shape": ("uv", lambda a: a[:, :, :-1]),
+    "unlabeled text dim": ("ut", _with_column),
+    "labeled size mismatch": ("lt", lambda a: a[:-1]),
+    "unlabeled size mismatch": ("ut", lambda a: a[:-1]),
+    "pseudo size": ("pseudo", lambda p: PseudoLabelBatch(np.zeros((4, 4)))),
+    "labeled pseudo size": ("labeled_pseudo", lambda p: PseudoLabelBatch(np.zeros((6, 6)))),
+}
+
+_FAULT_MESSAGES = {
+    "labeled zero-norm video": (DegenerateEmbeddingError, "pooled embedding 3 has norm 0.000e+00"),
+    "labeled zero-norm text": (DegenerateEmbeddingError, "pooled embedding 0 has norm 0.000e+00"),
+    "unlabeled zero-norm video": (DegenerateEmbeddingError,
+                                  "pooled embedding 1 has norm 0.000e+00"),
+    "unlabeled zero-norm text": (DegenerateEmbeddingError,
+                                 "pooled embedding 0 has norm 0.000e+00"),
+    "labeled text dim": (UsageError, "text features have dim 6, encoder expects 5"),
+    "unlabeled video shape": (UsageError, "video batch must be a sampled (B, 4, 6) array"),
+    "unlabeled text dim": (UsageError, "text features have dim 6, encoder expects 5"),
+    "labeled size mismatch": (UsageError, "batch size mismatch: 5 videos vs 4 texts"),
+    "unlabeled size mismatch": (UsageError, "batch size mismatch: 3 videos vs 2 texts"),
+    "pseudo size": (UsageError, "student batch size 3 does not match teacher logits 4"),
+    "labeled pseudo size": (UsageError, "student batch size 5 does not match teacher logits 6"),
+}
+
+
+def _set_row(a, i):
+    a = a.copy()
+    a[i] = 0.0
+    return a
+
+
+def _raised(fn, *args):
+    with warnings.catch_warnings(), pytest.raises((UsageError, DegenerateEmbeddingError)) as info:
+        warnings.simplefilter("error")  # a zero-norm row divides without a numpy warning
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def _faulty(*faults):
+    inst = _one_pass_instance(51, b_u=3)
+    for name, (key, edit) in _FAULTS.items():
+        if name in faults:
+            inst[key] = edit(inst[key])
+    cfg = LossConfig(sigma=0.1, lambda_=0.7)
+    return (_zero_bias_params(), inst["lv"], inst["lt"], inst["uv"], inst["ut"],
+            inst["pseudo"], cfg, SHARED_CFG, inst["labeled_pseudo"])
+
+
+class TestErrorsBeforeTheJoin:
+    """Malformed batches raise what encoding batch after batch raised, first fault first."""
+
+    def test_instance_is_valid_and_zero_rows_are_what_break_it(self):
+        args = _faulty()
+        assert np.isfinite(loss_forward(*args)[0])
+        assert same_bits(np.float64(loss_forward(*args)[0]), per_batch_loss_grad(*args)[0])
+
+    @pytest.mark.parametrize("fault", list(_FAULTS))
+    def test_one_fault_raises_its_message(self, fault):
+        args = _faulty(fault)
+        assert _raised(loss_forward, *args) == _FAULT_MESSAGES[fault]
+        assert _raised(per_batch_loss_grad, *args) == _FAULT_MESSAGES[fault]
+        assert _raised(total_loss_grad, *args) == _FAULT_MESSAGES[fault]
+
+    @pytest.mark.parametrize("first,second", [
+        (a, b) for i, a in enumerate(_FAULTS) for b in list(_FAULTS)[i + 1:]
+    ])
+    def test_two_faults_raise_in_per_batch_order(self, first, second):
+        args = _faulty(first, second)
+        assert _raised(loss_forward, *args) == _raised(per_batch_loss_grad, *args)
+
+    def test_stacked_zero_norm_names_the_row_in_its_batch(self):
+        params, *rest = _faulty("unlabeled zero-norm text")
+        stack = ParamVector(np.tile(params.values, (3, 1)), params.layout)
+        assert _raised(loss_forward, stack, *rest) == _FAULT_MESSAGES["unlabeled zero-norm text"]

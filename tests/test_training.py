@@ -330,3 +330,6 @@ class TestTrainConfig:
             TrainConfig(batch_size_labeled=1)
         with pytest.raises(UsageError):
             TrainConfig(max_steps=0)
+        with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=2**70).seed == 2**70  # not stored in a checkpoint
