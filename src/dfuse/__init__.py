@@ -15,15 +15,11 @@ from .corpus import (
     build_corpus,
     gen_corpus,
     load_corpus,
-    prompt_feature,
 )
 from .encoder import (
-    EmbeddingBatch,
     EncoderConfig,
     ParamVector,
-    encode_text,
     encode_text_batch,
-    encode_video,
     encode_video_batch,
     init_params,
     sample_frame_indices,
@@ -49,7 +45,6 @@ from .evaluation import (
     RankList,
     build_prompt_set,
     class_embeddings,
-    classify_zero_shot,
     delta_table,
     evaluate_model,
     median_rank,
@@ -62,16 +57,8 @@ from .evaluation import (
 )
 from .fusion import FusionConfig, fuse_weights, sweep_alpha
 from .gradcheck import finite_difference_grad, run_gradcheck
-from .losses import (
-    LossConfig,
-    PseudoLabelBatch,
-    contrastive_loss,
-    distillation_grad_logits,
-    distillation_loss,
-    total_loss,
-    total_loss_grad,
-)
-from .numerics import l2_normalize_rows, logsumexp, similarity_matrix, softmax_rows
+from .losses import LossConfig, total_loss_grad
+from .numerics import l2_normalize_rows, similarity_matrix
 from .training import (
     CheckpointRecord,
     OptimizerState,

@@ -181,6 +181,10 @@ def _parse_alphas(raw: str) -> list[float]:
         raise UsageError(f"bad alpha list {raw!r}: {exc}") from exc
     if not alphas:
         raise UsageError("alpha list is empty")
+    for i, alpha in enumerate(alphas):
+        FusionConfig(alpha=alpha)  # finite and in [0, 1]
+        if alpha in alphas[:i]:
+            raise UsageError(f"alpha {alpha} appears twice in the alpha list")
     return alphas
 
 
@@ -345,12 +349,12 @@ def _impact_tsv(rows: list[dict], impact_alpha: float) -> str:
 
 
 def _cmd_sweep_alpha(values: dict) -> int:
+    alphas = _parse_alphas(values["alphas"])
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
     corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     prompts = build_prompt_set(corpus.synth, _templates(values))
-    alphas = _parse_alphas(values["alphas"])
     inputs = prepare_eval(corpus, teacher.enc_cfg, prompts)
 
     def evaluate(params):

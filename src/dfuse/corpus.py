@@ -89,8 +89,9 @@ class SynthConfig:
             if int(getattr(self, field)) < 1:
                 raise UsageError(f"SynthConfig.{field} must be >= 1")
         for field in ("noise_sigma", "concept_jitter", "prompt_jitter", "video_domain_shift"):
-            if getattr(self, field) < 0:
-                raise UsageError(f"SynthConfig.{field} must be >= 0")
+            value = getattr(self, field)
+            if not np.isfinite(value) or value < 0:
+                raise UsageError(f"SynthConfig.{field} must be >= 0 and finite, got {value}")
         for field in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
             if int(getattr(self, field)) < 0:
                 raise UsageError(f"SynthConfig.{field} must be >= 0")
@@ -545,6 +546,3 @@ def prompt_feature_fn(synth: SynthConfig):
 
     return feature
 
-
-def prompt_feature(synth: SynthConfig, prompt_text: str, class_idx: int) -> np.ndarray:
-    return prompt_feature_fn(synth)(prompt_text, class_idx)

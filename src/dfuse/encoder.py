@@ -9,8 +9,10 @@ vectors always have identical layouts (the prerequisite for weight fusion).
 Raw frame stacks are validated and frame-sampled once, by ``sample_frames``,
 into one dense ``(N, n_frames, d_v)`` array; training samples each split once
 per run and gathers batch rows from it. ``video_forward`` only ever sees such
-arrays. ``encode_video``/``encode_video_batch`` take raw stacks and sample them
-on the way in.
+arrays. ``encode_video_batch`` takes raw stacks and samples them on the way
+in. The loss encodes several batches in one call per tower: ``joined=True``
+leaves the input and zero-norm checks to that caller, which runs them per
+batch.
 
 Still images (T=1 records, sampled to ``n_frames`` copies) share one tower
 pass: when every frame slot of every video in a batch has slot 0's bits,
@@ -293,16 +295,6 @@ def text_forward(params: ParamVector, features, cfg: EncoderConfig,
     return _normalize_with_cache(x, h, u, joined)
 
 
-def encode_video(params: ParamVector, frames, cfg: EncoderConfig) -> np.ndarray:
-    """Unit-norm embedding of one video (a (T, input_dim_video) frame stack)."""
-    return encode_video_batch(params, [frames], cfg)[0]
-
-
-def encode_text(params: ParamVector, feature, cfg: EncoderConfig) -> np.ndarray:
-    """Unit-norm embedding of one raw text feature vector."""
-    return text_forward(params, np.asarray(feature, dtype=np.float64)[None, :], cfg).z[0]
-
-
 def encode_video_batch(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
     """Unit-norm embeddings of raw frame stacks, sampled on the way in."""
     return video_forward(params, sample_frames(stacks, cfg), cfg).z
@@ -315,30 +307,3 @@ def encode_text_batch(params: ParamVector, features, cfg: EncoderConfig) -> np.n
 def encode_sampled(params: ParamVector, frames: np.ndarray, features, cfg: EncoderConfig):
     """``(z_v, z_t)``: unit-norm embeddings of sampled frames and of text features."""
     return video_forward(params, frames, cfg).z, text_forward(params, features, cfg).z
-
-
-@dataclass(eq=False)
-class EmbeddingBatch:
-    """Paired unit-norm embeddings; row i of z_v corresponds to row i of z_t."""
-
-    z_v: np.ndarray
-    z_t: np.ndarray
-
-    def __post_init__(self):
-        self.z_v = np.asarray(self.z_v, dtype=np.float64)
-        self.z_t = np.asarray(self.z_t, dtype=np.float64)
-        if self.z_v.ndim != 2 or self.z_t.ndim != 2:
-            raise UsageError("embedding batches must be 2-D")
-        if self.z_v.shape[0] != self.z_t.shape[0]:
-            raise UsageError(
-                f"batch size mismatch: {self.z_v.shape[0]} videos vs {self.z_t.shape[0]} texts"
-            )
-        for name, m in (("z_v", self.z_v), ("z_t", self.z_t)):
-            if not np.all(np.isfinite(m)):
-                raise UsageError(f"{name} contains non-finite entries")
-            if m.shape[0] and np.max(np.abs(row_norms(m) - 1.0)) > 1e-6:
-                raise UsageError(f"{name} rows are not unit-norm")
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.z_v.shape[0])

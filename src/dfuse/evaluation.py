@@ -31,7 +31,6 @@ from .encoder import (
     EncoderConfig,
     ParamVector,
     encode_text_batch,
-    encode_video,
     sample_frames,
     video_forward,
 )
@@ -114,18 +113,6 @@ def ranked_classes(scores: np.ndarray) -> np.ndarray:
     """Row-wise class order, best first; exact ties keep ascending class index."""
     scores = as_matrix(scores, "class scores")
     return np.argsort(-scores, axis=1, kind="stable")
-
-
-def classify_zero_shot(
-    params: ParamVector, frames, prompts: PromptSet, enc_cfg: EncoderConfig, k: int
-) -> list[str]:
-    """Top-k class names for one video, by similarity to the class embeddings."""
-    if not 1 <= k <= len(prompts.classes):
-        raise UsageError(f"k must be in [1, {len(prompts.classes)}], got {k}")
-    z = encode_video(params, frames, enc_cfg)
-    cls = class_embeddings(params, prompts, enc_cfg)
-    order = ranked_classes(np.einsum("ce,e->c", cls, z)[None, :])[0]
-    return [prompts.classes[i] for i in order[:k]]
 
 
 def topk_accuracy(predictions, labels, k: int) -> float:

@@ -112,12 +112,13 @@ def _random_instance(trial: int, seed: int):
 
 def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
     (enc_cfg, cfg, params, lv, lt, uv, ut, pseudo) = _random_instance(trial, seed)
+    batches, terms = [(lv, lt), (uv, ut)], cfg.terms(pseudo)
 
     def losses(stack: ParamVector) -> np.ndarray:
         # Forward only; the backward path under test never runs here.
-        return loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0]
+        return loss_forward(stack, batches, terms, cfg.sigma, enc_cfg)
 
-    _, analytic = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg)
+    _, analytic = total_loss_grad(params, batches, terms, cfg.sigma, enc_cfg)
     numeric = finite_difference_grad(losses, params, h=h)
     errs = relative_errors(analytic, numeric)
     abs_err = np.abs(analytic.values - numeric.values)

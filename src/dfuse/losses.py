@@ -1,28 +1,30 @@
-"""Training objective: bidirectional contrastive and distillation losses.
+"""Training objective: one symmetric cross-entropy, summed over a term list.
 
-The contrastive part is a symmetric InfoNCE over a labeled batch (diagonal
-entries of the similarity matrix are the positives). The distillation part is
-the cross-entropy of the student's row/column softmax scores against the
-teacher's, computed on unlabeled batches. The total is
-``contrastive + lambda * distillation`` and has a hand-derived analytic
-gradient; gradient correctness is pinned by finite differences elsewhere.
+Every loss term scores one batch's similarity logits against a target: the
+row softmax (video-to-text) and the column softmax (text-to-video) of the
+logits each take the cross-entropy against the matching softmax of the
+target, averaged over the batch, and the two directions add.
+``cross_entropy`` is that term and ``cross_entropy_grad`` its logits
+gradient ``(P - Q)/b + ((P_c - Q_c)/b).T``. A target of None is the
+diagonal, which makes the term CLIP's symmetric InfoNCE on labeled pairs;
+the frozen teacher's logits make it soft-target distillation.
 
-Every term is a function of one logits matrix through its row and column
-softmaxes. ``total_loss_grad`` builds each matrix and its softmaxes once per
-step and takes the loss and the gradient from them; the public per-term
-functions run the same arithmetic, so both routes give the same bits.
-``loss_forward`` is the forward half of ``total_loss_grad``; given a stack of
-K weight vectors it returns the K losses in one pass, each with the bits of
-the one-vector call.
+``loss_forward`` and ``total_loss_grad`` take a list of ``(videos, texts)``
+batches and a list of ``(batch index, teacher logits or None, weight)``
+terms (``LossConfig.terms`` builds the objective's list) and sum the
+weighted terms in list order; each batch's logits gradient sums its own
+terms in list order. ``loss_forward`` is the forward half of
+``total_loss_grad``; given a stack of K weight vectors it returns the K
+losses in one pass, each with the bits of the one-vector call.
 
-One evaluation encodes all its batches, labeled rows first, in one
-``video_forward`` and one ``text_forward`` call; each term reads its batch's
-rows as views of that cache. Rows pass through the towers independently, so
-this gives the bits of encoding each batch alone. Each batch is checked
-before the rows are joined, and errors come in the order and with the
-messages that encoding batch after batch gives. The backward pass stays per
-batch: a weight gradient summed over the joined rows would sum in another
-order and change the bits.
+One evaluation encodes all its batches in one ``video_forward`` and one
+``text_forward`` call; each term reads its batch's rows as views of that
+cache. Rows pass through the towers independently, so this gives the bits
+of encoding each batch alone. Every batch's input and size checks run
+before that forward, and its zero-norm checks after it, both in batch order.
+The backward pass stays per batch: a weight gradient summed over the joined
+rows would sum in another order and change the bits. A batch whose terms
+all weigh 0 adds to the loss but skips its backward.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import (
-    EmbeddingBatch,
     EncoderConfig,
     ParamVector,
     TowerCache,
@@ -44,7 +45,7 @@ from .encoder import (
     video_forward,
 )
 from .errors import UsageError
-from .numerics import as_matrix, matmul, scaled_dots, similarity_matrix, softmax_pair
+from .numerics import matmul, scaled_dots, softmax_pair
 
 
 @dataclass(frozen=True)
@@ -58,23 +59,17 @@ class LossConfig:
         if not np.isfinite(self.lambda_) or self.lambda_ < 0:
             raise UsageError(f"lambda must be >= 0 and finite, got {self.lambda_}")
 
-
-@dataclass(eq=False)
-class PseudoLabelBatch:
-    """Teacher similarity logits over one unlabeled batch, already temperature-scaled."""
-
-    teacher_logits: np.ndarray
-
-    def __post_init__(self):
-        self.teacher_logits = as_matrix(self.teacher_logits, "teacher logits")
-        if self.teacher_logits.shape[0] != self.teacher_logits.shape[1]:
-            raise UsageError(
-                f"teacher logits must be square, got {self.teacher_logits.shape}"
-            )
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.teacher_logits.shape[0])
+    def terms(self, pseudo: np.ndarray | None = None,
+              labeled_pseudo: np.ndarray | None = None) -> list:
+        """The objective's terms over batches ``[labeled, unlabeled]``: InfoNCE on
+        the labeled batch, then lambda times distillation against ``pseudo`` on
+        the unlabeled batch and against ``labeled_pseudo`` on the labeled one."""
+        terms = [(0, None, 1.0)]
+        if pseudo is not None:
+            terms.append((1, pseudo, self.lambda_))
+        if labeled_pseudo is not None:
+            terms.append((0, labeled_pseudo, self.lambda_))
+        return terms
 
 
 class _Scores(NamedTuple):
@@ -90,108 +85,26 @@ def _scores(s: np.ndarray) -> _Scores:
     return _Scores(*softmax_pair(s), *softmax_pair(s.swapaxes(-1, -2)))
 
 
-# The term reductions keep any leading stack axes: a numpy scalar for one
-# logits matrix, a (K,) array for a stack. Public entry points return floats.
-def _contrastive(sc: _Scores, b: int):
-    l_v2t = -np.einsum("...ii->...", sc.logp_rows) / b
-    l_t2v = -np.einsum("...ii->...", sc.logp_cols) / b
-    return l_v2t + l_t2v, (l_v2t, l_t2v)
+def cross_entropy(sc: _Scores, target: _Scores | None):
+    """Batch-mean cross-entropy of both softmaxes of ``sc`` against ``target``'s
+    (None: the diagonal), directions summed. Keeps any leading stack axes: a
+    numpy scalar for one logits matrix, a ``(K,)`` array for a stack."""
+    b = sc.p_rows.shape[-1]
+    if target is None:
+        return (-np.einsum("...ii->...", sc.logp_rows) / b
+                + -np.einsum("...ii->...", sc.logp_cols) / b)
+    return (-np.einsum("...ij,...ij->...", target.p_rows, sc.logp_rows) / b
+            + -np.einsum("...ij,...ij->...", target.p_cols, sc.logp_cols) / b)
 
 
-def _as_floats(term):
-    total, (v2t, t2v) = term
-    return float(total), (float(v2t), float(t2v))
+def cross_entropy_grad(sc: _Scores, target: _Scores | None) -> np.ndarray:
+    """Gradient of ``cross_entropy`` w.r.t. one logits matrix: ``(P - Q)/b + ((P_c - Q_c)/b).T``.
 
-
-def _contrastive_grad(sc: _Scores, b: int) -> np.ndarray:
-    eye = np.eye(b)
-    return (sc.p_rows - eye) / b + ((sc.p_cols - eye) / b).T
-
-
-def _distillation(sc: _Scores, teacher: _Scores, b: int):
-    l_v2t = -np.einsum("...ij,...ij->...", teacher.p_rows, sc.logp_rows) / b
-    l_t2v = -np.einsum("...ij,...ij->...", teacher.p_cols, sc.logp_cols) / b
-    return l_v2t + l_t2v, (l_v2t, l_t2v)
-
-
-def _distillation_grad(sc: _Scores, teacher: _Scores, b: int) -> np.ndarray:
-    return (sc.p_rows - teacher.p_rows) / b + ((sc.p_cols - teacher.p_cols) / b).T
-
-
-def _check_contrastive_size(b: int) -> None:
-    if b < 2:
-        raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
-
-
-def _check_pseudo_size(b: int, pseudo: PseudoLabelBatch) -> None:
-    if b != pseudo.batch_size:
-        raise UsageError(
-            f"student batch size {b} does not match teacher logits {pseudo.batch_size}"
-        )
-
-
-def contrastive_loss(batch: EmbeddingBatch, cfg: LossConfig):
-    """Symmetric InfoNCE on a labeled batch.
-
-    Returns ``(total, (video_to_text, text_to_video))``, each term the mean
-    negative log-softmax of the diagonal, so both are >= 0.
+    It vanishes exactly when the student's softmaxes equal the target's.
     """
-    _check_contrastive_size(batch.batch_size)
-    s = similarity_matrix(batch.z_v, batch.z_t, cfg.sigma)
-    return _as_floats(_contrastive(_scores(s), batch.batch_size))
-
-
-def distillation_loss(student: EmbeddingBatch, pseudo: PseudoLabelBatch, cfg: LossConfig):
-    """Cross-entropy of student scores against teacher soft targets, both directions.
-
-    Row softmaxes give the video-to-text direction, column softmaxes the
-    text-to-video direction; each term is bounded below by the matching
-    teacher entropy (Gibbs inequality).
-    """
-    _check_pseudo_size(student.batch_size, pseudo)
-    s = similarity_matrix(student.z_v, student.z_t, cfg.sigma)
-    return _as_floats(
-        _distillation(_scores(s), _scores(pseudo.teacher_logits), student.batch_size)
-    )
-
-
-def total_loss(
-    labeled: EmbeddingBatch,
-    student_unlabeled: EmbeddingBatch | None,
-    pseudo: PseudoLabelBatch | None,
-    cfg: LossConfig,
-) -> float:
-    """Contrastive loss plus lambda times the distillation loss.
-
-    ``student_unlabeled`` and ``pseudo`` may both be None (no distillation
-    data), in which case the distillation term is zero.
-    """
-    value, _ = contrastive_loss(labeled, cfg)
-    if (student_unlabeled is None) != (pseudo is None):
-        raise UsageError("student_unlabeled and pseudo must be given together")
-    if student_unlabeled is not None:
-        distill, _ = distillation_loss(student_unlabeled, pseudo, cfg)
-        value = value + cfg.lambda_ * distill
-    return value
-
-
-def contrastive_grad_logits(s: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean contrastive loss w.r.t. the logits matrix."""
-    s = as_matrix(s, "logits")
-    return _contrastive_grad(_scores(s), s.shape[0])
-
-
-def distillation_grad_logits(student_logits: np.ndarray, teacher_logits: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean distillation loss w.r.t. the student logits.
-
-    Softmax-difference identity: (Q - P) / B summed over both directions, so
-    the gradient vanishes exactly when the student matches the teacher.
-    """
-    s = as_matrix(student_logits, "student logits")
-    x = as_matrix(teacher_logits, "teacher logits")
-    if s.shape != x.shape or s.shape[0] != s.shape[1]:
-        raise UsageError(f"logit shapes must be equal and square, got {s.shape} vs {x.shape}")
-    return _distillation_grad(_scores(s), _scores(x), s.shape[0])
+    b = sc.p_rows.shape[-1]
+    q_rows, q_cols = (np.eye(b),) * 2 if target is None else (target.p_rows, target.p_cols)
+    return (sc.p_rows - q_rows) / b + ((sc.p_cols - q_cols) / b).T
 
 
 def _embedding_grad_backward(
@@ -219,22 +132,6 @@ def _embedding_grad_backward(
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
 
 
-class _Pair(NamedTuple):
-    """One batch's forward state: tower caches, logits scores, size, teacher targets."""
-
-    cache_v: TowerCache
-    cache_t: TowerCache
-    scores: _Scores
-    b: int
-    target: _Scores | None
-
-
-def _pair(cache_v: TowerCache, cache_t: TowerCache, cfg: LossConfig,
-          target: _Scores | None = None) -> _Pair:
-    return _Pair(cache_v, cache_t, _scores(scaled_dots(cache_v.z, cache_t.z, cfg.sigma)),
-                 cache_v.z.shape[-2], target)
-
-
 def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -246,132 +143,100 @@ def _rows(cache: TowerCache, start: int, stop: int, n_pool: int) -> TowerCache:
                       cache.norms[..., start:stop], cache.z[..., start:stop, :])
 
 
-def _encode_batches(params: ParamVector, batches, enc_cfg: EncoderConfig):
-    """``(cache_v, cache_t)`` of each ``(videos, texts, size_check)`` batch, as row
-    views of one ``video_forward`` and one ``text_forward`` over all their rows.
+def _check_target(b: int, target) -> None:
+    if target is None:
+        if b < 2:
+            raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
+    elif target.shape != (b, b):
+        raise UsageError(f"student batch size {b} does not match teacher logits {target.shape[0]}")
 
-    Rows pass through the towers independently, so each batch gets the bits of
-    encoding it alone. Each batch's input checks and ``size_check(b)`` run
-    before the rows are joined, and errors come in the order encoding batch
-    after batch raises them: a batch's zero-norm embedding comes before any
-    check after its forward. So when a check fails, the batches checked before
-    it are still encoded and their norms checked first.
+
+def _encode_batches(params: ParamVector, batches, terms, enc_cfg: EncoderConfig):
+    """``(cache_v, cache_t)`` of each ``(videos, texts)`` batch, as row views of one
+    ``video_forward`` and one ``text_forward`` over all their rows.
+
+    Each batch's input checks and its terms' size checks run, batch by batch,
+    before the forward; each batch's zero-norm checks run, batch by batch,
+    after it. A zero-norm row is named by its index within its batch.
     """
-    videos, texts, error = [], [], None
-    try:
-        for v, t, size_check in batches:
-            videos.append(check_video_batch(v, enc_cfg))
-            texts.append(check_text_batch(t, enc_cfg))
-            b = videos[-1].shape[0]
-            if b != texts[-1].shape[0]:
-                raise UsageError(f"batch size mismatch: {b} videos vs {texts[-1].shape[0]} texts")
-            size_check(b)
-    except UsageError as exc:
-        error = exc
-    if videos:
-        joined_v = video_forward(params, _join(videos), enc_cfg, joined=True)
-    if texts:
-        joined_t = text_forward(params, _join(texts), enc_cfg, joined=True)
-    caches, start_v, start_t = [], 0, 0
-    for i, v in enumerate(videos):
-        cache_v = _rows(joined_v, start_v, start_v + v.shape[0], enc_cfg.n_frames)
+    videos, texts = [], []
+    for i, (v, t) in enumerate(batches):
+        videos.append(check_video_batch(v, enc_cfg))
+        texts.append(check_text_batch(t, enc_cfg))
+        b = videos[-1].shape[0]
+        if b != texts[-1].shape[0]:
+            raise UsageError(f"batch size mismatch: {b} videos vs {texts[-1].shape[0]} texts")
+        for j, target, _ in terms:
+            if j == i:
+                _check_target(b, target)
+    joined_v = video_forward(params, _join(videos), enc_cfg, joined=True)
+    joined_t = text_forward(params, _join(texts), enc_cfg, joined=True)
+    caches, start = [], 0
+    for v in videos:
+        stop = start + v.shape[0]
+        cache_v = _rows(joined_v, start, stop, enc_cfg.n_frames)
+        cache_t = _rows(joined_t, start, stop, 1)
         reject_zero_norms(cache_v.norms)
-        if i == len(texts):
-            break  # this batch's texts failed their check
-        cache_t = _rows(joined_t, start_t, start_t + texts[i].shape[0], 1)
         reject_zero_norms(cache_t.norms)
         caches.append((cache_v, cache_t))
-        start_v, start_t = start_v + v.shape[0], start_t + texts[i].shape[0]
-    if error is not None:
-        raise error
+        start = stop
     return caches
 
 
-def _pair_backward(grads, params, cache_v, cache_t, g, cfg: LossConfig, enc_cfg: EncoderConfig):
+def _pair_backward(grads, params, cache_v, cache_t, g, sigma: float, enc_cfg: EncoderConfig):
     """Backprop a logits gradient ``g`` through the similarity into both towers."""
     _embedding_grad_backward(
-        grads, params, "video", cache_v, matmul(g, cache_t.z) / cfg.sigma, enc_cfg.n_frames
+        grads, params, "video", cache_v, matmul(g, cache_t.z) / sigma, enc_cfg.n_frames
     )
-    _embedding_grad_backward(grads, params, "text", cache_t, matmul(g.T, cache_v.z) / cfg.sigma, 1)
+    _embedding_grad_backward(grads, params, "text", cache_t, matmul(g.T, cache_v.z) / sigma, 1)
 
 
-def loss_forward(
-    params: ParamVector,
-    labeled_videos: np.ndarray,
-    labeled_texts,
-    unlabeled_videos: np.ndarray | None,
-    unlabeled_texts,
-    pseudo: PseudoLabelBatch | None,
-    cfg: LossConfig,
-    enc_cfg: EncoderConfig,
-    labeled_pseudo: PseudoLabelBatch | None = None,
-):
-    """Forward half of ``total_loss_grad``: ``(loss, labeled, unlabeled)``.
+def _term_sum(embeddings, terms, sigma: float):
+    """``(loss, scores, targets)`` from each batch's ``(z_v, z_t)``: the weighted
+    terms summed in list order, each batch's logits softmaxes and each term's
+    target softmaxes."""
+    scores = [_scores(scaled_dots(z_v, z_t, sigma)) for z_v, z_t in embeddings]
+    targets = [None if teacher is None else _scores(teacher) for _, teacher, _ in terms]
+    loss = None
+    for (i, _, weight), target in zip(terms, targets):
+        value = weight * cross_entropy(scores[i], target)
+        loss = value if loss is None else loss + value
+    return loss, scores, targets
 
-    ``labeled``/``unlabeled`` (None without unlabeled inputs) hold the state
-    the backward pass needs. When ``params`` stacks K weight vectors, the loss
-    is a ``(K,)`` array whose entry k has the bits of the one-vector call on
-    row k; otherwise it is a numpy scalar.
+
+def loss_forward(params: ParamVector, batches, terms, sigma: float, enc_cfg: EncoderConfig):
+    """Forward half of ``total_loss_grad``: the loss alone.
+
+    The tower caches are freed before the softmaxes are taken; only the
+    embeddings are kept. When ``params`` stacks K weight vectors, the loss is
+    a ``(K,)`` array whose entry k has the bits of the one-vector call on row
+    k; otherwise it is a numpy scalar.
     """
-    if (unlabeled_videos is None) != (pseudo is None):
-        raise UsageError("unlabeled inputs and pseudo labels must be given together")
-    batches = [(labeled_videos, labeled_texts, _check_contrastive_size)]
-    if pseudo is not None:
-        batches.append((unlabeled_videos, unlabeled_texts,
-                        lambda b: _check_pseudo_size(b, pseudo)))
-    caches = _encode_batches(params, batches, enc_cfg)
-    labeled = _pair(*caches[0], cfg)
-    unlabeled = None
-    if pseudo is not None:
-        unlabeled = _pair(*caches[1], cfg, _scores(pseudo.teacher_logits))
-
-    loss, _ = _contrastive(labeled.scores, labeled.b)
-    if unlabeled is not None:
-        distill, _ = _distillation(unlabeled.scores, unlabeled.target, unlabeled.b)
-        loss = loss + cfg.lambda_ * distill
-    if labeled_pseudo is not None:
-        _check_pseudo_size(labeled.b, labeled_pseudo)
-        labeled = labeled._replace(target=_scores(labeled_pseudo.teacher_logits))
-        extra, _ = _distillation(labeled.scores, labeled.target, labeled.b)
-        loss = loss + cfg.lambda_ * extra
-    return loss, labeled, unlabeled
+    embeddings = [(cv.z, ct.z) for cv, ct in _encode_batches(params, batches, terms, enc_cfg)]
+    return _term_sum(embeddings, terms, sigma)[0]
 
 
-def total_loss_grad(
-    params: ParamVector,
-    labeled_videos: np.ndarray,
-    labeled_texts,
-    unlabeled_videos: np.ndarray | None,
-    unlabeled_texts,
-    pseudo: PseudoLabelBatch | None,
-    cfg: LossConfig,
-    enc_cfg: EncoderConfig,
-    labeled_pseudo: PseudoLabelBatch | None = None,
-):
-    """Loss and analytic gradient of the combined objective w.r.t. ``params``.
+def total_loss_grad(params: ParamVector, batches, terms, sigma: float, enc_cfg: EncoderConfig):
+    """Loss and analytic gradient of the weighted term sum w.r.t. ``params``.
 
-    Videos are sampled frame arrays (``encoder.sample_frames``). Encodes the
-    inputs with ``params``, builds each batch's logits matrix and softmaxes
-    once, and takes from them both the loss (bit-identical to ``total_loss``
-    on the same embeddings) and the gradient, backpropagated through the
-    softmax blocks, similarity, normalization, pooling, and both towers.
-    ``labeled_pseudo`` optionally adds a distillation term on the labeled
-    batch as well.
+    Videos are sampled frame arrays (``encoder.sample_frames``). Takes the
+    loss and each batch's logits gradient from one set of softmaxes, and
+    backpropagates the latter through the similarity, normalization, pooling
+    and both towers, batch by batch.
 
     Returns ``(loss, grad)`` with ``grad.layout == params.layout``.
     """
-    loss, labeled, unlabeled = loss_forward(
-        params, labeled_videos, labeled_texts, unlabeled_videos, unlabeled_texts,
-        pseudo, cfg, enc_cfg, labeled_pseudo,
-    )
-    g_l = _contrastive_grad(labeled.scores, labeled.b)
-    if labeled.target is not None:
-        g_l = g_l + cfg.lambda_ * _distillation_grad(labeled.scores, labeled.target, labeled.b)
-
+    caches = _encode_batches(params, batches, terms, enc_cfg)
+    loss, scores, targets = _term_sum([(cv.z, ct.z) for cv, ct in caches], terms, sigma)
     grad = ParamVector(np.zeros(params.n_params), params.layout)
     grads = {name: grad.tensor(name) for name, _ in params.layout}  # views into grad
-    _pair_backward(grads, params, labeled.cache_v, labeled.cache_t, g_l, cfg, enc_cfg)
-    if unlabeled is not None and cfg.lambda_ != 0.0:
-        g_u = cfg.lambda_ * _distillation_grad(unlabeled.scores, unlabeled.target, unlabeled.b)
-        _pair_backward(grads, params, unlabeled.cache_v, unlabeled.cache_t, g_u, cfg, enc_cfg)
+    for i, (cache_v, cache_t) in enumerate(caches):
+        own = [(weight, target) for (j, _, weight), target in zip(terms, targets) if j == i]
+        if all(weight == 0.0 for weight, _ in own):
+            continue
+        g = None
+        for weight, target in own:
+            value = weight * cross_entropy_grad(scores[i], target)
+            g = value if g is None else g + value
+        _pair_backward(grads, params, cache_v, cache_t, g, sigma, enc_cfg)
     return float(loss), grad

@@ -36,37 +36,15 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,jk->ik", a, b, optimize=False)
 
 
-def logsumexp(v) -> float:
-    """log(sum(exp(v))) via the max-shift trick; never overflows."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise UsageError("logsumexp expects a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise UsageError("logsumexp expects finite entries")
-    m = float(arr.max())
-    return m + float(np.log(np.einsum("i->", np.exp(arr - m))))
-
-
 def softmax_pair(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise softmax and log-softmax of a float64 array, from one shift and exp.
 
-    No input checks: for logits the caller built itself. ``softmax_rows`` and
-    ``log_softmax_rows`` are the checked entry points and return the same bits.
+    No input checks: for logits the caller built itself.
     """
     shifted = arr - arr.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     total = np.einsum("...ij->...i", e)
     return e / total[..., None], shifted - np.log(total)[..., None]
-
-
-def softmax_rows(m) -> np.ndarray:
-    """Row-wise softmax, shift-invariant and stable."""
-    return softmax_pair(as_matrix(m, "softmax input"))[0]
-
-
-def log_softmax_rows(m) -> np.ndarray:
-    """Row-wise log-softmax, computed without forming unstable ratios."""
-    return softmax_pair(as_matrix(m, "log-softmax input"))[1]
 
 
 def row_norms(m: np.ndarray) -> np.ndarray:

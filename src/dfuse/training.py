@@ -12,6 +12,13 @@ and gathers batch rows from the dense arrays; the frozen teacher encodes the
 unlabeled pool (and the labeled-train split, when distilling on it) once per
 run, and each step's pseudo-labels are the logits of the gathered rows.
 Row-wise encoding makes this bit-identical to encoding every batch afresh.
+
+Every loss is a term list over ``[labeled, unlabeled]`` batches, built by
+``LossConfig.terms`` and evaluated by ``losses.total_loss_grad``: InfoNCE on
+the labeled batch, lambda times distillation on the unlabeled batch, and,
+with ``distill_on_labeled``, lambda times distillation on the labeled batch.
+Teacher pretraining uses the first term alone, and ``validation_loss`` is
+that term over the whole held-out split.
 """
 
 from __future__ import annotations
@@ -20,16 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import (
-    EmbeddingBatch,
-    EncoderConfig,
-    ParamVector,
-    encode_sampled,
-    init_params,
-    sample_frames,
-)
+from .encoder import EncoderConfig, ParamVector, encode_sampled, init_params, sample_frames
 from .errors import TrainingDivergedError, UsageError
-from .losses import LossConfig, PseudoLabelBatch, contrastive_loss, total_loss_grad
+from .losses import LossConfig, loss_forward, total_loss_grad
 from .numerics import similarity_matrix
 
 _LABELED_STREAM = 101
@@ -61,13 +61,13 @@ class TrainConfig:
             raise UsageError("max_steps must be >= 1")
         if self.eval_every < 1:
             raise UsageError("eval_every must be >= 1")
-        if self.weight_decay < 0:
-            raise UsageError("weight_decay must be >= 0")
+        if not np.isfinite(self.weight_decay) or self.weight_decay < 0:
+            raise UsageError(f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         b1, b2 = self.betas
         if not (0 <= b1 < 1 and 0 <= b2 < 1):
             raise UsageError("betas must lie in [0, 1)")
-        if self.eps <= 0:
-            raise UsageError("eps must be positive")
+        if not np.isfinite(self.eps) or self.eps <= 0:
+            raise UsageError(f"eps must be positive and finite, got {self.eps}")
 
 
 @dataclass(eq=False)
@@ -124,20 +124,20 @@ class _IndexBatcher:
         return out
 
 
-def make_pseudo_labels(teacher_v: np.ndarray, teacher_t: np.ndarray, sigma: float) -> PseudoLabelBatch:
-    """Teacher similarity logits over one batch of teacher video/text embeddings."""
+def make_pseudo_labels(teacher_v: np.ndarray, teacher_t: np.ndarray, sigma: float) -> np.ndarray:
+    """Teacher similarity logits over one batch of teacher video/text embeddings:
+    the distillation target of a loss term, already temperature-scaled."""
     if len(teacher_v) != len(teacher_t):
         raise UsageError(f"batch has {len(teacher_v)} videos but {len(teacher_t)} texts")
     if len(teacher_v) < 2:
         raise UsageError("pseudo labels need batch size >= 2 (no negatives otherwise)")
-    return PseudoLabelBatch(similarity_matrix(teacher_v, teacher_t, sigma))
+    return similarity_matrix(teacher_v, teacher_t, sigma)
 
 
 def validation_loss(params, frames, texts, enc_cfg, sigma: float) -> float:
     """Contrastive-only loss over a full held-out split (sampled frames), in corpus order."""
-    batch = EmbeddingBatch(*encode_sampled(params, frames, texts, enc_cfg))
-    value, _ = contrastive_loss(batch, LossConfig(sigma=sigma, lambda_=0.0))
-    return value
+    terms = LossConfig(sigma=sigma, lambda_=0.0).terms()
+    return float(loss_forward(params, [(frames, texts)], terms, sigma, enc_cfg))
 
 
 def _check_step(loss: float, grad: ParamVector, step: int) -> None:
@@ -171,7 +171,7 @@ def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
     train_frames = sample_frames(train_videos, enc_cfg)
     val_frames = sample_frames(val_videos, enc_cfg)
 
-    loss_cfg = LossConfig(sigma=sigma, lambda_=0.0)
+    terms = LossConfig(sigma=sigma, lambda_=0.0).terms()
     params = init_params(enc_cfg)
     state = init_optimizer_state(params)
     batcher = _IndexBatcher(
@@ -183,7 +183,7 @@ def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
     for step in range(1, train_cfg.max_steps + 1):
         idx = batcher.next_batch()
         loss, grad = total_loss_grad(
-            params, train_frames[idx], train_texts[idx], None, None, None, loss_cfg, enc_cfg,
+            params, [(train_frames[idx], train_texts[idx])], terms, sigma, enc_cfg
         )
         _check_step(loss, grad, step)
         params, state = adamw_step(params, grad, state, train_cfg)
@@ -270,19 +270,19 @@ def train_student(
 
     for step in range(1, train_cfg.max_steps + 1):
         idx = labeled_batcher.next_batch()
-        uv = ut = pseudo = labeled_pseudo = None
+        unlabeled, pseudo, labeled_pseudo = [], None, None
         if use_distill:
             vidx = video_batcher.next_batch()
             tidx = text_batcher.next_batch()
-            uv, ut = unlabeled_frames[vidx], unlabeled_texts[tidx]
+            unlabeled = [(unlabeled_frames[vidx], unlabeled_texts[tidx])]
             pseudo = make_pseudo_labels(teacher_uv[vidx], teacher_ut[tidx], loss_cfg.sigma)
             if train_cfg.distill_on_labeled:
                 labeled_pseudo = make_pseudo_labels(
                     teacher_lv[idx], teacher_lt[idx], loss_cfg.sigma
                 )
         loss, grad = total_loss_grad(
-            student, train_frames[idx], train_texts[idx], uv, ut, pseudo, loss_cfg, enc_cfg,
-            labeled_pseudo=labeled_pseudo,
+            student, [(train_frames[idx], train_texts[idx])] + unlabeled,
+            loss_cfg.terms(pseudo, labeled_pseudo), loss_cfg.sigma, enc_cfg,
         )
         _check_step(loss, grad, step)
         student, state = adamw_step(student, grad, state, train_cfg)

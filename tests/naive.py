@@ -11,10 +11,6 @@ import math
 import numpy as np
 
 
-def naive_logsumexp(v):
-    return math.log(sum(math.exp(float(x)) for x in v))
-
-
 def naive_softmax_row(row):
     es = [math.exp(float(x)) for x in row]
     total = sum(es)
@@ -132,18 +128,17 @@ def naive_tower_backward(grads, params, prefix, cache, dz, n_pool):
     grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
 
 
-def per_batch_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo=None):
-    """The objective with each batch through its own ``video_forward`` and
-    ``text_forward`` call, its checks right after its forward, and the loss and
-    gradient formulas written out in the order the production code evaluates
-    them (which fixes their bits). Raises what that per-batch order raises.
-    Returns ``(loss, grads)``: for a stacked ``(K, P)`` ``params`` a ``(K,)``
-    loss and ``grads`` None, else a numpy scalar and per-tensor gradients."""
+def per_batch_loss_grad(params, batches, terms, sigma, enc_cfg):
+    """The objective with each ``(videos, texts)`` batch through its own
+    ``video_forward`` and ``text_forward`` call, its checks right after its
+    forward and each term's size check when the term is reached, and the
+    cross-entropy and logits-gradient formulas written out in the order the
+    production code evaluates them (which fixes their bits). Raises what that
+    order raises. Returns ``(loss, grads)``: for a stacked ``(K, P)``
+    ``params`` a ``(K,)`` loss and ``grads`` None, else a numpy scalar and
+    per-tensor gradients."""
     from dfuse.encoder import text_forward, video_forward
     from dfuse.errors import UsageError
-
-    if (uv is None) != (pseudo is None):
-        raise UsageError("unlabeled inputs and pseudo labels must be given together")
 
     def softmaxes(s):  # p_rows, logp_rows, p_cols, logp_cols
         out = []
@@ -154,50 +149,47 @@ def per_batch_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_ps
             out += [e / total[..., None], shifted - np.log(total)[..., None]]
         return out
 
-    def encode(videos, texts):
+    encoded = []
+    for videos, texts in batches:
         cv = video_forward(params, videos, enc_cfg)
         ct = text_forward(params, texts, enc_cfg)
         b = cv.z.shape[-2]
         if b != ct.z.shape[-2]:
             raise UsageError(f"batch size mismatch: {b} videos vs {ct.z.shape[-2]} texts")
-        return cv, ct, b, softmaxes(np.einsum("...ik,...jk->...ij", cv.z, ct.z) / cfg.sigma)
+        encoded.append((cv, ct, b, softmaxes(np.einsum("...ik,...jk->...ij", cv.z, ct.z) / sigma)))
 
     stacked = params.values.ndim == 2
-
-    def distill(sc, teacher, b):
-        if b != teacher.batch_size:
-            raise UsageError(
-                f"student batch size {b} does not match teacher logits {teacher.batch_size}"
-            )
-        t = softmaxes(teacher.teacher_logits)
-        loss = (-np.einsum("...ij,...ij->...", t[0], sc[1]) / b
-                + -np.einsum("...ij,...ij->...", t[2], sc[3]) / b)
-        return loss, None if stacked else (sc[0] - t[0]) / b + ((sc[2] - t[2]) / b).T
-
-    cv, ct, b, sc = encode(lv, lt)
-    if b < 2:
-        raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
-    loss = -np.einsum("...ii->...", sc[1]) / b + -np.einsum("...ii->...", sc[3]) / b
-    g_l = None if stacked else (sc[0] - np.eye(b)) / b + ((sc[2] - np.eye(b)) / b).T
-    terms = [(cv, ct)]
-    if uv is not None:
-        cv_u, ct_u, b_u, sc_u = encode(uv, ut)
-        value, g_u = distill(sc_u, pseudo, b_u)
-        loss = loss + cfg.lambda_ * value
-        if cfg.lambda_ != 0.0:
-            terms.append((cv_u, ct_u))
-    if labeled_pseudo is not None:
-        value, g_lp = distill(sc, labeled_pseudo, b)
-        loss = loss + cfg.lambda_ * value
+    loss, logit_grads = None, [[] for _ in batches]
+    for i, teacher, weight in terms:
+        _, _, b, sc = encoded[i]
+        if teacher is None:
+            if b < 2:
+                raise UsageError("contrastive loss needs batch size >= 2 (at least one negative)")
+            value = -np.einsum("...ii->...", sc[1]) / b + -np.einsum("...ii->...", sc[3]) / b
+            q_rows = q_cols = np.eye(b)
+        else:
+            if teacher.shape != (b, b):
+                raise UsageError(
+                    f"student batch size {b} does not match teacher logits {teacher.shape[0]}"
+                )
+            q_rows, _, q_cols, _ = softmaxes(teacher)
+            value = (-np.einsum("...ij,...ij->...", q_rows, sc[1]) / b
+                     + -np.einsum("...ij,...ij->...", q_cols, sc[3]) / b)
+        loss = weight * value if loss is None else loss + weight * value
         if not stacked:
-            g_l = g_l + cfg.lambda_ * g_lp
+            g = (sc[0] - q_rows) / b + ((sc[2] - q_cols) / b).T
+            logit_grads[i].append((weight, g))
     if stacked:
         return loss, None
-    logit_grads = [g_l] + ([cfg.lambda_ * g_u] if len(terms) > 1 else [])
     grads = {name: np.zeros(shape) for name, shape in params.layout}
-    for (cache_v, cache_t), g in zip(terms, logit_grads):
-        dz_v = np.einsum("ij,jk->ik", g, cache_t.z, optimize=False) / cfg.sigma
-        dz_t = np.einsum("ij,jk->ik", g.T, cache_v.z, optimize=False) / cfg.sigma
+    for (cache_v, cache_t, _, _), own in zip(encoded, logit_grads):
+        if all(weight == 0.0 for weight, _ in own):
+            continue  # every term of this batch weighs 0: no backward
+        g = own[0][0] * own[0][1]
+        for weight, term_grad in own[1:]:
+            g = g + weight * term_grad
+        dz_v = np.einsum("ij,jk->ik", g, cache_t.z, optimize=False) / sigma
+        dz_t = np.einsum("ij,jk->ik", g.T, cache_v.z, optimize=False) / sigma
         naive_tower_backward(grads, params, "video", cache_v, dz_v, enc_cfg.n_frames)
         naive_tower_backward(grads, params, "text", cache_t, dz_t, 1)
     return loss, grads

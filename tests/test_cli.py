@@ -571,6 +571,25 @@ class TestOutOfRangeArguments:
         (["gradcheck", "--seed", "-1"], None, "seed must be >= 0, got -1"),
         (["gradcheck", "--trials", "0"], None, "trials must be >= 1, got 0"),
         (["gradcheck", "--trials", "-3"], None, "trials must be >= 1, got -3"),
+        (["pretrain-teacher", "--weight-decay", "nan", "--corpus", "{images}",
+          "--out", "{out}/t.ckpt"], None, "weight_decay must be >= 0 and finite, got nan"),
+        (["train-student", "--weight-decay", "inf", "--teacher", "{root}/teacher.ckpt",
+          "--corpus", "{videos}", "--out", "{out}/s.ckpt"], None,
+         "weight_decay must be >= 0 and finite, got inf"),
+        (["gen-corpus", "--noise-sigma", "nan", "--out", "{out}/c.jsonl"], None,
+         "SynthConfig.noise_sigma must be >= 0 and finite, got nan"),
+        (["gen-corpus", "--video-domain-shift", "inf", "--out", "{out}/c.jsonl"], None,
+         "SynthConfig.video_domain_shift must be >= 0 and finite, got inf"),
+        *[(["sweep-alpha", "--teacher", "{root}/teacher.ckpt", "--student", "{root}/student.ckpt",
+            "--corpus", "{videos}", "--alphas", alphas, "--out", "{out}/sweep"], None, message)
+          for alphas, message in [
+              ("0.5,2", "alpha must lie in [0, 1], got 2.0"),
+              ("0.5,-0.1", "alpha must lie in [0, 1], got -0.1"),
+              ("0,nan", "alpha must lie in [0, 1], got nan"),
+              ("0,inf", "alpha must lie in [0, 1], got inf"),
+              ("0,0.5,0", "alpha 0.0 appears twice in the alpha list"),
+              ("1,1.0", "alpha 1.0 appears twice in the alpha list"),
+          ]],
     ])
     def test_one_error_line_and_no_output(self, mini_pipeline, tmp_path, monkeypatch, capsys,
                                           argv, env, message):
@@ -580,7 +599,7 @@ class TestOutOfRangeArguments:
             raise AssertionError("the work started before the arguments were checked")
 
         for name in ("gen_corpus", "pretrain_teacher", "train_student",
-                     "load_corpus", "load_checkpoint"):
+                     "load_corpus", "load_checkpoint", "evaluate_model"):
             monkeypatch.setattr(cli, name, no_work)
         if env is None:
             monkeypatch.delenv("DFUSE_SEED", raising=False)

@@ -15,7 +15,7 @@ from dfuse.corpus import (
     corpus_lines,
     gen_corpus,
     load_corpus,
-    prompt_feature,
+    prompt_feature_fn,
     text_feature_map,
     video_feature_map,
 )
@@ -518,6 +518,10 @@ class TestFeatureBits:
             next(lines)
 
 
+def prompt_feature(synth, prompt_text, class_idx):
+    return prompt_feature_fn(synth)(prompt_text, class_idx)
+
+
 class TestPromptFeature:
     def test_deterministic_per_text_and_class(self, tiny_synth):
         a = prompt_feature(tiny_synth, "a video of a person concept_0", 0)
@@ -551,6 +555,14 @@ class TestSynthConfigValidation:
         with pytest.raises(UsageError):
             SynthConfig(identity_maps=True, d_v=16, d_t=16, latent_dim=16,
                         video_domain_shift=0.4)
+
+    @pytest.mark.parametrize("value", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["noise_sigma", "concept_jitter", "prompt_jitter",
+                                       "video_domain_shift"])
+    def test_rejects_negative_and_non_finite_scales(self, field, value):
+        with pytest.raises(UsageError) as info:
+            SynthConfig(**{field: value})
+        assert str(info.value) == f"SynthConfig.{field} must be >= 0 and finite, got {value}"
 
     def test_desk_scale_defaults(self):
         cfg = SynthConfig()

@@ -3,12 +3,9 @@ import pytest
 
 from dfuse import encoder
 from dfuse.encoder import (
-    EmbeddingBatch,
     EncoderConfig,
     ParamVector,
-    encode_text,
     encode_text_batch,
-    encode_video,
     encode_video_batch,
     init_params,
     param_layout,
@@ -134,6 +131,16 @@ class TestStackedParams:
             for name in ("h", "pooled", "norms", "z"):
                 assert getattr(cache_v, name)[k].tobytes() == getattr(want, name).tobytes()
             assert cache_t.z[k].tobytes() == text_forward(one, texts, enc_cfg).z.tobytes()
+
+
+def encode_video(params, frames, cfg):
+    """Unit-norm embedding of one (T, input_dim_video) frame stack."""
+    return encode_video_batch(params, [frames], cfg)[0]
+
+
+def encode_text(params, feature, cfg):
+    """Unit-norm embedding of one raw text feature vector."""
+    return encode_text_batch(params, feature, cfg)[0]
 
 
 class TestEncodeVideo:
@@ -374,20 +381,6 @@ class TestEncodeText:
     def test_dimension_mismatch(self, params, enc_cfg):
         with pytest.raises(UsageError):
             encode_text_batch(params, np.zeros((2, enc_cfg.input_dim_text + 2)), enc_cfg)
-
-
-class TestEmbeddingBatch:
-    def test_rejects_non_unit_rows(self):
-        with pytest.raises(UsageError):
-            EmbeddingBatch(np.full((2, 3), 0.5), np.eye(3)[:2])
-
-    def test_rejects_size_mismatch(self):
-        with pytest.raises(UsageError):
-            EmbeddingBatch(np.eye(3), np.eye(3)[:2])
-
-    def test_accepts_unit_rows(self):
-        batch = EmbeddingBatch(np.eye(4), np.eye(4))
-        assert batch.batch_size == 4
 
 
 class TestEncoderConfig:

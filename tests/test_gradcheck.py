@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 from dfuse import gradcheck
-from dfuse.encoder import EmbeddingBatch, ParamVector, encode_sampled
+from dfuse.encoder import ParamVector, encode_sampled
 from dfuse.errors import UsageError
-from dfuse.losses import loss_forward, total_loss, total_loss_grad
-from naive import naive_finite_difference_grad
+from dfuse.losses import loss_forward, total_loss_grad
+from naive import naive_finite_difference_grad, naive_total, per_batch_loss_grad
 
 SEED = 20240
 TRIALS = range(6)
 
 
 def _instance(trial):
-    return gradcheck._random_instance(trial, SEED)
+    """A trial's instance as ``(enc_cfg, params, batches, terms, sigma, cfg, pseudo)``."""
+    enc_cfg, cfg, params, lv, lt, uv, ut, pseudo = gradcheck._random_instance(trial, SEED)
+    return enc_cfg, params, [(lv, lt), (uv, ut)], cfg.terms(pseudo), cfg.sigma, cfg, pseudo
 
 
-def _reference_loss(pv, enc_cfg, cfg, lv, lt, uv, ut, pseudo):
-    """Reference forward loss: one weight vector, checked embedding batches, `total_loss`."""
-    labeled = EmbeddingBatch(*encode_sampled(pv, lv, lt, enc_cfg))
-    student_u = EmbeddingBatch(*encode_sampled(pv, uv, ut, enc_cfg))
-    return total_loss(labeled, student_u, pseudo, cfg)
+def _reference_loss(pv, enc_cfg, batches, terms, sigma):
+    """Reference forward loss: one weight vector, each batch encoded on its own."""
+    return per_batch_loss_grad(pv, batches, terms, sigma, enc_cfg)[0]
 
 
 def test_trials_cover_every_lambda_setting_and_short_clips(monkeypatch):
@@ -33,22 +33,20 @@ def test_trials_cover_every_lambda_setting_and_short_clips(monkeypatch):
         return real(stacks, cfg)
 
     monkeypatch.setattr(gradcheck, "sample_frames", recording)
-    lambdas = {_instance(trial)[1].lambda_ for trial in TRIALS}
+    lambdas = {_instance(trial)[5].lambda_ for trial in TRIALS}
     assert 0.0 in lambdas and 0.999 in lambdas and len(lambdas) >= 3
     assert any(t < n_frames for t, n_frames in lengths)
 
 
 @pytest.mark.parametrize("trial", TRIALS)
 def test_stacked_gradient_equals_loop_oracle_bit_for_bit(trial):
-    enc_cfg, cfg, params, lv, lt, uv, ut, pseudo = _instance(trial)
+    enc_cfg, params, batches, terms, sigma, _, _ = _instance(trial)
 
     def losses(stack):
-        return loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0]
+        return loss_forward(stack, batches, terms, sigma, enc_cfg)
 
     def loss_of(values):
-        return _reference_loss(
-            ParamVector(values, params.layout), enc_cfg, cfg, lv, lt, uv, ut, pseudo
-        )
+        return _reference_loss(ParamVector(values, params.layout), enc_cfg, batches, terms, sigma)
 
     stacked = gradcheck.finite_difference_grad(losses, params)
     loop = naive_finite_difference_grad(loss_of, params.values)
@@ -58,13 +56,18 @@ def test_stacked_gradient_equals_loop_oracle_bit_for_bit(trial):
 
 @pytest.mark.parametrize("trial", TRIALS)
 def test_one_vector_stack_equals_unstacked_loss(trial):
-    enc_cfg, cfg, params, lv, lt, uv, ut, pseudo = _instance(trial)
+    enc_cfg, params, batches, terms, sigma, cfg, pseudo = _instance(trial)
     stack = ParamVector(params.values[None, :], params.layout)
-    got = loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0]
-    want = _reference_loss(params, enc_cfg, cfg, lv, lt, uv, ut, pseudo)
+    got = loss_forward(stack, batches, terms, sigma, enc_cfg)
+    want = _reference_loss(params, enc_cfg, batches, terms, sigma)
     assert got.shape == (1,)
     assert got.tobytes() == np.float64(want).tobytes()
-    assert total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0] == want
+    assert total_loss_grad(params, batches, terms, sigma, enc_cfg)[0] == want
+    # The loop-formula oracle on the same embeddings, within rounding.
+    (lv, lt), (uv, ut) = batches
+    loop = naive_total(*encode_sampled(params, lv, lt, enc_cfg),
+                       *encode_sampled(params, uv, ut, enc_cfg), pseudo, sigma, cfg.lambda_)
+    assert float(want) == pytest.approx(loop, abs=1e-10)
 
 
 def test_chunked_stack_covers_every_coordinate():
@@ -86,10 +89,10 @@ def test_chunked_stack_covers_every_coordinate():
 
 @pytest.mark.parametrize("trial", range(3))
 def test_stack_size_leaves_the_gradient_bits(trial, monkeypatch):
-    enc_cfg, cfg, params, lv, lt, uv, ut, pseudo = _instance(trial)
+    enc_cfg, params, batches, terms, sigma, _, _ = _instance(trial)
 
     def losses(stack):
-        return loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, enc_cfg)[0]
+        return loss_forward(stack, batches, terms, sigma, enc_cfg)
 
     grads = []
     for chunk in (1, 16, 64):

@@ -4,9 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from dfuse import losses
+from dfuse import encoder, losses
 from dfuse.encoder import (
-    EmbeddingBatch,
     EncoderConfig,
     ParamVector,
     encode_text_batch,
@@ -18,22 +17,17 @@ from dfuse.errors import DegenerateEmbeddingError, UsageError
 from dfuse.gradcheck import relative_errors
 from dfuse.losses import (
     LossConfig,
-    PseudoLabelBatch,
-    contrastive_grad_logits,
-    contrastive_loss,
-    distillation_grad_logits,
-    distillation_loss,
+    cross_entropy,
+    cross_entropy_grad,
     loss_forward,
-    total_loss,
     total_loss_grad,
 )
-from dfuse.numerics import matmul
+from dfuse.numerics import matmul, scaled_dots, softmax_pair
 from naive import (
     naive_contrastive,
     naive_distillation,
     naive_finite_difference_grad,
     naive_total,
-    naive_tower_backward,
     naive_video_forward,
     per_batch_loss_grad,
     same_bits,
@@ -41,8 +35,19 @@ from naive import (
 )
 
 
-def batch_of(z_v, z_t):
-    return EmbeddingBatch(np.asarray(z_v, float), np.asarray(z_t, float))
+def ce(z_v, z_t, sigma, teacher=None):
+    """The cross-entropy term on the logits of two embedding batches (None: the diagonal)."""
+    sc = losses._scores(scaled_dots(np.asarray(z_v, float), np.asarray(z_t, float), sigma))
+    return cross_entropy(sc, None if teacher is None else losses._scores(teacher))
+
+
+def entropies(x):
+    """Mean entropy of the row softmaxes and of the column softmaxes of logits ``x``."""
+    out = []
+    for m in (x, x.T):
+        p = softmax_pair(m)[0]
+        out.append(float(np.mean(-np.sum(p * np.log(p), axis=1))))
+    return out
 
 
 def loop_fd_grad(loss_fn, params):
@@ -52,23 +57,20 @@ def loop_fd_grad(loss_fn, params):
     return ParamVector(naive_finite_difference_grad(loss_of, params.values), params.layout)
 
 
-class TestContrastiveLoss:
+class TestDiagonalTarget:
+    """A target of None: CLIP's symmetric InfoNCE."""
+
     def test_two_orthonormal_closed_form(self):
         eye = np.eye(2)
-        total, (v2t, t2v) = contrastive_loss(batch_of(eye, eye), LossConfig(sigma=1.0))
         expected = math.log(1.0 + math.exp(-1.0))
-        assert v2t == pytest.approx(expected, abs=1e-12)
-        assert t2v == pytest.approx(expected, abs=1e-12)
-        assert total == pytest.approx(2 * expected, abs=1e-12)
+        assert ce(eye, eye, 1.0) == pytest.approx(2 * expected, abs=1e-12)
 
     def test_identical_embeddings_give_log_b(self):
         b = 5
         row = np.zeros(4)
         row[0] = 1.0
         z = np.tile(row, (b, 1))
-        total, (v2t, t2v) = contrastive_loss(batch_of(z, z), LossConfig(sigma=0.05))
-        assert v2t == pytest.approx(math.log(b), abs=1e-12)
-        assert t2v == pytest.approx(math.log(b), abs=1e-12)
+        assert ce(z, z, 0.05) == pytest.approx(2 * math.log(b), abs=1e-12)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(10)
@@ -76,60 +78,46 @@ class TestContrastiveLoss:
             b, d = int(rng.integers(2, 9)), int(rng.integers(2, 7))
             z_v, z_t = unit_rows(rng, b, d), unit_rows(rng, b, d)
             sigma = float(rng.uniform(1 / 25, 1.0))
-            got, (gv, gt) = contrastive_loss(batch_of(z_v, z_t), LossConfig(sigma=sigma))
-            want, (wv, wt) = naive_contrastive(z_v, z_t, sigma)
-            assert got == pytest.approx(want, abs=1e-10)
-            assert gv == pytest.approx(wv, abs=1e-10)
-            assert gt == pytest.approx(wt, abs=1e-10)
+            want, _ = naive_contrastive(z_v, z_t, sigma)
+            assert ce(z_v, z_t, sigma) == pytest.approx(want, abs=1e-10)
 
     def test_loss_non_negative(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            z_v, z_t = unit_rows(rng, 6, 5), unit_rows(rng, 6, 5)
-            total, (v2t, t2v) = contrastive_loss(batch_of(z_v, z_t), LossConfig())
-            assert v2t >= 0 and t2v >= 0 and total >= 0
+            assert ce(unit_rows(rng, 6, 5), unit_rows(rng, 6, 5), 0.05) >= 0
 
     def test_permutation_symmetry(self):
         rng = np.random.default_rng(12)
         z_v, z_t = unit_rows(rng, 7, 4), unit_rows(rng, 7, 4)
         perm = rng.permutation(7)
-        base, _ = contrastive_loss(batch_of(z_v, z_t), LossConfig())
-        permuted, _ = contrastive_loss(batch_of(z_v[perm], z_t[perm]), LossConfig())
-        assert permuted == pytest.approx(base, abs=1e-12)
+        assert ce(z_v[perm], z_t[perm], 0.05) == pytest.approx(ce(z_v, z_t, 0.05), abs=1e-12)
 
     def test_rejects_singleton_batch(self):
-        with pytest.raises(UsageError):
-            contrastive_loss(batch_of(np.eye(2)[:1], np.eye(2)[:1]), LossConfig())
+        rng = np.random.default_rng(13)
+        batch = (_clips(rng, 1), rng.standard_normal((1, SHARED_CFG.input_dim_text)))
+        with pytest.raises(UsageError, match="contrastive loss needs batch size >= 2"):
+            loss_forward(init_params(SHARED_CFG), [batch], [(0, None, 1.0)], 0.05, SHARED_CFG)
 
 
-class TestDistillationLoss:
+class TestTeacherTarget:
+    """Teacher logits as the target: soft-target distillation."""
+
     def test_matching_logits_hit_entropy_floor(self):
         rng = np.random.default_rng(13)
         z_v, z_t = unit_rows(rng, 5, 6), unit_rows(rng, 5, 6)
-        cfg = LossConfig(sigma=0.5)
-        student = batch_of(z_v, z_t)
-        from dfuse.numerics import similarity_matrix, softmax_rows
-
-        logits = similarity_matrix(z_v, z_t, cfg.sigma)
-        total, (v2t, t2v) = distillation_loss(student, PseudoLabelBatch(logits), cfg)
-        p_rows = softmax_rows(logits)
-        h_rows = float(np.mean(-np.sum(p_rows * np.log(p_rows), axis=1)))
-        p_cols = softmax_rows(logits.T)
-        h_cols = float(np.mean(-np.sum(p_cols * np.log(p_cols), axis=1)))
-        assert v2t == pytest.approx(h_rows, abs=1e-10)
-        assert t2v == pytest.approx(h_cols, abs=1e-10)
+        logits = scaled_dots(z_v, z_t, 0.5)
+        assert ce(z_v, z_t, 0.5, logits) == pytest.approx(sum(entropies(logits)), abs=1e-10)
         # softmax-difference identity: gradient vanishes exactly at the match
-        assert np.max(np.abs(distillation_grad_logits(logits, logits))) == 0.0
+        sc = losses._scores(logits)
+        assert np.max(np.abs(cross_entropy_grad(sc, losses._scores(logits)))) == 0.0
 
     def test_uniform_teacher_rows_lower_bound(self):
         rng = np.random.default_rng(14)
         b = 6
         logits = np.zeros((b, b))  # uniform targets
         for _ in range(10):
-            student = batch_of(unit_rows(rng, b, 4), unit_rows(rng, b, 4))
-            _, (v2t, t2v) = distillation_loss(student, PseudoLabelBatch(logits), LossConfig())
-            assert v2t >= math.log(b) - 1e-12
-            assert t2v >= math.log(b) - 1e-12
+            assert ce(unit_rows(rng, b, 4), unit_rows(rng, b, 4), 0.05, logits) \
+                >= 2 * math.log(b) - 1e-12
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(15)
@@ -138,56 +126,63 @@ class TestDistillationLoss:
             z_v, z_t = unit_rows(rng, b, d), unit_rows(rng, b, d)
             x = rng.uniform(-30, 30, size=(b, b))
             sigma = float(rng.uniform(1 / 25, 1.0))
-            got, (gv, gt) = distillation_loss(
-                batch_of(z_v, z_t), PseudoLabelBatch(x), LossConfig(sigma=sigma)
-            )
-            want, (wv, wt) = naive_distillation(z_v, z_t, x, sigma)
-            assert got == pytest.approx(want, abs=1e-10)
-            assert gv == pytest.approx(wv, abs=1e-10)
-            assert gt == pytest.approx(wt, abs=1e-10)
+            want, _ = naive_distillation(z_v, z_t, x, sigma)
+            assert ce(z_v, z_t, sigma, x) == pytest.approx(want, abs=1e-10)
 
     def test_gibbs_inequality(self):
         # CE(P, Q) >= CE(P, P), i.e. the loss never drops below the teacher entropy.
-        from dfuse.numerics import softmax_rows
-
         rng = np.random.default_rng(16)
         for _ in range(20):
             b = int(rng.integers(2, 7))
             x = rng.uniform(-8, 8, size=(b, b))
-            student = batch_of(unit_rows(rng, b, 5), unit_rows(rng, b, 5))
-            ce, _ = distillation_loss(student, PseudoLabelBatch(x), LossConfig(sigma=0.4))
-            p_rows = softmax_rows(x)
-            h_rows = float(np.mean(-np.sum(p_rows * np.log(p_rows), axis=1)))
-            p_cols = softmax_rows(x.T)
-            h_cols = float(np.mean(-np.sum(p_cols * np.log(p_cols), axis=1)))
-            assert ce >= h_rows + h_cols - 1e-10
+            value = ce(unit_rows(rng, b, 5), unit_rows(rng, b, 5), 0.4, x)
+            assert value >= sum(entropies(x)) - 1e-10
 
     def test_rejects_size_mismatch(self):
         rng = np.random.default_rng(17)
-        student = batch_of(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
-        with pytest.raises(UsageError):
-            distillation_loss(student, PseudoLabelBatch(np.zeros((4, 4))), LossConfig())
+        batch = (_clips(rng, 3), rng.standard_normal((3, SHARED_CFG.input_dim_text)))
+        with pytest.raises(UsageError, match="student batch size 3 does not match teacher logits 4"):
+            loss_forward(init_params(SHARED_CFG), [batch], [(0, np.zeros((4, 4)), 1.0)], 0.05,
+                         SHARED_CFG)
 
 
-class TestTotalLoss:
-    def test_lambda_zero_equals_contrastive(self):
+def _encoded_pair(rng, params, enc_cfg, b):
+    """Raw stacks and texts of one batch, its sampled frames and its embeddings."""
+    stacks = [rng.standard_normal((int(rng.integers(1, 5)), enc_cfg.input_dim_video))
+              for _ in range(b)]
+    texts = rng.standard_normal((b, enc_cfg.input_dim_text))
+    z = (encode_video_batch(params, stacks, enc_cfg), encode_text_batch(params, texts, enc_cfg))
+    return (sample_frames(stacks, enc_cfg), texts), z
+
+
+class TestTermList:
+    def test_objective_terms_in_order(self):
+        pseudo, labeled_pseudo = np.zeros((3, 3)), np.ones((4, 4))
+        cfg = LossConfig(lambda_=0.25)
+        assert cfg.terms() == [(0, None, 1.0)]
+        terms = cfg.terms(pseudo, labeled_pseudo)
+        assert [(i, w) for i, _, w in terms] == [(0, 1.0), (1, 0.25), (0, 0.25)]
+        assert terms[1][1] is pseudo and terms[2][1] is labeled_pseudo
+
+    def test_lambda_zero_equals_contrastive(self, enc_cfg, params):
         rng = np.random.default_rng(18)
-        labeled = batch_of(unit_rows(rng, 4, 5), unit_rows(rng, 4, 5))
-        student = batch_of(unit_rows(rng, 4, 5), unit_rows(rng, 4, 5))
-        pseudo = PseudoLabelBatch(rng.uniform(-3, 3, size=(4, 4)))
+        batches = [_encoded_pair(rng, params, enc_cfg, 4)[0] for _ in range(2)]
+        pseudo = rng.uniform(-3, 3, size=(4, 4))
         cfg = LossConfig(sigma=0.2, lambda_=0.0)
-        assert total_loss(labeled, student, pseudo, cfg) == contrastive_loss(labeled, cfg)[0]
-        assert total_loss(labeled, None, None, cfg) == contrastive_loss(labeled, cfg)[0]
+        contrastive = loss_forward(params, batches[:1], cfg.terms(), cfg.sigma, enc_cfg)
+        assert loss_forward(params, batches, cfg.terms(pseudo), cfg.sigma, enc_cfg) \
+            == contrastive
 
-    def test_default_weighting_matches_parts_exactly(self):
+    def test_default_weighting_matches_parts_exactly(self, enc_cfg, params):
         rng = np.random.default_rng(19)
         cfg = LossConfig()  # sigma 0.05, lambda 0.999 working defaults
-        labeled = batch_of(unit_rows(rng, 5, 6), unit_rows(rng, 5, 6))
-        student = batch_of(unit_rows(rng, 5, 6), unit_rows(rng, 5, 6))
-        pseudo = PseudoLabelBatch(rng.uniform(-10, 10, size=(5, 5)))
-        c, _ = contrastive_loss(labeled, cfg)
-        d, _ = distillation_loss(student, pseudo, cfg)
-        assert total_loss(labeled, student, pseudo, cfg) == c + cfg.lambda_ * d
+        (labeled, z_l), (unlabeled, z_u) = (_encoded_pair(rng, params, enc_cfg, 5)
+                                            for _ in range(2))
+        pseudo = rng.uniform(-10, 10, size=(5, 5))
+        want = ce(*z_l, cfg.sigma) + cfg.lambda_ * ce(*z_u, cfg.sigma, pseudo)
+        loss, _ = total_loss_grad(params, [labeled, unlabeled], cfg.terms(pseudo), cfg.sigma,
+                                  enc_cfg)
+        assert same_bits(np.float64(loss), want)
 
     def test_matches_naive_loop(self):
         rng = np.random.default_rng(20)
@@ -198,43 +193,39 @@ class TestTotalLoss:
             x = rng.uniform(-30, 30, size=(b, b))
             sigma = float(rng.uniform(1 / 25, 1.0))
             lam = float(rng.uniform(0.0, 2.0))
-            got = total_loss(
-                batch_of(z_v_l, z_t_l), batch_of(z_v_u, z_t_u),
-                PseudoLabelBatch(x), LossConfig(sigma=sigma, lambda_=lam),
-            )
+            got = ce(z_v_l, z_t_l, sigma) + lam * ce(z_v_u, z_t_u, sigma, x)
             want = naive_total(z_v_l, z_t_l, z_v_u, z_t_u, x, sigma, lam)
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_monotone_in_lambda(self):
+    def test_monotone_in_lambda(self, enc_cfg, params):
         rng = np.random.default_rng(21)
-        labeled = batch_of(unit_rows(rng, 4, 5), unit_rows(rng, 4, 5))
-        student = batch_of(unit_rows(rng, 4, 5), unit_rows(rng, 4, 5))
-        pseudo = PseudoLabelBatch(rng.uniform(-5, 5, size=(4, 4)))
+        batches = [_encoded_pair(rng, params, enc_cfg, 4)[0] for _ in range(2)]
+        pseudo = rng.uniform(-5, 5, size=(4, 4))
         values = [
-            total_loss(labeled, student, pseudo, LossConfig(sigma=0.3, lambda_=lam))
+            loss_forward(params, batches, LossConfig(sigma=0.3, lambda_=lam).terms(pseudo), 0.3,
+                         enc_cfg)
             for lam in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
-    def test_rejects_partial_distillation_inputs(self):
-        rng = np.random.default_rng(22)
-        labeled = batch_of(unit_rows(rng, 3, 4), unit_rows(rng, 3, 4))
-        with pytest.raises(UsageError):
-            total_loss(labeled, labeled, None, LossConfig())
 
-
-class TestContrastiveGradLogits:
-    def test_matches_finite_difference_on_logits(self):
+class TestCrossEntropyGrad:
+    @pytest.mark.parametrize("teacher", [False, True])
+    def test_matches_finite_difference_on_logits(self, teacher):
         rng = np.random.default_rng(23)
         b = 4
         s = rng.uniform(-3, 3, size=(b, b))
-        grad = contrastive_grad_logits(s)
+        x = rng.uniform(-3, 3, size=(b, b)) if teacher else None
+        target = None if x is None else losses._scores(x)
+        grad = cross_entropy_grad(losses._scores(s), target)
         h = 1e-6
 
         def loss_of(m):
-            rows = -np.mean(np.diag(m - _lse_rows(m)))
-            cols = -np.mean(np.diag(m.T - _lse_rows(m.T)))
-            return rows + cols
+            if x is None:
+                return -np.mean(np.diag(m - _lse_rows(m))) - np.mean(np.diag(m.T - _lse_rows(m.T)))
+            q_rows, q_cols = softmax_pair(x)[0], softmax_pair(x.T)[0]
+            return (-np.mean(np.sum(q_rows * (m - _lse_rows(m)), axis=1))
+                    - np.mean(np.sum(q_cols * (m.T - _lse_rows(m.T)), axis=1)))
 
         for i in range(b):
             for j in range(b):
@@ -260,114 +251,51 @@ class TestTotalLossGrad:
               for _ in range(b)]
         ut = rng.standard_normal((b, enc_cfg.input_dim_text))
         x = rng.uniform(-8, 8, size=(b, b))
-        return lv, lt, uv, ut, PseudoLabelBatch(x)
+        batches = [(sample_frames(lv, enc_cfg), lt), (sample_frames(uv, enc_cfg), ut)]
+        return batches, (lv, lt, uv, ut), x
 
-    def test_loss_matches_total_loss_bit_exactly(self, enc_cfg, params):
+    def test_loss_equals_the_term_sum_on_encoded_batches(self, enc_cfg, params):
         rng = np.random.default_rng(24)
-        lv, lt, uv, ut, pseudo = self._instance(rng, enc_cfg)
+        batches, (lv, lt, uv, ut), pseudo = self._instance(rng, enc_cfg)
         cfg = LossConfig(sigma=0.2, lambda_=0.7)
-        loss, grad = total_loss_grad(
-            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
-            pseudo, cfg, enc_cfg,
-        )
-        labeled = EmbeddingBatch(
-            encode_video_batch(params, lv, enc_cfg), encode_text_batch(params, lt, enc_cfg)
-        )
-        student = EmbeddingBatch(
-            encode_video_batch(params, uv, enc_cfg), encode_text_batch(params, ut, enc_cfg)
-        )
-        assert loss == total_loss(labeled, student, pseudo, cfg)
+        loss, grad = total_loss_grad(params, batches, cfg.terms(pseudo), cfg.sigma, enc_cfg)
+        labeled = (encode_video_batch(params, lv, enc_cfg), encode_text_batch(params, lt, enc_cfg))
+        student = (encode_video_batch(params, uv, enc_cfg), encode_text_batch(params, ut, enc_cfg))
+        assert loss == ce(*labeled, cfg.sigma) + cfg.lambda_ * ce(*student, cfg.sigma, pseudo)
         assert grad.layout == params.layout
         assert grad.n_params == params.n_params
 
-    def test_gradient_against_finite_differences(self, enc_cfg, params):
-        rng = np.random.default_rng(25)
-        lv, lt, uv, ut, pseudo = self._instance(rng, enc_cfg)
-        cfg = LossConfig(sigma=0.3, lambda_=0.999)
+    @pytest.mark.parametrize("seed,sigma,lambda_,which", [
+        (25, 0.3, 0.999, "unlabeled"),
+        (26, 0.4, 0.8, "labeled distillation"),
+        (27, 0.5, 0.0, "contrastive only"),
+    ])
+    def test_gradient_against_finite_differences(self, enc_cfg, params, seed, sigma, lambda_,
+                                                 which):
+        rng = np.random.default_rng(seed)
+        batches, _, pseudo = self._instance(rng, enc_cfg)
+        cfg = LossConfig(sigma=sigma, lambda_=lambda_)
+        terms = {"unlabeled": cfg.terms(pseudo),
+                 "labeled distillation": cfg.terms(pseudo, rng.uniform(-5, 5, size=(4, 4))),
+                 "contrastive only": cfg.terms()}[which]
+        batches = batches[:1] if which == "contrastive only" else batches
 
         def loss_fn(pv):
-            labeled = EmbeddingBatch(
-                encode_video_batch(pv, lv, enc_cfg), encode_text_batch(pv, lt, enc_cfg)
-            )
-            student = EmbeddingBatch(
-                encode_video_batch(pv, uv, enc_cfg), encode_text_batch(pv, ut, enc_cfg)
-            )
-            return total_loss(labeled, student, pseudo, cfg)
+            return loss_forward(pv, batches, terms, sigma, enc_cfg)
 
-        _, analytic = total_loss_grad(
-            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
-            pseudo, cfg, enc_cfg,
-        )
-        numeric = loop_fd_grad(loss_fn, params)
-        assert float(relative_errors(analytic, numeric).max()) < 1e-4
-
-    def test_labeled_distillation_flag_gradient(self, enc_cfg, params):
-        rng = np.random.default_rng(26)
-        lv, lt, uv, ut, pseudo = self._instance(rng, enc_cfg)
-        labeled_pseudo = PseudoLabelBatch(rng.uniform(-5, 5, size=(4, 4)))
-        cfg = LossConfig(sigma=0.4, lambda_=0.8)
-
-        def loss_fn(pv):
-            labeled = EmbeddingBatch(
-                encode_video_batch(pv, lv, enc_cfg), encode_text_batch(pv, lt, enc_cfg)
-            )
-            student = EmbeddingBatch(
-                encode_video_batch(pv, uv, enc_cfg), encode_text_batch(pv, ut, enc_cfg)
-            )
-            base = total_loss(labeled, student, pseudo, cfg)
-            extra, _ = distillation_loss(labeled, labeled_pseudo, cfg)
-            return base + cfg.lambda_ * extra
-
-        loss, analytic = total_loss_grad(
-            params, sample_frames(lv, enc_cfg), lt, sample_frames(uv, enc_cfg), ut,
-            pseudo, cfg, enc_cfg, labeled_pseudo=labeled_pseudo,
-        )
-        assert loss == pytest.approx(loss_fn(params), abs=0)
-        numeric = loop_fd_grad(loss_fn, params)
-        assert float(relative_errors(analytic, numeric).max()) < 1e-4
-
-    def test_contrastive_only_instance(self, enc_cfg, params):
-        rng = np.random.default_rng(27)
-        lv, lt, _, _, _ = self._instance(rng, enc_cfg)
-        cfg = LossConfig(sigma=0.5, lambda_=0.0)
-
-        def loss_fn(pv):
-            labeled = EmbeddingBatch(
-                encode_video_batch(pv, lv, enc_cfg), encode_text_batch(pv, lt, enc_cfg)
-            )
-            return total_loss(labeled, None, None, cfg)
-
-        _, analytic = total_loss_grad(
-            params, sample_frames(lv, enc_cfg), lt, None, None, None, cfg, enc_cfg
-        )
+        loss, analytic = total_loss_grad(params, batches, terms, sigma, enc_cfg)
+        assert loss == loss_fn(params)
         numeric = loop_fd_grad(loss_fn, params)
         assert float(relative_errors(analytic, numeric).max()) < 1e-4
 
 
-def every_row_total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo=None):
+def every_row_total_loss_grad(params, batches, terms, sigma, enc_cfg):
     """``total_loss_grad`` without any row sharing: every frame row through the
     video tower, the pooled gradient repeated to every frame row before any
     product, and per-tensor zero arrays concatenated at the end."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(losses, "video_forward", naive_video_forward)
-        loss, labeled, unlabeled = loss_forward(
-            params, lv, lt, uv, ut, pseudo, cfg, enc_cfg, labeled_pseudo
-        )
-    g_l = losses._contrastive_grad(labeled.scores, labeled.b)
-    if labeled.target is not None:
-        g_l = g_l + cfg.lambda_ * losses._distillation_grad(
-            labeled.scores, labeled.target, labeled.b
-        )
-    terms = [(labeled, g_l)]
-    if unlabeled is not None and cfg.lambda_ != 0.0:
-        terms.append((unlabeled, cfg.lambda_ * losses._distillation_grad(
-            unlabeled.scores, unlabeled.target, unlabeled.b)))
-    grads = {name: np.zeros(shape) for name, shape in params.layout}
-    for pair, g in terms:
-        dz_v = np.einsum("ij,jk->ik", g, pair.cache_t.z, optimize=False) / cfg.sigma
-        dz_t = np.einsum("ij,jk->ik", g.T, pair.cache_v.z, optimize=False) / cfg.sigma
-        naive_tower_backward(grads, params, "video", pair.cache_v, dz_v, enc_cfg.n_frames)
-        naive_tower_backward(grads, params, "text", pair.cache_t, dz_t, 1)
+        mp.setattr(encoder, "video_forward", naive_video_forward)
+        loss, grads = per_batch_loss_grad(params, batches, terms, sigma, enc_cfg)
     return loss, np.concatenate([grads[name].ravel() for name, _ in params.layout])
 
 
@@ -397,15 +325,12 @@ class TestSharedRows:
         b, d_t = 5, SHARED_CFG.input_dim_text
         lv, uv = _videos(kind, rng, b), _videos(kind, rng, b)
         lt, ut = rng.standard_normal((b, d_t)), rng.standard_normal((b, d_t))
-        pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b)))
-        labeled_pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b))) \
-            if with_labeled_pseudo else None
+        pseudo = rng.uniform(-6, 6, size=(b, b))
+        labeled_pseudo = rng.uniform(-6, 6, size=(b, b)) if with_labeled_pseudo else None
         cfg = LossConfig(sigma=0.1, lambda_=0.7)
-        loss, grad = total_loss_grad(params, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG,
-                                     labeled_pseudo=labeled_pseudo)
-        want_loss, want_grad = every_row_total_loss_grad(
-            params, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG, labeled_pseudo
-        )
+        args = ([(lv, lt), (uv, ut)], cfg.terms(pseudo, labeled_pseudo), cfg.sigma, SHARED_CFG)
+        loss, grad = total_loss_grad(params, *args)
+        want_loss, want_grad = every_row_total_loss_grad(params, *args)
         assert same_bits(np.float64(loss), want_loss)
         assert grad.layout == params.layout
         assert same_bits(grad.values, want_grad)
@@ -417,11 +342,9 @@ class TestSharedRows:
         params = init_params(SHARED_CFG)
         lv = _videos("still", rng, 6)
         lt = rng.standard_normal((6, SHARED_CFG.input_dim_text))
-        cfg = LossConfig(sigma=0.05, lambda_=0.0)
-        loss, grad = total_loss_grad(params, lv, lt, None, None, None, cfg, SHARED_CFG)
-        want_loss, want_grad = every_row_total_loss_grad(
-            params, lv, lt, None, None, None, cfg, SHARED_CFG
-        )
+        args = ([(lv, lt)], [(0, None, 1.0)], 0.05, SHARED_CFG)
+        loss, grad = total_loss_grad(params, *args)
+        want_loss, want_grad = every_row_total_loss_grad(params, *args)
         assert same_bits(np.float64(loss), want_loss)
         assert same_bits(grad.values, want_grad)
 
@@ -433,20 +356,20 @@ class TestSharedRows:
         b, d_t = 4, SHARED_CFG.input_dim_text
         lv, uv = _videos(kind, rng, b), _videos(kind, rng, b)
         lt, ut = rng.standard_normal((b, d_t)), rng.standard_normal((b, d_t))
-        pseudo = PseudoLabelBatch(rng.uniform(-6, 6, size=(b, b)))
+        pseudo = rng.uniform(-6, 6, size=(b, b))
         cfg = LossConfig(sigma=0.2, lambda_=0.999)
+        args = ([(lv, lt), (uv, ut)], cfg.terms(pseudo), cfg.sigma, SHARED_CFG)
         stack = ParamVector(params.values + 1e-5 * rng.standard_normal((7, params.n_params)),
                             params.layout)
-        stacked = loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
+        stacked = loss_forward(stack, *args)
         assert stacked.shape == (7,)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(losses, "video_forward", naive_video_forward)
-            every_row = loss_forward(stack, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
+            every_row = loss_forward(stack, *args)
         assert same_bits(stacked, every_row)
         for k in range(7):
             one = ParamVector(stack.values[k].copy(), params.layout)
-            single = loss_forward(one, lv, lt, uv, ut, pseudo, cfg, SHARED_CFG)[0]
-            assert same_bits(stacked[k], single)
+            assert same_bits(stacked[k], loss_forward(one, *args))
 
     @pytest.mark.parametrize("b,n,e,hidden", [(1, 2, 3, 4), (5, 4, 4, 9), (64, 4, 32, 32),
                                               (7, 8, 5, 3), (3, 3, 16, 16)])
@@ -474,9 +397,15 @@ def _one_pass_instance(seed, labeled="clip", b_l=5, b_u=5):
     return dict(
         lv=lv, lt=rng.standard_normal((b_l, d_t)), uv=_clips(rng, b_u),
         ut=rng.standard_normal((b_u, d_t)),
-        pseudo=PseudoLabelBatch(rng.uniform(-6, 6, size=(b_u, b_u))),
-        labeled_pseudo=PseudoLabelBatch(rng.uniform(-6, 6, size=(b_l, b_l))),
+        pseudo=rng.uniform(-6, 6, size=(b_u, b_u)),
+        labeled_pseudo=rng.uniform(-6, 6, size=(b_l, b_l)),
     )
+
+
+def _term_args(inst, cfg, labeled_pseudo=None):
+    """``(batches, terms, sigma, enc_cfg)`` of an instance: the objective's term list."""
+    return ([(inst["lv"], inst["lt"]), (inst["uv"], inst["ut"])],
+            cfg.terms(inst["pseudo"], labeled_pseudo), cfg.sigma, SHARED_CFG)
 
 
 def _count_tower_calls(mp):
@@ -502,13 +431,13 @@ class TestOneTowerPass:
         )
         cfg = LossConfig(sigma=0.1, lambda_=0.0 if case == "lambda 0" else 0.7)
         labeled_pseudo = inst["labeled_pseudo"] if case == "labeled_pseudo" else None
-        args = (inst["lv"], inst["lt"], inst["uv"], inst["ut"], inst["pseudo"], cfg, SHARED_CFG)
+        args = _term_args(inst, cfg, labeled_pseudo)
         params = init_params(SHARED_CFG)
         with pytest.MonkeyPatch.context() as mp:
             counts = _count_tower_calls(mp)
-            loss, grad = total_loss_grad(params, *args, labeled_pseudo=labeled_pseudo)
+            loss, grad = total_loss_grad(params, *args)
         assert counts == {"video": 1, "text": 1}
-        want_loss, want_grads = per_batch_loss_grad(params, *args, labeled_pseudo)
+        want_loss, want_grads = per_batch_loss_grad(params, *args)
         assert same_bits(np.float64(loss), want_loss)
         for name, shape in params.layout:
             assert same_bits(grad.tensor(name), want_grads[name]), name
@@ -519,18 +448,17 @@ class TestOneTowerPass:
         rng = np.random.default_rng(49)
         stack = ParamVector(params.values + 1e-5 * rng.standard_normal((6, params.n_params)),
                             params.layout)
-        cfg = LossConfig(sigma=0.2, lambda_=0.999)
-        args = (inst["lv"], inst["lt"], inst["uv"], inst["ut"], inst["pseudo"], cfg, SHARED_CFG)
+        args = _term_args(inst, LossConfig(sigma=0.2, lambda_=0.999), inst["labeled_pseudo"])
         with pytest.MonkeyPatch.context() as mp:
             counts = _count_tower_calls(mp)
-            got = loss_forward(stack, *args, inst["labeled_pseudo"])[0]
+            got = loss_forward(stack, *args)
         assert counts == {"video": 1, "text": 1}
-        want, _ = per_batch_loss_grad(stack, *args, inst["labeled_pseudo"])
+        want, _ = per_batch_loss_grad(stack, *args)
         assert got.shape == (6,)
         assert same_bits(got, want)
 
     def test_pseudo_label_softmax_follows_the_teacher_logits(self, monkeypatch):
-        # The teacher's softmax is taken once per call, never kept on the batch:
+        # The teacher's softmax is taken once per call, never kept between calls:
         # logits changed between calls are what the second call sees.
         inst = _one_pass_instance(50)
         params = init_params(SHARED_CFG)
@@ -542,14 +470,13 @@ class TestOneTowerPass:
             return real(s)
 
         monkeypatch.setattr(losses, "_scores", recording)
-        cfg = LossConfig(sigma=0.1, lambda_=0.5)
+        args = (params, *_term_args(inst, LossConfig(sigma=0.1, lambda_=0.5)))
         pseudo = inst["pseudo"]
-        args = (params, inst["lv"], inst["lt"], inst["uv"], inst["ut"], pseudo, cfg, SHARED_CFG)
-        first = loss_forward(*args)[0]
-        assert sum(s is pseudo.teacher_logits for s in seen) == 1
+        first = loss_forward(*args)
+        assert sum(s is pseudo for s in seen) == 1
         assert len(seen) == 3  # two batches' student logits, then the teacher's
-        pseudo.teacher_logits[...] = pseudo.teacher_logits.T
-        second = loss_forward(*args)[0]
+        pseudo[...] = pseudo.T
+        second = loss_forward(*args)
         want, _ = per_batch_loss_grad(*args)
         assert len(seen) == 6
         assert not same_bits(first, second)
@@ -579,8 +506,8 @@ _FAULTS = {
     "unlabeled text dim": ("ut", _with_column),
     "labeled size mismatch": ("lt", lambda a: a[:-1]),
     "unlabeled size mismatch": ("ut", lambda a: a[:-1]),
-    "pseudo size": ("pseudo", lambda p: PseudoLabelBatch(np.zeros((4, 4)))),
-    "labeled pseudo size": ("labeled_pseudo", lambda p: PseudoLabelBatch(np.zeros((6, 6)))),
+    "pseudo size": ("pseudo", lambda p: np.zeros((4, 4))),
+    "labeled pseudo size": ("labeled_pseudo", lambda p: np.zeros((6, 6))),
 }
 
 _FAULT_MESSAGES = {
@@ -598,6 +525,17 @@ _FAULT_MESSAGES = {
     "pseudo size": (UsageError, "student batch size 3 does not match teacher logits 4"),
     "labeled pseudo size": (UsageError, "student batch size 5 does not match teacher logits 6"),
 }
+
+# The order faults are reported in: every input fault in batch order (within a
+# batch: videos, texts, the size match, then its terms in list order, and the
+# labeled-distillation term is on the labeled batch), then every zero-norm row
+# in batch order (videos before texts).
+_REPORT_ORDER = [
+    "labeled text dim", "labeled size mismatch", "labeled pseudo size",
+    "unlabeled video shape", "unlabeled text dim", "unlabeled size mismatch", "pseudo size",
+    "labeled zero-norm video", "labeled zero-norm text",
+    "unlabeled zero-norm video", "unlabeled zero-norm text",
+]
 
 
 def _set_row(a, i):
@@ -619,17 +557,20 @@ def _faulty(*faults):
         if name in faults:
             inst[key] = edit(inst[key])
     cfg = LossConfig(sigma=0.1, lambda_=0.7)
-    return (_zero_bias_params(), inst["lv"], inst["lt"], inst["uv"], inst["ut"],
-            inst["pseudo"], cfg, SHARED_CFG, inst["labeled_pseudo"])
+    return (_zero_bias_params(), *_term_args(inst, cfg, inst["labeled_pseudo"]))
 
 
 class TestErrorsBeforeTheJoin:
-    """Malformed batches raise what encoding batch after batch raised, first fault first."""
+    """Malformed batches raise the first input fault in batch order, else the
+    first zero-norm row in batch order, with the message of that fault alone."""
 
     def test_instance_is_valid_and_zero_rows_are_what_break_it(self):
         args = _faulty()
-        assert np.isfinite(loss_forward(*args)[0])
-        assert same_bits(np.float64(loss_forward(*args)[0]), per_batch_loss_grad(*args)[0])
+        assert np.isfinite(loss_forward(*args))
+        assert same_bits(np.float64(loss_forward(*args)), per_batch_loss_grad(*args)[0])
+
+    def test_report_order_covers_every_fault(self):
+        assert sorted(_REPORT_ORDER) == sorted(_FAULTS)
 
     @pytest.mark.parametrize("fault", list(_FAULTS))
     def test_one_fault_raises_its_message(self, fault):
@@ -641,9 +582,11 @@ class TestErrorsBeforeTheJoin:
     @pytest.mark.parametrize("first,second", [
         (a, b) for i, a in enumerate(_FAULTS) for b in list(_FAULTS)[i + 1:]
     ])
-    def test_two_faults_raise_in_per_batch_order(self, first, second):
+    def test_two_faults_raise_the_first_in_report_order(self, first, second):
         args = _faulty(first, second)
-        assert _raised(loss_forward, *args) == _raised(per_batch_loss_grad, *args)
+        want = _FAULT_MESSAGES[min(first, second, key=_REPORT_ORDER.index)]
+        assert _raised(loss_forward, *args) == want
+        assert _raised(total_loss_grad, *args) == want
 
     def test_stacked_zero_norm_names_the_row_in_its_batch(self):
         params, *rest = _faulty("unlabeled zero-norm text")

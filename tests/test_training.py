@@ -115,7 +115,7 @@ class TestMakePseudoLabels:
             encode_text_batch(params, texts, tiny_enc),
             0.05,
         )
-        assert pseudo.teacher_logits.tobytes() == student_logits.tobytes()
+        assert pseudo.tobytes() == student_logits.tobytes()
 
     def test_rejects_singleton(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
@@ -148,7 +148,7 @@ class TestMakePseudoLabels:
             encode_video_batch(params, videos, tiny_enc),
             encode_text_batch(params, feats, tiny_enc), 0.05,
         )
-        np.testing.assert_array_equal(pseudo.teacher_logits, pseudo.teacher_logits.T)
+        np.testing.assert_array_equal(pseudo, pseudo.T)
 
 
 def _small_train_cfg(**overrides):
@@ -333,3 +333,16 @@ class TestTrainConfig:
         with pytest.raises(UsageError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
         assert TrainConfig(seed=2**70).seed == 2**70  # not stored in a checkpoint
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("weight_decay", -0.5, "weight_decay must be >= 0 and finite, got -0.5"),
+        ("weight_decay", math.nan, "weight_decay must be >= 0 and finite, got nan"),
+        ("weight_decay", math.inf, "weight_decay must be >= 0 and finite, got inf"),
+        ("eps", 0.0, "eps must be positive and finite, got 0.0"),
+        ("eps", math.nan, "eps must be positive and finite, got nan"),
+        ("eps", math.inf, "eps must be positive and finite, got inf"),
+    ])
+    def test_rejects_values_naming_the_field(self, field, value, message):
+        with pytest.raises(UsageError) as info:
+            TrainConfig(**{field: value})
+        assert str(info.value) == message
