@@ -104,6 +104,245 @@ class TestConfigResolution:
         assert "seed" in capsys.readouterr().err
 
 
+
+class _Stop(Exception):
+    """Raised by a stand-in to end a command before it does any work."""
+
+
+def _resolved_by(argv) -> dict:
+    """The option values ``argv`` resolves to, keyed as its manifest keys them."""
+    import dfuse.cli as cli
+
+    real, seen = cli._resolve, []
+
+    def resolve(*args):
+        seen.append(real(*args))
+        raise _Stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_resolve", resolve)
+        with pytest.raises(_Stop):
+            cli_dispatch(argv)
+    return {key.rstrip("_"): value for key, value in seen[0].items()}
+
+
+def _typed(mapping: dict) -> dict:
+    # 0.01 == 0 is false but False == 0 is true: compare types as well as values
+    return {key: (type(value), value) for key, value in mapping.items()}
+
+
+_DEFAULT_TEMPLATE = "a video of a person {c}"
+_TRAIN_DEFAULTS = {"batch_size_labeled": 32, "batch_size_unlabeled": 32, "eval_every": 100,
+                   "weight_decay": 0.01, "seed": 0, "config_file": None}
+
+# Each writing command given only its required options, and what it resolves to.
+RESOLVED_DEFAULTS = {
+    "gen-corpus": (["--out", "o"], {
+        "n_concepts": 64, "latent_dim": 16, "d_v": 32, "d_t": 32, "frames_per_video": 8,
+        "noise_sigma": 0.05, "concept_jitter": 0.5, "prompt_jitter": 0.25,
+        "video_domain_shift": 0.4, "n_labeled_train": 512, "n_labeled_val": 128,
+        "n_unlabeled": 4096, "n_eval": 512, "identity_maps": False, "seed": 0,
+        "out": "o", "config_file": None,
+    }),
+    "pretrain-teacher": (["--corpus", "c", "--out", "o"], {
+        "hidden_dim": 32, "embed_dim": 16, "n_frames": 4, "lr": 3e-3, "max_steps": 1500,
+        **_TRAIN_DEFAULTS, "sigma": 0.05, "corpus": "c", "out": "o",
+    }),
+    "train-student": (["--teacher", "t", "--corpus", "c", "--out", "o"], {
+        "sigma": 0.05, "lambda": 0.999, "lr": 3e-5, "max_steps": 2000, **_TRAIN_DEFAULTS,
+        "distill_on_labeled": False, "teacher": "t", "corpus": "c", "out": "o",
+    }),
+    "fuse": (["--teacher", "t", "--student", "s", "--out", "o"], {
+        "alpha": 0.4, "teacher": "t", "student": "s", "out": "o", "config_file": None,
+    }),
+    "sweep-alpha": (["--teacher", "t", "--student", "s", "--corpus", "c", "--out", "o"], {
+        "alphas": "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0", "impact_alpha": 0.4,
+        "templates": _DEFAULT_TEMPLATE, "teacher": "t", "student": "s", "corpus": "c",
+        "out": "o", "config_file": None,
+    }),
+    **{command: (["--ckpt", "k", "--corpus", "c", "--out", "o"], {
+        "templates": _DEFAULT_TEMPLATE, "ckpt": "k", "corpus": "c", "out": "o",
+        "config_file": None,
+    }) for command in ("eval-retrieval", "eval-classify")},
+    "report-class-delta": (["--report-a", "a", "--report-b", "b", "--out", "o"], {
+        "limit": 0, "report_a": "a", "report_b": "b", "out": "o", "config_file": None,
+    }),
+    "report-rank-dist": (["--report-a", "a", "--report-b", "b", "--out", "o"], {
+        "report_a": "a", "report_b": "b", "out": "o", "config_file": None,
+    }),
+}
+
+
+def _other_raw_value(default) -> str:
+    """A config/flag string that resolves to something other than ``default``."""
+    if isinstance(default, bool):
+        return "true"
+    if isinstance(default, (int, float)):
+        return repr(default + 1)
+    return "changed"
+
+
+class TestConfigSchema:
+    """Pins every writing command's options, defaults and built configs, so
+    that the way the CLI derives them can change without changing them."""
+
+    @pytest.fixture(autouse=True)
+    def _no_env_seed(self, monkeypatch):
+        monkeypatch.delenv("DFUSE_SEED", raising=False)
+
+    @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+    def test_defaults_resolve_exactly(self, command):
+        required, expected = RESOLVED_DEFAULTS[command]
+        assert _typed(_resolved_by([command, *required])) == _typed(expected)
+
+    @pytest.mark.parametrize("command", sorted(RESOLVED_DEFAULTS))
+    def test_config_file_key_equals_flag(self, tmp_path, command):
+        required, expected = RESOLVED_DEFAULTS[command]
+        required_pairs = dict(zip(required[::2], required[1::2]))
+        for key, default in expected.items():
+            if key == "config_file":
+                continue
+            flag = "--" + key.replace("_", "-")
+            raw = _other_raw_value(default)
+            others = [tok for f, v in required_pairs.items() if f != flag for tok in (f, v)]
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = {raw}\n")
+            from_file = _resolved_by([command, *others, "--config", str(cfg)])
+            from_flag = _resolved_by([command, *others, flag, raw])
+            assert _typed({key: from_file[key]}) == _typed({key: from_flag[key]})
+            assert from_flag[key] != default, key
+
+    def test_built_configs(self, mini_pipeline, monkeypatch, tmp_path):
+        import dfuse.cli as cli
+        from dfuse.corpus import SynthConfig
+        from dfuse.encoder import EncoderConfig
+        from dfuse.fusion import FusionConfig
+        from dfuse.losses import LossConfig
+        from dfuse.training import TrainConfig
+
+        config_types = (SynthConfig, EncoderConfig, TrainConfig, LossConfig, FusionConfig)
+
+        def built(work, argv):
+            seen = []
+
+            def stand_in(*args, **kwargs):
+                seen.extend((type(a).__name__, _typed(dataclasses.asdict(a)))
+                            for a in args if isinstance(a, config_types))
+                seen.extend((name, _typed({name: value})) for name, value in kwargs.items())
+                raise _Stop
+
+            monkeypatch.setattr(cli, work, stand_in)
+            with pytest.raises(_Stop):
+                cli_dispatch(argv)
+            return seen
+
+        root, images, videos = mini_pipeline
+        out = str(tmp_path / "out")
+        train = {"lr": 3e-5, "batch_size_labeled": 32, "batch_size_unlabeled": 32,
+                 "max_steps": 2000, "eval_every": 100, "seed": 0, "weight_decay": 0.01,
+                 "betas": (0.9, 0.999), "eps": 1e-8, "distill_on_labeled": False}
+        assert built("gen_corpus", ["gen-corpus", "--out", out]) == [
+            ("SynthConfig", _typed({
+                "n_concepts": 64, "latent_dim": 16, "d_v": 32, "d_t": 32,
+                "frames_per_video": 8, "noise_sigma": 0.05, "concept_jitter": 0.5,
+                "prompt_jitter": 0.25, "video_domain_shift": 0.4, "n_labeled_train": 512,
+                "n_labeled_val": 128, "n_unlabeled": 4096, "n_eval": 512, "seed": 0,
+                "identity_maps": False})),
+        ]
+        assert built("pretrain_teacher", [
+            "pretrain-teacher", "--corpus", str(images), "--out", out]) == [
+            ("EncoderConfig", _typed({"input_dim_video": 8, "input_dim_text": 8,
+                                      "hidden_dim": 32, "embed_dim": 16, "n_frames": 4,
+                                      "seed": 0})),
+            ("TrainConfig", _typed(train | {"lr": 3e-3, "max_steps": 1500})),
+            ("sigma", _typed({"sigma": 0.05})),
+            ("log", _typed({"log": print})),
+        ]
+        assert built("train_student", [
+            "train-student", "--teacher", str(root / "teacher.ckpt"), "--corpus", str(videos),
+            "--out", out]) == [
+            ("EncoderConfig", _typed({"input_dim_video": 8, "input_dim_text": 8,
+                                      "hidden_dim": 10, "embed_dim": 6, "n_frames": 4,
+                                      "seed": 5})),
+            ("LossConfig", _typed({"sigma": 0.05, "lambda_": 0.999})),
+            ("TrainConfig", _typed(train)),
+            ("log", _typed({"log": print})),
+        ]
+        assert built("fuse_weights", [
+            "fuse", "--teacher", str(root / "teacher.ckpt"),
+            "--student", str(root / "student.ckpt"), "--out", out]) == [
+            ("FusionConfig", _typed({"alpha": 0.4})),
+        ]
+        assert list(tmp_path.iterdir()) == []
+
+
+# Each subcommand's flags as its --help lists them: metavar, then default or (required).
+HELP_FLAGS = {
+    "gen-corpus": {
+        "--n-concepts": "INT [64]", "--latent-dim": "INT [16]", "--d-v": "INT [32]",
+        "--d-t": "INT [32]", "--frames-per-video": "INT [8]", "--noise-sigma": "FLOAT [0.05]",
+        "--concept-jitter": "FLOAT [0.5]", "--prompt-jitter": "FLOAT [0.25]",
+        "--video-domain-shift": "FLOAT [0.4]", "--n-labeled-train": "INT [512]",
+        "--n-labeled-val": "INT [128]", "--n-unlabeled": "INT [4096]", "--n-eval": "INT [512]",
+        "--identity-maps": "BOOL [False]", "--seed": "INT [0]", "--out": "STR (required)",
+    },
+    "pretrain-teacher": {
+        "--hidden-dim": "INT [32]", "--embed-dim": "INT [16]", "--n-frames": "INT [4]",
+        "--lr": "FLOAT [0.003]", "--max-steps": "INT [1500]",
+        "--batch-size-labeled": "INT [32]", "--batch-size-unlabeled": "INT [32]",
+        "--eval-every": "INT [100]", "--weight-decay": "FLOAT [0.01]",
+        "--sigma": "FLOAT [0.05]", "--seed": "INT [0]", "--corpus": "STR (required)",
+        "--out": "STR (required)",
+    },
+    "train-student": {
+        "--sigma": "FLOAT [0.05]", "--lambda": "FLOAT [0.999]", "--lr": "FLOAT [3e-05]",
+        "--max-steps": "INT [2000]", "--batch-size-labeled": "INT [32]",
+        "--batch-size-unlabeled": "INT [32]", "--eval-every": "INT [100]",
+        "--weight-decay": "FLOAT [0.01]", "--distill-on-labeled": "BOOL [False]",
+        "--seed": "INT [0]", "--teacher": "STR (required)", "--corpus": "STR (required)",
+        "--out": "STR (required)",
+    },
+    "fuse": {
+        "--alpha": "FLOAT [0.4]", "--teacher": "STR (required)",
+        "--student": "STR (required)", "--out": "STR (required)",
+    },
+    "sweep-alpha": {
+        "--alphas": "STR [0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0]",
+        "--impact-alpha": "FLOAT [0.4]", "--templates": f"STR [{_DEFAULT_TEMPLATE}]",
+        "--teacher": "STR (required)", "--student": "STR (required)",
+        "--corpus": "STR (required)", "--out": "STR (required)",
+    },
+    **{command: {
+        "--templates": f"STR [{_DEFAULT_TEMPLATE}]", "--ckpt": "STR (required)",
+        "--corpus": "STR (required)", "--out": "STR (required)",
+    } for command in ("eval-retrieval", "eval-classify")},
+    "report-class-delta": {
+        "--limit": "INT [0]", "--report-a": "STR (required)", "--report-b": "STR (required)",
+        "--out": "STR (required)",
+    },
+    "report-rank-dist": {
+        "--report-a": "STR (required)", "--report-b": "STR (required)",
+        "--out": "STR (required)",
+    },
+    "gradcheck": {"--trials": "INT [20]", "--seed": "INT [20240]"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_FLAGS))
+def test_subcommand_help_lists_its_flags(command, monkeypatch, capsys):
+    import re
+
+    monkeypatch.setenv("COLUMNS", "200")
+    assert cli_dispatch([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    listed = {}
+    for entry in re.split(r"\n(?=  -)", out.split("\noptions:\n", 1)[1]):
+        flag, metavar, *words = entry.split()
+        if flag.startswith("--"):
+            tail = re.search(r"(\(required\)|\[[^\[\]]*\])$", " ".join(words))
+            listed[flag] = metavar + (" " + tail.group(1) if tail else "")
+    assert listed == {"--config": "CONFIG", **HELP_FLAGS[command]}
+
 def _edit_json(*indices, **changes):
     def edit(lines):
         for index in indices:
