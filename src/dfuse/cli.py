@@ -2,7 +2,8 @@
 
 Subcommands cover corpus generation, teacher pretraining, student training,
 weight fusion, alpha sweeps, zero-shot evaluation, diagnostic exports, and
-gradient checking. Every option resolves as:
+gradient checking. A command that builds a config dataclass takes one option
+per field, with the field's default and help text. Every option resolves as:
 
     command default < config file (key = value lines) < DFUSE_SEED (seed only) < flag
 
@@ -19,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
@@ -91,32 +92,59 @@ def _convert(opt: _Opt, raw: str):
         raise UsageError(f"bad value for {opt.key}: {exc}") from exc
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
+def _field_opts(cls, skip: tuple[str, ...] = (), **defaults) -> list[_Opt]:
+    """One option per field of config dataclass ``cls`` that is not in ``skip``.
+
+    Its kind is the field's annotation, a string under postponed evaluation,
+    and its help the field's ``metadata["help"]``; ``defaults`` replaces a
+    field's default for one command.
+    """
+    return [_Opt(f.name, f.type, defaults.get(f.name, f.default), f.metadata["help"])
+            for f in fields(cls) if f.name not in skip]
+
+
+def _build(cls, values: dict, **fixed):
+    """``cls`` built from the resolved option values; ``fixed`` sets the fields no option sets."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **fixed)
+
+
+def _read_config_file(path: str, by_key: dict[str, _Opt]) -> dict:
+    """Option name -> value for each ``key = value`` line; errors name the file and line."""
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
-    values: dict[str, str] = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    data = p.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise UsageError(f"{path}: line {lineno}: not UTF-8 text") from None
+    values: dict = {}
+    first_seen: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if "=" not in stripped:
-            raise UsageError(f"{path}: line {lineno}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key, eq, raw = (part.strip() for part in stripped.partition("="))
+        try:
+            if not eq or not key:
+                raise UsageError("expected 'key = value'")
+            if key not in by_key:
+                raise UsageError(f"unknown config key {key!r} for this command")
+            if key in first_seen:
+                raise UsageError(f"config key {key!r} is already set on line {first_seen[key]}")
+            first_seen[key] = lineno
+            values[by_key[key].name] = _convert(by_key[key], raw)
+        except UsageError as exc:
+            raise UsageError(f"{path}: line {lineno}: {exc}") from None
     return values
 
 
 def _resolve(opts: list[_Opt], ns: argparse.Namespace) -> dict:
     values = {o.name: o.default for o in opts}
     by_key = {o.key: o for o in opts}
-    file_vals: dict[str, str] = {}
-    if ns.config is not None:
-        file_vals = _parse_config_file(ns.config)
-        for key, raw in file_vals.items():
-            if key not in by_key:
-                raise UsageError(f"unknown config key {key!r} for this command")
-            values[by_key[key].name] = _convert(by_key[key], raw)
+    file_vals = {} if ns.config is None else _read_config_file(ns.config, by_key)
+    values.update(file_vals)
     if "seed" in by_key and getattr(ns, "seed") is None and "seed" not in file_vals:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
@@ -190,31 +218,8 @@ def _parse_alphas(raw: str) -> list[float]:
 
 # --- command implementations ----------------------------------------------
 
-_ENC_OPTS = [
-    _Opt("hidden_dim", "int", 32, "tower hidden width"),
-    _Opt("embed_dim", "int", 16, "shared embedding dimension"),
-    _Opt("n_frames", "int", 4, "frames sampled per video"),
-]
-
-_TRAIN_OPTS = [
-    _Opt("batch_size_labeled", "int", 32, "labeled batch size"),
-    _Opt("batch_size_unlabeled", "int", 32, "unlabeled batch size"),
-    _Opt("eval_every", "int", 100, "validation cadence in steps"),
-    _Opt("weight_decay", "float", 0.01, "AdamW decoupled weight decay"),
-]
-
-
 def _cmd_gen_corpus(values: dict) -> int:
-    cfg = SynthConfig(
-        n_concepts=values["n_concepts"], latent_dim=values["latent_dim"],
-        d_v=values["d_v"], d_t=values["d_t"], frames_per_video=values["frames_per_video"],
-        noise_sigma=values["noise_sigma"], concept_jitter=values["concept_jitter"],
-        prompt_jitter=values["prompt_jitter"],
-        video_domain_shift=values["video_domain_shift"],
-        n_labeled_train=values["n_labeled_train"],
-        n_labeled_val=values["n_labeled_val"], n_unlabeled=values["n_unlabeled"],
-        n_eval=values["n_eval"], seed=values["seed"], identity_maps=values["identity_maps"],
-    )
+    cfg = _build(SynthConfig, values)
     out = Path(values["out"])
     corpus = gen_corpus(cfg, out)
     _write_manifest(out, "gen-corpus", values, [], [out.name])
@@ -223,19 +228,11 @@ def _cmd_gen_corpus(values: dict) -> int:
 
 
 def _cmd_pretrain_teacher(values: dict) -> int:
-    train_cfg = TrainConfig(
-        lr=values["lr"], batch_size_labeled=values["batch_size_labeled"],
-        batch_size_unlabeled=values["batch_size_unlabeled"],
-        max_steps=values["max_steps"], eval_every=values["eval_every"],
-        seed=values["seed"], weight_decay=values["weight_decay"],
-    )
+    train_cfg = _build(TrainConfig, values)
     check_seed(values["seed"])  # before the corpus read that EncoderConfig needs
     corpus = load_corpus(_require_file(values["corpus"], "corpus file"))
-    enc_cfg = EncoderConfig(
-        input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t,
-        hidden_dim=values["hidden_dim"], embed_dim=values["embed_dim"],
-        n_frames=values["n_frames"], seed=values["seed"],
-    )
+    enc_cfg = _build(EncoderConfig, values,
+                     input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t)
     params = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=values["sigma"], log=print)
     val_videos, val_texts = corpus.paired("labeled-val")
     final_val = validation_loss(
@@ -243,7 +240,7 @@ def _cmd_pretrain_teacher(values: dict) -> int:
     )
     out = Path(values["out"])
     save_checkpoint(out, Checkpoint(
-        enc_cfg, LossConfig(sigma=values["sigma"], lambda_=0.0),
+        enc_cfg, _build(LossConfig, values, lambda_=0.0),
         params, step=train_cfg.max_steps, val_loss=final_val,
     ))
     _write_manifest(out, "pretrain-teacher", values, [], [out.name], corpus)
@@ -252,14 +249,8 @@ def _cmd_pretrain_teacher(values: dict) -> int:
 
 
 def _cmd_train_student(values: dict) -> int:
-    loss_cfg = LossConfig(sigma=values["sigma"], lambda_=values["lambda_"])
-    train_cfg = TrainConfig(
-        lr=values["lr"], batch_size_labeled=values["batch_size_labeled"],
-        batch_size_unlabeled=values["batch_size_unlabeled"],
-        max_steps=values["max_steps"], eval_every=values["eval_every"],
-        seed=values["seed"], weight_decay=values["weight_decay"],
-        distill_on_labeled=values["distill_on_labeled"],
-    )
+    loss_cfg = _build(LossConfig, values)
+    train_cfg = _build(TrainConfig, values)
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
     record = train_student(teacher.params, corpus, teacher.enc_cfg, loss_cfg, train_cfg, log=print)
@@ -283,7 +274,7 @@ def _cmd_fuse(values: dict) -> int:
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
-    fused = fuse_weights(teacher.params, student.params, FusionConfig(alpha=values["alpha"]))
+    fused = fuse_weights(teacher.params, student.params, _build(FusionConfig, values))
     out = Path(values["out"])
     # A fused model carries no validation history of its own.
     save_checkpoint(out, Checkpoint(
@@ -451,47 +442,28 @@ def _cmd_gradcheck(values: dict) -> int:
 
 _COMMANDS: dict[str, tuple] = {
     "gen-corpus": (_cmd_gen_corpus, "generate a planted synthetic corpus", [
-        _Opt("n_concepts", "int", 64, "number of latent concepts"),
-        _Opt("latent_dim", "int", 16, "latent concept dimension"),
-        _Opt("d_v", "int", 32, "video feature dimension"),
-        _Opt("d_t", "int", 32, "text feature dimension"),
-        _Opt("frames_per_video", "int", 8, "frames per video record"),
-        _Opt("noise_sigma", "float", 0.05, "feature noise scale"),
-        _Opt("concept_jitter", "float", 0.5, "per-pair latent offset norm"),
-        _Opt("prompt_jitter", "float", 0.25, "per-prompt latent offset norm"),
-        _Opt("video_domain_shift", "float", 0.4, "video-map rotation away from the base domain"),
-        _Opt("n_labeled_train", "int", 512, "labeled training pairs"),
-        _Opt("n_labeled_val", "int", 128, "labeled validation pairs"),
-        _Opt("n_unlabeled", "int", 4096, "unlabeled videos and texts"),
-        _Opt("n_eval", "int", 512, "held-out evaluation pairs"),
-        _Opt("identity_maps", "bool", False, "use identity feature maps (debug)"),
-        _Opt("seed", "int", 0, "generation seed"),
+        *_field_opts(SynthConfig),
         _Opt("out", "str", None, "output corpus path", True),
     ]),
     "pretrain-teacher": (_cmd_pretrain_teacher, "contrastive pretraining on single-frame pairs", [
-        *_ENC_OPTS,
-        _Opt("lr", "float", 3e-3, "AdamW learning rate for pretraining"),
-        _Opt("max_steps", "int", 1500, "optimization steps"),
-        *_TRAIN_OPTS,
-        _Opt("sigma", "float", 0.05, "softmax temperature"),
-        _Opt("seed", "int", 0, "init and shuffling seed"),
+        # The input dims come from the corpus, the init seed from --seed; a
+        # teacher trains without distillation.
+        *_field_opts(EncoderConfig, skip=("input_dim_video", "input_dim_text", "seed")),
+        *_field_opts(TrainConfig, skip=("betas", "eps", "distill_on_labeled"),
+                     lr=3e-3, max_steps=1500),
+        *_field_opts(LossConfig, skip=("lambda_",)),
         _Opt("corpus", "str", None, "single-frame corpus path", True),
         _Opt("out", "str", None, "output checkpoint path", True),
     ]),
     "train-student": (_cmd_train_student, "train a student from teacher init", [
-        _Opt("sigma", "float", 0.05, "softmax temperature"),
-        _Opt("lambda_", "float", 0.999, "distillation weight"),
-        _Opt("lr", "float", 3e-5, "AdamW learning rate"),
-        _Opt("max_steps", "int", 2000, "optimization steps"),
-        *_TRAIN_OPTS,
-        _Opt("distill_on_labeled", "bool", False, "also distill on labeled batches"),
-        _Opt("seed", "int", 0, "shuffling seed"),
+        *_field_opts(LossConfig),
+        *_field_opts(TrainConfig, skip=("betas", "eps")),
         _Opt("teacher", "str", None, "teacher checkpoint path", True),
         _Opt("corpus", "str", None, "video corpus path", True),
         _Opt("out", "str", None, "output checkpoint path", True),
     ]),
     "fuse": (_cmd_fuse, "blend teacher and student weights", [
-        _Opt("alpha", "float", 0.4, "student weight in [0, 1]"),
+        *_field_opts(FusionConfig),
         _Opt("teacher", "str", None, "teacher checkpoint path", True),
         _Opt("student", "str", None, "student checkpoint path", True),
         _Opt("out", "str", None, "output checkpoint path", True),
@@ -548,11 +520,30 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _join_dash_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -v`` as ``--opt=-v``, so that the value reaches its option.
+
+    argparse reads a token that starts with one dash and is not a plain
+    number, such as ``-0.1,0.5``, as an unknown flag.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return argv
+    flags = {"--config", *(o.flag for o in _COMMANDS[argv[0]][2])}
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in flags and token[:1] == "-" and token[:2] != "--" \
+                and token != "-h":
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def cli_dispatch(argv) -> int:
     """Parse argv and run one subcommand; returns the process exit code."""
     parser = _build_parser()
     try:
-        ns = parser.parse_args(list(argv))
+        ns = parser.parse_args(_join_dash_values(list(argv)))
         if ns.command is None:
             parser.print_usage(sys.stderr)
             return 1

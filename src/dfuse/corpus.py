@@ -42,7 +42,7 @@ import json
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -66,35 +66,36 @@ _STREAM_MAP_VIDEO_SHIFT = 7
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n_concepts: int = 64
-    latent_dim: int = 16
-    d_v: int = 32
-    d_t: int = 32
-    frames_per_video: int = 8
-    noise_sigma: float = 0.05     # feature noise scale
-    concept_jitter: float = 0.5   # expected norm of the per-pair latent offset
-    prompt_jitter: float = 0.25   # expected norm of the per-prompt latent offset
-    video_domain_shift: float = 0.4  # rotates the video feature map away from the shared base
-    n_labeled_train: int = 512
-    n_labeled_val: int = 128
-    n_unlabeled: int = 4096
-    n_eval: int = 512
-    seed: int = 0
-    identity_maps: bool = False   # debug: feature maps = identity (needs d_v = d_t = latent_dim)
+    n_concepts: int = field(default=64, metadata={"help": "number of latent concepts"})
+    latent_dim: int = field(default=16, metadata={"help": "latent concept dimension"})
+    d_v: int = field(default=32, metadata={"help": "video feature dimension"})
+    d_t: int = field(default=32, metadata={"help": "text feature dimension"})
+    frames_per_video: int = field(default=8, metadata={"help": "frames per video record"})
+    noise_sigma: float = field(default=0.05, metadata={"help": "feature noise scale"})
+    concept_jitter: float = field(default=0.5, metadata={"help": "per-pair latent offset norm"})
+    prompt_jitter: float = field(default=0.25, metadata={"help": "per-prompt latent offset norm"})
+    video_domain_shift: float = field(
+        default=0.4, metadata={"help": "video-map rotation away from the base domain"})
+    n_labeled_train: int = field(default=512, metadata={"help": "labeled training pairs"})
+    n_labeled_val: int = field(default=128, metadata={"help": "labeled validation pairs"})
+    n_unlabeled: int = field(default=4096, metadata={"help": "unlabeled videos and texts"})
+    n_eval: int = field(default=512, metadata={"help": "held-out evaluation pairs"})
+    seed: int = field(default=0, metadata={"help": "generation seed"})
+    identity_maps: bool = field(default=False, metadata={"help": "identity feature maps (debug)"})
 
     def __post_init__(self):
         if self.n_concepts < 2:
             raise UsageError("n_concepts must be >= 2")
-        for field in ("latent_dim", "d_v", "d_t", "frames_per_video"):
-            if int(getattr(self, field)) < 1:
-                raise UsageError(f"SynthConfig.{field} must be >= 1")
-        for field in ("noise_sigma", "concept_jitter", "prompt_jitter", "video_domain_shift"):
-            value = getattr(self, field)
+        for name in ("latent_dim", "d_v", "d_t", "frames_per_video"):
+            if int(getattr(self, name)) < 1:
+                raise UsageError(f"SynthConfig.{name} must be >= 1")
+        for name in ("noise_sigma", "concept_jitter", "prompt_jitter", "video_domain_shift"):
+            value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
-                raise UsageError(f"SynthConfig.{field} must be >= 0 and finite, got {value}")
-        for field in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
-            if int(getattr(self, field)) < 0:
-                raise UsageError(f"SynthConfig.{field} must be >= 0")
+                raise UsageError(f"SynthConfig.{name} must be >= 0 and finite, got {value}")
+        for name in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
+            if int(getattr(self, name)) < 0:
+                raise UsageError(f"SynthConfig.{name} must be >= 0")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
         if self.identity_maps and not (self.d_v == self.d_t == self.latent_dim):

@@ -34,7 +34,7 @@ loops of the one-vector call, so every slice has that call's bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,15 +47,15 @@ from .numerics import ZERO_NORM_THRESHOLD, row_norms
 class EncoderConfig:
     input_dim_video: int
     input_dim_text: int
-    hidden_dim: int
-    embed_dim: int
-    n_frames: int = 4  # uniform temporal samples per video
+    hidden_dim: int = field(default=32, metadata={"help": "tower hidden width"})
+    embed_dim: int = field(default=16, metadata={"help": "shared embedding dimension"})
+    n_frames: int = field(default=4, metadata={"help": "uniform frame samples per video"})
     seed: int = 0
 
     def __post_init__(self):
-        for field in ("input_dim_video", "input_dim_text", "hidden_dim", "embed_dim", "n_frames"):
-            if int(getattr(self, field)) < 1:
-                raise UsageError(f"EncoderConfig.{field} must be >= 1")
+        for name in ("input_dim_video", "input_dim_text", "hidden_dim", "embed_dim", "n_frames"):
+            if int(getattr(self, name)) < 1:
+                raise UsageError(f"EncoderConfig.{name} must be >= 1")
         check_seed(self.seed)
 
 

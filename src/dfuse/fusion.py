@@ -7,7 +7,7 @@ the teacher and alpha = 1 the student.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,7 +18,7 @@ from .errors import UsageError
 
 @dataclass(frozen=True)
 class FusionConfig:
-    alpha: float = 0.4  # weight on the student side
+    alpha: float = field(default=0.4, metadata={"help": "student weight in [0, 1]"})
 
     def __post_init__(self):
         if not np.isfinite(self.alpha) or not 0.0 <= self.alpha <= 1.0:

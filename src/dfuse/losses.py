@@ -29,7 +29,7 @@ all weigh 0 adds to the loss but skips its backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -50,8 +50,8 @@ from .numerics import matmul, scaled_dots, softmax_pair
 
 @dataclass(frozen=True)
 class LossConfig:
-    sigma: float = 0.05     # softmax temperature
-    lambda_: float = 0.999  # weight on the distillation term
+    sigma: float = field(default=0.05, metadata={"help": "softmax temperature"})
+    lambda_: float = field(default=0.999, metadata={"help": "distillation weight"})
 
     def __post_init__(self):
         if not np.isfinite(self.sigma) or self.sigma <= 0:

@@ -23,7 +23,7 @@ that term over the whole held-out split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,16 +39,17 @@ _UNLABELED_TEXT_STREAM = 103
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lr: float = 3e-5
-    batch_size_labeled: int = 32
-    batch_size_unlabeled: int = 32
-    max_steps: int = 2000
-    eval_every: int = 100
-    seed: int = 0
-    weight_decay: float = 0.01
+    lr: float = field(default=3e-5, metadata={"help": "AdamW learning rate"})
+    batch_size_labeled: int = field(default=32, metadata={"help": "labeled batch size"})
+    batch_size_unlabeled: int = field(default=32, metadata={"help": "unlabeled batch size"})
+    max_steps: int = field(default=2000, metadata={"help": "optimization steps"})
+    eval_every: int = field(default=100, metadata={"help": "validation cadence in steps"})
+    seed: int = field(default=0, metadata={"help": "shuffling seed (a teacher's init seed too)"})
+    weight_decay: float = field(default=0.01, metadata={"help": "AdamW decoupled weight decay"})
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
-    distill_on_labeled: bool = False  # also distill on labeled batches
+    distill_on_labeled: bool = field(
+        default=False, metadata={"help": "also distill on labeled batches"})
 
     def __post_init__(self):
         if not np.isfinite(self.lr) or self.lr <= 0:

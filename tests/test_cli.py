@@ -74,18 +74,6 @@ class TestConfigResolution:
         assert load_corpus(tmp_path / "b.jsonl").synth.seed == 9
         assert sha256_file(a) != sha256_file(tmp_path / "b.jsonl")
 
-    def test_unknown_config_key(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("mystery_knob = 3\n")
-        assert cli_dispatch(["gen-corpus", "--config", str(cfg), "--out", "x"]) == 1
-        assert "mystery_knob" in capsys.readouterr().err
-
-    def test_malformed_config_line(self, tmp_path, capsys):
-        cfg = tmp_path / "gen.cfg"
-        cfg.write_text("seed 5\n")
-        assert cli_dispatch(["gen-corpus", "--config", str(cfg), "--out", "x"]) == 1
-        assert "line 1" in capsys.readouterr().err
-
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DFUSE_SEED", "21")
         implicit = gen_tiny_corpus(tmp_path / "env.jsonl", seed=None)
@@ -102,6 +90,39 @@ class TestConfigResolution:
     def test_bad_typed_value(self, capsys):
         assert cli_dispatch(["gen-corpus", "--seed", "not-a-number", "--out", "x"]) == 1
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,lineno,reason", [
+        pytest.param("gen-corpus", b"seed = 5\nmystery_knob = 3\n", 2,
+                     "unknown config key 'mystery_knob' for this command", id="unknown-key"),
+        pytest.param("gen-corpus", b"seed 5\n", 1, "expected 'key = value'", id="no-equals"),
+        pytest.param("gen-corpus", b"# corpus shape\n = 3\n", 2, "expected 'key = value'",
+                     id="empty-key"),
+        pytest.param("gen-corpus", b"seed = five\n", 1,
+                     "bad value for seed: invalid literal for int() with base 10: 'five'",
+                     id="bad-value"),
+        pytest.param("gen-corpus", b"seed = 5\n\nseed = 7\n", 3,
+                     "config key 'seed' is already set on line 1", id="duplicate-key"),
+        pytest.param("train-student", b"lambda = 0.5\nlambda = 0.5\n", 2,
+                     "config key 'lambda' is already set on line 1", id="duplicate-lambda"),
+        pytest.param("gen-corpus", b"seed = 5\n\xff = 3\n", 2, "not UTF-8 text", id="not-utf8"),
+    ])
+    def test_config_file_error_names_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                                   command, text, lineno, reason):
+        import dfuse.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an input was read before the config file was checked")
+
+        for name in ("gen_corpus", "load_corpus", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, no_work)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        required = ["--out", str(tmp_path / "out")]
+        if command == "train-student":
+            required += ["--teacher", "t.ckpt", "--corpus", "c.jsonl"]
+        assert cli_dispatch([command, "--config", str(cfg), *required]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: line {lineno}: {reason}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 
@@ -824,6 +845,7 @@ class TestOutOfRangeArguments:
           for alphas, message in [
               ("0.5,2", "alpha must lie in [0, 1], got 2.0"),
               ("0.5,-0.1", "alpha must lie in [0, 1], got -0.1"),
+              ("-0.1,0.5", "alpha must lie in [0, 1], got -0.1"),
               ("0,nan", "alpha must lie in [0, 1], got nan"),
               ("0,inf", "alpha must lie in [0, 1], got inf"),
               ("0,0.5,0", "alpha 0.0 appears twice in the alpha list"),
