@@ -125,7 +125,6 @@ class TestConfigResolution:
         assert list(tmp_path.iterdir()) == [cfg]
 
 
-
 class _Stop(Exception):
     """Raised by a stand-in to end a command before it does any work."""
 
