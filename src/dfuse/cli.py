@@ -17,6 +17,7 @@ input is hashed when the manifest is written. Exit codes:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -50,6 +51,8 @@ from .losses import LossConfig
 from .training import TrainConfig, pretrain_teacher, train_student, validation_loss
 
 SEED_ENV_VAR = "DFUSE_SEED"
+# glibc's malloc_trim returns the C heap's free pages to the OS; None without glibc.
+_MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -563,6 +566,9 @@ def cli_dispatch(argv) -> int:
         return 2
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    finally:  # glibc keeps freed pages, as many as the heap's layout happens to leave
+        if _MALLOC_TRIM is not None:
+            _MALLOC_TRIM(0)
 
 
 def main() -> int:

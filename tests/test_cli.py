@@ -922,6 +922,19 @@ class TestOutOfMemory:
         assert list(tmp_path.iterdir()) == []
 
 
+def test_every_command_returns_freed_heap(tmp_path, monkeypatch, capsys):
+    """``malloc_trim(0)`` runs once after each command, a failed one too."""
+    import dfuse.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "_MALLOC_TRIM", calls.append)
+    gen_tiny_corpus(tmp_path / "c.jsonl")
+    assert calls == [0]
+    assert cli_dispatch(["pretrain-teacher", "--corpus", str(tmp_path / "missing.jsonl"),
+                         "--out", str(tmp_path / "t.ckpt")]) == 1
+    assert calls == [0, 0]
+
+
 class TestAuxiliaryOutputs:
     def test_delta_limit_truncates(self, mini_pipeline):
         root, _, _ = mini_pipeline
