@@ -62,7 +62,7 @@ teacher = pretrain_teacher(
     TrainConfig(lr=3e-3, batch_size_labeled=64, batch_size_unlabeled=64,
                 max_steps=600, eval_every=200, seed=SEED),
     log=print,
-)
+).params
 print(f"teacher R@1  on single-frame eval: {video_r1(teacher, images):.3f}")
 print(f"teacher R@1  on shifted video eval: {video_r1(teacher, videos):.3f}")
 

@@ -23,7 +23,6 @@ from dfuse import (
     sweep_alpha,
     train_student,
 )
-from dfuse.evaluation import report_summary
 
 SEED = 9
 
@@ -39,7 +38,7 @@ enc = EncoderConfig(32, 32, 32, 16, n_frames=4, seed=SEED)
 teacher = pretrain_teacher(
     images, enc,
     TrainConfig(lr=3e-3, batch_size_labeled=64, max_steps=600, eval_every=300, seed=SEED),
-)
+).params
 student = train_student(
     teacher, videos, enc, LossConfig(sigma=0.05, lambda_=0.999),
     TrainConfig(lr=3e-4, batch_size_labeled=16, batch_size_unlabeled=16,
@@ -56,7 +55,7 @@ rows = sweep_alpha(
 
 print("alpha   top1    r@1     r@5     mdr")
 for alpha, report in rows:
-    s = report_summary(report)
+    s = report.summary
     print(f"{alpha:4.1f}  {s['top1']:6.3f}  {s['r_at_1']:6.3f}  {s['r_at_5']:6.3f}  {s['mdr']:4d}")
 
 # --- endpoint sanity: fusion at 0 and 1 is exact -------------------------------
@@ -66,5 +65,5 @@ fused1 = fuse_weights(teacher, student, FusionConfig(alpha=1.0))
 print("\nalpha=0 equals teacher weights:", np.array_equal(fused0.values, teacher.values))
 print("alpha=1 equals student weights:", np.array_equal(fused1.values, student.values))
 
-best_alpha, best = max(rows, key=lambda ar: report_summary(ar[1])["r_at_1"])
-print(f"\nbest retrieval R@1 at alpha={best_alpha}: {report_summary(best)['r_at_1']:.3f}")
+best_alpha, best = max(rows, key=lambda ar: ar[1].summary["r_at_1"])
+print(f"\nbest retrieval R@1 at alpha={best_alpha}: {best.summary['r_at_1']:.3f}")

@@ -40,7 +40,7 @@ enc = EncoderConfig(32, 32, 32, 16, n_frames=4, seed=SEED)
 teacher = pretrain_teacher(
     images, enc,
     TrainConfig(lr=3e-3, batch_size_labeled=64, max_steps=600, eval_every=300, seed=SEED),
-)
+).params
 student = train_student(
     teacher, videos, enc, LossConfig(sigma=0.05, lambda_=0.999),
     TrainConfig(lr=3e-4, batch_size_labeled=16, batch_size_unlabeled=16,
@@ -52,10 +52,9 @@ eval_inputs = prepare_eval(videos, enc, build_prompt_set(videos.synth))
 report_teacher = evaluate_model(teacher, eval_inputs, enc)
 report_fused = evaluate_model(fused, eval_inputs, enc)
 
-print(f"teacher: top1={report_teacher.top1:.3f}  r@1={report_teacher.recall_at[1]:.3f}  "
-      f"mdr={report_teacher.mdr}")
-print(f"fused:   top1={report_fused.top1:.3f}  r@1={report_fused.recall_at[1]:.3f}  "
-      f"mdr={report_fused.mdr}")
+for label, report in (("teacher:", report_teacher), ("fused:  ", report_fused)):
+    s = report.summary
+    print(f"{label} top1={s['top1']:.3f}  r@1={s['r_at_1']:.3f}  mdr={s['mdr']}")
 
 # --- which classes moved ------------------------------------------------------
 

@@ -60,7 +60,6 @@ from .gradcheck import finite_difference_grad, run_gradcheck
 from .losses import LossConfig, total_loss_grad
 from .numerics import l2_normalize_rows, similarity_matrix
 from .training import (
-    CheckpointRecord,
     OptimizerState,
     TrainConfig,
     adamw_step,

@@ -7,6 +7,9 @@ endpoint comparisons rely on, so checkpoints are little-endian binary:
     | step (int64) | val_loss (float64) | tensor count (int64)
     | per tensor: name length (uint16), name utf-8, ndim (uint8), dims (int64 each)
     | value count (int64) | values (float64 each) | crc32 of the value bytes (uint32)
+
+``load_checkpoint`` rejects a file whose weights are not all finite. The
+validation loss may be NaN: a fused checkpoint carries none of its own.
 """
 
 from __future__ import annotations
@@ -128,6 +131,9 @@ def load_checkpoint(path) -> Checkpoint:
     if zlib.crc32(value_bytes) != crc:
         raise CheckpointChecksumError(f"{source}: value checksum mismatch")
     values = np.frombuffer(value_bytes, dtype="<f8").astype(np.float64)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise CheckpointFormatError(f"{source}: weight {int(bad[0])} is not finite")
     try:
         enc_cfg = EncoderConfig(
             input_dim_video=dv, input_dim_text=dt, hidden_dim=hidden,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import io
 import json
 import os
 import sys
@@ -26,29 +27,25 @@ from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import Corpus, SynthConfig, gen_corpus, load_corpus
-from .encoder import EncoderConfig, check_seed, sample_frames
+from .encoder import EncoderConfig, check_seed
 from .errors import DfuseError, UsageError, ValidationError
 from .evaluation import (
     DEFAULT_TEMPLATE,
     SUMMARY_METRICS,
-    EvalReport,
     build_prompt_set,
     delta_table,
-    delta_tsv,
     evaluate_model,
     parse_report_records,
     prepare_eval,
     rank_distribution,
-    rank_distribution_tsv,
     report_jsonl,
-    report_summary,
     report_table,
 )
-from .fileio import atomic_write_text, sha256_file
+from .fileio import atomic_write_text, sha256_file, tsv
 from .fusion import FusionConfig, fuse_weights, sweep_alpha
 from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
 from .losses import LossConfig
-from .training import TrainConfig, pretrain_teacher, train_student, validation_loss
+from .training import TrainConfig, pretrain_teacher, train_student
 
 SEED_ENV_VAR = "DFUSE_SEED"
 # glibc's malloc_trim returns the C heap's free pages to the OS; None without glibc.
@@ -111,17 +108,20 @@ def _build(cls, values: dict, **fixed):
     return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **fixed)
 
 
-def _read_config_file(path: str, by_key: dict[str, _Opt]) -> dict:
-    """Option name -> value for each ``key = value`` line; errors name the file and line."""
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"config file not found: {path}")
-    data = p.read_bytes()
+def _read_text(path: str, what: str) -> str:
+    """The UTF-8 text of file ``path``; a missing file or a non-UTF-8 byte is a
+    usage error, the latter naming the file and line."""
+    data = _require_file(path, what).read_bytes()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise UsageError(f"{path}: line {lineno}: not UTF-8 text") from None
+
+
+def _read_config_file(path: str, by_key: dict[str, _Opt]) -> dict:
+    """Option name -> value for each ``key = value`` line; errors name the file and line."""
+    text = _read_text(path, "config file")
     values: dict = {}
     first_seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -231,23 +231,18 @@ def _cmd_gen_corpus(values: dict) -> int:
 
 
 def _cmd_pretrain_teacher(values: dict) -> int:
+    # Every option is checked before the corpus read that EncoderConfig needs.
     train_cfg = _build(TrainConfig, values)
-    check_seed(values["seed"])  # before the corpus read that EncoderConfig needs
+    loss_cfg = _build(LossConfig, values, lambda_=0.0)
+    check_seed(values["seed"])
     corpus = load_corpus(_require_file(values["corpus"], "corpus file"))
     enc_cfg = _build(EncoderConfig, values,
                      input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t)
-    params = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=values["sigma"], log=print)
-    val_videos, val_texts = corpus.paired("labeled-val")
-    final_val = validation_loss(
-        params, sample_frames(val_videos, enc_cfg), val_texts, enc_cfg, values["sigma"]
-    )
+    ckpt = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=loss_cfg.sigma, log=print)
     out = Path(values["out"])
-    save_checkpoint(out, Checkpoint(
-        enc_cfg, _build(LossConfig, values, lambda_=0.0),
-        params, step=train_cfg.max_steps, val_loss=final_val,
-    ))
+    save_checkpoint(out, ckpt)
     _write_manifest(out, "pretrain-teacher", values, [], [out.name], corpus)
-    print(f"wrote {out} (final val loss {final_val:.6f})")
+    print(f"wrote {out} (final val loss {ckpt.val_loss:.6f})")
     return 0
 
 
@@ -256,14 +251,12 @@ def _cmd_train_student(values: dict) -> int:
     train_cfg = _build(TrainConfig, values)
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
-    record = train_student(teacher.params, corpus, teacher.enc_cfg, loss_cfg, train_cfg, log=print)
+    ckpt = train_student(teacher.params, corpus, teacher.enc_cfg, loss_cfg, train_cfg, log=print)
     out = Path(values["out"])
-    save_checkpoint(out, Checkpoint(
-        teacher.enc_cfg, loss_cfg, record.params, record.step, record.val_loss,
-    ))
+    save_checkpoint(out, ckpt)
     _write_manifest(out, "train-student", values, [Path(values["teacher"])], [out.name],
                     corpus)
-    print(f"wrote {out} (best step {record.step}, val loss {record.val_loss:.6f})")
+    print(f"wrote {out} (best step {ckpt.step}, val loss {ckpt.val_loss:.6f})")
     return 0
 
 
@@ -287,18 +280,6 @@ def _cmd_fuse(values: dict) -> int:
                     [Path(values["teacher"]), Path(values["student"])], [out.name])
     print(f"wrote {out} (alpha {values['alpha']})")
     return 0
-
-
-def _metric_row(alpha: float, report: EvalReport) -> dict:
-    return {"alpha": alpha, **report_summary(report)}
-
-
-def _sweep_tsv(rows: list[dict]) -> str:
-    lines = ["alpha\t" + "\t".join(SUMMARY_METRICS)]
-    for row in rows:
-        cells = [repr(row["alpha"])] + [repr(row[m]) for m in SUMMARY_METRICS]
-        lines.append("\t".join(cells))
-    return "\n".join(lines) + "\n"
 
 
 def _sweep_summary(rows: list[dict]) -> dict:
@@ -330,18 +311,6 @@ def _sweep_summary(rows: list[dict]) -> dict:
     }
 
 
-def _impact_tsv(rows: list[dict], impact_alpha: float) -> str:
-    by_alpha = {row["alpha"]: row for row in rows}
-    teacher, student, fused = by_alpha[0.0], by_alpha[1.0], by_alpha[impact_alpha]
-    lines = ["model\talpha\t" + "\t".join(SUMMARY_METRICS)]
-    for label, row in (("teacher", teacher), ("student", student), ("fused", fused)):
-        cells = [label, repr(row["alpha"])] + [repr(row[m]) for m in SUMMARY_METRICS]
-        lines.append("\t".join(cells))
-    delta_cells = ["delta", "-"] + [repr(fused[m] - teacher[m]) for m in SUMMARY_METRICS]
-    lines.append("\t".join(delta_cells))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_sweep_alpha(values: dict) -> int:
     alphas = _parse_alphas(values["alphas"])
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
@@ -354,16 +323,23 @@ def _cmd_sweep_alpha(values: dict) -> int:
     def evaluate(params):
         return evaluate_model(params, inputs, teacher.enc_cfg)
 
-    rows = [_metric_row(a, rep) for a, rep in sweep_alpha(teacher.params, student.params, alphas, evaluate)]
+    rows = [{"alpha": a, **rep.summary}
+            for a, rep in sweep_alpha(teacher.params, student.params, alphas, evaluate)]
     stem = Path(values["out"])
     outputs = [stem.name + ".tsv", stem.name + ".jsonl"]
-    atomic_write_text(str(stem) + ".tsv", _sweep_tsv(rows))
+    atomic_write_text(str(stem) + ".tsv",
+                      tsv(("alpha", *SUMMARY_METRICS), [row.values() for row in rows]))
     jsonl = "".join(json.dumps({"record": "alpha_row", **row}) + "\n" for row in rows)
     jsonl += json.dumps(_sweep_summary(rows)) + "\n"
     atomic_write_text(str(stem) + ".jsonl", jsonl)
-    impact_alpha = values["impact_alpha"]
-    if {0.0, 1.0, impact_alpha} <= set(r["alpha"] for r in rows):
-        atomic_write_text(str(stem) + ".impact.tsv", _impact_tsv(rows, impact_alpha))
+    by_alpha = {row["alpha"]: row for row in rows}
+    impact = (("teacher", 0.0), ("student", 1.0), ("fused", values["impact_alpha"]))
+    if all(alpha in by_alpha for _, alpha in impact):
+        table = [(label, *by_alpha[alpha].values()) for label, alpha in impact]
+        fused, base = by_alpha[values["impact_alpha"]], by_alpha[0.0]
+        table.append(("delta", "-", *(fused[m] - base[m] for m in SUMMARY_METRICS)))
+        atomic_write_text(str(stem) + ".impact.tsv",
+                          tsv(("model", "alpha", *SUMMARY_METRICS), table))
         outputs.append(stem.name + ".impact.tsv")
     _write_manifest(stem, "sweep-alpha", values,
                     [Path(values["teacher"]), Path(values["student"])], outputs, corpus)
@@ -382,9 +358,8 @@ def _run_eval(values: dict, command: str, printed: tuple[str, ...]) -> int:
     atomic_write_text(str(stem) + ".jsonl", report_jsonl(report))
     _write_manifest(stem, command, values, [Path(values["ckpt"])],
                     [stem.name + ".tsv", stem.name + ".jsonl"], corpus)
-    summary = report_summary(report)
     for metric in printed:
-        print(f"{metric}\t{summary[metric]!r}")
+        print(f"{metric}\t{report.summary[metric]!r}")
     return 0
 
 
@@ -396,9 +371,9 @@ def _cmd_eval_classify(values: dict) -> int:
     return _run_eval(values, "eval-classify", ("top1", "top5"))
 
 
-def _read_report(path) -> object:
-    with open(_require_file(path, "report file"), "r", encoding="utf-8") as fh:
-        return parse_report_records(fh)
+def _read_report(path: str):
+    text = _read_text(path, "report file")
+    return parse_report_records(io.StringIO(text, newline=None), source=path)
 
 
 def _cmd_report_class_delta(values: dict) -> int:
@@ -408,7 +383,7 @@ def _cmd_report_class_delta(values: dict) -> int:
     rows = delta_table(a.per_class_acc, b.per_class_acc, limit=limit)
     table = [(name, a.per_class_acc[name], b.per_class_acc[name], d) for name, d in rows]
     out = Path(values["out"])
-    atomic_write_text(out, delta_tsv(table))
+    atomic_write_text(out, tsv(("class", "acc_a", "acc_b", "delta"), table))
     _write_manifest(out, "report-class-delta", values,
                     [Path(values["report_a"]), Path(values["report_b"])], [out.name])
     print(f"wrote {out} with {len(table)} rows")
@@ -420,7 +395,7 @@ def _cmd_report_rank_dist(values: dict) -> int:
     b = _read_report(values["report_b"])
     table = rank_distribution(a.rank_list, b.rank_list)
     out = Path(values["out"])
-    atomic_write_text(out, rank_distribution_tsv(table))
+    atomic_write_text(out, tsv(("position", "rank_a", "rank_b"), table.tolist()))
     _write_manifest(out, "report-rank-dist", values,
                     [Path(values["report_a"]), Path(values["report_b"])], [out.name])
     print(f"wrote {out} with {table.shape[0]} rows")

@@ -9,9 +9,12 @@ vectors always have identical layouts (the prerequisite for weight fusion).
 Raw frame stacks are validated and frame-sampled once, by ``sample_frames``,
 into one dense ``(N, n_frames, d_v)`` array; training samples each split once
 per run and gathers batch rows from it. ``video_forward`` only ever sees such
-arrays. ``encode_video_batch`` takes raw stacks and samples them on the way
-in. The loss encodes several batches in one call per tower: ``joined=True``
-leaves the input and zero-norm checks to that caller, which runs them per
+arrays. It and ``text_forward`` are the unchecked forward cores: they neither
+check their inputs nor reject zero-norm embeddings. The checked entries are
+``encode_sampled``, ``encode_video_batch`` (which takes raw stacks and
+samples them on the way in) and ``encode_text_batch``; each checks its
+inputs before the forward and the embedding norms after it. The loss encodes
+several batches in one call per tower and runs those checks itself, per
 batch.
 
 Still images (T=1 records, sampled to ``n_frames`` copies) share one tower
@@ -183,12 +186,10 @@ def reject_zero_norms(norms: np.ndarray) -> None:
         )
 
 
-def _normalize_with_cache(x, h, pooled, joined: bool) -> TowerCache:
+def _normalize_with_cache(x, h, pooled) -> TowerCache:
     norms = row_norms(pooled)
-    if not joined:
-        reject_zero_norms(norms)
-    # A joined caller rejects zero-norm rows itself; the clamp keeps numpy from
-    # warning on them and is the identity on every row that passes.
+    # Callers reject zero-norm rows after the forward; the clamp keeps numpy
+    # from warning on them and is the identity on every row that passes.
     z = pooled / np.maximum(norms, ZERO_NORM_THRESHOLD)[..., None]
     return TowerCache(x, h, pooled, norms, z)
 
@@ -245,15 +246,11 @@ def check_video_batch(stacks, cfg: EncoderConfig) -> np.ndarray:
     return stacks
 
 
-def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig,
-                  joined: bool = False) -> TowerCache:
-    """Encode a batch of sampled frames (from ``sample_frames``); embeddings plus cache.
-
-    ``joined=True`` is for a caller that encodes several batches at once: it
-    has checked each one (``check_video_batch``) and checks each one's norms
-    (``reject_zero_norms``) itself.
-    """
-    b = (stacks if joined else check_video_batch(stacks, cfg)).shape[0]
+def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig) -> TowerCache:
+    """Encode a batch of sampled frames; embeddings plus cache. Unchecked: the
+    caller has passed ``stacks`` through ``check_video_batch`` and checks the
+    norms (``reject_zero_norms``)."""
+    b = stacks.shape[0]
     videos = np.ascontiguousarray(stacks, dtype=np.float64)
     frames = videos.reshape(b * cfg.n_frames, -1)
     if _is_still(videos):
@@ -265,7 +262,7 @@ def video_forward(params: ParamVector, stacks: np.ndarray, cfg: EncoderConfig,
         u, h = _tower_apply(params, "video", frames)
     per_frame = u.reshape(u.shape[:-2] + (b, cfg.n_frames, cfg.embed_dim))
     pooled = np.einsum("...bne->...be", per_frame) / cfg.n_frames
-    return _normalize_with_cache(frames, h, pooled, joined)
+    return _normalize_with_cache(frames, h, pooled)
 
 
 def check_text_batch(features, cfg: EncoderConfig) -> np.ndarray:
@@ -284,26 +281,29 @@ def check_text_batch(features, cfg: EncoderConfig) -> np.ndarray:
     return x
 
 
-def text_forward(params: ParamVector, features, cfg: EncoderConfig,
-                 joined: bool = False) -> TowerCache:
-    """Encode a batch of raw text feature vectors; returns embeddings plus cache.
+def text_forward(params: ParamVector, features, cfg: EncoderConfig) -> TowerCache:
+    """Encode a batch of text feature vectors; embeddings plus cache. Unchecked,
+    as ``video_forward``, with ``check_text_batch``."""
+    u, h = _tower_apply(params, "text", features)
+    return _normalize_with_cache(features, h, u)
 
-    ``joined=True`` as for ``video_forward``, with ``check_text_batch``.
-    """
-    x = features if joined else check_text_batch(features, cfg)
-    u, h = _tower_apply(params, "text", x)
-    return _normalize_with_cache(x, h, u, joined)
+
+def _checked_z(cache: TowerCache) -> np.ndarray:
+    reject_zero_norms(cache.norms)
+    return cache.z
 
 
 def encode_video_batch(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
     """Unit-norm embeddings of raw frame stacks, sampled on the way in."""
-    return video_forward(params, sample_frames(stacks, cfg), cfg).z
+    return _checked_z(video_forward(params, sample_frames(stacks, cfg), cfg))
 
 
 def encode_text_batch(params: ParamVector, features, cfg: EncoderConfig) -> np.ndarray:
-    return text_forward(params, features, cfg).z
+    """Unit-norm embeddings of raw text features (one vector is one row)."""
+    return _checked_z(text_forward(params, check_text_batch(features, cfg), cfg))
 
 
 def encode_sampled(params: ParamVector, frames: np.ndarray, features, cfg: EncoderConfig):
     """``(z_v, z_t)``: unit-norm embeddings of sampled frames and of text features."""
-    return video_forward(params, frames, cfg).z, text_forward(params, features, cfg).z
+    z_v = _checked_z(video_forward(params, check_video_batch(frames, cfg), cfg))
+    return z_v, encode_text_batch(params, features, cfg)

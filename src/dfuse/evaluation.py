@@ -30,15 +30,17 @@ from .corpus import Corpus, class_name_for, prompt_feature_fn
 from .encoder import (
     EncoderConfig,
     ParamVector,
+    encode_sampled,
     encode_text_batch,
     sample_frames,
-    video_forward,
 )
 from .errors import UsageError
+from .fileio import tsv
 from .numerics import as_matrix, l2_normalize_rows
 
 DEFAULT_TEMPLATE = "a video of a person {c}"
 RECALL_KS = (1, 5, 10)
+SUMMARY_METRICS = ("top1", "top5", "r_at_1", "r_at_5", "r_at_10", "mdr")
 
 
 def _check_prompts(templates: tuple[str, ...], classes: tuple[str, ...]) -> None:
@@ -193,29 +195,46 @@ def median_rank(ranks: RankList) -> int:
     return int(ordered[(len(ordered) - 1) // 2])
 
 
+def _summary(metrics: Mapping) -> dict:
+    """The ``SUMMARY_METRICS`` of ``metrics``, in that order; ``UsageError``
+    unless each is a number (``mdr`` an integer) and they obey the metric
+    invariants."""
+    missing = [m for m in SUMMARY_METRICS if m not in metrics]
+    if missing:
+        raise UsageError(f"missing metric {missing[0]!r}")
+    summary = {m: metrics[m] for m in SUMMARY_METRICS}
+    for m, value in summary.items():
+        if isinstance(value, bool) or not isinstance(value, int if m == "mdr" else (int, float)):
+            kind = "an integer" if m == "mdr" else "a number"
+            raise UsageError(f"{m} must be {kind}, got {value!r}")
+        if m != "mdr" and not 0.0 <= value <= 1.0:
+            raise UsageError(f"{m} must lie in [0, 1], got {value!r}")
+    if summary["top5"] < summary["top1"]:
+        raise UsageError("top5 must be >= top1")
+    recall = [summary[f"r_at_{k}"] for k in RECALL_KS]
+    if any(a > b for a, b in zip(recall, recall[1:])):
+        raise UsageError("recall must be non-decreasing in k")
+    if summary["mdr"] < 1:
+        raise UsageError("median rank must be >= 1")
+    return summary
+
+
 @dataclass(eq=False)
 class EvalReport:
-    """Metric bundle for one model on one corpus, plus per-query detail."""
+    """Metric bundle for one model on one corpus, plus per-query detail.
 
-    top1: float
-    top5: float
-    recall_at: dict[int, float]
-    mdr: int
+    ``summary`` maps each of ``SUMMARY_METRICS`` to its value, in that order.
+    """
+
+    summary: dict
     per_class_acc: dict[str, float]
     per_class_count: dict[str, int]
     rank_list: RankList
 
     def __post_init__(self):
-        fractions = [self.top1, self.top5, *self.recall_at.values(), *self.per_class_acc.values()]
-        if any(not 0.0 <= f <= 1.0 for f in fractions):
+        self.summary = _summary(self.summary)
+        if any(not 0.0 <= f <= 1.0 for f in self.per_class_acc.values()):
             raise UsageError("report fractions must lie in [0, 1]")
-        if self.top5 < self.top1:
-            raise UsageError("top5 must be >= top1")
-        ks = sorted(self.recall_at)
-        if any(self.recall_at[a] > self.recall_at[b] for a, b in zip(ks, ks[1:])):
-            raise UsageError("recall must be non-decreasing in k")
-        if self.mdr < 1:
-            raise UsageError("median rank must be >= 1")
         if set(self.per_class_acc) != set(self.per_class_count):
             raise UsageError("per-class accuracy and count keys must match")
 
@@ -251,11 +270,8 @@ def evaluate_model(params: ParamVector, inputs: EvalInputs, enc_cfg: EncoderConf
     Text-to-video retrieval over the aligned eval pairs plus prompt-based
     classification of the eval videos against the prompt classes.
     """
-    gallery = video_forward(params, inputs.frames, enc_cfg).z
-    queries = encode_text_batch(params, inputs.texts, enc_cfg)
+    gallery, queries = encode_sampled(params, inputs.frames, inputs.texts, enc_cfg)
     ranks = retrieval_ranks(queries, gallery, np.arange(len(gallery)))
-    recall = {k: recall_at_k(ranks, k) for k in RECALL_KS}
-    mdr = median_rank(ranks)
 
     prompts, labels = inputs.prompts, inputs.labels
     cls_emb = class_embeddings(params, prompts, enc_cfg)
@@ -275,10 +291,10 @@ def evaluate_model(params: ParamVector, inputs: EvalInputs, enc_cfg: EncoderConf
         per_acc[name] = float(hits[idx]) / count
         per_count[name] = count
 
-    return EvalReport(
-        top1=top1, top5=top5, recall_at=recall, mdr=mdr,
-        per_class_acc=per_acc, per_class_count=per_count, rank_list=ranks,
-    )
+    summary = {"top1": top1, "top5": top5,
+               **{f"r_at_{k}": recall_at_k(ranks, k) for k in RECALL_KS},
+               "mdr": median_rank(ranks)}
+    return EvalReport(summary, per_acc, per_count, ranks)
 
 
 def delta_table(
@@ -322,36 +338,18 @@ def rank_distribution(ranks_a: RankList, ranks_b: RankList) -> np.ndarray:
 
 # --- report serialization -------------------------------------------------
 
-SUMMARY_METRICS = ("top1", "top5", "r_at_1", "r_at_5", "r_at_10", "mdr")
-
-
-def report_summary(report: EvalReport) -> dict:
-    """Flat metric dict in the canonical column order."""
-    return {
-        "top1": report.top1,
-        "top5": report.top5,
-        "r_at_1": report.recall_at[1],
-        "r_at_5": report.recall_at[5],
-        "r_at_10": report.recall_at[10],
-        "mdr": report.mdr,
-    }
-
-
 def report_table(report: EvalReport) -> str:
     """Human-readable tab-separated metric table."""
-    lines = ["metric\tvalue"]
-    for key, value in report_summary(report).items():
-        lines.append(f"{key}\t{value!r}")
-    lines.append(f"n_queries\t{len(report.rank_list)}")
-    lines.append(f"gallery_size\t{report.rank_list.gallery_size}")
-    return "\n".join(lines) + "\n"
+    return tsv(("metric", "value"), [*report.summary.items(),
+                                     ("n_queries", len(report.rank_list)),
+                                     ("gallery_size", report.rank_list.gallery_size)])
 
 
 def report_records(report: EvalReport) -> list[dict]:
     """Machine-readable line-delimited mirror of the full report."""
     records = [{
         "record": "summary",
-        **report_summary(report),
+        **report.summary,
         "n_queries": len(report.rank_list),
         "gallery_size": report.rank_list.gallery_size,
     }]
@@ -374,29 +372,23 @@ def report_jsonl(report: EvalReport) -> str:
     return "".join(json.dumps(rec) + "\n" for rec in report_records(report))
 
 
-@dataclass(eq=False)
-class ParsedReport:
-    """Subset of an EvalReport recovered from its line-delimited mirror."""
-
-    summary: dict
-    per_class_acc: dict[str, float]
-    per_class_count: dict[str, int]
-    rank_list: RankList
-
-
 def _per_class_entry(payload: dict) -> tuple[str, float, int]:
     name, acc, count = payload["class"], payload["accuracy"], payload["count"]
     if not isinstance(name, str):
         raise TypeError(f"class must be a string, got {name!r}")
     if isinstance(acc, bool) or not isinstance(acc, (int, float)):
         raise TypeError(f"accuracy must be a number, got {acc!r}")
+    if not 0.0 <= acc <= 1.0:
+        raise ValueError(f"accuracy must lie in [0, 1], got {acc!r}")
     if isinstance(count, bool) or not isinstance(count, int):
         raise TypeError(f"count must be an integer, got {count!r}")
     return name, acc, count
 
 
-def parse_report_records(lines) -> ParsedReport:
-    """Parse a report's JSON Lines; every malformed line raises ``UsageError`` naming it."""
+def parse_report_records(lines, source: str = "report") -> EvalReport:
+    """Parse a report's JSON Lines. Every malformed line, a summary record that
+    breaks an ``EvalReport`` invariant included, raises ``UsageError`` naming
+    ``source`` and the line."""
     summary = None
     per_acc: dict[str, float] = {}
     per_count: dict[str, int] = {}
@@ -404,18 +396,19 @@ def parse_report_records(lines) -> ParsedReport:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        where = f"{source}: line {lineno}"
         try:
             payload = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise UsageError(f"report line {lineno}: invalid JSON ({exc.msg})") from exc
+            raise UsageError(f"{where}: invalid JSON ({exc.msg})") from exc
         except RecursionError:
-            raise UsageError(f"report line {lineno}: invalid JSON (nested too deeply)") from None
+            raise UsageError(f"{where}: invalid JSON (nested too deeply)") from None
         if not isinstance(payload, dict):
-            raise UsageError(f"report line {lineno}: expected a JSON object")
+            raise UsageError(f"{where}: expected a JSON object")
         kind = payload.get("record")
         try:
             if kind == "summary":
-                summary = payload
+                summary = _summary(payload)
             elif kind == "per_class":
                 name, acc, count = _per_class_entry(payload)
                 per_acc[name] = acc
@@ -423,23 +416,9 @@ def parse_report_records(lines) -> ParsedReport:
             elif kind == "ranks":
                 ranks = RankList(np.asarray(payload["ranks"]), payload["gallery_size"])
         except KeyError as exc:
-            raise UsageError(f"report line {lineno}: {kind} record is missing {exc}") from None
+            raise UsageError(f"{where}: {kind} record is missing {exc}") from None
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"report line {lineno}: malformed {kind} record: {exc}") from None
+            raise UsageError(f"{where}: malformed {kind} record: {exc}") from None
     if summary is None or ranks is None:
-        raise UsageError("report is missing its summary or ranks record")
-    return ParsedReport(summary, per_acc, per_count, ranks)
-
-
-def delta_tsv(rows: Sequence[tuple[str, float, float, float]]) -> str:
-    lines = ["class\tacc_a\tacc_b\tdelta"]
-    for name, a, b, d in rows:
-        lines.append(f"{name}\t{a!r}\t{b!r}\t{d!r}")
-    return "\n".join(lines) + "\n"
-
-
-def rank_distribution_tsv(table: np.ndarray) -> str:
-    lines = ["position\trank_a\trank_b"]
-    for pos, ra, rb in table:
-        lines.append(f"{pos}\t{ra}\t{rb}")
-    return "\n".join(lines) + "\n"
+        raise UsageError(f"{source}: missing its summary or ranks record")
+    return EvalReport(summary, per_acc, per_count, ranks)

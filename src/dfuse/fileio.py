@@ -1,11 +1,11 @@
-"""Small file helpers: atomic writes and content hashing."""
+"""Small file helpers: atomic writes, content hashing and tab-separated tables."""
 
 from __future__ import annotations
 
 import hashlib
 import os
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 
@@ -55,3 +55,9 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def tsv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Tab-separated table: the header line, then one line per row, each cell
+    written with ``str`` (for Python floats and ints, the same as ``repr``)."""
+    return "".join("\t".join(map(str, row)) + "\n" for row in (header, *rows))

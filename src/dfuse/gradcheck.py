@@ -110,7 +110,7 @@ def _random_instance(trial: int, seed: int):
     return enc_cfg, cfg, params, labeled_frames, labeled_texts, unlabeled_frames, unlabeled_texts, pseudo
 
 
-def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
+def run_trial(trial: int, seed: int) -> GradCheckTrial:
     (enc_cfg, cfg, params, lv, lt, uv, ut, pseudo) = _random_instance(trial, seed)
     batches, terms = [(lv, lt), (uv, ut)], cfg.terms(pseudo)
 
@@ -119,7 +119,7 @@ def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
         return loss_forward(stack, batches, terms, cfg.sigma, enc_cfg)
 
     _, analytic = total_loss_grad(params, batches, terms, cfg.sigma, enc_cfg)
-    numeric = finite_difference_grad(losses, params, h=h)
+    numeric = finite_difference_grad(losses, params)
     errs = relative_errors(analytic, numeric)
     abs_err = np.abs(analytic.values - numeric.values)
     return GradCheckTrial(
@@ -128,10 +128,10 @@ def run_trial(trial: int, seed: int, h: float = 1e-5) -> GradCheckTrial:
     )
 
 
-def run_gradcheck(trials: int = 20, seed: int = 20240, h: float = 1e-5) -> list[GradCheckTrial]:
+def run_gradcheck(trials: int, seed: int) -> list[GradCheckTrial]:
     """Random-instance gradient check; every trial should pass ``DEFAULT_TOLERANCE``."""
     if trials < 1:
         raise UsageError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise UsageError(f"seed must be >= 0, got {seed}")
-    return [run_trial(t, seed, h=h) for t in range(trials)]
+    return [run_trial(t, seed) for t in range(trials)]

@@ -169,8 +169,8 @@ def _encode_batches(params: ParamVector, batches, terms, enc_cfg: EncoderConfig)
         for j, target, _ in terms:
             if j == i:
                 _check_target(b, target)
-    joined_v = video_forward(params, _join(videos), enc_cfg, joined=True)
-    joined_t = text_forward(params, _join(texts), enc_cfg, joined=True)
+    joined_v = video_forward(params, _join(videos), enc_cfg)
+    joined_t = text_forward(params, _join(texts), enc_cfg)
     caches, start = [], 0
     for v in videos:
         stop = start + v.shape[0]

@@ -1,11 +1,13 @@
-"""Deterministic training loops: AdamW, teacher pretraining, student training.
+"""Deterministic training: AdamW and one training loop for teacher and student.
 
-Teacher pretraining runs contrastive-only on single-frame pairs and returns
-the final weights. Student training starts from the teacher weights, combines
-the contrastive loss on labeled batches with teacher-distillation on
-unlabeled batches, and returns the checkpoint with the lowest labeled
-validation loss. Everything is seeded; identical inputs give bit-identical
-outputs.
+Teacher pretraining and student training run the same loop. Teacher
+pretraining starts from a seeded init with the distillation weight at 0,
+which leaves the contrastive loss on single-frame pairs, and keeps the final
+weights. Student training starts from the teacher weights, combines the
+contrastive loss on labeled batches with teacher-distillation on unlabeled
+batches, and keeps the weights with the lowest labeled validation loss. Both
+return a ``checkpointio.Checkpoint``. Everything is seeded; identical inputs
+give bit-identical outputs.
 
 Each run validates and frame-samples every split once (``sample_frames``)
 and gathers batch rows from the dense arrays; the frozen teacher encodes the
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpointio import Checkpoint
 from .encoder import EncoderConfig, ParamVector, encode_sampled, init_params, sample_frames
 from .errors import TrainingDivergedError, UsageError
 from .losses import LossConfig, loss_forward, total_loss_grad
@@ -153,97 +156,35 @@ def _log_line(log, step: int, train_loss: float, val_loss: float) -> None:
         log(f"{step}\t{train_loss:.6f}\t{val_loss:.6f}")
 
 
-def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
-                     sigma: float = 0.05, log=None) -> ParamVector:
-    """Contrastive-only pretraining on single-frame pairs; returns final weights.
+def _evaluations(init: ParamVector, corpus, enc_cfg: EncoderConfig, loss_cfg: LossConfig,
+                 train_cfg: TrainConfig, log):
+    """Train from ``init``; yield ``(step, params, val_loss)`` at step 0 and every eval step.
 
-    Stands in for a large pretrained image-text model: the corpus is expected
-    to hold T=1 video records paired with texts. The distillation weight is
-    forced to zero no matter what the caller configured elsewhere.
-    """
-    train_videos, train_texts = corpus.paired("labeled-train")
-    val_videos, val_texts = corpus.paired("labeled-val")
-    if len(train_videos) == 0:
-        raise UsageError("pretraining corpus has no labeled-train pairs")
-    if len(val_videos) == 0:
-        raise UsageError("pretraining corpus has no labeled-val pairs")
-    if len(train_videos) < 2 * train_cfg.batch_size_labeled:
-        raise UsageError("labeled-train split must hold at least two batches")
-    train_frames = sample_frames(train_videos, enc_cfg)
-    val_frames = sample_frames(val_videos, enc_cfg)
-
-    terms = LossConfig(sigma=sigma, lambda_=0.0).terms()
-    params = init_params(enc_cfg)
-    state = init_optimizer_state(params)
-    batcher = _IndexBatcher(
-        len(train_videos), train_cfg.batch_size_labeled,
-        np.random.default_rng([train_cfg.seed, _LABELED_STREAM]),
-    )
-    _log_line(log, 0, float("nan"),
-              validation_loss(params, val_frames, val_texts, enc_cfg, sigma))
-    for step in range(1, train_cfg.max_steps + 1):
-        idx = batcher.next_batch()
-        loss, grad = total_loss_grad(
-            params, [(train_frames[idx], train_texts[idx])], terms, sigma, enc_cfg
-        )
-        _check_step(loss, grad, step)
-        params, state = adamw_step(params, grad, state, train_cfg)
-        if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
-            _log_line(log, step, loss,
-                      validation_loss(params, val_frames, val_texts, enc_cfg, sigma))
-    return params
-
-
-@dataclass(eq=False)
-class CheckpointRecord:
-    """Best-validation snapshot of a training run plus its configuration."""
-
-    params: ParamVector
-    step: int
-    val_loss: float
-    enc_cfg: EncoderConfig
-    loss_cfg: LossConfig
-    train_cfg: TrainConfig
-
-    def __post_init__(self):
-        if not np.isfinite(self.val_loss):
-            raise UsageError(f"checkpoint val_loss must be finite, got {self.val_loss}")
-
-
-def train_student(
-    teacher: ParamVector,
-    corpus,
-    enc_cfg: EncoderConfig,
-    loss_cfg: LossConfig,
-    train_cfg: TrainConfig,
-    log=None,
-) -> CheckpointRecord:
-    """Train a student from teacher init; select by labeled validation loss.
-
-    Each step draws one labeled batch and one unlabeled batch (seeded
-    shuffling), takes the frozen teacher's soft targets for the unlabeled
-    batch from its once-per-run encoding of the pool, takes one combined
-    gradient step, and every ``eval_every`` steps evaluates the contrastive
-    loss on the labeled validation split. The returned record holds the
-    parameters with the minimum validation loss over all evaluations,
-    including the step-0 one.
+    Each step draws one labeled batch and, when distilling, one unlabeled
+    batch (seeded shuffling), takes the soft targets of the frozen teacher
+    ``init`` for the unlabeled batch from its once-per-run encoding of the
+    pool, and takes one combined gradient step. Every ``eval_every`` steps,
+    and at the last step, it evaluates the contrastive loss on the labeled
+    validation split. The unlabeled split is read only when lambda is not 0.
     """
     train_videos, train_texts = corpus.paired("labeled-train")
     val_videos, val_texts = corpus.paired("labeled-val")
     if len(train_videos) == 0 or len(val_videos) == 0:
-        raise UsageError("student training needs non-empty labeled-train and labeled-val splits")
+        raise UsageError("training needs non-empty labeled-train and labeled-val splits")
     if len(train_videos) < 2 * train_cfg.batch_size_labeled:
         raise UsageError(
             f"labeled-train split has {len(train_videos)} pairs; "
             f"needs >= {2 * train_cfg.batch_size_labeled}"
         )
-    unlabeled_videos, unlabeled_texts = corpus.unpaired("unlabeled")
-    use_distill = loss_cfg.lambda_ != 0.0 and len(unlabeled_videos) > 0
+    use_distill = False
+    if loss_cfg.lambda_ != 0.0:
+        unlabeled_videos, unlabeled_texts = corpus.unpaired("unlabeled")
+        use_distill = len(unlabeled_videos) > 0
     train_frames = sample_frames(train_videos, enc_cfg)
     val_frames = sample_frames(val_videos, enc_cfg)
 
-    student = teacher.copy()
-    state = init_optimizer_state(student)
+    params = init.copy()
+    state = init_optimizer_state(params)
     labeled_batcher = _IndexBatcher(
         len(train_videos), train_cfg.batch_size_labeled,
         np.random.default_rng([train_cfg.seed, _LABELED_STREAM]),
@@ -258,16 +199,13 @@ def train_student(
             np.random.default_rng([train_cfg.seed, _UNLABELED_TEXT_STREAM]),
         )
         unlabeled_frames = sample_frames(unlabeled_videos, enc_cfg)
-        teacher_uv, teacher_ut = encode_sampled(teacher, unlabeled_frames, unlabeled_texts, enc_cfg)
+        teacher_uv, teacher_ut = encode_sampled(init, unlabeled_frames, unlabeled_texts, enc_cfg)
         if train_cfg.distill_on_labeled:
-            teacher_lv, teacher_lt = encode_sampled(teacher, train_frames, train_texts, enc_cfg)
+            teacher_lv, teacher_lt = encode_sampled(init, train_frames, train_texts, enc_cfg)
 
-    def snapshot(step, val):
-        return CheckpointRecord(student.copy(), step, val, enc_cfg, loss_cfg, train_cfg)
-
-    val0 = validation_loss(student, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
-    _log_line(log, 0, float("nan"), val0)
-    best = snapshot(0, val0)
+    val = validation_loss(params, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
+    _log_line(log, 0, float("nan"), val)
+    yield 0, params, val
 
     for step in range(1, train_cfg.max_steps + 1):
         idx = labeled_batcher.next_batch()
@@ -282,14 +220,48 @@ def train_student(
                     teacher_lv[idx], teacher_lt[idx], loss_cfg.sigma
                 )
         loss, grad = total_loss_grad(
-            student, [(train_frames[idx], train_texts[idx])] + unlabeled,
+            params, [(train_frames[idx], train_texts[idx])] + unlabeled,
             loss_cfg.terms(pseudo, labeled_pseudo), loss_cfg.sigma, enc_cfg,
         )
         _check_step(loss, grad, step)
-        student, state = adamw_step(student, grad, state, train_cfg)
+        params, state = adamw_step(params, grad, state, train_cfg)
         if step % train_cfg.eval_every == 0 or step == train_cfg.max_steps:
-            val = validation_loss(student, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
+            val = validation_loss(params, val_frames, val_texts, enc_cfg, loss_cfg.sigma)
             _log_line(log, step, loss, val)
-            if val < best.val_loss:
-                best = snapshot(step, val)
+            yield step, params, val
+
+
+def pretrain_teacher(corpus, enc_cfg: EncoderConfig, train_cfg: TrainConfig,
+                     sigma: float = 0.05, log=None) -> Checkpoint:
+    """Contrastive-only pretraining from a seeded init; returns the final weights.
+
+    Stands in for a large pretrained image-text model: the corpus is expected
+    to hold T=1 video records paired with texts. The distillation weight is
+    zero, so the unlabeled split is never read.
+    """
+    loss_cfg = LossConfig(sigma=sigma, lambda_=0.0)
+    for step, params, val in _evaluations(
+            init_params(enc_cfg), corpus, enc_cfg, loss_cfg, train_cfg, log):
+        pass
+    return Checkpoint(enc_cfg, loss_cfg, params, step, val)
+
+
+def train_student(
+    teacher: ParamVector,
+    corpus,
+    enc_cfg: EncoderConfig,
+    loss_cfg: LossConfig,
+    train_cfg: TrainConfig,
+    log=None,
+) -> Checkpoint:
+    """Train a student from teacher init; select by labeled validation loss.
+
+    The frozen teacher gives the distillation targets. The returned
+    checkpoint holds the parameters with the minimum validation loss over all
+    evaluations, including the step-0 one; of equal losses, the first.
+    """
+    best = None
+    for step, params, val in _evaluations(teacher, corpus, enc_cfg, loss_cfg, train_cfg, log):
+        if best is None or val < best.val_loss:
+            best = Checkpoint(enc_cfg, loss_cfg, params, step, val)
     return best

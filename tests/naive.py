@@ -90,12 +90,12 @@ def naive_finite_difference_grad(loss_of, values, h=1e-5):
     return grad
 
 
-def naive_video_forward(params, frames, cfg, joined=False):
+def naive_video_forward(params, frames, cfg):
     """The video tower on every frame row of a sampled ``(B, n_frames, d_v)``
     array (no shared still-image pass), then mean pooling and L2 normalization.
     Returns ``TowerCache`` fields ``(x, h, pooled, norms, z)``; a stacked
-    ``(K, P)`` ``params`` gives a leading K axis. Norms are never checked:
-    ``joined`` only matches ``video_forward``'s signature."""
+    ``(K, P)`` ``params`` gives a leading K axis. Like ``video_forward``, it
+    checks neither the input nor the norms."""
     from dfuse.encoder import TowerCache
 
     b, n, d = frames.shape
@@ -130,15 +130,26 @@ def naive_tower_backward(grads, params, prefix, cache, dz, n_pool):
 
 def per_batch_loss_grad(params, batches, terms, sigma, enc_cfg):
     """The objective with each ``(videos, texts)`` batch through its own
-    ``video_forward`` and ``text_forward`` call, its checks right after its
-    forward and each term's size check when the term is reached, and the
+    checked ``video_forward`` and ``text_forward`` call (input check, forward,
+    norm check), each term's size check when the term is reached, and the
     cross-entropy and logits-gradient formulas written out in the order the
     production code evaluates them (which fixes their bits). Raises what that
     order raises. Returns ``(loss, grads)``: for a stacked ``(K, P)``
     ``params`` a ``(K,)`` loss and ``grads`` None, else a numpy scalar and
     per-tensor gradients."""
-    from dfuse.encoder import text_forward, video_forward
+    from dfuse.encoder import (
+        check_text_batch,
+        check_video_batch,
+        reject_zero_norms,
+        text_forward,
+        video_forward,
+    )
     from dfuse.errors import UsageError
+
+    def checked(forward, check, x):
+        cache = forward(params, check(x, enc_cfg), enc_cfg)
+        reject_zero_norms(cache.norms)
+        return cache
 
     def softmaxes(s):  # p_rows, logp_rows, p_cols, logp_cols
         out = []
@@ -151,8 +162,8 @@ def per_batch_loss_grad(params, batches, terms, sigma, enc_cfg):
 
     encoded = []
     for videos, texts in batches:
-        cv = video_forward(params, videos, enc_cfg)
-        ct = text_forward(params, texts, enc_cfg)
+        cv = checked(video_forward, check_video_batch, videos)
+        ct = checked(text_forward, check_text_batch, texts)
         b = cv.z.shape[-2]
         if b != ct.z.shape[-2]:
             raise UsageError(f"batch size mismatch: {b} videos vs {ct.z.shape[-2]} texts")

@@ -126,7 +126,7 @@ def _report_summary(path):
 
 def test_ac1_gradient_correctness():
     start = time.monotonic()
-    results = run_gradcheck(trials=20, seed=20240, h=1e-5)
+    results = run_gradcheck(trials=20, seed=20240)
     elapsed = time.monotonic() - start
     worst = max(r.max_rel_err for r in results)
     ok = all(r.passed(1e-4) for r in results) and elapsed < GRADCHECK_TIME_BUDGET

@@ -115,6 +115,16 @@ class TestCorruption:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_weight_names_the_file(self, tmp_path, ckpt, value):
+        values = ckpt.params.values.copy()
+        values[3] = value
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(path, Checkpoint(ckpt.enc_cfg, ckpt.loss_cfg,
+                                         ParamVector(values, ckpt.params.layout), 0, 0.0))
+        with pytest.raises(CheckpointFormatError, match=f"^{path}: weight 3 is not finite$"):
+            load_checkpoint(path)
+
     def test_layout_must_match_encoder_config(self, tmp_path, ckpt):
         # swapped video.w1 dims hold the same number of values, so only the
         # comparison with the configured layout can catch them

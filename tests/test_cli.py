@@ -545,7 +545,8 @@ class TestPipelineCommands:
                              "--report-b", str(tmp_path / "cls.jsonl"),
                              "--out", str(tmp_path / "delta.tsv")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: report line 2:") and err.count("\n") == 1
+        assert err == (f"error: {tmp_path / 'bad.jsonl'}: line 2: malformed per_class record: "
+                       "accuracy must be a number, got 'x'\n")
         assert not (tmp_path / "delta.tsv").exists()
 
     def test_report_nested_too_deeply_is_usage_error(self, mini_pipeline, tmp_path, capsys):
@@ -557,8 +558,79 @@ class TestPipelineCommands:
                              "--report-b", str(root / "cls_teacher.jsonl"),
                              "--out", str(tmp_path / "dist.tsv")]) == 1
         err = capsys.readouterr().err
-        assert err == "error: report line 1: invalid JSON (nested too deeply)\n"
+        assert err == f"error: {bad}: line 1: invalid JSON (nested too deeply)\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["deep.jsonl"]
+
+    @staticmethod
+    def _bad_report(mini_pipeline, tmp_path, edit) -> tuple[Path, Path]:
+        """``(good, bad)``: a classify report and a copy whose lines ``edit`` changed."""
+        root, _, videos = mini_pipeline
+        assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
+                             "--corpus", str(videos), "--out", str(tmp_path / "rep")]) == 0
+        good = tmp_path / "rep.jsonl"
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"".join(edit(good.read_bytes().splitlines(keepends=True))))
+        return good, bad
+
+    @pytest.mark.parametrize("bad_side", ["a", "b"])
+    def test_non_utf8_report_names_the_file_and_line(self, mini_pipeline, tmp_path, capsys,
+                                                     bad_side):
+        def edit(lines):
+            lines[2] = lines[2].replace(b'"class": "', b'"class": "\xff')
+            return lines
+
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        reports = (bad, good) if bad_side == "a" else (good, bad)
+        capsys.readouterr()
+        assert cli_dispatch(["report-rank-dist", "--report-a", str(reports[0]),
+                             "--report-b", str(reports[1]),
+                             "--out", str(tmp_path / "dist.tsv")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 3: not UTF-8 text\n"
+        assert not (tmp_path / "dist.tsv").exists()
+
+    @pytest.mark.parametrize("change,message", [
+        ({"top5": None}, "missing metric 'top5'"),
+        ({"top1": "x"}, "top1 must be a number, got 'x'"),
+        ({"r_at_5": True}, "r_at_5 must be a number, got True"),
+        ({"mdr": 2.0}, "mdr must be an integer, got 2.0"),
+        ({"top1": 1.5}, "top1 must lie in [0, 1], got 1.5"),
+        ({"r_at_10": float("nan")}, "r_at_10 must lie in [0, 1], got nan"),
+        ({"top1": 0.75, "top5": 0.5}, "top5 must be >= top1"),
+        ({"r_at_1": 0.9, "r_at_5": 0.5, "r_at_10": 1.0}, "recall must be non-decreasing in k"),
+        ({"mdr": 0}, "median rank must be >= 1"),
+    ])
+    def test_bad_summary_names_the_file_and_record(self, mini_pipeline, tmp_path, capsys,
+                                                   change, message):
+        def edit(lines):
+            record = json.loads(lines[0])
+            assert record["record"] == "summary"
+            record.update(change)
+            lines[0] = json.dumps({k: v for k, v in record.items() if v is not None}).encode() \
+                + b"\n"
+            return lines
+
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        capsys.readouterr()
+        assert cli_dispatch(["report-rank-dist", "--report-a", str(good),
+                             "--report-b", str(bad), "--out", str(tmp_path / "dist.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 1: malformed summary record: {message}\n"
+        assert not (tmp_path / "dist.tsv").exists()
+
+    def test_non_finite_teacher_weight_is_rejected(self, mini_pipeline, tmp_path, capsys):
+        root, _, _ = mini_pipeline
+        ckpt = load_checkpoint(root / "teacher.ckpt")
+        values = ckpt.params.values.copy()
+        values[3] = np.nan
+        teacher = tmp_path / "nan.ckpt"
+        save_checkpoint(teacher, dataclasses.replace(
+            ckpt, params=ParamVector(values, ckpt.params.layout)))
+        capsys.readouterr()
+        assert cli_dispatch(["fuse", "--teacher", str(teacher),
+                             "--student", str(root / "student.ckpt"),
+                             "--out", str(tmp_path / "fused.ckpt")]) == 2
+        assert capsys.readouterr().err == f"error: {teacher}: weight 3 is not finite\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["nan.ckpt"]
 
     # A bad --templates value is a usage error, like a template without {c}.
     @pytest.mark.parametrize("command", ["eval-retrieval", "eval-classify", "sweep-alpha"])
@@ -832,6 +904,8 @@ class TestOutOfRangeArguments:
         (["gradcheck", "--trials", "-3"], None, "trials must be >= 1, got -3"),
         (["pretrain-teacher", "--weight-decay", "nan", "--corpus", "{images}",
           "--out", "{out}/t.ckpt"], None, "weight_decay must be >= 0 and finite, got nan"),
+        (["pretrain-teacher", "--sigma", "0", "--corpus", "{out}/missing.jsonl",
+          "--out", "{out}/t.ckpt"], None, "sigma must be positive and finite, got 0.0"),
         (["train-student", "--weight-decay", "inf", "--teacher", "{root}/teacher.ckpt",
           "--corpus", "{videos}", "--out", "{out}/s.ckpt"], None,
          "weight_decay must be >= 0 and finite, got inf"),

@@ -5,6 +5,7 @@ from dfuse import encoder
 from dfuse.encoder import (
     EncoderConfig,
     ParamVector,
+    encode_sampled,
     encode_text_batch,
     encode_video_batch,
     init_params,
@@ -226,14 +227,15 @@ class TestSampleFrames:
         with pytest.raises(UsageError, match="empty video batch"):
             sample_frames([], enc_cfg)
 
-    def test_video_forward_takes_only_sampled_arrays(self, params, enc_cfg):
+    def test_encode_sampled_takes_only_sampled_arrays(self, params, enc_cfg):
         stack = np.zeros((enc_cfg.n_frames, enc_cfg.input_dim_video))
+        texts = np.zeros((1, enc_cfg.input_dim_text))
         with pytest.raises(UsageError):
-            video_forward(params, [stack], enc_cfg)  # a raw list of stacks
+            encode_sampled(params, [stack], texts, enc_cfg)  # a raw list of stacks
         with pytest.raises(UsageError):
-            video_forward(params, stack[None, :-1], enc_cfg)  # wrong frame count
+            encode_sampled(params, stack[None, :-1], texts, enc_cfg)  # wrong frame count
         with pytest.raises(UsageError):
-            video_forward(params, stack[None][:0], enc_cfg)  # empty batch
+            encode_sampled(params, stack[None][:0], texts, enc_cfg)  # empty batch
 
 
 def _per_stack_video_embeddings(params, stacks, cfg):

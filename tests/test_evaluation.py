@@ -9,6 +9,7 @@ from dfuse.encoder import encode_video_batch, init_params
 from dfuse.errors import UsageError
 from dfuse.evaluation import (
     DEFAULT_TEMPLATE,
+    SUMMARY_METRICS,
     EvalReport,
     PromptSet,
     RankList,
@@ -21,7 +22,6 @@ from dfuse.evaluation import (
     per_class_delta,
     prepare_eval,
     rank_distribution,
-    rank_distribution_tsv,
     ranked_classes,
     recall_at_k,
     report_jsonl,
@@ -362,23 +362,26 @@ class TestRankDistribution:
         with pytest.raises(UsageError):
             rank_distribution(RankList(np.array([1]), 3), RankList(np.array([1, 2]), 3))
 
-    def test_tsv_shape(self):
-        table = rank_distribution(RankList(np.array([2, 1]), 3), RankList(np.array([3, 1]), 3))
-        text = rank_distribution_tsv(table)
-        lines = text.strip().split("\n")
-        assert lines[0] == "position\trank_a\trank_b"
-        assert len(lines) == 3
+
+
+def _summary(top1=0.5, top5=0.9, r1=0.1, r5=0.6, r10=0.7, mdr=1):
+    return {"top1": top1, "top5": top5, "r_at_1": r1, "r_at_5": r5, "r_at_10": r10, "mdr": mdr}
 
 
 class TestEvalReport:
     def test_invariant_enforcement(self):
         ranks = RankList(np.array([1, 2]), 4)
         with pytest.raises(UsageError):
-            EvalReport(0.9, 0.5, {1: 0.5, 5: 0.6, 10: 0.7}, 1, {}, {}, ranks)
+            EvalReport(_summary(top1=0.9, top5=0.5), {}, {}, ranks)
         with pytest.raises(UsageError):
-            EvalReport(0.5, 0.9, {1: 0.9, 5: 0.6, 10: 0.7}, 1, {}, {}, ranks)
+            EvalReport(_summary(r1=0.9), {}, {}, ranks)
         with pytest.raises(UsageError):
-            EvalReport(0.5, 0.9, {1: 0.1, 5: 0.6, 10: 0.7}, 1, {"a": 1.5}, {"a": 2}, ranks)
+            EvalReport(_summary(), {"a": 1.5}, {"a": 2}, ranks)
+
+    def test_summary_keeps_only_the_metrics_in_order(self):
+        ranks = RankList(np.array([1, 2]), 4)
+        metrics = {"record": "summary", **dict(reversed(_summary().items())), "n_queries": 2}
+        assert list(EvalReport(metrics, {}, {}, ranks).summary) == list(SUMMARY_METRICS)
 
 
 class TestEvaluateModel:
@@ -386,8 +389,9 @@ class TestEvaluateModel:
         params = init_params(tiny_enc)
         prompts = build_prompt_set(tiny_corpus.synth)
         report = evaluate_model(params, prepare_eval(tiny_corpus, tiny_enc, prompts), tiny_enc)
-        assert report.top5 >= report.top1
-        assert report.recall_at[10] >= report.recall_at[5] >= report.recall_at[1]
+        s = report.summary
+        assert s["top5"] >= s["top1"]
+        assert s["r_at_10"] >= s["r_at_5"] >= s["r_at_1"]
         assert sum(report.per_class_count.values()) == len(report.rank_list)
         assert len(report.rank_list) == 16
 
@@ -401,20 +405,21 @@ class TestEvaluateModel:
         rows = dict(per_class_delta(rep_a, rep_b))
         counts = rep_a.per_class_count
         weighted = sum(rows[c] * counts[c] for c in rows) / sum(counts.values())
-        assert weighted == pytest.approx(rep_a.top1 - rep_b.top1, abs=1e-12)
+        assert weighted == pytest.approx(rep_a.summary["top1"] - rep_b.summary["top1"],
+                                         abs=1e-12)
 
     def test_report_round_trip(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
         prompts = build_prompt_set(tiny_corpus.synth)
         report = evaluate_model(params, prepare_eval(tiny_corpus, tiny_enc, prompts), tiny_enc)
         parsed = parse_report_records(io.StringIO(report_jsonl(report)))
-        assert parsed.summary["top1"] == report.top1
-        assert parsed.summary["mdr"] == report.mdr
+        assert parsed.summary == report.summary
         assert parsed.per_class_acc == report.per_class_acc
+        assert parsed.per_class_count == report.per_class_count
         np.testing.assert_array_equal(parsed.rank_list.ranks, report.rank_list.ranks)
         table = report_table(report)
         assert table.startswith("metric\tvalue")
-        assert f"mdr\t{report.mdr}" in table
+        assert f"mdr\t{report.summary['mdr']}" in table
 
     def _report_lines(self, tiny_corpus, tiny_enc):
         inputs = prepare_eval(tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth))
@@ -424,7 +429,7 @@ class TestEvaluateModel:
     def test_report_json_list_line_names_line(self, tiny_corpus, tiny_enc):
         lines = self._report_lines(tiny_corpus, tiny_enc)
         lines[1] = "[1, 2]\n"
-        with pytest.raises(UsageError, match="report line 2: expected a JSON object"):
+        with pytest.raises(UsageError, match="^report: line 2: expected a JSON object$"):
             parse_report_records(lines)
 
     @pytest.mark.parametrize("key", ["accuracy", "count"])
@@ -434,7 +439,7 @@ class TestEvaluateModel:
         assert record["record"] == "per_class"
         del record[key]
         lines[2] = json.dumps(record) + "\n"
-        with pytest.raises(UsageError, match=f"report line 3: per_class record is missing '{key}'"):
+        with pytest.raises(UsageError, match=f"^report: line 3: per_class record is missing '{key}'$"):
             parse_report_records(lines)
 
     def test_report_non_numeric_accuracy_names_line(self, tiny_corpus, tiny_enc):
@@ -442,13 +447,22 @@ class TestEvaluateModel:
         record = json.loads(lines[2])
         record["accuracy"] = "x"
         lines[2] = json.dumps(record) + "\n"
-        with pytest.raises(UsageError, match="report line 3: malformed per_class record"):
+        with pytest.raises(UsageError, match="^report: line 3: malformed per_class record: "):
+            parse_report_records(lines)
+
+    def test_report_accuracy_outside_unit_interval_names_line(self, tiny_corpus, tiny_enc):
+        lines = self._report_lines(tiny_corpus, tiny_enc)
+        record = json.loads(lines[2])
+        record["accuracy"] = 1.5
+        lines[2] = json.dumps(record) + "\n"
+        with pytest.raises(UsageError, match=r"^report: line 3: malformed per_class record: "
+                                             r"accuracy must lie in \[0, 1\], got 1.5$"):
             parse_report_records(lines)
 
     def test_report_line_nested_too_deeply_names_line(self, tiny_corpus, tiny_enc):
         lines = self._report_lines(tiny_corpus, tiny_enc)
         lines[1] = "[" * 100_000 + "\n"
-        with pytest.raises(UsageError, match=r"report line 2: invalid JSON \(nested too deeply\)"):
+        with pytest.raises(UsageError, match=r"^report: line 2: invalid JSON \(nested too deeply\)$"):
             parse_report_records(lines)
 
     def test_default_template_matches_published_prompt(self):

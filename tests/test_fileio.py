@@ -1,12 +1,13 @@
 import os
 import stat
 
+import numpy as np
 import pytest
 
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.corpus import gen_corpus
 from dfuse.encoder import init_params
-from dfuse.fileio import atomic_write_chunks
+from dfuse.fileio import atomic_write_chunks, tsv
 from dfuse.losses import LossConfig
 
 
@@ -70,3 +71,10 @@ def test_directory_as_target_error_names_it_and_leaves_no_temp_file(tmp_path):
     assert info.value.filename == str(target)
     assert str(info.value) == f"[Errno 21] Is a directory: '{target}'"
     assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+
+def test_tsv_writes_header_then_rows_with_str():
+    # str is repr for Python floats and ints, and prints numpy scalars plainly.
+    rows = [("a", 0.1, 3), (np.int64(2), np.float64(0.25), 1e-05)]
+    assert tsv(("name", "x", "y"), rows) == "name\tx\ty\na\t0.1\t3\n2\t0.25\t1e-05\n"
+    assert tsv(("position", "rank_a", "rank_b"), []) == "position\trank_a\trank_b\n"

@@ -163,7 +163,7 @@ class TestPretrainTeacher:
         cfg = _small_train_cfg()
         a = pretrain_teacher(tiny_corpus, tiny_enc, cfg)
         b = pretrain_teacher(tiny_corpus, tiny_enc, cfg)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.params.values.tobytes() == b.params.values.tobytes()
 
     def test_unlabeled_data_is_ignored(self, tiny_synth, tiny_enc):
         with_unlabeled = build_corpus(tiny_synth)
@@ -171,7 +171,7 @@ class TestPretrainTeacher:
         cfg = _small_train_cfg()
         a = pretrain_teacher(with_unlabeled, tiny_enc, cfg)
         b = pretrain_teacher(without, tiny_enc, cfg)
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.params.values.tobytes() == b.params.values.tobytes()
 
     def test_empty_corpus_rejected(self, tiny_synth, tiny_enc):
         empty = build_corpus(dataclasses.replace(tiny_synth, n_labeled_train=0))
@@ -187,10 +187,22 @@ class TestPretrainTeacher:
         for line in lines:
             assert len(line.split("\t")) == 3
 
+    def test_checkpoint_holds_the_last_evaluation(self, tiny_corpus, tiny_enc):
+        lines = []
+        ckpt = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg(max_steps=10),
+                                sigma=0.07, log=lines.append)
+        assert isinstance(ckpt, Checkpoint)
+        assert (ckpt.enc_cfg, ckpt.loss_cfg) == (tiny_enc, LossConfig(sigma=0.07, lambda_=0.0))
+        assert ckpt.step == 10 and lines[-1].startswith("10\t")
+        val_videos, val_texts = tiny_corpus.paired("labeled-val")
+        assert ckpt.val_loss == validation_loss(
+            ckpt.params, sample_frames(val_videos, tiny_enc), val_texts, tiny_enc, 0.07
+        )
+
 
 class TestTrainStudent:
     def test_teacher_untouched_and_checkpoint_valid(self, tiny_corpus, tiny_enc):
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         before = teacher.values.tobytes()
         record = train_student(
             teacher, tiny_corpus, tiny_enc, LossConfig(sigma=0.05, lambda_=0.999),
@@ -201,7 +213,7 @@ class TestTrainStudent:
         assert record.params.same_layout(teacher)
 
     def test_best_checkpoint_is_min_over_evals(self, tiny_corpus, tiny_enc):
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         lines = []
         record = train_student(
             teacher, tiny_corpus, tiny_enc, LossConfig(sigma=0.05, lambda_=0.999),
@@ -215,7 +227,7 @@ class TestTrainStudent:
         assert record.val_loss <= vals[0] + 1e-6
 
     def test_validation_matches_recomputation(self, tiny_corpus, tiny_enc):
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         record = train_student(
             teacher, tiny_corpus, tiny_enc, LossConfig(sigma=0.05, lambda_=0.999),
             _small_train_cfg(lr=3e-4),
@@ -228,15 +240,27 @@ class TestTrainStudent:
 
     def test_pure_finetune_without_unlabeled(self, tiny_synth, tiny_enc):
         corpus = build_corpus(dataclasses.replace(tiny_synth, n_unlabeled=0))
-        teacher = pretrain_teacher(corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(corpus, tiny_enc, _small_train_cfg()).params
         record = train_student(
             teacher, corpus, tiny_enc, LossConfig(sigma=0.05, lambda_=0.0),
             _small_train_cfg(lr=3e-4),
         )
         assert np.isfinite(record.val_loss)
 
+    def test_unlabeled_split_is_not_read_without_distillation(self, tiny_corpus, tiny_enc,
+                                                              monkeypatch):
+        def unread(split):
+            raise AssertionError(f"read the {split} split")
+
+        teacher = init_params(tiny_enc)
+        monkeypatch.setattr(tiny_corpus, "unpaired", unread)
+        ckpt = train_student(teacher, tiny_corpus, tiny_enc, LossConfig(lambda_=0.0),
+                             _small_train_cfg(lr=3e-4))
+        assert ckpt.loss_cfg.lambda_ == 0.0
+        pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+
     def test_deterministic(self, tiny_corpus, tiny_enc):
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         cfg = _small_train_cfg(lr=3e-4)
         loss_cfg = LossConfig(sigma=0.05, lambda_=0.999)
         a = train_student(teacher, tiny_corpus, tiny_enc, loss_cfg, cfg)
@@ -245,7 +269,7 @@ class TestTrainStudent:
         assert a.step == b.step and a.val_loss == b.val_loss
 
     def test_distill_on_labeled_changes_training(self, tiny_corpus, tiny_enc):
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         loss_cfg = LossConfig(sigma=0.05, lambda_=0.999)
         plain = train_student(teacher, tiny_corpus, tiny_enc, loss_cfg,
                               _small_train_cfg(lr=3e-4))
@@ -256,13 +280,11 @@ class TestTrainStudent:
     def test_distill_on_labeled_checkpoint_matches_golden(self, tiny_corpus, tiny_enc,
                                                           golden_digests):
         # The acceptance pipeline never distills on labeled batches, so pin this path here.
-        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg())
+        teacher = pretrain_teacher(tiny_corpus, tiny_enc, _small_train_cfg()).params
         loss_cfg = LossConfig(sigma=0.05, lambda_=0.999)
         record = train_student(teacher, tiny_corpus, tiny_enc, loss_cfg,
                                _small_train_cfg(lr=3e-4, distill_on_labeled=True))
-        data = checkpoint_bytes(
-            Checkpoint(tiny_enc, loss_cfg, record.params, record.step, record.val_loss)
-        )
+        data = checkpoint_bytes(record)
         assert hashlib.sha256(data).hexdigest() == golden_digests["distill_on_labeled_student"]
 
     def test_undersized_labeled_split_rejected(self, tiny_corpus, tiny_enc):
