@@ -10,7 +10,8 @@ per field, with the field's default and help text. Every option resolves as:
 Each run that writes files also writes a ``<output>.manifest.json`` with the
 resolved configuration and SHA-256 checksums of its inputs. A corpus input is
 hashed as ``load_corpus`` reads it, so its bytes are read once; any other
-input is hashed when the manifest is written. Exit codes:
+input is hashed when the manifest is written. A command that reads a corpus
+keeps only the splits it uses, though every line is still checked. Exit codes:
 0 success, 1 usage error, 2 runtime or validation failure.
 """
 
@@ -48,6 +49,9 @@ from .losses import LossConfig
 from .training import TrainConfig, pretrain_teacher, train_student
 
 SEED_ENV_VAR = "DFUSE_SEED"
+# The corpus splits each command keeps; load_corpus still checks every line.
+_TRAIN_SPLITS = ("labeled-train", "labeled-val")  # plus "unlabeled" when distilling
+_EVAL_SPLITS = ("eval",)
 # glibc's malloc_trim returns the C heap's free pages to the OS; None without glibc.
 _MALLOC_TRIM = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
 
@@ -191,8 +195,8 @@ def _write_manifest(anchor: Path, command: str, values: dict, inputs: list[Path]
                       json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_corpus_for(enc_cfg: EncoderConfig, path: Path) -> Corpus:
-    corpus = load_corpus(path)
+def _load_corpus_for(enc_cfg: EncoderConfig, path: Path, splits: tuple[str, ...]) -> Corpus:
+    corpus = load_corpus(path, splits)
     if corpus.synth.d_v != enc_cfg.input_dim_video or corpus.synth.d_t != enc_cfg.input_dim_text:
         raise UsageError(
             f"corpus feature dims ({corpus.synth.d_v}, {corpus.synth.d_t}) do not match "
@@ -235,7 +239,7 @@ def _cmd_pretrain_teacher(values: dict) -> int:
     train_cfg = _build(TrainConfig, values)
     loss_cfg = _build(LossConfig, values, lambda_=0.0)
     check_seed(values["seed"])
-    corpus = load_corpus(_require_file(values["corpus"], "corpus file"))
+    corpus = load_corpus(_require_file(values["corpus"], "corpus file"), _TRAIN_SPLITS)
     enc_cfg = _build(EncoderConfig, values,
                      input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t)
     ckpt = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=loss_cfg.sigma, log=print)
@@ -250,7 +254,9 @@ def _cmd_train_student(values: dict) -> int:
     loss_cfg = _build(LossConfig, values)
     train_cfg = _build(TrainConfig, values)
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
-    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
+    splits = _TRAIN_SPLITS + (("unlabeled",) if loss_cfg.lambda_ != 0.0 else ())
+    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"),
+                              splits)
     ckpt = train_student(teacher.params, corpus, teacher.enc_cfg, loss_cfg, train_cfg, log=print)
     out = Path(values["out"])
     save_checkpoint(out, ckpt)
@@ -316,7 +322,8 @@ def _cmd_sweep_alpha(values: dict) -> int:
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
-    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"))
+    corpus = _load_corpus_for(teacher.enc_cfg, _require_file(values["corpus"], "corpus file"),
+                              _EVAL_SPLITS)
     prompts = build_prompt_set(corpus.synth, _templates(values))
     inputs = prepare_eval(corpus, teacher.enc_cfg, prompts)
 
@@ -349,7 +356,8 @@ def _cmd_sweep_alpha(values: dict) -> int:
 
 def _run_eval(values: dict, command: str, printed: tuple[str, ...]) -> int:
     ckpt = load_checkpoint(_require_file(values["ckpt"], "checkpoint"))
-    corpus = _load_corpus_for(ckpt.enc_cfg, _require_file(values["corpus"], "corpus file"))
+    corpus = _load_corpus_for(ckpt.enc_cfg, _require_file(values["corpus"], "corpus file"),
+                              _EVAL_SPLITS)
     prompts = build_prompt_set(corpus.synth, _templates(values))
     report = evaluate_model(ckpt.params, prepare_eval(corpus, ckpt.enc_cfg, prompts),
                             ckpt.enc_cfg)

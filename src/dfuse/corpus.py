@@ -32,6 +32,13 @@ reads other integers past 64 bits as floats, so ``concept_id`` and
 values must be JSON numbers; ``_numbers_only`` proves that, and finiteness,
 for a typical orjson-parsed line from three byte scans, and every other line
 gets the element-wise checks.
+
+A caller that reads only some splits names them (``load_corpus(path,
+splits)``). Every line is still read, hashed, parsed and checked, and the
+pairing of every paired split is still checked, but the feature array of a
+record outside ``splits`` is dropped once its line passes. The returned
+``Corpus`` holds only the named splits, and asking it for another raises
+``UsageError`` instead of returning an empty split.
 """
 
 from __future__ import annotations
@@ -278,18 +285,23 @@ def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
 class Corpus:
     """Loaded corpus: generation config plus validated records, indexed by split.
 
-    ``sha256`` is the hex SHA-256 of the file bytes ``load_corpus`` read, or
-    None for a corpus built in memory.
+    ``splits`` are the splits it holds, in ``SPLITS`` order; ``videos``,
+    ``texts``, ``paired`` and ``unpaired`` raise ``UsageError`` for any
+    other. ``sha256`` is the hex SHA-256 of the whole file ``load_corpus``
+    read, or None for a corpus built in memory.
     """
 
-    def __init__(self, synth: SynthConfig, records: list[CorpusRecord], sha256: str | None = None):
+    def __init__(self, synth: SynthConfig, records: list[CorpusRecord], sha256: str | None = None,
+                 splits=SPLITS):
         self.synth = synth
         self.records = records
         self.sha256 = sha256
+        self.splits = _known_splits(splits)
         self._by_split: dict[str, dict[str, list[CorpusRecord]]] = {
-            split: {"video": [], "text": []} for split in SPLITS
+            split: {"video": [], "text": []} for split in self.splits
         }
         for rec in records:
+            self._check_split(rec.split)
             self._by_split[rec.split][rec.kind].append(rec)
         self._pairs: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
 
@@ -318,15 +330,23 @@ class Corpus:
 
     def unpaired(self, split: str):
         """(video stacks, text feature matrix) with no alignment between them."""
-        self._check_split(split)
         stacks = [r.features for r in self.videos(split)]
         txts = self.texts(split)
         texts = np.stack([r.features for r in txts]) if txts else np.zeros((0, self.synth.d_t))
         return stacks, texts
 
     def _check_split(self, split: str) -> None:
+        if split not in self._by_split:
+            _known_splits((split,))
+            raise UsageError(f"split {split!r} was not loaded; this corpus holds {self.splits}")
+
+
+def _known_splits(splits) -> tuple[str, ...]:
+    """``splits`` in ``SPLITS`` order; ``UsageError`` naming any unknown one."""
+    for split in splits:
         if split not in SPLITS:
             raise UsageError(f"unknown split {split!r}; expected one of {SPLITS}")
+    return tuple(split for split in SPLITS if split in splits)
 
 
 def _is_int64(value) -> bool:
@@ -367,19 +387,26 @@ def _validate_record(rec: CorpusRecord, synth: SynthConfig, known_finite: bool =
         raise CorpusRecordError(f"record {rec.id!r}: paired split needs a pair_index")
 
 
-def _validate_pairing(corpus: Corpus) -> None:
+def _validate_pairing(keys: dict) -> None:
+    """Check each paired split's video/text pairing.
+
+    ``keys[split][kind]`` lists ``(pair_index, concept_id, id)`` for every
+    record of that split and kind, in file order, whether or not its
+    features were kept.
+    """
     for split in PAIRED_SPLITS:
-        videos = {r.pair_index: r for r in corpus.videos(split)}
-        texts = {r.pair_index: r for r in corpus.texts(split)}
-        if len(videos) != len(corpus.videos(split)) or len(texts) != len(corpus.texts(split)):
+        listed_videos, listed_texts = keys[split]["video"], keys[split]["text"]
+        videos = {index: (concept, rec_id) for index, concept, rec_id in listed_videos}
+        texts = {index: (concept, rec_id) for index, concept, rec_id in listed_texts}
+        if len(videos) != len(listed_videos) or len(texts) != len(listed_texts):
             raise CorpusRecordError(f"split {split!r}: duplicate pair_index")
         if videos.keys() != texts.keys():
             raise CorpusRecordError(f"split {split!r}: unmatched video/text pair indices")
-        for idx, vid in videos.items():
-            if vid.concept_id != texts[idx].concept_id:
+        for idx, (concept, vid_id) in videos.items():
+            if concept != texts[idx][0]:
                 raise CorpusRecordError(
                     f"pair {idx} in split {split!r}: concept mismatch "
-                    f"({vid.id!r} vs {texts[idx].id!r})"
+                    f"({vid_id!r} vs {texts[idx][1]!r})"
                 )
 
 
@@ -456,17 +483,23 @@ def _loads_stdlib(line: bytes, path: Path, lineno: int):
         ) from None
 
 
-def load_corpus(path) -> Corpus:
-    """Parse and validate a corpus file.
+def load_corpus(path, splits=SPLITS) -> Corpus:
+    """Parse and validate a corpus file; keep the records of ``splits``.
 
-    Parse failures name the line; invariant violations name the record id.
-    The file's bytes are hashed as they are read (``Corpus.sha256``).
+    Every line is parsed and checked, and every paired split's pairing, so a
+    file fails here exactly as it would with all splits kept. Parse failures
+    name the line; invariant violations name the record id. A record outside
+    ``splits`` is dropped once checked; of a paired split it keeps only its
+    pair index, concept id and id for the pairing check. The whole file's
+    bytes are hashed as they are read (``Corpus.sha256``).
     """
     # Imported here: commands that read no corpus skip orjson's import cost.
     import orjson
 
     path = Path(path)
+    splits = _known_splits(splits)
     records: list[CorpusRecord] = []
+    pairing_keys = {split: {"video": [], "text": []} for split in PAIRED_SPLITS}
     synth = None
     seen_ids = set()
     with open(path, "rb", buffering=0) as raw, \
@@ -517,13 +550,15 @@ def load_corpus(path) -> Corpus:
             if not numbers_only and _holds_non_number(payload["features"]):
                 raise CorpusRecordError(f"record {rec.id!r}: features must be JSON numbers")
             _validate_record(rec, synth, known_finite=numbers_only)
-            records.append(rec)
+            if rec.split in PAIRED_SPLITS:
+                pairing_keys[rec.split][rec.kind].append((rec.pair_index, rec.concept_id, rec.id))
+            if rec.split in splits:
+                records.append(rec)
         digest = fh.raw.digest.hexdigest()
     if synth is None:
         raise CorpusFormatError(f"{path}: line 1: empty file, missing corpus header")
-    corpus = Corpus(synth, records, digest)
-    _validate_pairing(corpus)
-    return corpus
+    _validate_pairing(pairing_keys)
+    return Corpus(synth, records, digest, splits)
 
 
 def prompt_feature_fn(synth: SynthConfig):

@@ -385,10 +385,25 @@ def _per_class_entry(payload: dict) -> tuple[str, float, int]:
     return name, acc, count
 
 
+def _rank_list(payload: dict) -> RankList:
+    ranks, size = payload["ranks"], payload["gallery_size"]
+    if type(ranks) is list:  # numpy would read 1.9 and true as 1
+        for rank in ranks:
+            if type(rank) is not int:
+                raise TypeError(f"ranks must be integers, got {rank!r}")
+        ranks = np.asarray(ranks, dtype=np.int64)
+    if type(size) is not int:
+        raise TypeError(f"gallery_size must be an integer, got {size!r}")
+    return RankList(ranks, size)
+
+
 def parse_report_records(lines, source: str = "report") -> EvalReport:
-    """Parse a report's JSON Lines. Every malformed line, a summary record that
-    breaks an ``EvalReport`` invariant included, raises ``UsageError`` naming
-    ``source`` and the line."""
+    """Parse a report's JSON Lines. Every malformed line raises ``UsageError``
+    naming ``source`` and the line: a summary record that breaks an
+    ``EvalReport`` invariant, a rank or gallery size that is not a JSON
+    integer, and a second summary record, ranks record or per_class record
+    for one class included."""
+    first_line: dict[str, int] = {}  # what a record is -> the line it is on
     summary = None
     per_acc: dict[str, float] = {}
     per_count: dict[str, int] = {}
@@ -408,17 +423,23 @@ def parse_report_records(lines, source: str = "report") -> EvalReport:
         kind = payload.get("record")
         try:
             if kind == "summary":
-                summary = _summary(payload)
+                key, summary = "summary record", _summary(payload)
             elif kind == "per_class":
                 name, acc, count = _per_class_entry(payload)
+                key = f"per_class record for class {name!r}"
                 per_acc[name] = acc
                 per_count[name] = count
             elif kind == "ranks":
-                ranks = RankList(np.asarray(payload["ranks"]), payload["gallery_size"])
+                key, ranks = "ranks record", _rank_list(payload)
+            else:
+                continue
         except KeyError as exc:
             raise UsageError(f"{where}: {kind} record is missing {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise UsageError(f"{where}: malformed {kind} record: {exc}") from None
+        if key in first_line:
+            raise UsageError(f"{where}: a second {key}; the first is on line {first_line[key]}")
+        first_line[key] = lineno
     if summary is None or ranks is None:
         raise UsageError(f"{source}: missing its summary or ranks record")
     return EvalReport(summary, per_acc, per_count, ranks)

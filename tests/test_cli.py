@@ -10,6 +10,7 @@ from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import load_corpus
 from dfuse.encoder import ParamVector
+from dfuse.errors import DfuseError, UsageError
 from dfuse.evaluation import parse_report_records
 from dfuse.fileio import sha256_file
 
@@ -617,6 +618,57 @@ class TestPipelineCommands:
             f"error: {bad}: line 1: malformed summary record: {message}\n"
         assert not (tmp_path / "dist.tsv").exists()
 
+    @staticmethod
+    def _edit_ranks(**changes):
+        """An edit of a report's last line, its ranks record."""
+        def edit(lines):
+            record = json.loads(lines[-1])
+            assert record["record"] == "ranks"
+            record.update({key: change(record[key]) for key, change in changes.items()})
+            lines[-1] = json.dumps(record).encode() + b"\n"
+            return lines
+        return edit
+
+    @pytest.mark.parametrize("edit,reason", [
+        # numpy read these as ranks 1, 2 and 1
+        (_edit_ranks(ranks=lambda r: [1.9, 2.5, True] + r[3:]), "ranks must be integers, got 1.9"),
+        (_edit_ranks(ranks=lambda r: [True] + r[1:]), "ranks must be integers, got True"),
+        (_edit_ranks(gallery_size=float), "gallery_size must be an integer, got 16.0"),
+        (_edit_ranks(gallery_size=lambda g: True), "gallery_size must be an integer, got True"),
+        (_edit_ranks(ranks=lambda r: [10**30] + r[1:]),
+         "Python int too large to convert to C long"),
+    ], ids=["floats-and-true", "true", "float-gallery-size", "true-gallery-size", "huge"])
+    def test_ranks_must_be_json_integers(self, mini_pipeline, tmp_path, capsys, edit, reason):
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        n = len(bad.read_bytes().splitlines())
+        capsys.readouterr()
+        assert cli_dispatch(["report-rank-dist", "--report-a", str(bad),
+                             "--report-b", str(good), "--out", str(tmp_path / "dist.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line {n}: malformed ranks record: {reason}\n"
+        assert not (tmp_path / "dist.tsv").exists()
+
+    @pytest.mark.parametrize("repeat", ["summary", "per_class", "ranks"])
+    @pytest.mark.parametrize("command", ["report-rank-dist", "report-class-delta"])
+    def test_repeated_record_is_one_error_line(self, mini_pipeline, tmp_path, capsys,
+                                               repeat, command):
+        # A later record used to replace the earlier one without a word.
+        def edit(lines):
+            first = {"summary": 0, "per_class": 1, "ranks": len(lines) - 1}[repeat]
+            return lines + [lines[first]]
+
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        n = len(bad.read_bytes().splitlines())
+        first_line, what = {"summary": (1, "summary record"),
+                            "per_class": (2, "per_class record for class 'concept_0'"),
+                            "ranks": (n - 1, "ranks record")}[repeat]
+        capsys.readouterr()
+        assert cli_dispatch([command, "--report-a", str(good), "--report-b", str(bad),
+                             "--out", str(tmp_path / "out.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line {n}: a second {what}; the first is on line {first_line}\n"
+        assert not (tmp_path / "out.tsv").exists()
+
     def test_non_finite_teacher_weight_is_rejected(self, mini_pipeline, tmp_path, capsys):
         root, _, _ = mini_pipeline
         ckpt = load_checkpoint(root / "teacher.ckpt")
@@ -722,6 +774,48 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
+    @pytest.mark.parametrize("split", ["labeled-train", "unlabeled"])
+    @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
+    def test_malformed_record_in_a_dropped_split_fails_as_in_a_full_load(
+            self, mini_pipeline, tmp_path, capsys, edit, split):
+        # eval-retrieval keeps only the eval split, but checks every line.
+        root, _, videos = mini_pipeline
+        header, *items, last = videos.read_bytes().split(b"\n")
+        assert last == b""
+        key = f'"split": "{split}"'.encode()
+        lines = [header, *(line for line in items if key in line),
+                 *(line for line in items if key not in line), last]
+        assert key in lines[1] and key in lines[2]
+        edit(lines)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(DfuseError) as full:
+            load_corpus(bad)
+        capsys.readouterr()
+        code = cli_dispatch([
+            "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {full.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    def test_pairing_fault_in_a_dropped_split_is_rejected(self, mini_pipeline, tmp_path,
+                                                         capsys):
+        root, _, videos = mini_pipeline
+        lines = videos.read_bytes().split(b"\n")
+        _edit_json(1, concept_id=3)(lines)
+        assert b'"vid-labeled-train-00000"' in lines[1]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
+                             "--corpus", str(bad), "--out", str(tmp_path / "cls")]) == 2
+        assert capsys.readouterr().err == (
+            "error: pair 0 in split 'labeled-train': concept mismatch "
+            "('vid-labeled-train-00000' vs 'txt-labeled-train-00000')\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
     def test_checkpoint_layout_mismatch_is_one_error_line(self, mini_pipeline, tmp_path,
                                                          capsys):
         root, _, videos = mini_pipeline
@@ -763,6 +857,63 @@ class TestPipelineCommands:
         ])
         assert code == 1
         assert "dims" in capsys.readouterr().err
+
+
+class TestSplitsKept:
+    """Each command keeps only the corpus splits it reads."""
+
+    @staticmethod
+    def _loads(monkeypatch) -> list:
+        import dfuse.cli as cli
+
+        loaded = []
+
+        def spy(path, splits):
+            loaded.append(load_corpus(path, splits))
+            return loaded[-1]
+
+        monkeypatch.setattr(cli, "load_corpus", spy)
+        return loaded
+
+    @pytest.mark.parametrize("lambda_,unlabeled", [("0", False), ("0.999", True)])
+    def test_train_student_keeps_unlabeled_features_only_to_distill(
+            self, mini_pipeline, tmp_path, monkeypatch, lambda_, unlabeled):
+        root, _, videos = mini_pipeline
+        loaded = self._loads(monkeypatch)
+        assert cli_dispatch([
+            "train-student", "--teacher", str(root / "teacher.ckpt"), "--corpus", str(videos),
+            "--lambda", lambda_, "--max-steps", "2", "--eval-every", "1",
+            "--batch-size-labeled", "4", "--batch-size-unlabeled", "4",
+            "--out", str(tmp_path / "s.ckpt"),
+        ]) == 0
+        [corpus] = loaded
+        kept = ("labeled-train", "labeled-val") + (("unlabeled",) if unlabeled else ())
+        assert corpus.splits == kept
+        assert {r.split for r in corpus.records} == set(kept)
+        if unlabeled:
+            assert len(corpus.videos("unlabeled")) == 16
+        else:
+            with pytest.raises(UsageError, match="split 'unlabeled' was not loaded"):
+                corpus.unpaired("unlabeled")
+
+    def test_commands_keep_the_splits_they_read(self, mini_pipeline, tmp_path, monkeypatch):
+        root, images, videos = mini_pipeline
+        teacher, student = str(root / "teacher.ckpt"), str(root / "student.ckpt")
+        runs = [
+            (["pretrain-teacher", "--corpus", str(images), "--max-steps", "2",
+              "--eval-every", "1", "--batch-size-labeled", "4", "--hidden-dim", "10",
+              "--embed-dim", "6"], ("labeled-train", "labeled-val")),
+            (["eval-retrieval", "--ckpt", teacher, "--corpus", str(videos)], ("eval",)),
+            (["eval-classify", "--ckpt", teacher, "--corpus", str(videos)], ("eval",)),
+            (["sweep-alpha", "--teacher", teacher, "--student", student,
+              "--corpus", str(videos), "--alphas", "0,1"], ("eval",)),
+        ]
+        for i, (argv, kept) in enumerate(runs):
+            loaded = self._loads(monkeypatch)
+            assert cli_dispatch([*argv, "--out", str(tmp_path / f"out{i}")]) == 0
+            [corpus] = loaded
+            assert corpus.splits == kept, argv[0]
+            assert {r.split for r in corpus.records} == set(kept), argv[0]
 
 
 def _newline_variant(path, newline: bytes, out):

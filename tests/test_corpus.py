@@ -7,6 +7,7 @@ import orjson
 import pytest
 
 from dfuse.corpus import (
+    SPLITS,
     Corpus,
     CorpusRecord,
     SynthConfig,
@@ -20,6 +21,7 @@ from dfuse.corpus import (
     video_feature_map,
 )
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
+from dfuse.fileio import sha256_file
 
 
 def _written(cfg, path):
@@ -379,6 +381,119 @@ class TestLineHandling:
         lines[3:3] = [blank]
         path.write_bytes(b"\n".join(lines))
         assert _records(load_corpus(path)) == expected
+
+
+def _split_first(path, split):
+    """Rewrite the corpus with ``split``'s records right after the header."""
+    header, *items = path.read_bytes().splitlines(keepends=True)
+    key = f'"split": "{split}"'.encode()
+    path.write_bytes(b"".join([header, *(line for line in items if key in line),
+                               *(line for line in items if key not in line)]))
+    return path
+
+
+def _edit_payload(change):
+    def edit(line):
+        payload = json.loads(line)
+        change(payload)
+        return json.dumps(payload).encode()
+    return edit
+
+
+# Faults of a video record line, each caught by a different check of the loader.
+_RECORD_FAULTS = {
+    "invalid-json": (CorpusFormatError, lambda line: line[: len(line) // 2]),
+    "missing-id": (CorpusFormatError, _edit_payload(lambda p: p.pop("id"))),
+    "ragged-features": (CorpusFormatError,
+                        _edit_payload(lambda p: p["features"].__setitem__(0, [0.5]))),
+    "non-finite": (CorpusRecordError,
+                   _edit_payload(lambda p: p["features"][0].__setitem__(0, float("nan")))),
+    "boolean-feature": (CorpusRecordError,
+                        _edit_payload(lambda p: p["features"][0].__setitem__(0, True))),
+    "wrong-dim": (CorpusRecordError,
+                  _edit_payload(lambda p: p.update(features=[r[:-1] for r in p["features"]]))),
+    "unknown-kind": (CorpusRecordError, _edit_payload(lambda p: p.update(kind="audio"))),
+    "negative-concept": (CorpusRecordError, _edit_payload(lambda p: p.update(concept_id=-1))),
+}
+
+
+class TestSplitRetention:
+    """``load_corpus(path, splits)`` checks every line but keeps only ``splits``."""
+
+    @pytest.mark.parametrize("splits", [
+        (), ("eval",), ("labeled-train", "labeled-val"),
+        ("labeled-train", "labeled-val", "unlabeled"), ("eval", "unlabeled"), SPLITS,
+    ])
+    def test_kept_records_equal_a_full_load(self, tmp_path, tiny_synth, splits):
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(tiny_synth, path)
+        full = load_corpus(path)
+        kept = load_corpus(path, splits)
+        assert kept.splits == tuple(s for s in SPLITS if s in splits)
+        assert _records(kept) == [r for r in _records(full) if r[2] in splits]
+        for split in kept.splits:
+            assert kept.videos(split) == [r for r in kept.records
+                                          if r.split == split and r.kind == "video"]
+        assert kept.sha256 == full.sha256 == sha256_file(path)
+
+    @pytest.mark.parametrize("accessor", ["videos", "texts", "paired", "unpaired"])
+    @pytest.mark.parametrize("split", ["labeled-train", "labeled-val", "unlabeled"])
+    def test_unloaded_split_is_a_usage_error_naming_it(self, tmp_path, tiny_synth, accessor,
+                                                       split):
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(tiny_synth, path)
+        corpus = load_corpus(path, ("eval",))
+        with pytest.raises(UsageError, match=f"split '{split}'"):
+            getattr(corpus, accessor)(split)
+        getattr(corpus, accessor)("eval")  # the loaded split is served
+
+    def test_unknown_split_is_a_usage_error(self, tmp_path, tiny_synth):
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(tiny_synth, path)
+        with pytest.raises(UsageError, match="unknown split 'test'"):
+            load_corpus(path, ("eval", "test"))
+        with pytest.raises(UsageError, match="unknown split 'test'"):
+            load_corpus(path, ("eval",)).videos("test")
+
+    @pytest.mark.parametrize("fault", _RECORD_FAULTS)
+    @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval"])
+    def test_a_dropped_record_is_checked_as_a_kept_one(self, tmp_path, tiny_synth, split,
+                                                       fault):
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(tiny_synth, path)
+        lines = _split_first(path, split).read_bytes().splitlines(keepends=True)
+        error, edit = _RECORD_FAULTS[fault]
+        lines[1] = edit(lines[1].rstrip(b"\n")) + b"\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(error) as full:
+            load_corpus(path)
+        for splits in [("eval",), ("labeled-train", "labeled-val"), ()]:
+            with pytest.raises(error) as kept:
+                load_corpus(path, splits)
+            assert str(kept.value) == str(full.value)
+
+    @pytest.mark.parametrize("fault,message", [
+        ("concept", "pair 0 in split 'labeled-val': concept mismatch "
+                    "('vid-labeled-val-00000' vs 'txt-labeled-val-00000')"),
+        ("duplicate", "split 'labeled-val': duplicate pair_index"),
+        ("unmatched", "split 'labeled-val': unmatched video/text pair indices"),
+    ])
+    def test_pairing_of_a_dropped_split_is_checked(self, tmp_path, tiny_synth, fault, message):
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(tiny_synth, path)
+        lines = path.read_text().splitlines()
+        index = next(i for i, line in enumerate(lines) if '"vid-labeled-val-00000"' in line)
+        payload = json.loads(lines[index])
+        if fault == "concept":
+            payload["concept_id"] += 1
+        else:
+            payload["pair_index"] = 1 if fault == "duplicate" else 10**6
+        lines[index] = json.dumps(payload)
+        path.write_text("\n".join(lines) + "\n")
+        for splits in [SPLITS, ("eval",), ("labeled-train", "unlabeled")]:
+            with pytest.raises(CorpusRecordError) as info:
+                load_corpus(path, splits)
+            assert str(info.value) == message
 
 
 def _exact_halfway(x: float) -> str:
