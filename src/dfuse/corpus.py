@@ -35,10 +35,14 @@ gets the element-wise checks.
 
 A caller that reads only some splits names them (``load_corpus(path,
 splits)``). Every line is still read, hashed, parsed and checked, and the
-pairing of every paired split is still checked, but the feature array of a
-record outside ``splits`` is dropped once its line passes. The returned
-``Corpus`` holds only the named splits, and asking it for another raises
-``UsageError`` instead of returning an empty split.
+pairing of every paired split is still checked, but a record outside
+``splits`` is checked without its feature array or ``CorpusRecord`` ever
+being built: when its line passed ``_numbers_only``, ``_listed_shape`` reads
+the array's shape off the parsed lists, and only when that proof is unsure
+does ``np.asarray`` build the array as for a kept record. Every error and its
+message are the same either way. The returned ``Corpus`` holds only the
+named splits, and asking it for another raises ``UsageError`` instead of
+returning an empty split.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import json
 import math
 import zlib
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,17 +95,26 @@ class SynthConfig:
     identity_maps: bool = field(default=False, metadata={"help": "identity feature maps (debug)"})
 
     def __post_init__(self):
+        # A corpus header is JSON: 64.0 would pass the range checks below and
+        # fail later in an index, and true would pass as a 1.
+        kinds = {"int": ((int,), "an integer"), "float": ((int, float), "a number"),
+                 "bool": ((bool,), "true or false")}
+        for f in fields(self):
+            types, kind = kinds[f.type]
+            value = getattr(self, f.name)
+            if type(value) not in types:
+                raise UsageError(f"SynthConfig.{f.name} must be {kind}, got {value!r}")
         if self.n_concepts < 2:
             raise UsageError("n_concepts must be >= 2")
         for name in ("latent_dim", "d_v", "d_t", "frames_per_video"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise UsageError(f"SynthConfig.{name} must be >= 1")
         for name in ("noise_sigma", "concept_jitter", "prompt_jitter", "video_domain_shift"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise UsageError(f"SynthConfig.{name} must be >= 0 and finite, got {value}")
         for name in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
-            if int(getattr(self, name)) < 0:
+            if getattr(self, name) < 0:
                 raise UsageError(f"SynthConfig.{name} must be >= 0")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
@@ -355,38 +368,6 @@ def _is_int64(value) -> bool:
     return type(value) is int and -(1 << 63) <= value < (1 << 63)
 
 
-def _validate_record(rec: CorpusRecord, synth: SynthConfig, known_finite: bool = False) -> None:
-    if rec.kind not in ("video", "text"):
-        raise CorpusRecordError(f"record {rec.id!r}: unknown kind {rec.kind!r}")
-    if rec.split not in SPLITS:
-        raise CorpusRecordError(f"record {rec.id!r}: unknown split {rec.split!r}")
-    if not _is_int64(rec.concept_id):
-        raise CorpusRecordError(f"record {rec.id!r}: concept_id must be a 64-bit integer")
-    if rec.concept_id < 0:
-        raise CorpusRecordError(f"record {rec.id!r}: negative concept_id")
-    if rec.pair_index is not None and not _is_int64(rec.pair_index):
-        raise CorpusRecordError(f"record {rec.id!r}: pair_index must be a 64-bit integer")
-    if rec.class_name is not None and not isinstance(rec.class_name, str):
-        raise CorpusRecordError(f"record {rec.id!r}: class_name must be a string")
-    if not known_finite and not np.isfinite(rec.features).all():
-        raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
-    shape = rec.features.shape
-    if rec.kind == "video":
-        if len(shape) != 2 or shape[0] < 1:
-            raise CorpusRecordError(f"record {rec.id!r}: video features must be (T, d_v), T >= 1")
-        if shape[1] != synth.d_v:
-            raise CorpusRecordError(
-                f"record {rec.id!r}: video feature dim {shape[1]} != d_v {synth.d_v}"
-            )
-    else:
-        if len(shape) != 1 or shape[0] != synth.d_t:
-            raise CorpusRecordError(
-                f"record {rec.id!r}: text features must be a d_t={synth.d_t} vector"
-            )
-    if rec.split in PAIRED_SPLITS and rec.pair_index is None:
-        raise CorpusRecordError(f"record {rec.id!r}: paired split needs a pair_index")
-
-
 def _validate_pairing(keys: dict) -> None:
     """Check each paired split's video/text pairing.
 
@@ -446,16 +427,40 @@ def _lines(fh) -> Iterator[bytes]:
 def _numbers_only(line: bytes) -> bool:
     """Cheap screen of a line orjson parsed: True only if its features are finite numbers.
 
-    Past its first ``"features"``, a line as ``corpus_lines`` writes it holds
-    only digits, ``-``, ``.``, ``e``, brackets, commas and spaces. A string
-    needs a quote there, and ``true``, ``false`` and ``null`` (which numpy
-    reads as 1.0, 0.0 and nan) a ``u`` or an ``l``; orjson rejects ``NaN``,
-    ``Infinity`` and numbers too large for a double. Three ``memchr`` scans,
-    no allocation; a line that fails the screen gets the exact checks.
+    The first ``"features"`` must be the top-level key: its quote not escaped,
+    a colon right after it and one ``}`` past it, the line's own. Past it, a
+    line as ``corpus_lines`` writes it holds only digits, ``-``, ``.``, ``e``,
+    brackets, commas and spaces. A string needs a quote there, an object a
+    second ``}``, and ``true``, ``false`` and ``null`` (which numpy reads as
+    1.0, 0.0 and nan) a ``u`` or an ``l``; orjson rejects ``NaN``,
+    ``Infinity`` and numbers too large for a double. A few byte scans, no
+    allocation; a line that fails the screen gets the exact checks.
     """
-    at = line.find(b'"features"') + len(b'"features"')
-    return (at >= len(b'"features"') and line.find(b'"', at) < 0
+    start = line.find(b'"features"')
+    at = start + len(b'"features"')
+    return (start > 0 and line[start - 1] != ord("\\") and line.startswith(b":", at)
+            and line.find(b"}", at) == line.rfind(b"}") and line.find(b'"', at) < 0
             and line.find(b"u", at) < 0 and line.find(b"l", at) < 0)
+
+
+def _listed_shape(line: bytes, values) -> tuple[int, ...] | None:
+    """The shape ``np.asarray(values)`` would have, read off the parsed lists; None if unsure.
+
+    For a line that passed ``_numbers_only``, where each ``[`` past the
+    features key opens a list of ``values``: one is a flat list of numbers,
+    and ``len(values) + 1`` with rows of one length is a matrix of numbers.
+    """
+    first = line.find(b"[", line.find(b'"features"'))
+    if first < 0:
+        return None
+    if line.find(b"[", first + 1) < 0:
+        return (len(values),)
+    try:
+        lengths = set(map(len, values))
+    except TypeError:  # a number among the rows
+        return None
+    return ((len(values), *lengths)
+            if line.count(b"[", first) == len(values) + 1 and len(lengths) == 1 else None)
 
 
 def _holds_non_number(value) -> bool:
@@ -489,9 +494,10 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
     Every line is parsed and checked, and every paired split's pairing, so a
     file fails here exactly as it would with all splits kept. Parse failures
     name the line; invariant violations name the record id. A record outside
-    ``splits`` is dropped once checked; of a paired split it keeps only its
-    pair index, concept id and id for the pairing check. The whole file's
-    bytes are hashed as they are read (``Corpus.sha256``).
+    ``splits`` is checked from its parsed payload and dropped; of a paired
+    split it keeps only its pair index, concept id and id for the pairing
+    check. The whole file's bytes are hashed as they are read
+    (``Corpus.sha256``).
     """
     # Imported here: commands that read no corpus skip orjson's import cost.
     import orjson
@@ -530,30 +536,60 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
                 continue
             if payload.get("record") != "item":
                 raise CorpusFormatError(f"{path}: line {lineno}: expected an item record")
+            # numpy would read "1.5" as 1.5 and true as 1.0. The screen also
+            # proves finiteness, so it replaces the per-record isfinite pass.
+            numbers_only = by_orjson and _numbers_only(line)
             try:
-                rec = CorpusRecord(  # id, kind, split, concept_id, features, class_name, pair_index
-                    payload["id"], payload["kind"], payload["split"], payload["concept_id"],
-                    np.asarray(payload["features"], dtype=np.float64),
-                    payload.get("class_name"), payload.get("pair_index"),
-                )
+                rec_id, kind, split = payload["id"], payload["kind"], payload["split"]
+                concept_id, values = payload["concept_id"], payload["features"]
+                features = shape = None
+                if numbers_only and split not in splits:
+                    shape = _listed_shape(line, values)
+                if shape is None:
+                    features = np.asarray(values, dtype=np.float64)
+                    shape = features.shape
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise CorpusFormatError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-            if not isinstance(rec.id, str):
+            if not isinstance(rec_id, str):
                 raise CorpusFormatError(f"{path}: line {lineno}: record id must be a string")
-            if rec.id in seen_ids:
-                raise CorpusRecordError(f"record {rec.id!r}: duplicate id")
-            seen_ids.add(rec.id)
-            # numpy would read "1.5" as 1.5 and true as 1.0. The screen also
-            # proves finiteness, so it replaces the per-record isfinite pass; the
-            # array has at most 64 dims here, which bounds the recursion.
-            numbers_only = by_orjson and _numbers_only(line)
-            if not numbers_only and _holds_non_number(payload["features"]):
-                raise CorpusRecordError(f"record {rec.id!r}: features must be JSON numbers")
-            _validate_record(rec, synth, known_finite=numbers_only)
-            if rec.split in PAIRED_SPLITS:
-                pairing_keys[rec.split][rec.kind].append((rec.pair_index, rec.concept_id, rec.id))
-            if rec.split in splits:
-                records.append(rec)
+            if rec_id in seen_ids:
+                raise CorpusRecordError(f"record {rec_id!r}: duplicate id")
+            seen_ids.add(rec_id)
+            # numpy read these features, so their depth (<= 64) bounds the recursion.
+            if not numbers_only and _holds_non_number(values):
+                raise CorpusRecordError(f"record {rec_id!r}: features must be JSON numbers")
+            if kind not in ("video", "text"):
+                raise CorpusRecordError(f"record {rec_id!r}: unknown kind {kind!r}")
+            if split not in SPLITS:
+                raise CorpusRecordError(f"record {rec_id!r}: unknown split {split!r}")
+            if not _is_int64(concept_id):
+                raise CorpusRecordError(f"record {rec_id!r}: concept_id must be a 64-bit integer")
+            if concept_id < 0:
+                raise CorpusRecordError(f"record {rec_id!r}: negative concept_id")
+            class_name, pair_index = payload.get("class_name"), payload.get("pair_index")
+            if pair_index is not None and not _is_int64(pair_index):
+                raise CorpusRecordError(f"record {rec_id!r}: pair_index must be a 64-bit integer")
+            if class_name is not None and not isinstance(class_name, str):
+                raise CorpusRecordError(f"record {rec_id!r}: class_name must be a string")
+            if not numbers_only and not np.isfinite(features).all():
+                raise CorpusRecordError(f"record {rec_id!r}: non-finite features")
+            if kind == "video":
+                if len(shape) != 2 or shape[0] < 1:
+                    raise CorpusRecordError(
+                        f"record {rec_id!r}: video features must be (T, d_v), T >= 1")
+                if shape[1] != synth.d_v:
+                    raise CorpusRecordError(
+                        f"record {rec_id!r}: video feature dim {shape[1]} != d_v {synth.d_v}")
+            elif len(shape) != 1 or shape[0] != synth.d_t:
+                raise CorpusRecordError(
+                    f"record {rec_id!r}: text features must be a d_t={synth.d_t} vector")
+            if split in PAIRED_SPLITS:
+                if pair_index is None:
+                    raise CorpusRecordError(f"record {rec_id!r}: paired split needs a pair_index")
+                pairing_keys[split][kind].append((pair_index, concept_id, rec_id))
+            if split in splits:
+                records.append(CorpusRecord(rec_id, kind, split, concept_id, features,
+                                            class_name, pair_index))
         digest = fh.raw.digest.hexdigest()
     if synth is None:
         raise CorpusFormatError(f"{path}: line 1: empty file, missing corpus header")

@@ -382,7 +382,18 @@ def _per_class_entry(payload: dict) -> tuple[str, float, int]:
         raise ValueError(f"accuracy must lie in [0, 1], got {acc!r}")
     if isinstance(count, bool) or not isinstance(count, int):
         raise TypeError(f"count must be an integer, got {count!r}")
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count!r}")
     return name, acc, count
+
+
+def _report_sizes(payload: dict) -> tuple[int, int]:
+    """A summary record's ``(n_queries, gallery_size)``."""
+    sizes = payload["n_queries"], payload["gallery_size"]
+    for name, size in zip(("n_queries", "gallery_size"), sizes):
+        if type(size) is not int:
+            raise TypeError(f"{name} must be an integer, got {size!r}")
+    return sizes
 
 
 def _rank_list(payload: dict) -> RankList:
@@ -400,9 +411,10 @@ def _rank_list(payload: dict) -> RankList:
 def parse_report_records(lines, source: str = "report") -> EvalReport:
     """Parse a report's JSON Lines. Every malformed line raises ``UsageError``
     naming ``source`` and the line: a summary record that breaks an
-    ``EvalReport`` invariant, a rank or gallery size that is not a JSON
-    integer, and a second summary record, ranks record or per_class record
-    for one class included."""
+    ``EvalReport`` invariant or whose ``n_queries`` and ``gallery_size``
+    disagree with the ranks record, a rank, size or per-class count that is
+    not a JSON integer, a count below 1, and a second summary record, ranks
+    record or per_class record for one class included."""
     first_line: dict[str, int] = {}  # what a record is -> the line it is on
     summary = None
     per_acc: dict[str, float] = {}
@@ -424,6 +436,7 @@ def parse_report_records(lines, source: str = "report") -> EvalReport:
         try:
             if kind == "summary":
                 key, summary = "summary record", _summary(payload)
+                sizes = _report_sizes(payload)
             elif kind == "per_class":
                 name, acc, count = _per_class_entry(payload)
                 key = f"per_class record for class {name!r}"
@@ -442,4 +455,9 @@ def parse_report_records(lines, source: str = "report") -> EvalReport:
         first_line[key] = lineno
     if summary is None or ranks is None:
         raise UsageError(f"{source}: missing its summary or ranks record")
+    if sizes != (len(ranks), ranks.gallery_size):
+        raise UsageError(
+            f"{source}: line {first_line['summary record']}: summary record counts "
+            f"{sizes[0]} queries over {sizes[1]} items, but the ranks record on line "
+            f"{first_line['ranks record']} holds {len(ranks)} ranks over {ranks.gallery_size}")
     return EvalReport(summary, per_acc, per_count, ranks)

@@ -599,6 +599,9 @@ class TestPipelineCommands:
         ({"top1": 0.75, "top5": 0.5}, "top5 must be >= top1"),
         ({"r_at_1": 0.9, "r_at_5": 0.5, "r_at_10": 1.0}, "recall must be non-decreasing in k"),
         ({"mdr": 0}, "median rank must be >= 1"),
+        ({"n_queries": 16.0}, "n_queries must be an integer, got 16.0"),
+        ({"n_queries": "16"}, "n_queries must be an integer, got '16'"),
+        ({"gallery_size": True}, "gallery_size must be an integer, got True"),
     ])
     def test_bad_summary_names_the_file_and_record(self, mini_pipeline, tmp_path, capsys,
                                                    change, message):
@@ -647,6 +650,54 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == \
             f"error: {bad}: line {n}: malformed ranks record: {reason}\n"
         assert not (tmp_path / "dist.tsv").exists()
+
+    @pytest.mark.parametrize("change,reason", [
+        ({"n_queries": None}, "summary record is missing 'n_queries'"),
+        ({"gallery_size": None}, "summary record is missing 'gallery_size'"),
+        ({"n_queries": 512, "gallery_size": 512}, "summary record counts 512 queries over 512 "
+                                                  "items, but the ranks record on line {n} "
+                                                  "holds 16 ranks over 16"),
+        ({"n_queries": 15}, "summary record counts 15 queries over 16 items, "
+                            "but the ranks record on line {n} holds 16 ranks over 16"),
+        ({"gallery_size": 17}, "summary record counts 16 queries over 17 items, "
+                               "but the ranks record on line {n} holds 16 ranks over 16"),
+    ])
+    @pytest.mark.parametrize("command", ["report-rank-dist", "report-class-delta"])
+    def test_summary_sizes_must_match_the_ranks(self, mini_pipeline, tmp_path, capsys,
+                                                change, reason, command):
+        def edit(lines):  # a None value drops the key
+            record = {**json.loads(lines[0]), **change}
+            lines[0] = json.dumps({k: v for k, v in record.items() if v is not None}).encode() \
+                + b"\n"
+            return lines
+
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        n = len(bad.read_bytes().splitlines())
+        ranks = json.loads(good.read_bytes().splitlines()[-1])
+        assert (len(ranks["ranks"]), ranks["gallery_size"]) == (16, 16)
+        capsys.readouterr()
+        assert cli_dispatch([command, "--report-a", str(good), "--report-b", str(bad),
+                             "--out", str(tmp_path / "out.tsv")]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: line 1: {reason.format(n=n)}\n"
+        assert not (tmp_path / "out.tsv").exists()
+
+    @pytest.mark.parametrize("count", [0, -7])
+    @pytest.mark.parametrize("command", ["report-rank-dist", "report-class-delta"])
+    def test_per_class_count_below_one_is_one_error_line(self, mini_pipeline, tmp_path, capsys,
+                                                         count, command):
+        def edit(lines):
+            record = json.loads(lines[1])
+            assert record["record"] == "per_class"
+            lines[1] = json.dumps({**record, "count": count}).encode() + b"\n"
+            return lines
+
+        good, bad = self._bad_report(mini_pipeline, tmp_path, edit)
+        capsys.readouterr()
+        assert cli_dispatch([command, "--report-a", str(bad), "--report-b", str(good),
+                             "--out", str(tmp_path / "out.tsv")]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 2: malformed per_class record: count must be >= 1, got {count}\n"
+        assert not (tmp_path / "out.tsv").exists()
 
     @pytest.mark.parametrize("repeat", ["summary", "per_class", "ranks"])
     @pytest.mark.parametrize("command", ["report-rank-dist", "report-class-delta"])
@@ -772,6 +823,32 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
+    # A float where the header wants an int used to end in a traceback later
+    # (n_concepts, latent_dim, seed) or to pass (n_eval).
+    @pytest.mark.parametrize("field,value,reason", [
+        ("n_concepts", 64.0, "an integer"), ("latent_dim", 16.0, "an integer"),
+        ("seed", 7.5, "an integer"), ("n_eval", 512.0, "an integer"),
+        ("d_v", True, "an integer"), ("noise_sigma", False, "a number"),
+        ("noise_sigma", "0.05", "a number"), ("identity_maps", 0, "true or false"),
+    ])
+    def test_mistyped_header_field_is_one_error_line(self, mini_pipeline, tmp_path, capsys,
+                                                     field, value, reason):
+        root, _, videos = mini_pipeline
+        header, rest = videos.read_bytes().split(b"\n", 1)
+        payload = json.loads(header)
+        payload["synth"][field] = value
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(payload).encode() + b"\n" + rest)
+        capsys.readouterr()
+        code = cli_dispatch([
+            "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {bad}: line 1: bad generation config: "
+                                           f"SynthConfig.{field} must be {reason}, got {value!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
     @pytest.mark.parametrize("split", ["labeled-train", "unlabeled"])

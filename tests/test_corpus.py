@@ -191,6 +191,29 @@ class TestLoadErrors:
                            match=f"^record '{payload['id']}': features must be JSON numbers$"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("value,message", [
+        (None, "non-finite features"), (True, "features must be JSON numbers"),
+        ("1.5", "features must be JSON numbers"),
+    ])
+    @pytest.mark.parametrize("decoy", [
+        '"decoy": "features"', '"d\\"features": [1.0]', '"decoy": {"features": [1.0]}',
+        '"decoy": ["features", [1.0]]',
+    ])
+    def test_a_later_features_string_does_not_pass_the_screen(self, tmp_path, tiny_synth,
+                                                              value, message, decoy):
+        # The real key is spelled with an escape, so the first literal
+        # "features" is the decoy's, past which the line holds only numbers.
+        path = self._write_corpus(tmp_path, tiny_synth)
+        lines = path.read_text().splitlines()
+        payload = json.loads(lines[1])
+        payload["features"][0][0] = value
+        text = json.dumps(payload)[:-1].replace('"features"', '"feat\\u0075res"')
+        lines[1] = f"{text}, {decoy}}}"
+        orjson.loads(lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorpusRecordError, match=f"^record '{payload['id']}': {message}$"):
+            load_corpus(path)
+
     def test_numbers_after_a_later_key_still_load(self, tmp_path, tiny_synth):
         # A "t" after the features (here in class_name) sends the record to the
         # exact type check, which passes it.
@@ -678,6 +701,20 @@ class TestSynthConfigValidation:
         with pytest.raises(UsageError) as info:
             SynthConfig(**{field: value})
         assert str(info.value) == f"SynthConfig.{field} must be >= 0 and finite, got {value}"
+
+    @pytest.mark.parametrize("field,value,reason", [
+        ("n_concepts", 64.0, "an integer"), ("seed", 7.5, "an integer"),
+        ("frames_per_video", True, "an integer"), ("n_eval", np.int64(8), "an integer"),
+        ("concept_jitter", True, "a number"), ("prompt_jitter", None, "a number"),
+        ("identity_maps", 1, "true or false"),
+    ])
+    def test_rejects_values_of_the_wrong_type(self, field, value, reason):
+        with pytest.raises(UsageError) as info:
+            SynthConfig(**{field: value})
+        assert str(info.value) == f"SynthConfig.{field} must be {reason}, got {value!r}"
+
+    def test_an_int_is_a_number(self):
+        assert SynthConfig(noise_sigma=0, video_domain_shift=1).noise_sigma == 0
 
     def test_desk_scale_defaults(self):
         cfg = SynthConfig()
