@@ -13,6 +13,14 @@ with the same seed share their concepts and feature maps regardless of split
 sizes or frames per video. That is how a single-frame pretraining corpus and
 a multi-frame video corpus end up in the same planted world.
 
+Only the random draws are per record: record i's own generator draws its
+latent offset and then its feature noise (a pair: video, then text) into
+row i of its split's arrays. The jittered latents, their norms, the feature
+maps and the noise scaling then run once per split, and the features are
+written over the noise draws in place, so each record's features are a row
+view of its split's array. This gives the bits of computing every record on
+its own.
+
 File format (``dfuse-corpus-v1``): JSON Lines. The first line is a header
 carrying the full generation config; each further line is one record with
 inline feature arrays. Floats round-trip exactly through ``repr``.
@@ -20,8 +28,9 @@ inline feature arrays. Floats round-trip exactly through ``repr``.
 ``gen_corpus`` streams the file one line at a time through the atomic
 temp-file writer, so the whole text is never held in memory. Each line has
 the bytes ``json.dumps`` gives the record; ``corpus_lines`` writes the
-features through orjson where that spells every value the same, and falls
-back to ``json.dumps`` for the whole line where it might not.
+features through orjson, straight from a C-contiguous float64 array, where
+that spells every value the same, and falls back to ``json.dumps`` for the
+whole line where it might not.
 ``load_corpus`` reads the file line by line in binary mode and parses each
 record line with orjson. A line orjson rejects is parsed again with ``json``,
 so ``NaN``/``Infinity``, integers too large for a double and syntax errors
@@ -111,7 +120,11 @@ class SynthConfig:
                 raise UsageError(f"SynthConfig.{name} must be >= 1")
         for name in ("noise_sigma", "concept_jitter", "prompt_jitter", "video_domain_shift"):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an integer too large for a double
+                raise UsageError(f"SynthConfig.{name} must be a finite number") from None
+            if not finite or value < 0:
                 raise UsageError(f"SynthConfig.{name} must be >= 0 and finite, got {value}")
         for name in ("n_labeled_train", "n_labeled_val", "n_unlabeled", "n_eval"):
             if getattr(self, name) < 0:
@@ -184,22 +197,36 @@ def _jittered_latent(base: np.ndarray, scale: float, rng: np.random.Generator) -
     return _unit(base + offset)
 
 
-def _video_features(latent, a_v, cfg, rng) -> np.ndarray:
-    base = np.einsum("ij,j->i", a_v, latent)
-    noise = rng.standard_normal((cfg.frames_per_video, cfg.d_v)) * cfg.noise_sigma
-    return base[None, :] + noise
-
-
-def _text_features(latent, a_t, cfg, rng) -> np.ndarray:
-    base = np.einsum("ij,j->i", a_t, latent)
-    return base + rng.standard_normal(cfg.d_t) * cfg.noise_sigma
+def _split_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, n: int, maps) -> list:
+    """One ``(n, *shape)`` feature array per ``(feature map, noise shape)`` of
+    ``maps`` for a split's ``n`` records; record i's generator is keyed
+    ``(*key, i)``."""
+    offsets = np.empty((n, cfg.latent_dim))
+    features = [np.empty((n, *shape)) for _, shape in maps]
+    for i in range(n):
+        rng = np.random.default_rng([*key, i])
+        rng.standard_normal(out=offsets[i])
+        for out in features:
+            rng.standard_normal(out=out[i])
+    offsets *= cfg.concept_jitter / math.sqrt(cfg.latent_dim)
+    latents = concepts[np.arange(n) % cfg.n_concepts]
+    latents += offsets
+    latents /= np.sqrt(np.einsum("ni,ni->n", latents, latents))[:, None]
+    for (a, shape), out in zip(maps, features):
+        base = np.einsum("ij,nj->ni", a, latents)
+        out *= cfg.noise_sigma
+        out += base[:, None, :] if len(shape) == 2 else base
+    return features
 
 
 def build_corpus(cfg: SynthConfig) -> "Corpus":
-    """Generate all records in memory, deterministically from the seed."""
+    """Generate all records in memory, deterministically from the seed.
+
+    Each record's features are a row view of its split's feature array.
+    """
     concepts = concept_vectors(cfg)
-    a_v = video_feature_map(cfg)
-    a_t = text_feature_map(cfg)
+    video = (video_feature_map(cfg), (cfg.frames_per_video, cfg.d_v))
+    text = (text_feature_map(cfg), (cfg.d_t,))
     records: list[CorpusRecord] = []
 
     paired_counts = {
@@ -208,48 +235,41 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
         "eval": cfg.n_eval,
     }
     for split_idx, split in enumerate(PAIRED_SPLITS):
-        for i in range(paired_counts[split]):
+        n = paired_counts[split]
+        videos, texts = _split_features(
+            cfg, concepts, (cfg.seed, _STREAM_PAIR, split_idx), n, (video, text))
+        for i in range(n):
             concept = i % cfg.n_concepts
-            rng = np.random.default_rng([cfg.seed, _STREAM_PAIR, split_idx, i])
-            latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
-            video = _video_features(latent, a_v, cfg, rng)
-            text = _text_features(latent, a_t, cfg, rng)
             cls = class_name_for(concept, cfg.n_concepts) if split == "eval" else None
             records.append(CorpusRecord(
                 id=f"vid-{split}-{i:05d}", kind="video", split=split,
-                concept_id=concept, features=video, class_name=cls, pair_index=i,
+                concept_id=concept, features=videos[i], class_name=cls, pair_index=i,
             ))
             records.append(CorpusRecord(
                 id=f"txt-{split}-{i:05d}", kind="text", split=split,
-                concept_id=concept, features=text, pair_index=i,
+                concept_id=concept, features=texts[i], pair_index=i,
             ))
 
-    for i in range(cfg.n_unlabeled):
-        concept = i % cfg.n_concepts
-        rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_VIDEO, i])
-        latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
-        records.append(CorpusRecord(
-            id=f"vid-unlabeled-{i:05d}", kind="video", split="unlabeled",
-            concept_id=concept, features=_video_features(latent, a_v, cfg, rng),
-        ))
-    for i in range(cfg.n_unlabeled):
-        concept = i % cfg.n_concepts
-        rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_TEXT, i])
-        latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
-        records.append(CorpusRecord(
-            id=f"txt-unlabeled-{i:05d}", kind="text", split="unlabeled",
-            concept_id=concept, features=_text_features(latent, a_t, cfg, rng),
-        ))
+    for kind, tag, stream, spec in (("video", "vid", _STREAM_UNLABELED_VIDEO, video),
+                                    ("text", "txt", _STREAM_UNLABELED_TEXT, text)):
+        (features,) = _split_features(cfg, concepts, (cfg.seed, stream), cfg.n_unlabeled, (spec,))
+        for i in range(cfg.n_unlabeled):
+            records.append(CorpusRecord(
+                id=f"{tag}-unlabeled-{i:05d}", kind=kind, split="unlabeled",
+                concept_id=i % cfg.n_concepts, features=features[i],
+            ))
     return Corpus(cfg, records)
 
 
 def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
     """The corpus file, one encoded line at a time.
 
-    Every line is the bytes of ``json.dumps(payload)``. orjson writes the
-    same shortest round-trip digits as ``repr``, and spells a float
-    differently only in exponent form (``1e16``, ``9.2e-6``), below 1e-4
-    (``0.0000505``) and for a non-finite value (``null``). A record whose
+    Every line is the bytes of ``json.dumps(payload)``. orjson writes a
+    C-contiguous float64 feature array directly (any other array goes
+    through ``tolist``), with the same shortest round-trip digits as
+    ``repr``. It spells a float differently only in exponent form (``1e16``,
+    ``9.2e-6``), below 1e-4 (``0.0000505``) and for a non-finite value
+    (``null``). A record whose
     orjson features contain ``e``, ``n`` or ``0.0000`` is therefore written
     whole by ``json.dumps``; any other gets orjson's features spliced after
     ``json.dumps`` of its other fields. Every non-finite value takes the
@@ -272,12 +292,16 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
             "pair_index": rec.pair_index,
             "class_name": rec.class_name,
         }
-        values = rec.features.tolist()
-        features = orjson.dumps(values).replace(b",", b", ")
+        values = rec.features
+        if values.dtype == np.float64 and values.flags.c_contiguous:
+            features = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+        else:
+            features = orjson.dumps(values.tolist())
+        features = features.replace(b",", b", ")
         if b"e" in features or b"n" in features or b"0.0000" in features:
-            if not np.isfinite(rec.features).all():
+            if not np.isfinite(values).all():
                 raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
-            payload["features"] = values
+            payload["features"] = values.tolist()
             yield (json.dumps(payload) + "\n").encode()
         else:  # "features" is the last key, so it goes before the closing brace
             yield json.dumps(payload)[:-1].encode() + b', "features": ' + features + b"}\n"

@@ -36,6 +36,7 @@ loops of the one-vector call, so every slice has that call's bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -74,7 +75,9 @@ class ParamVector:
 
     A 2-D ``values`` is a stack of K weight vectors, one per row, that the
     forward pass evaluates at once; any other shape is flattened. Treated as
-    immutable by every consumer; call ``copy()`` before mutating.
+    immutable by every consumer; call ``copy()`` before mutating. A layout's
+    offsets are computed once per process and each tensor's view once per
+    instance, so ``values`` is never rebound after construction.
     """
 
     values: np.ndarray
@@ -84,26 +87,24 @@ class ParamVector:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             self.values = self.values.ravel()
-        total = sum(math.prod(shape) for _, shape in self.layout)
+        total, self._offsets = _layout_offsets(self.layout)
         if total != self.values.shape[-1]:
             raise UsageError(
                 f"layout declares {total} values but {self.values.shape[-1]} were given"
             )
-        offsets = {}
-        pos = 0
-        for name, shape in self.layout:
-            size = math.prod(shape)
-            offsets[name] = (pos, pos + size, tuple(shape))
-            pos += size
-        self._offsets = offsets
+        self._views = {}
 
     def tensor(self, name: str) -> np.ndarray:
         """View of one named tensor, reshaped (``(K, *shape)`` for a stack); shares memory."""
-        try:
-            start, stop, shape = self._offsets[name]
-        except KeyError:
-            raise UsageError(f"no tensor named {name!r} in layout") from None
-        return self.values[..., start:stop].reshape(self.values.shape[:-1] + shape)
+        view = self._views.get(name)
+        if view is None:
+            try:
+                start, stop, shape = self._offsets[name]
+            except KeyError:
+                raise UsageError(f"no tensor named {name!r} in layout") from None
+            view = self.values[..., start:stop].reshape(self.values.shape[:-1] + shape)
+            self._views[name] = view
+        return view
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)
@@ -114,6 +115,18 @@ class ParamVector:
     @property
     def n_params(self) -> int:
         return int(self.values.shape[-1])
+
+
+@functools.cache
+def _layout_offsets(layout) -> tuple[int, dict[str, tuple[int, int, tuple[int, ...]]]]:
+    """A layout's total size and each tensor's ``(start, stop, shape)``."""
+    offsets = {}
+    pos = 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        offsets[name] = (pos, pos + size, tuple(shape))
+        pos += size
+    return pos, offsets
 
 
 def _tensor_specs(cfg: EncoderConfig):

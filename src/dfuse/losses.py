@@ -18,13 +18,22 @@ terms in list order. ``loss_forward`` is the forward half of
 losses in one pass, each with the bits of the one-vector call.
 
 One evaluation encodes all its batches in one ``video_forward`` and one
-``text_forward`` call; each term reads its batch's rows as views of that
-cache. Rows pass through the towers independently, so this gives the bits
-of encoding each batch alone. Every batch's input and size checks run
-before that forward, and its zero-norm checks after it, both in batch order.
-The backward pass stays per batch: a weight gradient summed over the joined
-rows would sum in another order and change the bits. A batch whose terms
-all weigh 0 adds to the loss but skips its backward.
+``text_forward`` call; each batch's rows are a span of that joined cache.
+Rows pass through the towers independently, so this gives the bits of
+encoding each batch alone. Every batch's input and size checks run before
+that forward, in batch order; after it, one test per tower finds any
+zero-norm row, and only then does a batch-order pass name the first.
+
+The softmaxes of all same-shape logits and target matrices come from one
+stacked ``softmax_pair`` over the rows and one over that stack's
+``swapaxes`` view for the columns; every slice has the bits of its own
+2-D call. The backward pass runs once over the joined rows: each batch's
+logits gradient writes its embedding gradients into a span of one array
+per tower, and normalization, pooling, ``dh`` and ``da`` run over all rows
+at once. Each weight and bias gradient stays a 2-D einsum over one batch's
+span, added in batch order: a sum over the joined rows would sum in another
+order and change the bits. A batch whose terms all weigh 0 adds to the loss
+but to no gradient.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .encoder import (
     video_forward,
 )
 from .errors import UsageError
-from .numerics import matmul, scaled_dots, softmax_pair
+from .numerics import ZERO_NORM_THRESHOLD, matmul, scaled_dots, softmax_pair
 
 
 @dataclass(frozen=True)
@@ -81,8 +90,20 @@ class _Scores(NamedTuple):
     logp_cols: np.ndarray
 
 
-def _scores(s: np.ndarray) -> _Scores:
-    return _Scores(*softmax_pair(s), *softmax_pair(s.swapaxes(-1, -2)))
+def _scores(mats: list) -> list[_Scores]:
+    """``_Scores`` of each matrix, from one stacked ``softmax_pair`` per shape over the
+    rows and one over that stack's ``swapaxes`` view for the columns."""
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(k)
+    out = [None] * len(mats)
+    for ks in groups.values():
+        stack = np.stack([mats[k] for k in ks])
+        p_rows, logp_rows = softmax_pair(stack)
+        p_cols, logp_cols = softmax_pair(stack.swapaxes(-1, -2))
+        for n, k in enumerate(ks):
+            out[k] = _Scores(p_rows[n], logp_rows[n], p_cols[n], logp_cols[n])
+    return out
 
 
 def cross_entropy(sc: _Scores, target: _Scores | None):
@@ -103,44 +124,53 @@ def cross_entropy_grad(sc: _Scores, target: _Scores | None) -> np.ndarray:
     It vanishes exactly when the student's softmaxes equal the target's.
     """
     b = sc.p_rows.shape[-1]
-    q_rows, q_cols = (np.eye(b),) * 2 if target is None else (target.p_rows, target.p_cols)
-    return (sc.p_rows - q_rows) / b + ((sc.p_cols - q_cols) / b).T
+    if target is None:  # Q is the identity: subtracting its zeros changes no bit
+        rows, cols = sc.p_rows.copy(), sc.p_cols.copy()
+        rows.reshape(-1)[::b + 1] -= 1.0
+        cols.reshape(-1)[::b + 1] -= 1.0
+    else:
+        rows, cols = sc.p_rows - target.p_rows, sc.p_cols - target.p_cols
+    rows /= b
+    cols /= b
+    rows += cols.T
+    return rows
 
 
-def _embedding_grad_backward(
-    grads: dict, params: ParamVector, prefix: str, cache: TowerCache, dz: np.ndarray, n_pool: int
-) -> None:
-    """Backprop dz (w.r.t. unit embeddings) through normalize, pooling, tower."""
+def _tower_backward(grad: ParamVector, params: ParamVector, prefix: str, cache: TowerCache,
+                    dz: np.ndarray, n_pool: int, spans) -> None:
+    """Backprop ``dz`` (w.r.t. unit embeddings; overwritten) through normalize,
+    pooling and one tower over all of ``cache``'s rows, then add each weight
+    gradient over the pooled rows ``start:stop`` of each span, in span order."""
     # L2 normalization: du = (g - (g . z) z) / ||u||
     dots = np.einsum("ij,ij->i", dz, cache.z)
-    dpooled = (dz - dots[:, None] * cache.z) / cache.norms[:, None]
+    dz -= dots[:, None] * cache.z
+    dz /= cache.norms[:, None]
     w2 = params.tensor(prefix + ".w2")
     if n_pool > 1:
         # A video's frame rows share one gradient row: take dh on the pooled
         # rows and repeat it (row batching keeps the bits).
-        dpooled = dpooled / n_pool
-        du = np.repeat(dpooled, n_pool, axis=0)
-        dh = np.repeat(matmul(dpooled, w2), n_pool, axis=0)
+        dz /= n_pool
+        du = np.repeat(dz, n_pool, axis=0)
+        dh = np.repeat(matmul(dz, w2), n_pool, axis=0)
     else:
-        du = dpooled
+        du = dz
         dh = matmul(du, w2)
-    # The weight gradients sum over all frame rows: their summation order is the bits.
-    grads[prefix + ".b2"] += np.einsum("ij->j", du)
-    grads[prefix + ".w2"] += np.einsum("ij,ik->jk", du, cache.h)
-    da = dh * (1.0 - cache.h * cache.h)
-    grads[prefix + ".b1"] += np.einsum("ij->j", da)
-    grads[prefix + ".w1"] += np.einsum("ij,ik->jk", da, cache.x)
+    da = cache.h * cache.h
+    np.subtract(1.0, da, out=da)
+    da *= dh
+    # The weight gradients sum over one batch's frame rows at a time, batches
+    # in order: their summation order is the bits.
+    g_b2, g_w2, g_b1, g_w1 = (grad.tensor(f"{prefix}.{n}") for n in ("b2", "w2", "b1", "w1"))
+    for start, stop in spans:
+        a, z = start * n_pool, stop * n_pool
+        g_b2 += np.einsum("ij->j", du[a:z])
+        g_w2 += np.einsum("ij,ik->jk", du[a:z], cache.h[a:z])
+        g_b1 += np.einsum("ij->j", da[a:z])
+        g_w1 += np.einsum("ij,ik->jk", da[a:z], cache.x[a:z])
 
 
 def _join(parts: list[np.ndarray]) -> np.ndarray:
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
-def _rows(cache: TowerCache, start: int, stop: int, n_pool: int) -> TowerCache:
-    """Views of rows ``start:stop`` (pooled rows; ``n_pool`` tower rows each) of a cache."""
-    a, z = start * n_pool, stop * n_pool
-    return TowerCache(cache.x[a:z], cache.h[..., a:z, :], cache.pooled[..., start:stop, :],
-                      cache.norms[..., start:stop], cache.z[..., start:stop, :])
 
 
 def _check_target(b: int, target) -> None:
@@ -152,14 +182,16 @@ def _check_target(b: int, target) -> None:
 
 
 def _encode_batches(params: ParamVector, batches, terms, enc_cfg: EncoderConfig):
-    """``(cache_v, cache_t)`` of each ``(videos, texts)`` batch, as row views of one
-    ``video_forward`` and one ``text_forward`` over all their rows.
+    """``(cache_v, cache_t, spans)``: one ``video_forward`` and one ``text_forward``
+    over the rows of all ``(videos, texts)`` batches, and each batch's
+    ``(start, stop)`` pooled rows in them.
 
     Each batch's input checks and its terms' size checks run, batch by batch,
-    before the forward; each batch's zero-norm checks run, batch by batch,
-    after it. A zero-norm row is named by its index within its batch.
+    before the forward. After it, each tower's norms are tested at once; only
+    when one is below the threshold does a batch-by-batch pass name the first
+    zero-norm row, by its index within its batch.
     """
-    videos, texts = [], []
+    videos, texts, spans = [], [], []
     for i, (v, t) in enumerate(batches):
         videos.append(check_video_batch(v, enc_cfg))
         texts.append(check_text_batch(t, enc_cfg))
@@ -169,34 +201,28 @@ def _encode_batches(params: ParamVector, batches, terms, enc_cfg: EncoderConfig)
         for j, target, _ in terms:
             if j == i:
                 _check_target(b, target)
-    joined_v = video_forward(params, _join(videos), enc_cfg)
-    joined_t = text_forward(params, _join(texts), enc_cfg)
-    caches, start = [], 0
-    for v in videos:
-        stop = start + v.shape[0]
-        cache_v = _rows(joined_v, start, stop, enc_cfg.n_frames)
-        cache_t = _rows(joined_t, start, stop, 1)
-        reject_zero_norms(cache_v.norms)
-        reject_zero_norms(cache_t.norms)
-        caches.append((cache_v, cache_t))
-        start = stop
-    return caches
+        start = spans[-1][1] if spans else 0
+        spans.append((start, start + b))
+    cache_v = video_forward(params, _join(videos), enc_cfg)
+    cache_t = text_forward(params, _join(texts), enc_cfg)
+    # Written so that a NaN norm, which hides any zero norm from min(), takes the pass too.
+    if not (cache_v.norms.min() >= ZERO_NORM_THRESHOLD
+            and cache_t.norms.min() >= ZERO_NORM_THRESHOLD):
+        for start, stop in spans:
+            reject_zero_norms(cache_v.norms[..., start:stop])
+            reject_zero_norms(cache_t.norms[..., start:stop])
+    return cache_v, cache_t, spans
 
 
-def _pair_backward(grads, params, cache_v, cache_t, g, sigma: float, enc_cfg: EncoderConfig):
-    """Backprop a logits gradient ``g`` through the similarity into both towers."""
-    _embedding_grad_backward(
-        grads, params, "video", cache_v, matmul(g, cache_t.z) / sigma, enc_cfg.n_frames
-    )
-    _embedding_grad_backward(grads, params, "text", cache_t, matmul(g.T, cache_v.z) / sigma, 1)
-
-
-def _term_sum(embeddings, terms, sigma: float):
-    """``(loss, scores, targets)`` from each batch's ``(z_v, z_t)``: the weighted
-    terms summed in list order, each batch's logits softmaxes and each term's
-    target softmaxes."""
-    scores = [_scores(scaled_dots(z_v, z_t, sigma)) for z_v, z_t in embeddings]
-    targets = [None if teacher is None else _scores(teacher) for _, teacher, _ in terms]
+def _term_sum(z_v, z_t, spans, terms, sigma: float):
+    """``(loss, scores, targets)`` from the joined embeddings: the weighted terms
+    summed in list order, each batch's logits softmaxes and each term's target
+    softmaxes."""
+    logits = [scaled_dots(z_v[..., a:z, :], z_t[..., a:z, :], sigma) for a, z in spans]
+    teachers = [teacher for _, teacher, _ in terms if teacher is not None]
+    every = _scores(logits + teachers)
+    scores, teacher_scores = every[:len(logits)], iter(every[len(logits):])
+    targets = [None if teacher is None else next(teacher_scores) for _, teacher, _ in terms]
     loss = None
     for (i, _, weight), target in zip(terms, targets):
         value = weight * cross_entropy(scores[i], target)
@@ -212,31 +238,41 @@ def loss_forward(params: ParamVector, batches, terms, sigma: float, enc_cfg: Enc
     a ``(K,)`` array whose entry k has the bits of the one-vector call on row
     k; otherwise it is a numpy scalar.
     """
-    embeddings = [(cv.z, ct.z) for cv, ct in _encode_batches(params, batches, terms, enc_cfg)]
-    return _term_sum(embeddings, terms, sigma)[0]
+    cache_v, cache_t, spans = _encode_batches(params, batches, terms, enc_cfg)
+    z_v, z_t = cache_v.z, cache_t.z
+    del cache_v, cache_t
+    return _term_sum(z_v, z_t, spans, terms, sigma)[0]
 
 
 def total_loss_grad(params: ParamVector, batches, terms, sigma: float, enc_cfg: EncoderConfig):
     """Loss and analytic gradient of the weighted term sum w.r.t. ``params``.
 
     Videos are sampled frame arrays (``encoder.sample_frames``). Takes the
-    loss and each batch's logits gradient from one set of softmaxes, and
-    backpropagates the latter through the similarity, normalization, pooling
-    and both towers, batch by batch.
+    loss and each batch's logits gradient from one set of softmaxes, writes
+    each batch's embedding gradients into the rows of one joined array per
+    tower, and backpropagates those through normalization, pooling and both
+    towers in one pass.
 
     Returns ``(loss, grad)`` with ``grad.layout == params.layout``.
     """
-    caches = _encode_batches(params, batches, terms, enc_cfg)
-    loss, scores, targets = _term_sum([(cv.z, ct.z) for cv, ct in caches], terms, sigma)
-    grad = ParamVector(np.zeros(params.n_params), params.layout)
-    grads = {name: grad.tensor(name) for name, _ in params.layout}  # views into grad
-    for i, (cache_v, cache_t) in enumerate(caches):
+    cache_v, cache_t, spans = _encode_batches(params, batches, terms, enc_cfg)
+    loss, scores, targets = _term_sum(cache_v.z, cache_t.z, spans, terms, sigma)
+    dz_v, dz_t = np.zeros_like(cache_v.z), np.zeros_like(cache_t.z)
+    active = []
+    for i, (a, z) in enumerate(spans):
         own = [(weight, target) for (j, _, weight), target in zip(terms, targets) if j == i]
         if all(weight == 0.0 for weight, _ in own):
-            continue
+            continue  # its rows keep a zero gradient and add to no weight gradient
         g = None
         for weight, target in own:
             value = weight * cross_entropy_grad(scores[i], target)
             g = value if g is None else g + value
-        _pair_backward(grads, params, cache_v, cache_t, g, sigma, enc_cfg)
+        matmul(g, cache_t.z[a:z], out=dz_v[a:z])
+        matmul(g.T, cache_v.z[a:z], out=dz_t[a:z])
+        active.append((a, z))
+    dz_v /= sigma
+    dz_t /= sigma
+    grad = ParamVector(np.zeros(params.n_params), params.layout)
+    _tower_backward(grad, params, "video", cache_v, dz_v, enc_cfg.n_frames, active)
+    _tower_backward(grad, params, "text", cache_t, dz_t, 1, active)
     return float(loss), grad

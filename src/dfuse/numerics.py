@@ -31,9 +31,9 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # einsum keeps the summation order fixed; BLAS kernels may reorder.
-    return np.einsum("ij,jk->ik", a, b, optimize=False)
+    return np.einsum("ij,jk->ik", a, b, out=out, optimize=False)
 
 
 def softmax_pair(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

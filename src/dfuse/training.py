@@ -98,12 +98,24 @@ def adamw_step(
         raise UsageError("optimizer state shape does not match parameters")
     b1, b2 = cfg.betas
     t = state.step + 1
-    m = b1 * state.m + (1.0 - b1) * grad.values
-    v = b2 * state.v + (1.0 - b2) * grad.values * grad.values
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    update = cfg.lr * (m_hat / (np.sqrt(v_hat) + cfg.eps))
-    new_values = params.values * (1.0 - cfg.lr * cfg.weight_decay) - update
+    g = grad.values
+    # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and the update
+    # lr (m_hat / (sqrt(v_hat) + eps)), in that operation order, into reused temporaries.
+    m = b1 * state.m
+    term = (1.0 - b1) * g
+    m += term
+    v = b2 * state.v
+    np.multiply(1.0 - b2, g, out=term)
+    term *= g
+    v += term
+    denom = np.divide(v, 1.0 - b2**t, out=term)
+    np.sqrt(denom, out=denom)
+    denom += cfg.eps
+    update = m / (1.0 - b1**t)
+    update /= denom
+    update *= cfg.lr
+    new_values = params.values * (1.0 - cfg.lr * cfg.weight_decay)
+    new_values -= update
     return ParamVector(new_values, params.layout), OptimizerState(m, v, t)
 
 

@@ -206,6 +206,91 @@ def per_batch_loss_grad(params, batches, terms, sigma, enc_cfg):
     return loss, grads
 
 
+# The corpus generator as it was before per-split generation: every record
+# draws and computes its own features, one record at a time.
+
+def _unit(v):
+    return v / math.sqrt(float(np.einsum("i,i->", v, v)))
+
+
+def _jittered_latent(base, scale, rng):
+    offset = rng.standard_normal(base.shape[0]) * (scale / math.sqrt(base.shape[0]))
+    return _unit(base + offset)
+
+
+def _video_features(latent, a_v, cfg, rng):
+    base = np.einsum("ij,j->i", a_v, latent)
+    noise = rng.standard_normal((cfg.frames_per_video, cfg.d_v)) * cfg.noise_sigma
+    return base[None, :] + noise
+
+
+def _text_features(latent, a_t, cfg, rng):
+    base = np.einsum("ij,j->i", a_t, latent)
+    return base + rng.standard_normal(cfg.d_t) * cfg.noise_sigma
+
+
+def naive_build_corpus(cfg):
+    """Per-record reference for ``corpus.build_corpus``: the same records, each
+    with its own feature array computed from its own generator."""
+    from dfuse.corpus import (
+        _STREAM_PAIR,
+        _STREAM_UNLABELED_TEXT,
+        _STREAM_UNLABELED_VIDEO,
+        PAIRED_SPLITS,
+        Corpus,
+        CorpusRecord,
+        class_name_for,
+        concept_vectors,
+        text_feature_map,
+        video_feature_map,
+    )
+
+    concepts = concept_vectors(cfg)
+    a_v = video_feature_map(cfg)
+    a_t = text_feature_map(cfg)
+    records = []
+
+    paired_counts = {
+        "labeled-train": cfg.n_labeled_train,
+        "labeled-val": cfg.n_labeled_val,
+        "eval": cfg.n_eval,
+    }
+    for split_idx, split in enumerate(PAIRED_SPLITS):
+        for i in range(paired_counts[split]):
+            concept = i % cfg.n_concepts
+            rng = np.random.default_rng([cfg.seed, _STREAM_PAIR, split_idx, i])
+            latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
+            video = _video_features(latent, a_v, cfg, rng)
+            text = _text_features(latent, a_t, cfg, rng)
+            cls = class_name_for(concept, cfg.n_concepts) if split == "eval" else None
+            records.append(CorpusRecord(
+                id=f"vid-{split}-{i:05d}", kind="video", split=split,
+                concept_id=concept, features=video, class_name=cls, pair_index=i,
+            ))
+            records.append(CorpusRecord(
+                id=f"txt-{split}-{i:05d}", kind="text", split=split,
+                concept_id=concept, features=text, pair_index=i,
+            ))
+
+    for i in range(cfg.n_unlabeled):
+        concept = i % cfg.n_concepts
+        rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_VIDEO, i])
+        latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
+        records.append(CorpusRecord(
+            id=f"vid-unlabeled-{i:05d}", kind="video", split="unlabeled",
+            concept_id=concept, features=_video_features(latent, a_v, cfg, rng),
+        ))
+    for i in range(cfg.n_unlabeled):
+        concept = i % cfg.n_concepts
+        rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_TEXT, i])
+        latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
+        records.append(CorpusRecord(
+            id=f"txt-unlabeled-{i:05d}", kind="text", split="unlabeled",
+            concept_id=concept, features=_text_features(latent, a_t, cfg, rng),
+        ))
+    return Corpus(cfg, records)
+
+
 def naive_ranks(sims, true_index):
     """Sort-based rank oracle with the pessimistic tie policy."""
     ranks = []

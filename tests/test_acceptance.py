@@ -144,8 +144,8 @@ def test_ac2_loss_oracle_equivalence():
         x = rng.uniform(-30, 30, size=(b, b))
         sigma = float(rng.uniform(1 / 25, 1.0))  # keeps |logits| <= 25 for unit rows
         lam = float(rng.uniform(0.0, 2.0))
-        got = (cross_entropy(_scores(scaled_dots(z_v_l, z_t_l, sigma)), None)
-               + lam * cross_entropy(_scores(scaled_dots(z_v_u, z_t_u, sigma)), _scores(x)))
+        got = (cross_entropy(_scores([scaled_dots(z_v_l, z_t_l, sigma)])[0], None)
+               + lam * cross_entropy(*_scores([scaled_dots(z_v_u, z_t_u, sigma), x])))
         want = naive_total(z_v_l, z_t_l, z_v_u, z_t_u, x, sigma, lam)
         worst = max(worst, abs(got - want))
     criterion("AC2 loss-oracle-equivalence", worst < 1e-10,
@@ -158,7 +158,7 @@ def test_ac3_distillation_fixed_point():
     for _ in range(20):
         b = int(rng.integers(2, 9))
         x = rng.uniform(-20, 20, size=(b, b))
-        worst = max(worst, float(np.max(np.abs(cross_entropy_grad(_scores(x), _scores(x))))))
+        worst = max(worst, float(np.max(np.abs(cross_entropy_grad(*_scores([x, x]))))))
     # end to end: pseudo labels from the same weights reproduce the student
     # logits bit-exactly, so the fixed point holds through the encoders too
     enc = EncoderConfig(6, 5, 8, 4, n_frames=2, seed=1)
@@ -177,7 +177,7 @@ def test_ac3_distillation_fixed_point():
         encode_text_batch(params, texts, enc), 0.05,
     )
     worst = max(worst, float(np.max(np.abs(
-        cross_entropy_grad(_scores(student_logits), _scores(pseudo))
+        cross_entropy_grad(*_scores([student_logits, pseudo]))
     ))))
     criterion("AC3 distillation-fixed-point", worst < 1e-8,
               f"max |grad| at matching logits {worst:.2e}")

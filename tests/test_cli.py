@@ -851,6 +851,24 @@ class TestPipelineCommands:
                                            f"SynthConfig.{field} must be {reason}, got {value!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
+    def test_header_scale_too_large_for_a_double_is_one_error_line(self, mini_pipeline,
+                                                                   tmp_path, capsys):
+        root, _, videos = mini_pipeline
+        header, rest = videos.read_bytes().split(b"\n", 1)
+        payload = json.loads(header)
+        payload["synth"]["noise_sigma"] = 10**400
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(json.dumps(payload).encode() + b"\n" + rest)
+        capsys.readouterr()
+        code = cli_dispatch([
+            "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
+            "--out", str(tmp_path / "rep"),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == (f"error: {bad}: line 1: bad generation config: "
+                                           "SynthConfig.noise_sigma must be a finite number\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
+
     @pytest.mark.parametrize("split", ["labeled-train", "unlabeled"])
     @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
     def test_malformed_record_in_a_dropped_split_fails_as_in_a_full_load(

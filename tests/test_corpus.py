@@ -22,6 +22,7 @@ from dfuse.corpus import (
 )
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
 from dfuse.fileio import sha256_file
+from naive import naive_build_corpus
 
 
 def _written(cfg, path):
@@ -84,6 +85,35 @@ class TestGeneration:
             for row in stack:
                 np.testing.assert_array_equal(row, text)
             np.testing.assert_allclose(stack.mean(axis=0), text, atol=1e-15)
+
+
+_ORACLE_CONFIGS = {
+    "default": SynthConfig(),
+    "acceptance images": SynthConfig(frames_per_video=1, video_domain_shift=0.0,
+                                     n_labeled_train=2048, n_labeled_val=256, n_unlabeled=0,
+                                     n_eval=512, seed=7),
+    "empty splits": SynthConfig(n_labeled_train=0, n_labeled_val=0, n_unlabeled=0, n_eval=0),
+    "identity maps": SynthConfig(latent_dim=8, d_v=8, d_t=8, video_domain_shift=0.0,
+                                 identity_maps=True, n_labeled_train=40, n_labeled_val=8,
+                                 n_unlabeled=24, n_eval=16, seed=3),
+    "seed past 32 bits": SynthConfig(n_labeled_train=16, n_labeled_val=4, n_unlabeled=12,
+                                     n_eval=8, seed=2**32 + 11),
+}
+
+
+class TestGeneratorOracle:
+    """Per-split generation gives the per-record generator's records, bit for bit."""
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_records_equal_the_per_record_generator(self, name):
+        cfg = _ORACLE_CONFIGS[name]
+        got, want = build_corpus(cfg).records, naive_build_corpus(cfg).records
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.id, a.kind, a.split, a.concept_id, a.class_name, a.pair_index) \
+                == (b.id, b.kind, b.split, b.concept_id, b.class_name, b.pair_index)
+            assert (a.features.dtype, a.features.shape) == (b.features.dtype, b.features.shape)
+            assert a.features.tobytes() == b.features.tobytes(), a.id
 
 
 class TestPlantedSharing:
@@ -656,6 +686,24 @@ class TestFeatureBits:
             next(lines)
 
 
+    @pytest.mark.parametrize("x", [1e16, 5.05e-05, -0.0])
+    @pytest.mark.parametrize("layout", ["row view", "strided", "float32"])
+    def test_writer_spells_hard_values_as_json_dumps(self, x, layout):
+        # orjson spells the first two differently (exponent, below 1e-4), so the
+        # writer must hand those lines to json.dumps; -0.0 both spell alike.
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
+        split = np.array([[[0.5, 0.25], [x, 1.5]], [[2.0, x], [0.75, -3.0]]])
+        features = {"row view": split[1], "strided": split[:, 1].T,
+                    "float32": split[1].astype(np.float32)}[layout]
+        rec = CorpusRecord("vid-0", "video", "unlabeled", 0, features)
+        _, line = corpus_lines(Corpus(synth, [rec]))
+        assert line == (json.dumps({
+            "record": "item", "id": "vid-0", "kind": "video", "split": "unlabeled",
+            "concept_id": 0, "pair_index": None, "class_name": None,
+            "features": features.tolist(),
+        }) + "\n").encode()
+
+
 def prompt_feature(synth, prompt_text, class_idx):
     return prompt_feature_fn(synth)(prompt_text, class_idx)
 
@@ -712,6 +760,13 @@ class TestSynthConfigValidation:
         with pytest.raises(UsageError) as info:
             SynthConfig(**{field: value})
         assert str(info.value) == f"SynthConfig.{field} must be {reason}, got {value!r}"
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "concept_jitter", "prompt_jitter",
+                                       "video_domain_shift"])
+    def test_rejects_an_integer_too_large_for_a_double(self, field):
+        with pytest.raises(UsageError) as info:
+            SynthConfig(**{field: 10**400})
+        assert str(info.value) == f"SynthConfig.{field} must be a finite number"
 
     def test_an_int_is_a_number(self):
         assert SynthConfig(noise_sigma=0, video_domain_shift=1).noise_sigma == 0

@@ -37,8 +37,10 @@ from naive import (
 
 def ce(z_v, z_t, sigma, teacher=None):
     """The cross-entropy term on the logits of two embedding batches (None: the diagonal)."""
-    sc = losses._scores(scaled_dots(np.asarray(z_v, float), np.asarray(z_t, float), sigma))
-    return cross_entropy(sc, None if teacher is None else losses._scores(teacher))
+    logits = scaled_dots(np.asarray(z_v, float), np.asarray(z_t, float), sigma)
+    if teacher is None:
+        return cross_entropy(losses._scores([logits])[0], None)
+    return cross_entropy(*losses._scores([logits, teacher]))
 
 
 def entropies(x):
@@ -108,8 +110,8 @@ class TestTeacherTarget:
         logits = scaled_dots(z_v, z_t, 0.5)
         assert ce(z_v, z_t, 0.5, logits) == pytest.approx(sum(entropies(logits)), abs=1e-10)
         # softmax-difference identity: gradient vanishes exactly at the match
-        sc = losses._scores(logits)
-        assert np.max(np.abs(cross_entropy_grad(sc, losses._scores(logits)))) == 0.0
+        sc, target = losses._scores([logits, logits.copy()])
+        assert np.max(np.abs(cross_entropy_grad(sc, target))) == 0.0
 
     def test_uniform_teacher_rows_lower_bound(self):
         rng = np.random.default_rng(14)
@@ -216,8 +218,8 @@ class TestCrossEntropyGrad:
         b = 4
         s = rng.uniform(-3, 3, size=(b, b))
         x = rng.uniform(-3, 3, size=(b, b)) if teacher else None
-        target = None if x is None else losses._scores(x)
-        grad = cross_entropy_grad(losses._scores(s), target)
+        target = None if x is None else losses._scores([x])[0]
+        grad = cross_entropy_grad(losses._scores([s])[0], target)
         h = 1e-6
 
         def loss_of(m):
@@ -422,16 +424,26 @@ class TestOneTowerPass:
     """Both batches go through one video and one text tower call, with the
     bits of encoding each batch on its own."""
 
-    @pytest.mark.parametrize("case", ["clip/clip", "still/clip", "5 labeled/3 unlabeled",
-                                      "labeled_pseudo", "lambda 0"])
+    @pytest.mark.parametrize("case", [
+        "clip/clip", "still/clip", "5 labeled/3 unlabeled", "labeled_pseudo", "lambda 0",
+        "5 labeled/3 unlabeled, labeled_pseudo", "labeled batch weighs 0",
+        "three batches, the middle weighs 0", "1-row unlabeled batch",
+    ])
     def test_loss_and_every_gradient_tensor_equal_per_batch_oracle(self, case):
         inst = _one_pass_instance(
             [47, len(case)], labeled="still" if case == "still/clip" else "clip",
-            b_u=3 if case.startswith("5") else 5,
+            b_u={"5": 3, "1": 1}.get(case[0], 5),
         )
         cfg = LossConfig(sigma=0.1, lambda_=0.0 if case == "lambda 0" else 0.7)
-        labeled_pseudo = inst["labeled_pseudo"] if case == "labeled_pseudo" else None
-        args = _term_args(inst, cfg, labeled_pseudo)
+        labeled_pseudo = inst["labeled_pseudo"] if "labeled_pseudo" in case else None
+        batches, terms, sigma, enc_cfg = _term_args(inst, cfg, labeled_pseudo)
+        if case == "labeled batch weighs 0":
+            terms = [(0, None, 0.0), (1, inst["pseudo"], 0.7)]
+        elif case.startswith("three"):
+            batches = batches + [(inst["lv"][::-1], inst["lt"][::-1])]
+            terms = [(0, None, 1.0), (1, inst["pseudo"], 0.0), (2, None, 0.5),
+                     (2, inst["labeled_pseudo"], 0.25)]
+        args = (batches, terms, sigma, enc_cfg)
         params = init_params(SHARED_CFG)
         with pytest.MonkeyPatch.context() as mp:
             counts = _count_tower_calls(mp)
@@ -442,8 +454,11 @@ class TestOneTowerPass:
         for name, shape in params.layout:
             assert same_bits(grad.tensor(name), want_grads[name]), name
 
-    def test_stacked_losses_equal_per_batch_oracle(self):
-        inst = _one_pass_instance(48, b_u=3)
+    @pytest.mark.parametrize("b_u", [5, 3])
+    def test_stacked_losses_equal_per_batch_oracle(self, b_u):
+        # b_u = 5: both batches' logits in one shape group, both targets in
+        # another; b_u = 3: four groups.
+        inst = _one_pass_instance([48, b_u], b_u=b_u)
         params = init_params(SHARED_CFG)
         rng = np.random.default_rng(49)
         stack = ParamVector(params.values + 1e-5 * rng.standard_normal((6, params.n_params)),
@@ -463,22 +478,29 @@ class TestOneTowerPass:
         inst = _one_pass_instance(50)
         params = init_params(SHARED_CFG)
         seen = []
-        real = losses._scores
+        real = losses.softmax_pair
 
-        def recording(s):
-            seen.append(s)
-            return real(s)
+        def recording(arr):
+            seen.append(arr.copy())
+            return real(arr)
 
-        monkeypatch.setattr(losses, "_scores", recording)
+        def taken(m):
+            """How many recorded softmax inputs hold ``m`` as one of their slices."""
+            return sum(any(same_bits(s, m) for s in arr) for arr in seen)
+
+        monkeypatch.setattr(losses, "softmax_pair", recording)
         args = (params, *_term_args(inst, LossConfig(sigma=0.1, lambda_=0.5)))
         pseudo = inst["pseudo"]
         first = loss_forward(*args)
-        assert sum(s is pseudo for s in seen) == 1
-        assert len(seen) == 3  # two batches' student logits, then the teacher's
+        # One stack of both batches' logits and the teacher's: its rows, then its columns.
+        assert [arr.shape for arr in seen] == [(3, 5, 5)] * 2
+        assert (taken(pseudo), taken(pseudo.T)) == (1, 1)
         pseudo[...] = pseudo.T
+        seen.clear()
         second = loss_forward(*args)
         want, _ = per_batch_loss_grad(*args)
-        assert len(seen) == 6
+        assert len(seen) == 2
+        assert (taken(pseudo), taken(pseudo.T)) == (1, 1)
         assert not same_bits(first, second)
         assert same_bits(second, want)
 
