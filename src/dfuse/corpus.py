@@ -264,10 +264,10 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
 def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
     """The corpus file, one encoded line at a time.
 
-    Every line is the bytes of ``json.dumps(payload)``. orjson writes a
-    C-contiguous float64 feature array directly (any other array goes
-    through ``tolist``), with the same shortest round-trip digits as
-    ``repr``. It spells a float differently only in exponent form (``1e16``,
+    Every line is the bytes of ``json.dumps(payload)``. orjson writes each
+    feature array as C-contiguous float64 (a copy only for an array that is
+    not: float32 widens exactly), with the same shortest round-trip digits
+    as ``repr``. It spells a float differently only in exponent form (``1e16``,
     ``9.2e-6``), below 1e-4 (``0.0000505``) and for a non-finite value
     (``null``). A record whose
     orjson features contain ``e``, ``n`` or ``0.0000`` is therefore written
@@ -292,12 +292,8 @@ def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
             "pair_index": rec.pair_index,
             "class_name": rec.class_name,
         }
-        values = rec.features
-        if values.dtype == np.float64 and values.flags.c_contiguous:
-            features = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-        else:
-            features = orjson.dumps(values.tolist())
-        features = features.replace(b",", b", ")
+        values = np.ascontiguousarray(rec.features, dtype=np.float64)
+        features = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
         if b"e" in features or b"n" in features or b"0.0000" in features:
             if not np.isfinite(values).all():
                 raise CorpusRecordError(f"record {rec.id!r}: non-finite features")

@@ -76,8 +76,7 @@ class ParamVector:
     A 2-D ``values`` is a stack of K weight vectors, one per row, that the
     forward pass evaluates at once; any other shape is flattened. Treated as
     immutable by every consumer; call ``copy()`` before mutating. A layout's
-    offsets are computed once per process and each tensor's view once per
-    instance, so ``values`` is never rebound after construction.
+    offsets are computed once per process.
     """
 
     values: np.ndarray
@@ -92,19 +91,14 @@ class ParamVector:
             raise UsageError(
                 f"layout declares {total} values but {self.values.shape[-1]} were given"
             )
-        self._views = {}
 
     def tensor(self, name: str) -> np.ndarray:
         """View of one named tensor, reshaped (``(K, *shape)`` for a stack); shares memory."""
-        view = self._views.get(name)
-        if view is None:
-            try:
-                start, stop, shape = self._offsets[name]
-            except KeyError:
-                raise UsageError(f"no tensor named {name!r} in layout") from None
-            view = self.values[..., start:stop].reshape(self.values.shape[:-1] + shape)
-            self._views[name] = view
-        return view
+        try:
+            start, stop, shape = self._offsets[name]
+        except KeyError:
+            raise UsageError(f"no tensor named {name!r} in layout") from None
+        return self.values[..., start:stop].reshape(self.values.shape[:-1] + shape)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.layout)

@@ -27,7 +27,10 @@ zero-norm row, and only then does a batch-order pass name the first.
 The softmaxes of all same-shape logits and target matrices come from one
 stacked ``softmax_pair`` over the rows and one over that stack's
 ``swapaxes`` view for the columns; every slice has the bits of its own
-2-D call. The backward pass runs once over the joined rows: each batch's
+2-D call on a C-ordered matrix. The stack is a C-ordered copy, so a
+teacher's logits read as their C-ordered copy whatever their memory layout:
+a transposed view or a Fortran-ordered array gives the bits of
+``np.ascontiguousarray`` of it. The backward pass runs once over the joined rows: each batch's
 logits gradient writes its embedding gradients into a span of one array
 per tower, and normalization, pooling, ``dh`` and ``da`` run over all rows
 at once. Each weight and bias gradient stays a 2-D einsum over one batch's
@@ -92,7 +95,8 @@ class _Scores(NamedTuple):
 
 def _scores(mats: list) -> list[_Scores]:
     """``_Scores`` of each matrix, from one stacked ``softmax_pair`` per shape over the
-    rows and one over that stack's ``swapaxes`` view for the columns."""
+    rows and one over that stack's ``swapaxes`` view for the columns. Each matrix
+    is read as its C-ordered copy."""
     groups: dict[tuple, list[int]] = {}
     for k, m in enumerate(mats):
         groups.setdefault(m.shape, []).append(k)

@@ -454,6 +454,26 @@ class TestOneTowerPass:
         for name, shape in params.layout:
             assert same_bits(grad.tensor(name), want_grads[name]), name
 
+    @pytest.mark.parametrize("layout", ["transposed view", "Fortran order"])
+    def test_a_teacher_reads_as_its_c_ordered_copy(self, layout):
+        # The softmaxes stack every teacher, which copies it in C order; the
+        # per-batch oracle, which takes a teacher as given, sees that copy.
+        inst = _one_pass_instance(51, b_u=9)
+        view = {"transposed view": lambda m: np.ascontiguousarray(m.T).T,
+                "Fortran order": np.asfortranarray}[layout]
+        cfg = LossConfig(sigma=0.1, lambda_=0.7)
+        copies = _term_args(inst, cfg, inst["labeled_pseudo"])
+        inst["pseudo"], inst["labeled_pseudo"] = view(inst["pseudo"]), view(inst["labeled_pseudo"])
+        views = _term_args(inst, cfg, inst["labeled_pseudo"])
+        assert not any(t.flags.c_contiguous for _, t, _ in views[1] if t is not None)
+        params = init_params(SHARED_CFG)
+        loss, grad = total_loss_grad(params, *views)
+        want_loss, want_grads = per_batch_loss_grad(params, *copies)
+        assert same_bits(np.float64(loss), want_loss)
+        assert same_bits(loss_forward(params, *views), want_loss)
+        for name, shape in params.layout:
+            assert same_bits(grad.tensor(name), want_grads[name]), name
+
     @pytest.mark.parametrize("b_u", [5, 3])
     def test_stacked_losses_equal_per_batch_oracle(self, b_u):
         # b_u = 5: both batches' logits in one shape group, both targets in
