@@ -13,9 +13,15 @@ arrays. It and ``text_forward`` are the unchecked forward cores: they neither
 check their inputs nor reject zero-norm embeddings. The checked entries are
 ``encode_sampled``, ``encode_video_batch`` (which takes raw stacks and
 samples them on the way in) and ``encode_text_batch``; each checks its
-inputs before the forward and the embedding norms after it. The loss encodes
-several batches in one call per tower and runs those checks itself, per
-batch.
+inputs before the forward and the embedding norms after it. They run the
+forward on fixed blocks of ``ENCODE_BLOCK_ROWS`` videos or texts and write
+each block's embeddings into one output array, so a whole split (the teacher
+encodes the unlabeled pool at once) costs one block's transient arrays, not
+the split's. Rows pass through the towers independently, and the still-image
+test below is made per block, so the bits are those of one unblocked
+forward. The norms are checked once, over the whole batch, so an error names
+a row by its index in the batch. The loss encodes several batches in one
+call per tower and runs those checks itself, per batch.
 
 Still images (T=1 records, sampled to ``n_frames`` copies) share one tower
 pass: when every frame slot of every video in a batch has slot 0's bits,
@@ -45,6 +51,11 @@ import numpy as np
 
 from .errors import DegenerateEmbeddingError, UsageError
 from .numerics import ZERO_NORM_THRESHOLD, row_norms
+
+# Videos or texts per tower pass in a checked encode: bounds its transient
+# arrays whatever the batch size. Rows pass through the towers independently,
+# so any block size gives the same bits.
+ENCODE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -295,22 +306,34 @@ def text_forward(params: ParamVector, features, cfg: EncoderConfig) -> TowerCach
     return _normalize_with_cache(features, h, u)
 
 
-def _checked_z(cache: TowerCache) -> np.ndarray:
-    reject_zero_norms(cache.norms)
-    return cache.z
+def _encode_in_blocks(params: ParamVector, forward, rows: np.ndarray,
+                      cfg: EncoderConfig) -> np.ndarray:
+    """Unit-norm embeddings of checked ``rows``, ``forward`` run on blocks of
+    ``ENCODE_BLOCK_ROWS``; the norms of the whole batch are checked at the end."""
+    n = rows.shape[0]
+    lead = params.values.shape[:-1]
+    z = np.empty(lead + (n, cfg.embed_dim))
+    norms = np.empty(lead + (n,))
+    for start in range(0, n, ENCODE_BLOCK_ROWS):
+        block = slice(start, start + ENCODE_BLOCK_ROWS)
+        cache = forward(params, rows[block], cfg)
+        z[..., block, :] = cache.z
+        norms[..., block] = cache.norms
+    reject_zero_norms(norms)
+    return z
 
 
 def encode_video_batch(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
     """Unit-norm embeddings of raw frame stacks, sampled on the way in."""
-    return _checked_z(video_forward(params, sample_frames(stacks, cfg), cfg))
+    return _encode_in_blocks(params, video_forward, sample_frames(stacks, cfg), cfg)
 
 
 def encode_text_batch(params: ParamVector, features, cfg: EncoderConfig) -> np.ndarray:
     """Unit-norm embeddings of raw text features (one vector is one row)."""
-    return _checked_z(text_forward(params, check_text_batch(features, cfg), cfg))
+    return _encode_in_blocks(params, text_forward, check_text_batch(features, cfg), cfg)
 
 
 def encode_sampled(params: ParamVector, frames: np.ndarray, features, cfg: EncoderConfig):
     """``(z_v, z_t)``: unit-norm embeddings of sampled frames and of text features."""
-    z_v = _checked_z(video_forward(params, check_video_batch(frames, cfg), cfg))
+    z_v = _encode_in_blocks(params, video_forward, check_video_batch(frames, cfg), cfg)
     return z_v, encode_text_batch(params, features, cfg)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -361,6 +363,139 @@ class TestStillBatches:
         frames = sample_frames([np.ones((1, 6))] * 3, cfg)
         video_forward(init_params(cfg), frames, cfg)
         assert tower_rows == [3]
+
+
+BLOCK_CFG = EncoderConfig(6, 5, 9, 4, n_frames=4, seed=29)
+BLOCKS = sorted({1, 3, encoder.ENCODE_BLOCK_ROWS})
+
+
+def _sizes(block):
+    """Batch sizes around the block boundaries."""
+    return sorted({1, block - 1, block, block + 1, 2 * block + 1} - {0})
+
+
+def _block_stacks(kind, n, block, rng):
+    """Raw frame stacks of ``n`` videos: clips, stills, or stills through the
+    first block and half the second, then clips (a mixed block when n allows)."""
+    d = BLOCK_CFG.input_dim_video
+    stills = {"clips": 0, "stills": n, "mix": block + block // 2 + 1}[kind]
+    return [rng.standard_normal((1 if i < stills else 8, d)) for i in range(n)]
+
+
+def _zero_bias(params):
+    """``params`` with every bias zero: a zero input row then has a zero-norm embedding."""
+    out = params.copy()
+    for name, _ in params.layout:
+        if name.endswith((".b1", ".b2")):
+            out.tensor(name)[...] = 0.0
+    return out
+
+
+class TestBlockedEncode:
+    """The checked entries run the towers on blocks of rows, with the bits,
+    the errors and the check order of one unblocked call."""
+
+    @pytest.fixture
+    def forward_rows(self, monkeypatch):
+        rows = []
+        for tower in ("video", "text"):
+            real = getattr(encoder, f"{tower}_forward")
+
+            def recording(params, x, cfg, _real=real, _tower=tower):
+                rows.append((_tower, x.shape[0]))
+                return _real(params, x, cfg)
+
+            monkeypatch.setattr(encoder, f"{tower}_forward", recording)
+        return rows
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("kind", ["clips", "stills", "mix"])
+    def test_every_entry_has_the_bits_of_one_forward(self, kind, block, monkeypatch,
+                                                     forward_rows):
+        monkeypatch.setattr(encoder, "ENCODE_BLOCK_ROWS", block)
+        params = init_params(BLOCK_CFG)
+        for n in _sizes(block):
+            rng = np.random.default_rng([43, block, n, len(kind)])
+            stacks = _block_stacks(kind, n, block, rng)
+            frames = sample_frames(stacks, BLOCK_CFG)
+            texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
+            want_v = video_forward(params, frames, BLOCK_CFG).z.tobytes()
+            want_t = text_forward(params, texts, BLOCK_CFG).z.tobytes()
+            forward_rows.clear()
+            z_v, z_t = encode_sampled(params, frames, texts, BLOCK_CFG)
+            assert (z_v.tobytes(), z_t.tobytes()) == (want_v, want_t), (kind, n)
+            assert encode_video_batch(params, stacks, BLOCK_CFG).tobytes() == want_v
+            assert encode_text_batch(params, texts, BLOCK_CFG).tobytes() == want_t
+            blocks = [min(block, n - start) for start in range(0, n, block)]
+            video, text = [("video", b) for b in blocks], [("text", b) for b in blocks]
+            assert forward_rows == video + text + video + text
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_a_stack_keeps_its_leading_axis(self, block, monkeypatch):
+        monkeypatch.setattr(encoder, "ENCODE_BLOCK_ROWS", block)
+        params = init_params(BLOCK_CFG)
+        rng = np.random.default_rng(44)
+        stack = ParamVector(params.values + 1e-3 * rng.standard_normal((2, params.n_params)),
+                            params.layout)
+        n = 2 * block + 1
+        frames = sample_frames(_block_stacks("mix", n, block, rng), BLOCK_CFG)
+        texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
+        z_v, z_t = encode_sampled(stack, frames, texts, BLOCK_CFG)
+        assert z_v.shape == z_t.shape == (2, n, BLOCK_CFG.embed_dim)
+        assert z_v.tobytes() == video_forward(stack, frames, BLOCK_CFG).z.tobytes()
+        assert z_t.tobytes() == text_forward(stack, texts, BLOCK_CFG).z.tobytes()
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    def test_a_zero_norm_row_in_a_later_block_is_named_by_its_batch_index(self, block,
+                                                                          monkeypatch):
+        params = _zero_bias(init_params(BLOCK_CFG))
+        rng = np.random.default_rng(45)
+        n = 2 * block + 1
+        bad = block + block // 2  # mid-way through the second block
+        frames = sample_frames(_block_stacks("clips", n, block, rng), BLOCK_CFG)
+        texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
+        frames[bad] = 0.0
+        texts[bad] = 0.0
+        want = {}
+        for tower, forward, x in (("video", video_forward, frames),
+                                  ("text", text_forward, texts)):
+            with pytest.raises(DegenerateEmbeddingError) as unblocked:
+                encoder.reject_zero_norms(forward(params, x, BLOCK_CFG).norms)
+            want[tower] = str(unblocked.value)
+            assert want[tower].startswith(f"pooled embedding {bad} has norm")
+        monkeypatch.setattr(encoder, "ENCODE_BLOCK_ROWS", block)
+        with pytest.raises(DegenerateEmbeddingError) as got:
+            encode_sampled(params, frames, texts, BLOCK_CFG)
+        assert str(got.value) == want["video"]
+        with pytest.raises(DegenerateEmbeddingError) as got:
+            encode_text_batch(params, texts, BLOCK_CFG)
+        assert str(got.value) == want["text"]
+
+    def test_the_video_error_comes_before_a_malformed_text_batch(self, monkeypatch):
+        monkeypatch.setattr(encoder, "ENCODE_BLOCK_ROWS", 3)
+        params = _zero_bias(init_params(BLOCK_CFG))
+        frames = sample_frames(_block_stacks("clips", 7, 3, np.random.default_rng(46)),
+                               BLOCK_CFG)
+        frames[5] = 0.0
+        malformed = np.zeros((7, BLOCK_CFG.input_dim_text + 1))
+        with pytest.raises(DegenerateEmbeddingError, match="pooled embedding 5 has norm"):
+            encode_sampled(params, frames, malformed, BLOCK_CFG)
+        with pytest.raises(UsageError, match="text features have dim"):
+            encode_sampled(params, frames[:5], malformed, BLOCK_CFG)
+
+    def test_a_whole_pool_costs_its_outputs_and_one_block(self):
+        cfg = EncoderConfig(32, 32, 32, 16, n_frames=4, seed=47)
+        params = init_params(cfg)
+        rng = np.random.default_rng(47)
+        frames = rng.standard_normal((4096, 4, 32))
+        texts = rng.standard_normal((4096, 32))
+        tracemalloc.start()
+        try:
+            z_v, z_t = encode_sampled(params, frames, texts, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= z_v.nbytes + z_t.nbytes + 2**20, peak
 
 
 class TestEncodeText:
