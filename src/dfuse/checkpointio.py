@@ -8,12 +8,16 @@ endpoint comparisons rely on, so checkpoints are little-endian binary:
     | per tensor: name length (uint16), name utf-8, ndim (uint8), dims (int64 each)
     | value count (int64) | values (float64 each) | crc32 of the value bytes (uint32)
 
+The last three parts are one ``fileio.framed`` block, the framing corpus
+files use too; its CRC-32 covers the values only, not the header before them.
+
 ``load_checkpoint`` rejects a file whose weights are not all finite. The
 validation loss may be NaN: a fused checkpoint carries none of its own.
 """
 
 from __future__ import annotations
 
+import io
 import struct
 import zlib
 from dataclasses import dataclass
@@ -29,7 +33,7 @@ from .errors import (
     CheckpointMagicError,
     UsageError,
 )
-from .fileio import atomic_write_bytes
+from .fileio import FrameReader, atomic_write_bytes, framed
 from .losses import LossConfig
 
 MAGIC = b"DFCK0001"
@@ -63,9 +67,7 @@ def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
         parts.append(struct.pack("<B", len(shape)))
         parts.append(struct.pack(f"<{len(shape)}q", *shape))
     values = np.ascontiguousarray(ckpt.params.values, dtype="<f8").tobytes()
-    parts.append(struct.pack("<q", ckpt.params.n_params))
-    parts.append(values)
-    parts.append(struct.pack("<I", zlib.crc32(values)))
+    parts.extend(framed(ckpt.params.n_params, (values,)))
     return b"".join(parts)
 
 
@@ -73,27 +75,10 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     atomic_write_bytes(path, checkpoint_bytes(ckpt))
 
 
-class _Reader:
-    def __init__(self, data: bytes, source: str):
-        self.data = data
-        self.off = 0
-        self.source = source
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise CheckpointFormatError(f"{self.source}: truncated checkpoint")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path) -> Checkpoint:
     source = str(path)
-    data = Path(path).read_bytes()
-    r = _Reader(data, source)
+    r = FrameReader(io.BytesIO(Path(path).read_bytes()), source, CheckpointFormatError,
+                    "checkpoint")
     if r.take(len(MAGIC)) != MAGIC:
         raise CheckpointMagicError(f"{source}: bad magic tag")
     dv, dt, hidden, embed, n_frames, seed = r.unpack("<6q")
@@ -126,7 +111,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     value_bytes = r.take(8 * n_values)
     (crc,) = r.unpack("<I")
-    if r.off != len(data):
+    if not r.at_end():
         raise CheckpointFormatError(f"{source}: trailing bytes after checkpoint")
     if zlib.crc32(value_bytes) != crc:
         raise CheckpointChecksumError(f"{source}: value checksum mismatch")

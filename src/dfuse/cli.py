@@ -11,7 +11,7 @@ Each run that writes files also writes a ``<output>.manifest.json`` with the
 resolved configuration and SHA-256 checksums of its inputs. A corpus input is
 hashed as ``load_corpus`` reads it, so its bytes are read once; any other
 input is hashed when the manifest is written. A command that reads a corpus
-keeps only the splits it uses, though every line is still checked. Exit codes:
+keeps only the splits it uses, though every block is still checked. Exit codes:
 0 success, 1 usage error, 2 runtime or validation failure.
 """
 
@@ -49,7 +49,7 @@ from .losses import LossConfig
 from .training import TrainConfig, pretrain_teacher, train_student
 
 SEED_ENV_VAR = "DFUSE_SEED"
-# The corpus splits each command keeps; load_corpus still checks every line.
+# The corpus splits each command keeps; load_corpus still checks every block.
 _TRAIN_SPLITS = ("labeled-train", "labeled-val")  # plus "unlabeled" when distilling
 _EVAL_SPLITS = ("eval",)
 # glibc's malloc_trim returns the C heap's free pages to the OS; None without glibc.
@@ -319,6 +319,8 @@ def _sweep_summary(rows: list[dict]) -> dict:
 
 def _cmd_sweep_alpha(values: dict) -> int:
     alphas = _parse_alphas(values["alphas"])
+    if not 0.0 <= values["impact_alpha"] <= 1.0:  # false for nan too
+        raise UsageError(f"impact_alpha must lie in [0, 1], got {values['impact_alpha']}")
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
@@ -385,6 +387,8 @@ def _read_report(path: str):
 
 
 def _cmd_report_class_delta(values: dict) -> int:
+    if values["limit"] < 0:
+        raise UsageError(f"limit must be >= 0, got {values['limit']}")
     a = _read_report(values["report_a"])
     b = _read_report(values["report_b"])
     limit = values["limit"] if values["limit"] > 0 else None
@@ -433,9 +437,10 @@ _COMMANDS: dict[str, tuple] = {
     ]),
     "pretrain-teacher": (_cmd_pretrain_teacher, "contrastive pretraining on single-frame pairs", [
         # The input dims come from the corpus, the init seed from --seed; a
-        # teacher trains without distillation.
+        # teacher trains without distillation, so it reads no unlabeled split.
         *_field_opts(EncoderConfig, skip=("input_dim_video", "input_dim_text", "seed")),
-        *_field_opts(TrainConfig, skip=("betas", "eps", "distill_on_labeled"),
+        *_field_opts(TrainConfig, skip=("betas", "eps", "distill_on_labeled",
+                                        "batch_size_unlabeled"),
                      lr=3e-3, max_steps=1500),
         *_field_opts(LossConfig, skip=("lambda_",)),
         _Opt("corpus", "str", None, "single-frame corpus path", True),

@@ -21,43 +21,30 @@ written over the noise draws in place, so each record's features are a row
 view of its split's array. This gives the bits of computing every record on
 its own.
 
-File format (``dfuse-corpus-v1``): JSON Lines. The first line is a header
-carrying the full generation config; each further line is one record with
-inline feature arrays. Floats round-trip exactly through ``repr``.
+File format (``dfuse-corpus-v2``), little-endian binary: the magic tag
+``DFCORP02``; a header block, the JSON object ``{"format": "dfuse-corpus-v2",
+"synth": <SynthConfig>}``; then, per split in ``SPLITS`` order and per kind
+(video, then text), a metadata block, a JSON list with one ``[id,
+concept_id, pair_index, class_name]`` row per record, and a features block of
+the records' float64 values, ``(n, frames_per_video, d_v)`` or ``(n, d_t)``.
+Each block is framed as checkpoints frame their values (``fileio.framed``):
+an int64 length (bytes, or values for features), the payload and its
+CRC-32. Kind, split and shape come from the block's place, the header and
+the row count. A changed length misaligns the CRC read after it or fails
+the check of the row count against the block size, so every byte is checked.
 
-``gen_corpus`` streams the file one line at a time through the atomic
-temp-file writer, so the whole text is never held in memory. Each line has
-the bytes ``json.dumps`` gives the record; ``corpus_lines`` writes the
-features through orjson, straight from a C-contiguous float64 array, where
-that spells every value the same, and falls back to ``json.dumps`` for the
-whole line where it might not.
-``load_corpus`` reads the file line by line in binary mode and parses each
-record line with orjson. A line orjson rejects is parsed again with ``json``,
-so ``NaN``/``Infinity``, integers too large for a double and syntax errors
-give the stdlib's values and messages; the header line always goes through
-``json``. Both parsers give the same bits for every feature value. orjson
-reads other integers past 64 bits as floats, so ``concept_id`` and
-``pair_index`` must be 64-bit integers whichever parser read them. Feature
-values must be JSON numbers; ``_numbers_only`` proves that, and finiteness,
-for a typical orjson-parsed line from three byte scans, and every other line
-gets the element-wise checks.
-
-A caller that reads only some splits names them (``load_corpus(path,
-splits)``). Every line is still read, hashed, parsed and checked, and the
-pairing of every paired split is still checked, but a record outside
-``splits`` is checked without its feature array or ``CorpusRecord`` ever
-being built: when its line passed ``_numbers_only``, ``_listed_shape`` reads
-the array's shape off the parsed lists, and only when that proof is unsure
-does ``np.asarray`` build the array as for a kept record. Every error and its
-message are the same either way. The returned ``Corpus`` holds only the
-named splits, and asking it for another raises ``UsageError`` instead of
-returning an empty split.
+``gen_corpus`` streams each record's features to the atomic temp-file writer
+as a memoryview, with a running CRC; no block is stacked. ``load_corpus(path,
+splits)`` hashes the whole file (``Corpus.sha256``) and checks every CRC,
+metadata row and pairing. A features block of a split in ``splits`` is read
+into one array whose rows are its records' features; any other is read in
+chunks of ``_CHUNK_VALUES`` through the same checks and dropped, so a file
+fails the same way whichever splits are kept. The returned ``Corpus`` holds
+only the named splits and raises ``UsageError`` for any other.
 """
 
 from __future__ import annotations
 
-import hashlib
-import io
 import json
 import math
 import zlib
@@ -68,11 +55,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorpusFormatError, CorpusRecordError, UsageError
-from .fileio import atomic_write_chunks
+from .fileio import FrameReader, atomic_write_chunks, framed
 
 SPLITS = ("labeled-train", "labeled-val", "unlabeled", "eval")
 PAIRED_SPLITS = ("labeled-train", "labeled-val", "eval")
-FORMAT_TAG = "dfuse-corpus-v1"
+KINDS = ("video", "text")
+MAGIC = b"DFCORP02"
+FORMAT_TAG = "dfuse-corpus-v2"
+# A dropped features block is read and checked this many values (256 KiB) at a time.
+_CHUNK_VALUES = 1 << 15
 
 _STREAM_CONCEPTS = 0
 _STREAM_MAP_VIDEO = 1
@@ -222,96 +213,70 @@ def _split_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, n: int, 
 def build_corpus(cfg: SynthConfig) -> "Corpus":
     """Generate all records in memory, deterministically from the seed.
 
-    Each record's features are a row view of its split's feature array.
+    Records come in file order: per split, its videos, then its texts. Each
+    record's features are a row view of its split's feature array.
     """
     concepts = concept_vectors(cfg)
     video = (video_feature_map(cfg), (cfg.frames_per_video, cfg.d_v))
     text = (text_feature_map(cfg), (cfg.d_t,))
+    counts = {"labeled-train": cfg.n_labeled_train, "labeled-val": cfg.n_labeled_val,
+              "unlabeled": cfg.n_unlabeled, "eval": cfg.n_eval}
     records: list[CorpusRecord] = []
-
-    paired_counts = {
-        "labeled-train": cfg.n_labeled_train,
-        "labeled-val": cfg.n_labeled_val,
-        "eval": cfg.n_eval,
-    }
-    for split_idx, split in enumerate(PAIRED_SPLITS):
-        n = paired_counts[split]
-        videos, texts = _split_features(
-            cfg, concepts, (cfg.seed, _STREAM_PAIR, split_idx), n, (video, text))
-        for i in range(n):
-            concept = i % cfg.n_concepts
-            cls = class_name_for(concept, cfg.n_concepts) if split == "eval" else None
-            records.append(CorpusRecord(
-                id=f"vid-{split}-{i:05d}", kind="video", split=split,
-                concept_id=concept, features=videos[i], class_name=cls, pair_index=i,
-            ))
-            records.append(CorpusRecord(
-                id=f"txt-{split}-{i:05d}", kind="text", split=split,
-                concept_id=concept, features=texts[i], pair_index=i,
-            ))
-
-    for kind, tag, stream, spec in (("video", "vid", _STREAM_UNLABELED_VIDEO, video),
-                                    ("text", "txt", _STREAM_UNLABELED_TEXT, text)):
-        (features,) = _split_features(cfg, concepts, (cfg.seed, stream), cfg.n_unlabeled, (spec,))
-        for i in range(cfg.n_unlabeled):
-            records.append(CorpusRecord(
-                id=f"{tag}-unlabeled-{i:05d}", kind=kind, split="unlabeled",
-                concept_id=i % cfg.n_concepts, features=features[i],
-            ))
+    for split in SPLITS:
+        n, paired = counts[split], split in PAIRED_SPLITS
+        if paired:
+            key = (cfg.seed, _STREAM_PAIR, PAIRED_SPLITS.index(split))
+            videos, texts = _split_features(cfg, concepts, key, n, (video, text))
+        else:
+            (videos,) = _split_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_VIDEO), n,
+                                        (video,))
+            (texts,) = _split_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), n,
+                                       (text,))
+        for kind, tag, features in (("video", "vid", videos), ("text", "txt", texts)):
+            for i in range(n):
+                concept = i % cfg.n_concepts
+                cls = (class_name_for(concept, cfg.n_concepts)
+                       if split == "eval" and kind == "video" else None)
+                records.append(CorpusRecord(f"{tag}-{split}-{i:05d}", kind, split, concept,
+                                            features[i], cls, i if paired else None))
     return Corpus(cfg, records)
 
 
-def corpus_lines(corpus: "Corpus") -> Iterator[bytes]:
-    """The corpus file, one encoded line at a time.
+def _json_block(payload) -> Iterator:
+    data = json.dumps(payload).encode()
+    return framed(len(data), (data,))
 
-    Every line is the bytes of ``json.dumps(payload)``. orjson writes each
-    feature array as C-contiguous float64 (a copy only for an array that is
-    not: float32 widens exactly), with the same shortest round-trip digits
-    as ``repr``. It spells a float differently only in exponent form (``1e16``,
-    ``9.2e-6``), below 1e-4 (``0.0000505``) and for a non-finite value
-    (``null``). A record whose
-    orjson features contain ``e``, ``n`` or ``0.0000`` is therefore written
-    whole by ``json.dumps``; any other gets orjson's features spliced after
-    ``json.dumps`` of its other fields. Every non-finite value takes the
-    ``json.dumps`` branch (orjson spells it ``null``), so that branch alone
-    checks finiteness and raises ``CorpusRecordError`` naming the record:
-    ``load_corpus`` would reject the file.
-    """
-    # Imported here: commands that write no corpus skip orjson's import cost.
-    import orjson
 
-    header = {"record": "header", "format": FORMAT_TAG, "synth": asdict(corpus.synth)}
-    yield (json.dumps(header) + "\n").encode()
-    for rec in corpus.records:
-        payload = {
-            "record": "item",
-            "id": rec.id,
-            "kind": rec.kind,
-            "split": rec.split,
-            "concept_id": rec.concept_id,
-            "pair_index": rec.pair_index,
-            "class_name": rec.class_name,
-        }
-        values = np.ascontiguousarray(rec.features, dtype=np.float64)
-        features = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ")
-        if b"e" in features or b"n" in features or b"0.0000" in features:
-            if not np.isfinite(values).all():
-                raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
-            payload["features"] = values.tolist()
-            yield (json.dumps(payload) + "\n").encode()
-        else:  # "features" is the last key, so it goes before the closing brace
-            yield json.dumps(payload)[:-1].encode() + b', "features": ' + features + b"}\n"
+def _row(rec: CorpusRecord) -> memoryview:
+    values = np.ascontiguousarray(rec.features, dtype="<f8")
+    if not np.isfinite(values).all():
+        raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
+    return memoryview(values)
+
+
+def _file_chunks(corpus: "Corpus") -> Iterator:
+    """The corpus file, block by block; each record's features are one chunk."""
+    yield MAGIC
+    yield from _json_block({"format": FORMAT_TAG, "synth": asdict(corpus.synth)})
+    for split in SPLITS:
+        for kind in KINDS:
+            records = corpus._by_split[split][kind]
+            yield from _json_block([[r.id, r.concept_id, r.pair_index, r.class_name]
+                                    for r in records])
+            row_len = math.prod(_row_shape(corpus.synth, kind))
+            yield from framed(len(records) * row_len, map(_row, records))
 
 
 def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
     """Generate and write a corpus file; returns the in-memory corpus.
 
-    Noise large enough to overflow ends in the writer's ``CorpusRecordError``
-    and no file, instead of numpy overflow warnings.
+    A record whose features are not all finite (noise large enough to
+    overflow) ends in ``CorpusRecordError`` naming it and no file, instead
+    of numpy overflow warnings.
     """
     with np.errstate(over="ignore"):
         corpus = build_corpus(cfg)
-    atomic_write_chunks(path, corpus_lines(corpus))
+    atomic_write_chunks(path, _file_chunks(corpus))
     return corpus
 
 
@@ -382,23 +347,25 @@ def _known_splits(splits) -> tuple[str, ...]:
     return tuple(split for split in SPLITS if split in splits)
 
 
+def _row_shape(synth: SynthConfig, kind: str) -> tuple[int, ...]:
+    return (synth.frames_per_video, synth.d_v) if kind == "video" else (synth.d_t,)
+
+
 def _is_int64(value) -> bool:
-    # orjson reads integers outside 64 bits as floats and ``json`` as ints;
-    # rejecting both makes the result independent of which parser read the line.
+    # A JSON integer is a Python int of any size; a boolean is not one.
     return type(value) is int and -(1 << 63) <= value < (1 << 63)
 
 
-def _validate_pairing(keys: dict) -> None:
+def _validate_pairing(rows: dict) -> None:
     """Check each paired split's video/text pairing.
 
-    ``keys[split][kind]`` lists ``(pair_index, concept_id, id)`` for every
-    record of that split and kind, in file order, whether or not its
-    features were kept.
+    ``rows[split][kind]`` holds the metadata rows of that split and kind,
+    whether or not its features were kept.
     """
     for split in PAIRED_SPLITS:
-        listed_videos, listed_texts = keys[split]["video"], keys[split]["text"]
-        videos = {index: (concept, rec_id) for index, concept, rec_id in listed_videos}
-        texts = {index: (concept, rec_id) for index, concept, rec_id in listed_texts}
+        listed_videos, listed_texts = rows[split]["video"], rows[split]["text"]
+        videos = {index: (concept, rec_id) for rec_id, concept, index, _ in listed_videos}
+        texts = {index: (concept, rec_id) for rec_id, concept, index, _ in listed_texts}
         if len(videos) != len(listed_videos) or len(texts) != len(listed_texts):
             raise CorpusRecordError(f"split {split!r}: duplicate pair_index")
         if videos.keys() != texts.keys():
@@ -411,210 +378,116 @@ def _validate_pairing(keys: dict) -> None:
                 )
 
 
-_BLANK = object()
+def _check_crc(r: FrameReader, crc: int) -> None:
+    (stored,) = r.unpack("<I")
+    if stored != crc:
+        raise CorpusFormatError(f"{r.source}: {r.section}: checksum mismatch")
 
 
-class _HashingReader(io.RawIOBase):
-    """Raw reader that feeds every chunk it reads to a SHA-256 digest.
-
-    Under a ``BufferedReader`` it sees the file in whole buffer-sized reads,
-    so hashing costs one ``update`` per chunk, not one per line.
-    """
-
-    def __init__(self, raw):
-        self._raw = raw
-        self.digest = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int:
-        n = self._raw.readinto(buffer)
-        if n:
-            self.digest.update(memoryview(buffer)[:n])
-        return n
-
-
-def _lines(fh) -> Iterator[bytes]:
-    """Lines of a binary file, split at LF, CRLF or a lone CR as text mode does."""
-    for line in fh:
-        if b"\r" in line:
-            yield from line.splitlines()
-        else:
-            yield line
-
-
-def _numbers_only(line: bytes) -> bool:
-    """Cheap screen of a line orjson parsed: True only if its features are finite numbers.
-
-    The first ``"features"`` must be the top-level key: its quote not escaped,
-    a colon right after it and one ``}`` past it, the line's own. Past it, a
-    line as ``corpus_lines`` writes it holds only digits, ``-``, ``.``, ``e``,
-    brackets, commas and spaces. A string needs a quote there, an object a
-    second ``}``, and ``true``, ``false`` and ``null`` (which numpy reads as
-    1.0, 0.0 and nan) a ``u`` or an ``l``; orjson rejects ``NaN``,
-    ``Infinity`` and numbers too large for a double. A few byte scans, no
-    allocation; a line that fails the screen gets the exact checks.
-    """
-    start = line.find(b'"features"')
-    at = start + len(b'"features"')
-    return (start > 0 and line[start - 1] != ord("\\") and line.startswith(b":", at)
-            and line.find(b"}", at) == line.rfind(b"}") and line.find(b'"', at) < 0
-            and line.find(b"u", at) < 0 and line.find(b"l", at) < 0)
-
-
-def _listed_shape(line: bytes, values) -> tuple[int, ...] | None:
-    """The shape ``np.asarray(values)`` would have, read off the parsed lists; None if unsure.
-
-    For a line that passed ``_numbers_only``, where each ``[`` past the
-    features key opens a list of ``values``: one is a flat list of numbers,
-    and ``len(values) + 1`` with rows of one length is a matrix of numbers.
-    """
-    first = line.find(b"[", line.find(b'"features"'))
-    if first < 0:
-        return None
-    if line.find(b"[", first + 1) < 0:
-        return (len(values),)
+def _read_json(r: FrameReader, section: str):
+    r.section = section
+    (n,) = r.unpack("<q")
+    data = r.take(n)
+    _check_crc(r, zlib.crc32(data))
     try:
-        lengths = set(map(len, values))
-    except TypeError:  # a number among the rows
-        return None
-    return ((len(values), *lengths)
-            if line.count(b"[", first) == len(values) + 1 and len(lengths) == 1 else None)
+        return json.loads(data)
+    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deeply
+        raise CorpusFormatError(f"{r.source}: {section}: invalid JSON") from None
 
 
-def _holds_non_number(value) -> bool:
-    """Whether a parsed feature value is, or holds at any depth, a string or a boolean."""
-    if type(value) is list:
-        return any(_holds_non_number(v) for v in value)
-    return type(value) is str or type(value) is bool
+def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) -> list:
+    """A block's checked ``[id, concept_id, pair_index, class_name]`` rows."""
+    rows = _read_json(r, section)
+    if type(rows) is not list:
+        raise CorpusFormatError(f"{r.source}: {section}: expected a JSON list")
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != 4:
+            raise CorpusFormatError(f"{r.source}: {section}: row {i}: expected "
+                                    "[id, concept_id, pair_index, class_name]")
+        rec_id, concept_id, pair_index, class_name = row
+        if not isinstance(rec_id, str):
+            raise CorpusFormatError(f"{r.source}: {section}: row {i}: record id must be a string")
+        if rec_id in seen_ids:
+            raise CorpusRecordError(f"record {rec_id!r}: duplicate id")
+        seen_ids.add(rec_id)
+        if not _is_int64(concept_id):
+            raise CorpusRecordError(f"record {rec_id!r}: concept_id must be a 64-bit integer")
+        if concept_id < 0:
+            raise CorpusRecordError(f"record {rec_id!r}: negative concept_id")
+        if pair_index is not None and not _is_int64(pair_index):
+            raise CorpusRecordError(f"record {rec_id!r}: pair_index must be a 64-bit integer")
+        if class_name is not None and not isinstance(class_name, str):
+            raise CorpusRecordError(f"record {rec_id!r}: class_name must be a string")
+        if paired and pair_index is None:
+            raise CorpusRecordError(f"record {rec_id!r}: paired split needs a pair_index")
+    return rows
 
 
-def _loads_stdlib(line: bytes, path: Path, lineno: int):
-    """Parse one line with ``json``; ``_BLANK`` for a whitespace-only line."""
-    try:
-        text = line.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise CorpusFormatError(f"{path}: line {lineno}: not valid UTF-8 ({exc.reason})") from None
-    if not text.strip():
-        return _BLANK
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CorpusFormatError(f"{path}: line {lineno}: invalid JSON ({exc.msg})") from exc
-    except RecursionError:
-        raise CorpusFormatError(
-            f"{path}: line {lineno}: invalid JSON (nested too deeply)"
-        ) from None
+def _read_features(r: FrameReader, section: str, rows: list, row_len: int,
+                   keep: bool) -> np.ndarray | None:
+    """A features block as one flat array if ``keep``, else read in chunks and
+    dropped. Both ways every value is hashed, CRC-checked and checked finite."""
+    r.section = section
+    (count,) = r.unpack("<q")
+    if count != len(rows) * row_len:
+        raise CorpusFormatError(f"{r.source}: {section}: {count} values, but {len(rows)} "
+                                f"records of {row_len} values")
+    r.need(8 * count)
+    values = np.empty(count if keep else min(count, _CHUNK_VALUES), dtype="<f8")
+    crc, bad = 0, None
+    for start in range(0, count, _CHUNK_VALUES):
+        chunk = values[start:start + _CHUNK_VALUES] if keep else values[:count - start]
+        r.readinto(chunk)
+        crc = zlib.crc32(chunk, crc)
+        if bad is None and not np.isfinite(chunk).all():
+            bad = start + int(np.argmin(np.isfinite(chunk)))
+    _check_crc(r, crc)
+    if bad is not None:
+        raise CorpusRecordError(f"record {rows[bad // row_len][0]!r}: non-finite features")
+    return values if keep else None
 
 
 def load_corpus(path, splits=SPLITS) -> Corpus:
-    """Parse and validate a corpus file; keep the records of ``splits``.
+    """Read and check a corpus file; keep the records of ``splits``.
 
-    Every line is parsed and checked, and every paired split's pairing, so a
-    file fails here exactly as it would with all splits kept. Parse failures
-    name the line; invariant violations name the record id. A record outside
-    ``splits`` is checked from its parsed payload and dropped; of a paired
-    split it keeps only its pair index, concept id and id for the pairing
-    check. The whole file's bytes are hashed as they are read
-    (``Corpus.sha256``).
+    Every block is read and checked, and every paired split's pairing, so a
+    file fails here exactly as it would with all splits kept. Framing errors
+    name the file and the section; record errors name the record id.
     """
-    # Imported here: commands that read no corpus skip orjson's import cost.
-    import orjson
-
     path = Path(path)
     splits = _known_splits(splits)
     records: list[CorpusRecord] = []
-    pairing_keys = {split: {"video": [], "text": []} for split in PAIRED_SPLITS}
-    synth = None
-    seen_ids = set()
-    with open(path, "rb", buffering=0) as raw, \
-            io.BufferedReader(_HashingReader(raw), 1 << 16) as fh:
-        for lineno, line in enumerate(_lines(fh), start=1):
-            by_orjson = False
-            if synth is None:  # orjson would read header integers past 64 bits as floats
-                payload = _loads_stdlib(line, path, lineno)
-            else:
-                try:
-                    payload = orjson.loads(line)
-                    by_orjson = True
-                except orjson.JSONDecodeError:
-                    payload = _loads_stdlib(line, path, lineno)
-            if payload is _BLANK:
-                continue
-            if not isinstance(payload, dict):
-                raise CorpusFormatError(f"{path}: line {lineno}: expected a JSON object")
-            if synth is None:
-                if payload.get("record") != "header" or payload.get("format") != FORMAT_TAG:
-                    raise CorpusFormatError(f"{path}: line {lineno}: missing corpus header")
-                try:
-                    synth = SynthConfig(**payload["synth"])
-                except (TypeError, KeyError, UsageError) as exc:
-                    raise CorpusFormatError(
-                        f"{path}: line {lineno}: bad generation config: {exc}"
-                    ) from exc
-                continue
-            if payload.get("record") != "item":
-                raise CorpusFormatError(f"{path}: line {lineno}: expected an item record")
-            # numpy would read "1.5" as 1.5 and true as 1.0. The screen also
-            # proves finiteness, so it replaces the per-record isfinite pass.
-            numbers_only = by_orjson and _numbers_only(line)
-            try:
-                rec_id, kind, split = payload["id"], payload["kind"], payload["split"]
-                concept_id, values = payload["concept_id"], payload["features"]
-                features = shape = None
-                if numbers_only and split not in splits:
-                    shape = _listed_shape(line, values)
-                if shape is None:
-                    features = np.asarray(values, dtype=np.float64)
-                    shape = features.shape
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise CorpusFormatError(f"{path}: line {lineno}: malformed record: {exc}") from exc
-            if not isinstance(rec_id, str):
-                raise CorpusFormatError(f"{path}: line {lineno}: record id must be a string")
-            if rec_id in seen_ids:
-                raise CorpusRecordError(f"record {rec_id!r}: duplicate id")
-            seen_ids.add(rec_id)
-            # numpy read these features, so their depth (<= 64) bounds the recursion.
-            if not numbers_only and _holds_non_number(values):
-                raise CorpusRecordError(f"record {rec_id!r}: features must be JSON numbers")
-            if kind not in ("video", "text"):
-                raise CorpusRecordError(f"record {rec_id!r}: unknown kind {kind!r}")
-            if split not in SPLITS:
-                raise CorpusRecordError(f"record {rec_id!r}: unknown split {split!r}")
-            if not _is_int64(concept_id):
-                raise CorpusRecordError(f"record {rec_id!r}: concept_id must be a 64-bit integer")
-            if concept_id < 0:
-                raise CorpusRecordError(f"record {rec_id!r}: negative concept_id")
-            class_name, pair_index = payload.get("class_name"), payload.get("pair_index")
-            if pair_index is not None and not _is_int64(pair_index):
-                raise CorpusRecordError(f"record {rec_id!r}: pair_index must be a 64-bit integer")
-            if class_name is not None and not isinstance(class_name, str):
-                raise CorpusRecordError(f"record {rec_id!r}: class_name must be a string")
-            if not numbers_only and not np.isfinite(features).all():
-                raise CorpusRecordError(f"record {rec_id!r}: non-finite features")
-            if kind == "video":
-                if len(shape) != 2 or shape[0] < 1:
-                    raise CorpusRecordError(
-                        f"record {rec_id!r}: video features must be (T, d_v), T >= 1")
-                if shape[1] != synth.d_v:
-                    raise CorpusRecordError(
-                        f"record {rec_id!r}: video feature dim {shape[1]} != d_v {synth.d_v}")
-            elif len(shape) != 1 or shape[0] != synth.d_t:
-                raise CorpusRecordError(
-                    f"record {rec_id!r}: text features must be a d_t={synth.d_t} vector")
-            if split in PAIRED_SPLITS:
-                if pair_index is None:
-                    raise CorpusRecordError(f"record {rec_id!r}: paired split needs a pair_index")
-                pairing_keys[split][kind].append((pair_index, concept_id, rec_id))
-            if split in splits:
-                records.append(CorpusRecord(rec_id, kind, split, concept_id, features,
-                                            class_name, pair_index))
-        digest = fh.raw.digest.hexdigest()
-    if synth is None:
-        raise CorpusFormatError(f"{path}: line 1: empty file, missing corpus header")
-    _validate_pairing(pairing_keys)
-    return Corpus(synth, records, digest, splits)
+    paired_rows = {split: {} for split in PAIRED_SPLITS}
+    seen_ids: set[str] = set()
+    with open(path, "rb") as fh:
+        r = FrameReader(fh, str(path), CorpusFormatError, "magic tag")
+        if r.size < len(MAGIC) or r.take(len(MAGIC)) != MAGIC:
+            raise CorpusFormatError(f"{path}: bad magic tag, not a {FORMAT_TAG} file")
+        header = _read_json(r, "header")
+        if type(header) is not dict or header.get("format") != FORMAT_TAG \
+                or type(header.get("synth")) is not dict:
+            raise CorpusFormatError(f"{path}: header: expected a {FORMAT_TAG} header")
+        try:
+            synth = SynthConfig(**header["synth"])
+        except (TypeError, UsageError) as exc:
+            raise CorpusFormatError(f"{path}: header: bad generation config: {exc}") from exc
+        for split in SPLITS:
+            paired = split in PAIRED_SPLITS
+            for kind in KINDS:
+                rows = _read_metadata(r, f"{split} {kind} metadata", paired, seen_ids)
+                shape = _row_shape(synth, kind)
+                values = _read_features(r, f"{split} {kind} features", rows, math.prod(shape),
+                                        split in splits)
+                if paired:
+                    paired_rows[split][kind] = rows
+                if values is not None:
+                    features = values.reshape(len(rows), *shape)
+                    records.extend(CorpusRecord(rec_id, kind, split, concept, row, name, pair)
+                                   for (rec_id, concept, pair, name), row in zip(rows, features))
+        if not r.at_end():
+            raise CorpusFormatError(f"{path}: trailing bytes after the corpus")
+    _validate_pairing(paired_rows)
+    return Corpus(synth, records, r.digest.hexdigest(), splits)
 
 
 def prompt_feature_fn(synth: SynthConfig):

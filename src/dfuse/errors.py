@@ -27,7 +27,7 @@ class TrainingDivergedError(ValidationError):
 
 
 class CorpusFormatError(ValidationError):
-    """A corpus file failed to parse; the message names the line."""
+    """A corpus file is malformed; the message names the file and section."""
 
 
 class CorpusRecordError(ValidationError):

@@ -1,11 +1,15 @@
-"""Small file helpers: atomic writes, content hashing and tab-separated tables."""
+"""Small file helpers: atomic writes, content hashing, CRC-framed binary
+blocks and tab-separated tables."""
 
 from __future__ import annotations
 
 import hashlib
+import io
 import os
+import struct
 import tempfile
-from collections.abc import Iterable, Sequence
+import zlib
+from collections.abc import Iterable, Iterator, Sequence
 from pathlib import Path
 
 
@@ -55,6 +59,66 @@ def sha256_file(path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def framed(count: int, chunks: Iterable) -> Iterator:
+    """A CRC-framed block: ``count`` as little-endian int64, the chunks, then
+    the CRC-32 of the chunks' bytes (not of ``count``) as little-endian uint32.
+
+    ``count`` is the block's length in the caller's unit: bytes or values.
+    The chunks are passed through as they are, so a caller can stream a
+    block of buffers (memoryviews, arrays) without joining them.
+    """
+    yield struct.pack("<q", count)
+    crc = 0
+    for chunk in chunks:
+        crc = zlib.crc32(chunk, crc)
+        yield chunk
+    yield struct.pack("<I", crc)
+
+
+class FrameReader:
+    """Exact-size reads of a binary file, each fed to a SHA-256 digest.
+
+    ``section`` names the part of the file being read; the caller sets it as
+    it goes. A read past the end raises ``error`` naming ``source`` and the
+    section, before anything is read.
+    """
+
+    def __init__(self, fh, source: str, error: type[Exception], section: str):
+        self.fh, self.source, self.error, self.section = fh, source, error, section
+        self.size = fh.seek(0, io.SEEK_END)
+        fh.seek(0)
+        self.off = 0
+        self.digest = hashlib.sha256()
+
+    def need(self, n: int) -> None:
+        """Raise unless ``n`` is not negative and that many bytes are left to read."""
+        if n < 0:
+            raise self.error(f"{self.source}: bad {self.section} length {n}")
+        if n > self.size - self.off:
+            raise self.error(f"{self.source}: truncated {self.section}")
+
+    def readinto(self, buffer) -> None:
+        """Fill ``buffer``, a C-contiguous array or buffer, from the file."""
+        view = memoryview(buffer).cast("B")
+        self.need(view.nbytes)
+        if self.fh.readinto(view) != view.nbytes:  # the file shrank while it was read
+            raise self.error(f"{self.source}: truncated {self.section}")
+        self.digest.update(view)
+        self.off += view.nbytes
+
+    def take(self, n: int) -> bytearray:
+        self.need(n)
+        data = bytearray(n)
+        self.readinto(data)
+        return data
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def at_end(self) -> bool:
+        return self.off == self.size
 
 
 def tsv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -230,13 +230,15 @@ def _text_features(latent, a_t, cfg, rng):
 
 
 def naive_build_corpus(cfg):
-    """Per-record reference for ``corpus.build_corpus``: the same records, each
-    with its own feature array computed from its own generator."""
+    """Per-record reference for ``corpus.build_corpus``: the same records in the
+    same (file) order, each with its own feature array computed from its own
+    generator."""
     from dfuse.corpus import (
         _STREAM_PAIR,
         _STREAM_UNLABELED_TEXT,
         _STREAM_UNLABELED_VIDEO,
         PAIRED_SPLITS,
+        SPLITS,
         Corpus,
         CorpusRecord,
         class_name_for,
@@ -288,6 +290,8 @@ def naive_build_corpus(cfg):
             id=f"txt-unlabeled-{i:05d}", kind="text", split="unlabeled",
             concept_id=concept, features=_text_features(latent, a_t, cfg, rng),
         ))
+    # File order: per split, its videos, then its texts (a stable sort).
+    records.sort(key=lambda r: (SPLITS.index(r.split), r.kind != "video"))
     return Corpus(cfg, records)
 
 

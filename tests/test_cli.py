@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from corpusfile import blocks, edit_json, edit_row, edit_values, replace
 from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import load_corpus
@@ -153,8 +154,8 @@ def _typed(mapping: dict) -> dict:
 
 
 _DEFAULT_TEMPLATE = "a video of a person {c}"
-_TRAIN_DEFAULTS = {"batch_size_labeled": 32, "batch_size_unlabeled": 32, "eval_every": 100,
-                   "weight_decay": 0.01, "seed": 0, "config_file": None}
+_TRAIN_DEFAULTS = {"batch_size_labeled": 32, "eval_every": 100, "weight_decay": 0.01,
+                   "seed": 0, "config_file": None}
 
 # Each writing command given only its required options, and what it resolves to.
 RESOLVED_DEFAULTS = {
@@ -171,7 +172,8 @@ RESOLVED_DEFAULTS = {
     }),
     "train-student": (["--teacher", "t", "--corpus", "c", "--out", "o"], {
         "sigma": 0.05, "lambda": 0.999, "lr": 3e-5, "max_steps": 2000, **_TRAIN_DEFAULTS,
-        "distill_on_labeled": False, "teacher": "t", "corpus": "c", "out": "o",
+        "batch_size_unlabeled": 32, "distill_on_labeled": False, "teacher": "t", "corpus": "c",
+        "out": "o",
     }),
     "fuse": (["--teacher", "t", "--student", "s", "--out", "o"], {
         "alpha": 0.4, "teacher": "t", "student": "s", "out": "o", "config_file": None,
@@ -310,10 +312,9 @@ HELP_FLAGS = {
     "pretrain-teacher": {
         "--hidden-dim": "INT [32]", "--embed-dim": "INT [16]", "--n-frames": "INT [4]",
         "--lr": "FLOAT [0.003]", "--max-steps": "INT [1500]",
-        "--batch-size-labeled": "INT [32]", "--batch-size-unlabeled": "INT [32]",
-        "--eval-every": "INT [100]", "--weight-decay": "FLOAT [0.01]",
-        "--sigma": "FLOAT [0.05]", "--seed": "INT [0]", "--corpus": "STR (required)",
-        "--out": "STR (required)",
+        "--batch-size-labeled": "INT [32]", "--eval-every": "INT [100]",
+        "--weight-decay": "FLOAT [0.01]", "--sigma": "FLOAT [0.05]", "--seed": "INT [0]",
+        "--corpus": "STR (required)", "--out": "STR (required)",
     },
     "train-student": {
         "--sigma": "FLOAT [0.05]", "--lambda": "FLOAT [0.999]", "--lr": "FLOAT [3e-05]",
@@ -364,37 +365,30 @@ def test_subcommand_help_lists_its_flags(command, monkeypatch, capsys):
             listed[flag] = metavar + (" " + tail.group(1) if tail else "")
     assert listed == {"--config": "CONFIG", **HELP_FLAGS[command]}
 
-def _edit_json(*indices, **changes):
-    def edit(lines):
-        for index in indices:
-            payload = json.loads(lines[index])
-            payload.update(changes)
-            lines[index] = json.dumps(payload).encode()
-    return edit
+def _flip_bit(data, split):
+    _, payload, start = blocks(data)[f"{split} video metadata"]
+    at = start + 8 + len(payload) // 2
+    return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
 
 
-def _non_utf8_id(lines):
-    lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
-
-
-def _deeply_nested(lines):
-    lines[1] = b"[" * 100_000
-
-
-# Corpus edits that ended in a Python traceback (the float concept_id was
-# silently truncated instead) before load_corpus checked for them; tiny video
-# records are 3 frames of 8 features.
+# Faults of a split's video blocks in a corpus file, each caught by a
+# different check; tiny video records are 3 frames of 8 features.
 CORPUS_EDITS = {
-    "non-utf8-byte": _non_utf8_id,
-    "int-feature-too-large-for-float": _edit_json(1, features=[[10**400] * 8] * 3),
-    "list-id": _edit_json(1, id=["vid", 0]),
-    "float-concept-id": _edit_json(1, concept_id=0.5),
-    "string-pair-index": _edit_json(1, 2, pair_index="x"),
-    "list-class-name": _edit_json(1, class_name=["concept_0"]),
-    "deeply-nested-line": _deeply_nested,
-    # numpy read these as 1.4795118009 and 1.0 before load_corpus checked types
-    "numeric-string-feature": _edit_json(1, features=[["1.4795118009"] * 8] * 3),
-    "boolean-among-float-features": _edit_json(1, features=[[0.5] * 7 + [True]] * 3),
+    "list-id": lambda data, s: edit_row(data, f"{s} video metadata", 0, id=["vid", 0]),
+    "float-concept-id": lambda data, s: edit_row(data, f"{s} video metadata", 0,
+                                                 concept_id=0.5),
+    "string-pair-index": lambda data, s: edit_row(data, f"{s} video metadata", 0,
+                                                  pair_index="x"),
+    "list-class-name": lambda data, s: edit_row(data, f"{s} video metadata", 0,
+                                                class_name=["concept_0"]),
+    "non-utf8-metadata": lambda data, s: replace(data, f"{s} video metadata", b'[["\xff"]]'),
+    "deeply-nested-metadata": lambda data, s: replace(data, f"{s} video metadata",
+                                                      b"[" * 100_000),
+    "non-finite-feature": lambda data, s: edit_values(data, f"{s} video features",
+                                                      lambda v: v.__setitem__(30, np.nan)),
+    "row-count": lambda data, s: edit_json(data, f"{s} video metadata", lambda rows: rows[1:]),
+    "flipped-bit": _flip_bit,
+    "truncated": lambda data, s: data[:blocks(data)[f"{s} video features"][2] + 20],
 }
 
 
@@ -412,8 +406,8 @@ def mini_pipeline(tmp_path_factory):
     assert cli_dispatch([
         "pretrain-teacher", "--corpus", str(images), "--hidden-dim", "10",
         "--embed-dim", "6", "--lr", "1e-2", "--max-steps", "30",
-        "--batch-size-labeled", "8", "--batch-size-unlabeled", "8",
-        "--eval-every", "10", "--seed", "5", "--out", str(root / "teacher.ckpt"),
+        "--batch-size-labeled", "8", "--eval-every", "10", "--seed", "5",
+        "--out", str(root / "teacher.ckpt"),
     ]) == 0
     assert cli_dispatch([
         "train-student", "--teacher", str(root / "teacher.ckpt"),
@@ -811,10 +805,8 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
     def test_malformed_corpus_is_one_error_line(self, mini_pipeline, tmp_path, capsys, edit):
         root, _, videos = mini_pipeline
-        lines = videos.read_bytes().split(b"\n")
-        edit(lines)
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b"\n".join(lines))
+        bad.write_bytes(edit(videos.read_bytes(), "eval"))
         capsys.readouterr()
         code = cli_dispatch([
             "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
@@ -836,36 +828,32 @@ class TestPipelineCommands:
     def test_mistyped_header_field_is_one_error_line(self, mini_pipeline, tmp_path, capsys,
                                                      field, value, reason):
         root, _, videos = mini_pipeline
-        header, rest = videos.read_bytes().split(b"\n", 1)
-        payload = json.loads(header)
-        payload["synth"][field] = value
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(json.dumps(payload).encode() + b"\n" + rest)
+        bad.write_bytes(edit_json(videos.read_bytes(), "header",
+                                  lambda h: h["synth"].__setitem__(field, value)))
         capsys.readouterr()
         code = cli_dispatch([
             "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
             "--out", str(tmp_path / "rep"),
         ])
         assert code == 2
-        assert capsys.readouterr().err == (f"error: {bad}: line 1: bad generation config: "
+        assert capsys.readouterr().err == (f"error: {bad}: header: bad generation config: "
                                            f"SynthConfig.{field} must be {reason}, got {value!r}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
     def test_header_scale_too_large_for_a_double_is_one_error_line(self, mini_pipeline,
                                                                    tmp_path, capsys):
         root, _, videos = mini_pipeline
-        header, rest = videos.read_bytes().split(b"\n", 1)
-        payload = json.loads(header)
-        payload["synth"]["noise_sigma"] = 10**400
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(json.dumps(payload).encode() + b"\n" + rest)
+        bad.write_bytes(edit_json(videos.read_bytes(), "header",
+                                  lambda h: h["synth"].__setitem__("noise_sigma", 10**400)))
         capsys.readouterr()
         code = cli_dispatch([
             "eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", str(bad),
             "--out", str(tmp_path / "rep"),
         ])
         assert code == 2
-        assert capsys.readouterr().err == (f"error: {bad}: line 1: bad generation config: "
+        assert capsys.readouterr().err == (f"error: {bad}: header: bad generation config: "
                                            "SynthConfig.noise_sigma must be a finite number\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
@@ -873,17 +861,10 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
     def test_malformed_record_in_a_dropped_split_fails_as_in_a_full_load(
             self, mini_pipeline, tmp_path, capsys, edit, split):
-        # eval-retrieval keeps only the eval split, but checks every line.
+        # eval-retrieval keeps only the eval split, but checks every block.
         root, _, videos = mini_pipeline
-        header, *items, last = videos.read_bytes().split(b"\n")
-        assert last == b""
-        key = f'"split": "{split}"'.encode()
-        lines = [header, *(line for line in items if key in line),
-                 *(line for line in items if key not in line), last]
-        assert key in lines[1] and key in lines[2]
-        edit(lines)
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b"\n".join(lines))
+        bad.write_bytes(edit(videos.read_bytes(), split))
         with pytest.raises(DfuseError) as full:
             load_corpus(bad)
         capsys.readouterr()
@@ -898,11 +879,9 @@ class TestPipelineCommands:
     def test_pairing_fault_in_a_dropped_split_is_rejected(self, mini_pipeline, tmp_path,
                                                          capsys):
         root, _, videos = mini_pipeline
-        lines = videos.read_bytes().split(b"\n")
-        _edit_json(1, concept_id=3)(lines)
-        assert b'"vid-labeled-train-00000"' in lines[1]
         bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(b"\n".join(lines))
+        bad.write_bytes(edit_row(videos.read_bytes(), "labeled-train video metadata", 0,
+                                 concept_id=3))
         capsys.readouterr()
         assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
                              "--corpus", str(bad), "--out", str(tmp_path / "cls")]) == 2
@@ -1011,27 +990,18 @@ class TestSplitsKept:
             assert {r.split for r in corpus.records} == set(kept), argv[0]
 
 
-def _newline_variant(path, newline: bytes, out):
-    out.write_bytes(path.read_bytes().replace(b"\n", newline))
-    return out
-
-
 class TestManifestDigests:
-    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    def test_corpus_digest_covers_the_raw_bytes(self, mini_pipeline, tmp_path, newline):
-        # The corpus digest comes from the loader's read pass, which splits
-        # lines after hashing: every manifest must hold the file's own SHA-256.
+    def test_corpus_digest_covers_the_raw_bytes(self, mini_pipeline, tmp_path):
+        # The corpus digest comes from the loader's read pass: every manifest
+        # must hold the file's own SHA-256.
         root, images, videos = mini_pipeline
-        images = _newline_variant(images, newline, tmp_path / "images.jsonl")
-        videos = _newline_variant(videos, newline, tmp_path / "videos.jsonl")
         teacher, student = root / "teacher.ckpt", root / "student.ckpt"
-        small = ["--max-steps", "2", "--eval-every", "1", "--batch-size-labeled", "4",
-                 "--batch-size-unlabeled", "4"]
+        small = ["--max-steps", "2", "--eval-every", "1", "--batch-size-labeled", "4"]
         runs = {
             "pretrain-teacher": (["--corpus", str(images), *small, "--hidden-dim", "10",
                                   "--embed-dim", "6"], images, "t.ckpt"),
-            "train-student": (["--teacher", str(teacher), "--corpus", str(videos), *small],
-                              videos, "s.ckpt"),
+            "train-student": (["--teacher", str(teacher), "--corpus", str(videos), *small,
+                               "--batch-size-unlabeled", "4"], videos, "s.ckpt"),
             "eval-retrieval": (["--ckpt", str(teacher), "--corpus", str(videos)],
                                videos, "ret"),
             "eval-classify": (["--ckpt", str(student), "--corpus", str(videos)],
@@ -1096,7 +1066,7 @@ class TestWriteFailures:
 
 
     def test_overflowing_noise_is_one_error_line_and_no_file(self, tmp_path, capsys):
-        # The noise overflows to inf, which orjson would write as null.
+        # The noise overflows to inf, which load_corpus would reject.
         out = tmp_path / "corpus.jsonl"
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -1131,8 +1101,9 @@ _HUGE_SEED = "99999999999999999999999"
 
 
 class TestOutOfRangeArguments:
-    """Seeds and trial counts numpy or the checkpoint format cannot take are
-    one error line and exit 1, before any input is read and with no output."""
+    """Seeds and trial counts numpy or the checkpoint format cannot take, and
+    other out-of-range values, are one error line and exit 1, before any
+    input is read and with no output."""
 
     @pytest.mark.parametrize("argv,env,message", [
         (["gen-corpus", "--seed", "-1", "--out", "{out}/c.jsonl"], None,
@@ -1170,6 +1141,15 @@ class TestOutOfRangeArguments:
               ("0,0.5,0", "alpha 0.0 appears twice in the alpha list"),
               ("1,1.0", "alpha 1.0 appears twice in the alpha list"),
           ]],
+        *[(["sweep-alpha", "--teacher", "{root}/teacher.ckpt", "--student", "{root}/student.ckpt",
+            "--corpus", "{videos}", "--impact-alpha", alpha, "--out", "{out}/sweep"], None,
+           f"impact_alpha must lie in [0, 1], got {float(alpha)}")
+          for alpha in ("1.5", "-0.1", "nan", "inf")],
+        (["report-class-delta", "--report-a", "{out}/a.jsonl", "--report-b", "{out}/b.jsonl",
+          "--limit", "-3", "--out", "{out}/delta.tsv"], None, "limit must be >= 0, got -3"),
+        # A teacher reads no unlabeled split, so it takes no unlabeled batch size.
+        (["pretrain-teacher", "--batch-size-unlabeled", "999", "--corpus", "{images}",
+          "--out", "{out}/t.ckpt"], None, "unrecognized arguments: --batch-size-unlabeled 999"),
     ])
     def test_one_error_line_and_no_output(self, mini_pipeline, tmp_path, monkeypatch, capsys,
                                           argv, env, message):
@@ -1228,13 +1208,13 @@ class TestOutOfMemory:
     def test_part_way_through_a_write(self, tmp_path, monkeypatch, capsys):
         import dfuse.corpus as corpus
 
-        real = corpus.corpus_lines
+        real = corpus._file_chunks
 
         def exhausted(c):
             yield next(real(c))
             raise MemoryError
 
-        monkeypatch.setattr(corpus, "corpus_lines", exhausted)
+        monkeypatch.setattr(corpus, "_file_chunks", exhausted)
         capsys.readouterr()
         code = cli_dispatch(["gen-corpus", *TINY_CORPUS_ARGS, "--out", str(tmp_path / "c.jsonl")])
         assert code == 2
@@ -1265,6 +1245,13 @@ class TestAuxiliaryOutputs:
         ]) == 0
         lines = (root / "delta_limited.tsv").read_text().strip().split("\n")
         assert len(lines) == 3  # header + top 1 + bottom 1
+        assert cli_dispatch([
+            "report-class-delta", "--report-a", str(root / "cls_student.jsonl"),
+            "--report-b", str(root / "cls_teacher.jsonl"), "--limit", "0",
+            "--out", str(root / "delta_all.tsv"),
+        ]) == 0
+        lines = (root / "delta_all.tsv").read_text().strip().split("\n")
+        assert len(lines) == 5  # header + every one of the 4 classes
 
     def test_every_writing_command_leaves_a_manifest(self, mini_pipeline):
         root, images, videos = mini_pipeline
@@ -1286,18 +1273,21 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert "gen-corpus" in proc.stdout
 
-    def test_import_does_not_load_orjson(self):
-        # Commands that read or write no corpus pay only the import; orjson
-        # is imported where a corpus is read or written.
+    def test_corpus_commands_run_without_orjson(self, mini_pipeline, tmp_path):
+        # No corpus path imports orjson: an import of it fails in this process.
         import subprocess
         import sys
 
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, dfuse.cli; print('orjson' in sys.modules)"],
-            capture_output=True, text=True,
-        )
+        root, _, _ = mini_pipeline
+        corpus = str(tmp_path / "c.jsonl")
+        argvs = [["gen-corpus", *TINY_CORPUS_ARGS, "--out", corpus],
+                 ["eval-retrieval", "--ckpt", str(root / "teacher.ckpt"), "--corpus", corpus,
+                  "--out", str(tmp_path / "rep")]]
+        code = ("import sys\nsys.modules['orjson'] = None\nfrom dfuse.cli import cli_dispatch\n"
+                f"sys.exit(max(cli_dispatch(argv) for argv in {argvs!r}))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert (tmp_path / "rep.tsv").is_file()
 
     def test_console_script(self):
         import shutil

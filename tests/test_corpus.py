@@ -1,19 +1,22 @@
 import dataclasses
 import json
-from decimal import Decimal, localcontext
+import struct
+import tracemalloc
 
 import numpy as np
-import orjson
 import pytest
 
+import dfuse.corpus as corpus_module
+from corpusfile import NAMES, assemble, blocks, edit_json, edit_row, edit_values, replace
 from dfuse.corpus import (
+    FORMAT_TAG,
+    MAGIC,
     SPLITS,
     Corpus,
     CorpusRecord,
     SynthConfig,
     build_corpus,
     concept_vectors,
-    corpus_lines,
     gen_corpus,
     load_corpus,
     prompt_feature_fn,
@@ -144,385 +147,365 @@ class TestPlantedSharing:
         assert shifted_norm == pytest.approx(base_norm, rel=0.2)
 
 
-class TestRoundTrip:
-    def test_gen_load_bit_exact(self, tmp_path, tiny_synth):
-        path = tmp_path / "corpus.jsonl"
-        generated = gen_corpus(tiny_synth, path)
-        loaded = load_corpus(path)
-        assert loaded.synth == tiny_synth
-        assert len(loaded.records) == len(generated.records)
-        for a, b in zip(generated.records, loaded.records):
-            assert a.id == b.id and a.kind == b.kind and a.split == b.split
-            assert a.concept_id == b.concept_id and a.pair_index == b.pair_index
-            np.testing.assert_array_equal(a.features, b.features)
-
-    def test_reserialization_is_byte_identical(self, tmp_path, tiny_synth):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        original = path.read_bytes()
-        assert b"".join(corpus_lines(load_corpus(path))) == original
-
-
-class TestLoadErrors:
-    def _write_corpus(self, tmp_path, tiny_synth):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        return path
-
-    def test_truncated_line_names_line_number(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines(keepends=True)
-        truncated = "".join(lines[:4]) + lines[4][: len(lines[4]) // 2]
-        path.write_text(truncated)
-        with pytest.raises(CorpusFormatError, match="line 5"):
-            load_corpus(path)
-
-    def test_non_finite_feature_names_record_id(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        payload["features"][0][0] = float("inf")
-        record_id = payload["id"]
-        lines[1] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match=record_id):
-            load_corpus(path)
-
-    @staticmethod
-    def _first(lines, kind):
-        return next(i for i, line in enumerate(lines) if f'"kind": "{kind}"' in line)
-
-    @pytest.mark.parametrize("case", [
-        "numeric-string", "true-among-floats", "false-in-text", "features-not-last",
-        "escaped-features-key",
-    ])
-    def test_non_numeric_feature_names_record_id(self, tmp_path, tiny_synth, case):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        index = self._first(lines, "text" if case == "false-in-text" else "video")
-        payload = json.loads(lines[index])
-        feats = payload["features"]
-        if case == "numeric-string":  # numpy would read it as the number
-            feats[0][0] = repr(feats[0][0])
-        elif case == "true-among-floats":  # numpy would read it as 1.0
-            feats[1][2] = True
-        elif case == "false-in-text":
-            feats[-1] = False
-        elif case == "features-not-last":
-            feats[2][0] = "0.5"
-            payload = {"features": payload.pop("features"), **payload}
-        else:
-            feats[0][1] = True
-        lines[index] = json.dumps(payload)
-        if case == "escaped-features-key":
-            lines[index] = lines[index].replace('"features"', '"feat\\u0075res"')
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError,
-                           match=f"^record '{payload['id']}': features must be JSON numbers$"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("value,message", [
-        (None, "non-finite features"), (True, "features must be JSON numbers"),
-        ("1.5", "features must be JSON numbers"),
-    ])
-    @pytest.mark.parametrize("decoy", [
-        '"decoy": "features"', '"d\\"features": [1.0]', '"decoy": {"features": [1.0]}',
-        '"decoy": ["features", [1.0]]',
-    ])
-    def test_a_later_features_string_does_not_pass_the_screen(self, tmp_path, tiny_synth,
-                                                              value, message, decoy):
-        # The real key is spelled with an escape, so the first literal
-        # "features" is the decoy's, past which the line holds only numbers.
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        payload["features"][0][0] = value
-        text = json.dumps(payload)[:-1].replace('"features"', '"feat\\u0075res"')
-        lines[1] = f"{text}, {decoy}}}"
-        orjson.loads(lines[1])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match=f"^record '{payload['id']}': {message}$"):
-            load_corpus(path)
-
-    def test_numbers_after_a_later_key_still_load(self, tmp_path, tiny_synth):
-        # A "t" after the features (here in class_name) sends the record to the
-        # exact type check, which passes it.
-        path = self._write_corpus(tmp_path, tiny_synth)
-        original = path.read_bytes()
-        lines = original.decode().splitlines()
-        index = self._first(lines, "video")
-        payload = json.loads(lines[index])
-        lines[index] = json.dumps({"features": payload.pop("features"), **payload})
-        path.write_text("\n".join(lines) + "\n")
-        assert b"".join(corpus_lines(load_corpus(path))) == original
-
-    @pytest.mark.parametrize("where", ["in-a-row", "whole-value"])
-    def test_null_feature_is_non_finite(self, tmp_path, tiny_synth, where):
-        # orjson parses these lines, and numpy reads null as nan.
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        if where == "in-a-row":
-            payload["features"][1][3] = None
-        else:
-            payload["features"] = None
-        lines[1] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError,
-                           match=f"^record '{payload['id']}': non-finite features$"):
-            load_corpus(path)
-
-    def test_json_list_line_names_file_and_line(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        lines[1] = "[1, 2]"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 2: expected a JSON object"):
-            load_corpus(path)
-
-    def test_missing_header(self, tmp_path):
-        path = tmp_path / "broken.jsonl"
-        path.write_text('{"record": "item", "id": "x"}\n')
-        with pytest.raises(CorpusFormatError, match="header"):
-            load_corpus(path)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(CorpusFormatError):
-            load_corpus(path)
-
-    def test_duplicate_id(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        lines.append(lines[1])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match="duplicate"):
-            load_corpus(path)
-
-    def test_pair_concept_mismatch(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        assert payload["kind"] == "video" and payload["split"] == "labeled-train"
-        payload["concept_id"] = payload["concept_id"] + 1
-        lines[1] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match="concept mismatch"):
-            load_corpus(path)
-
-    def test_unknown_split_named(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        payload["split"] = "mystery"
-        lines[1] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match=payload["id"]):
-            load_corpus(path)
-
-    def _edit_record(self, path, index, **changes):
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[index])
-        payload.update(changes)
-        lines[index] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        return payload
-
-    def test_non_utf8_byte_names_file_and_line(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_bytes().split(b"\n")
-        lines[2] = lines[2].replace(b'"id": "', b'"id": "\xff', 1)
-        path.write_bytes(b"\n".join(lines))
-        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 3: not valid UTF-8"):
-            load_corpus(path)
-
-    def test_integer_feature_too_large_for_a_float(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        payload["features"][0][0] = 10**400
-        lines[1] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match=f"{path.name}: line 2: malformed record"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
-    def test_line_only_stdlib_json_accepts_keeps_its_error(self, tmp_path, tiny_synth, value):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        payload = json.loads(lines[1])
-        payload["features"][0][0] = value
-        lines[1] = json.dumps(payload)
-        with pytest.raises(orjson.JSONDecodeError):
-            orjson.loads(lines[1])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusRecordError, match=f"{payload['id']}.*non-finite features"):
-            load_corpus(path)
-
-    def test_id_must_be_a_string(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        self._edit_record(path, 1, id=["vid", 0])
-        with pytest.raises(CorpusFormatError,
-                           match=f"{path.name}: line 2: record id must be a string"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("value", [0.5, True, "0", 2**63, 2**64])
-    def test_concept_id_must_be_a_64_bit_integer(self, tmp_path, tiny_synth, value):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        payload = self._edit_record(path, 1, concept_id=value)
-        with pytest.raises(CorpusRecordError,
-                           match=f"{payload['id']}.*concept_id must be a 64-bit integer"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("value", ["x", 0.0, False, -(2**64)])
-    def test_pair_index_must_be_a_64_bit_integer(self, tmp_path, tiny_synth, value):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        payload = self._edit_record(path, 1, pair_index=value)
-        self._edit_record(path, 2, pair_index=value)
-        with pytest.raises(CorpusRecordError,
-                           match=f"{payload['id']}.*pair_index must be a 64-bit integer"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("value", [["concept_0"], 3])
-    def test_class_name_must_be_a_string(self, tmp_path, tiny_synth, value):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        payload = self._edit_record(path, 1, class_name=value)
-        with pytest.raises(CorpusRecordError,
-                           match=f"{payload['id']}.*class_name must be a string"):
-            load_corpus(path)
-
-    def test_null_line_is_not_blank(self, tmp_path, tiny_synth):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        lines[1] = "null"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError, match="line 2: expected a JSON object"):
-            load_corpus(path)
-
-    @pytest.mark.parametrize("index", [0, 1])
-    def test_line_nested_too_deeply_names_file_and_line(self, tmp_path, tiny_synth, index):
-        path = self._write_corpus(tmp_path, tiny_synth)
-        lines = path.read_text().splitlines()
-        lines[index] = "[" * 100_000
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusFormatError,
-                           match=f"{path.name}: line {index + 1}: invalid JSON "
-                                 r"\(nested too deeply\)"):
-            load_corpus(path)
-
-
 def _records(corpus):
     return [(r.id, r.kind, r.split, r.concept_id, r.pair_index, r.class_name,
-             r.features.tobytes()) for r in corpus.records]
+             r.features.dtype, r.features.shape, r.features.tobytes()) for r in corpus.records]
 
 
-class TestLineHandling:
-    @pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
-    def test_newlines_split_lines_as_text_mode_does(self, tmp_path, tiny_synth, newline):
-        path = tmp_path / "corpus.jsonl"
-        expected = _records(gen_corpus(tiny_synth, path))
-        path.write_bytes(path.read_bytes().replace(b"\n", newline))
-        assert _records(load_corpus(path)) == expected
-
-    @pytest.mark.parametrize("blank", [b"", b" \t ", "\u3000".encode(), b"\x1c"])
-    def test_whitespace_only_lines_are_skipped(self, tmp_path, tiny_synth, blank):
-        path = tmp_path / "corpus.jsonl"
-        expected = _records(gen_corpus(tiny_synth, path))
-        lines = path.read_bytes().split(b"\n")
-        lines[0:0] = [blank]
-        lines[3:3] = [blank]
-        path.write_bytes(b"\n".join(lines))
-        assert _records(load_corpus(path)) == expected
-
-
-def _split_first(path, split):
-    """Rewrite the corpus with ``split``'s records right after the header."""
-    header, *items = path.read_bytes().splitlines(keepends=True)
-    key = f'"split": "{split}"'.encode()
-    path.write_bytes(b"".join([header, *(line for line in items if key in line),
-                               *(line for line in items if key not in line)]))
+@pytest.fixture
+def corpus_file(tmp_path, tiny_synth):
+    path = tmp_path / "corpus.jsonl"
+    gen_corpus(tiny_synth, path)
     return path
 
 
-def _edit_payload(change):
-    def edit(line):
-        payload = json.loads(line)
-        change(payload)
-        return json.dumps(payload).encode()
-    return edit
+def _fails(path, data, error, message, splits=SPLITS):
+    """Write ``data`` to ``path``; loading it must raise ``error`` with ``message``."""
+    path.write_bytes(data)
+    with pytest.raises(error) as info:
+        load_corpus(path, splits)
+    assert str(info.value) == message
 
 
-# Faults of a video record line, each caught by a different check of the loader.
-_RECORD_FAULTS = {
-    "invalid-json": (CorpusFormatError, lambda line: line[: len(line) // 2]),
-    "missing-id": (CorpusFormatError, _edit_payload(lambda p: p.pop("id"))),
-    "ragged-features": (CorpusFormatError,
-                        _edit_payload(lambda p: p["features"].__setitem__(0, [0.5]))),
-    "non-finite": (CorpusRecordError,
-                   _edit_payload(lambda p: p["features"][0].__setitem__(0, float("nan")))),
-    "boolean-feature": (CorpusRecordError,
-                        _edit_payload(lambda p: p["features"][0].__setitem__(0, True))),
-    "wrong-dim": (CorpusRecordError,
-                  _edit_payload(lambda p: p.update(features=[r[:-1] for r in p["features"]]))),
-    "unknown-kind": (CorpusRecordError, _edit_payload(lambda p: p.update(kind="audio"))),
-    "negative-concept": (CorpusRecordError, _edit_payload(lambda p: p.update(concept_id=-1))),
+def _set_raw(data, name, index, value):
+    """``data`` with value ``index`` of features block ``name`` overwritten
+    in place, its CRC left as it was."""
+    start = blocks(data)[name][2] + 8 + 8 * index
+    return data[:start] + struct.pack("<d", value) + data[start + 8:]
+
+
+class TestRoundTrip:
+    def test_gen_load_bit_exact(self, corpus_file, tiny_synth):
+        loaded = load_corpus(corpus_file)
+        assert loaded.synth == tiny_synth
+        assert _records(loaded) == _records(build_corpus(tiny_synth))
+
+    def test_blocks_hold_the_records_in_file_order(self, corpus_file, tiny_synth):
+        data = corpus_file.read_bytes()
+        parts = blocks(data)
+        assert data.startswith(MAGIC)
+        assert assemble(parts) == data  # each CRC-32 is its payload's
+        assert json.loads(parts["header"][1]) == {
+            "format": FORMAT_TAG, "synth": dataclasses.asdict(tiny_synth)}
+        built = build_corpus(tiny_synth)
+        for split in SPLITS:
+            for kind, records in (("video", built.videos(split)), ("text", built.texts(split))):
+                rows = json.loads(parts[f"{split} {kind} metadata"][1])
+                assert rows == [[r.id, r.concept_id, r.pair_index, r.class_name]
+                                for r in records]
+                count, payload, _ = parts[f"{split} {kind} features"]
+                assert payload == b"".join(r.features.astype("<f8").tobytes() for r in records)
+                assert count == len(payload) // 8 == len(records) * records[0].features.size
+
+    def test_kept_features_are_writable_row_views_of_one_block(self, corpus_file, tiny_synth):
+        videos = load_corpus(corpus_file, ("eval",)).videos("eval")
+        block = videos[0].features.base
+        assert block.shape == (tiny_synth.n_eval * tiny_synth.frames_per_video * tiny_synth.d_v,)
+        assert all(r.features.base is block and r.features.flags.writeable for r in videos)
+
+    def test_any_finite_double_round_trips(self, corpus_file):
+        name = "unlabeled video features"
+        count = blocks(corpus_file.read_bytes())[name][0]
+        doubles = np.random.default_rng(4242).integers(
+            0, 2**64, size=2 * count, dtype=np.uint64).view(np.float64)
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                   1.7976931348623157e308, -1.7976931348623157e308, 1e16, 5.05e-05]
+        values = np.concatenate([special, doubles[np.isfinite(doubles)]])[:count]
+        corpus_file.write_bytes(edit_values(corpus_file.read_bytes(), name,
+                                            lambda v: v.__setitem__(slice(None), values)))
+        loaded = load_corpus(corpus_file).videos("unlabeled")
+        got = np.concatenate([r.features.ravel() for r in loaded])
+        assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("layout", ["row view", "strided", "float32"])
+    def test_the_writer_writes_any_layout_as_float64(self, tmp_path, monkeypatch, layout):
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2, n_labeled_train=0,
+                            n_labeled_val=0, n_unlabeled=1, n_eval=0)
+        split = np.array([[[0.5, 0.25], [1e16, 1.5]], [[2.0, 5.05e-05], [0.75, -0.0]]])
+        features = {"row view": split[1], "strided": split[:, 1].T,
+                    "float32": split[1].astype(np.float32)}[layout]
+        records = [CorpusRecord("vid-0", "video", "unlabeled", 0, features),
+                   CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25]))]
+        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: Corpus(cfg, records))
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(synth, path)
+        expected = np.asarray(features, dtype=np.float64)
+        assert blocks(path.read_bytes())["unlabeled video features"][1] == expected.tobytes()
+        [video] = load_corpus(path).videos("unlabeled")
+        assert video.features.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_the_writer_rejects_non_finite_features_naming_the_record(self, tmp_path,
+                                                                     monkeypatch, bad):
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
+        records = [CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25])),
+                   CorpusRecord("txt-1", "text", "unlabeled", 0, np.array([0.5, bad]))]
+        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: Corpus(cfg, records))
+        with pytest.raises(CorpusRecordError, match=r"^record 'txt-1': non-finite features$"):
+            gen_corpus(synth, tmp_path / "corpus.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_the_writer_stacks_no_block(self, tmp_path):
+        # Each record's features are written as a view of its split's array,
+        # so writing costs far less than the largest block (2 MiB here).
+        cfg = SynthConfig(n_labeled_train=8, n_labeled_val=8, n_unlabeled=1024, n_eval=8)
+        tracemalloc.start()
+        try:
+            corpus = gen_corpus(cfg, tmp_path / "corpus.jsonl")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = corpus.videos("unlabeled")[0].features.base.nbytes
+        assert block == 2 << 20
+        assert peak - retained < block // 2
+
+
+class TestFraming:
+    @pytest.mark.parametrize("data", [
+        b'{"record": "header", "format": "dfuse-corpus-v1", "synth": {}}\n', b"", MAGIC[:5]],
+        ids=["v1-file", "empty", "short"])
+    def test_anything_but_a_v2_file_is_bad_magic(self, corpus_file, data):
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: bad magic tag, not a dfuse-corpus-v2 file")
+
+    @pytest.mark.parametrize("where", ["length", "payload", "crc"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_truncation_names_the_section(self, corpus_file, name, where):
+        data = corpus_file.read_bytes()
+        _, payload, start = blocks(data)[name]
+        cut = {"length": start + 3, "payload": start + 8 + len(payload) // 2,
+               "crc": start + 10 + len(payload)}[where]
+        _fails(corpus_file, data[:cut], CorpusFormatError, f"{corpus_file}: truncated {name}")
+
+    @pytest.mark.parametrize("where", ["payload", "crc"])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_flipped_bit_is_a_checksum_mismatch(self, corpus_file, name, where):
+        data = bytearray(corpus_file.read_bytes())
+        _, payload, start = blocks(bytes(data))[name]
+        data[start + 8 + (len(payload) // 2 if where == "payload" else len(payload) + 1)] ^= 0x10
+        _fails(corpus_file, bytes(data), CorpusFormatError,
+               f"{corpus_file}: {name}: checksum mismatch")
+
+    def test_the_checksum_is_checked_before_finiteness(self, corpus_file):
+        data = _set_raw(corpus_file.read_bytes(), "eval video features", 3, float("nan"))
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: eval video features: checksum mismatch")
+
+    def test_trailing_bytes(self, corpus_file):
+        _fails(corpus_file, corpus_file.read_bytes() + b"\0", CorpusFormatError,
+               f"{corpus_file}: trailing bytes after the corpus")
+
+    def test_a_negative_length_is_named(self, corpus_file):
+        data = corpus_file.read_bytes()
+        data = MAGIC + struct.pack("<q", -1) + data[len(MAGIC) + 8:]
+        _fails(corpus_file, data, CorpusFormatError, f"{corpus_file}: bad header length -1")
+
+    @pytest.mark.parametrize("split,kind,n,row_len", [
+        ("labeled-train", "video", 24, 24), ("unlabeled", "text", 16, 8)])
+    def test_the_row_count_must_match_the_block_size(self, corpus_file, split, kind, n,
+                                                     row_len):
+        data = edit_json(corpus_file.read_bytes(), f"{split} {kind} metadata",
+                         lambda rows: rows[:-1])
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: {split} {kind} features: {n * row_len} values, but {n - 1} "
+               f"records of {row_len} values")
+
+    @pytest.mark.parametrize("header", [
+        [], {"format": "dfuse-corpus-v1", "synth": {}}, {"synth": {}}, {"format": FORMAT_TAG},
+        {"format": FORMAT_TAG, "synth": [1]}])
+    def test_the_header_must_be_a_v2_object(self, corpus_file, header):
+        data = edit_json(corpus_file.read_bytes(), "header", lambda _: header)
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: header: expected a dfuse-corpus-v2 header")
+
+    def test_an_unknown_config_key_is_a_bad_generation_config(self, corpus_file):
+        data = edit_json(corpus_file.read_bytes(), "header",
+                         lambda h: h["synth"].update(mystery=1))
+        corpus_file.write_bytes(data)
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(corpus_file)
+        assert str(info.value).startswith(f"{corpus_file}: header: bad generation config: ")
+        assert "mystery" in str(info.value)
+
+    @pytest.mark.parametrize("payload", [b'{"format": ', b'["\xff"]', b"[" * 100_000, b""],
+                             ids=["cut", "not-utf8", "nested-too-deeply", "empty"])
+    @pytest.mark.parametrize("name", ["header", "eval video metadata"])
+    def test_invalid_json_names_the_section(self, corpus_file, name, payload):
+        _fails(corpus_file, replace(corpus_file.read_bytes(), name, payload), CorpusFormatError,
+               f"{corpus_file}: {name}: invalid JSON")
+
+
+class TestRecords:
+    """Each metadata row is checked, in the order of the checks below."""
+
+    def test_metadata_must_be_a_list(self, corpus_file):
+        data = edit_json(corpus_file.read_bytes(), "eval text metadata", lambda r: {"rows": r})
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: eval text metadata: expected a JSON list")
+
+    @pytest.mark.parametrize("row", [None, "vid", ["vid-x", 0, 0], ["vid-x", 0, 0, None, 1],
+                                     {"id": "vid-x"}])
+    def test_a_row_must_be_a_list_of_four(self, corpus_file, row):
+        data = edit_json(corpus_file.read_bytes(), "labeled-val video metadata",
+                         lambda rows: rows.__setitem__(2, row))
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: labeled-val video metadata: row 2: expected "
+               "[id, concept_id, pair_index, class_name]")
+
+    @pytest.mark.parametrize("value", [["vid", 0], 7, None])
+    def test_id_must_be_a_string(self, corpus_file, value):
+        data = edit_row(corpus_file.read_bytes(), "labeled-train video metadata", 1, id=value)
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: labeled-train video metadata: row 1: record id must be a string")
+
+    @pytest.mark.parametrize("name,index", [("eval text metadata", 3),
+                                            ("labeled-train video metadata", 2)])
+    def test_duplicate_id(self, corpus_file, name, index):
+        data = edit_row(corpus_file.read_bytes(), name, index, id="vid-labeled-train-00000")
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'vid-labeled-train-00000': duplicate id")
+
+    @pytest.mark.parametrize("value", [0.5, True, "0", None, 2**63, 2**64])
+    def test_concept_id_must_be_a_64_bit_integer(self, corpus_file, value):
+        data = edit_row(corpus_file.read_bytes(), "unlabeled video metadata", 1,
+                        concept_id=value)
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'vid-unlabeled-00001': concept_id must be a 64-bit integer")
+
+    def test_negative_concept_id(self, corpus_file):
+        data = edit_row(corpus_file.read_bytes(), "unlabeled text metadata", 4, concept_id=-1)
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'txt-unlabeled-00004': negative concept_id")
+
+    @pytest.mark.parametrize("value", ["x", 0.0, False, -(2**64), [1]])
+    def test_pair_index_must_be_a_64_bit_integer(self, corpus_file, value):
+        data = edit_row(corpus_file.read_bytes(), "labeled-train video metadata", 1,
+                        pair_index=value)
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'vid-labeled-train-00001': pair_index must be a 64-bit integer")
+
+    @pytest.mark.parametrize("value", [["concept_0"], 3, True])
+    def test_class_name_must_be_a_string(self, corpus_file, value):
+        data = edit_row(corpus_file.read_bytes(), "eval video metadata", 0, class_name=value)
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'vid-eval-00000': class_name must be a string")
+
+    def test_a_paired_record_needs_a_pair_index(self, corpus_file):
+        data = edit_row(corpus_file.read_bytes(), "labeled-val text metadata", 2,
+                        pair_index=None)
+        _fails(corpus_file, data, CorpusRecordError,
+               "record 'txt-labeled-val-00002': paired split needs a pair_index")
+
+    def test_the_checks_of_a_row_keep_their_order(self, corpus_file):
+        # Mend the row's faults one at a time; each reveals the next check.
+        name, rid = "eval video metadata", "vid-eval-00001"
+        faults = [("id", 9, CorpusFormatError,
+                   f"{corpus_file}: {name}: row 1: record id must be a string"),
+                  ("id", "vid-eval-00000", CorpusRecordError,
+                   "record 'vid-eval-00000': duplicate id"),
+                  ("concept_id", 0.5, CorpusRecordError,
+                   f"record '{rid}': concept_id must be a 64-bit integer"),
+                  ("concept_id", -1, CorpusRecordError, f"record '{rid}': negative concept_id"),
+                  ("pair_index", "1", CorpusRecordError,
+                   f"record '{rid}': pair_index must be a 64-bit integer"),
+                  ("class_name", 1, CorpusRecordError,
+                   f"record '{rid}': class_name must be a string"),
+                  ("pair_index", None, CorpusRecordError,
+                   f"record '{rid}': paired split needs a pair_index")]
+        fields = {"id": rid, "concept_id": 1, "pair_index": 1, "class_name": "concept_1"}
+        for step in range(len(faults)):
+            bad = {**fields}
+            for key, value, _, _ in faults[step:]:
+                if bad[key] == fields[key]:
+                    bad[key] = value
+            error, message = faults[step][2:]
+            _fails(corpus_file, edit_row(corpus_file.read_bytes(), name, 1, **bad), error,
+                   message)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval"])
+    def test_non_finite_features_name_the_record(self, corpus_file, split, value):
+        data = edit_values(corpus_file.read_bytes(), f"{split} video features",
+                           lambda v: v.__setitem__(5 * 24 + 7, value))
+        for splits in (SPLITS, ("eval",), ()):
+            _fails(corpus_file, data, CorpusRecordError,
+                   f"record 'vid-{split}-00005': non-finite features", splits)
+
+    def test_metadata_is_checked_before_its_features(self, corpus_file):
+        data = edit_values(corpus_file.read_bytes(), "eval text features",
+                           lambda v: v.__setitem__(0, np.nan))
+        data = edit_row(data, "eval text metadata", 9, concept_id=-3)
+        _fails(corpus_file, data, CorpusRecordError, "record 'txt-eval-00009': negative concept_id")
+
+
+def _flip(data, name):
+    """``data`` with one bit of block ``name``'s payload flipped."""
+    _, payload, start = blocks(data)[name]
+    at = start + 8 + len(payload) // 3
+    return data[:at] + bytes([data[at] ^ 0x04]) + data[at + 1:]
+
+
+def _features_count(data, name, delta):
+    count, payload, _ = blocks(data)[name]
+    return replace(data, name, payload, count=count + delta)
+
+
+# Faults of one split's video blocks, each caught by a different check of the loader.
+_BLOCK_FAULTS = {
+    "truncated": lambda data, s: data[:blocks(data)[f"{s} video features"][2] + 20],
+    "flipped-bit": lambda data, s: _flip(data, f"{s} video features"),
+    "count": lambda data, s: _features_count(data, f"{s} video features", -1),
+    "invalid-json": lambda data, s: replace(data, f"{s} video metadata", b"[["),
+    "list-id": lambda data, s: edit_row(data, f"{s} video metadata", 0, id=["vid", 0]),
+    "duplicate-id": lambda data, s: edit_row(data, f"{s} video metadata", 1,
+                                             id=f"vid-{s}-00000"),
+    "negative-concept": lambda data, s: edit_row(data, f"{s} video metadata", 0,
+                                                 concept_id=-1),
+    "non-finite": lambda data, s: edit_values(data, f"{s} video features",
+                                              lambda v: v.__setitem__(-1, np.inf)),
 }
 
 
 class TestSplitRetention:
-    """``load_corpus(path, splits)`` checks every line but keeps only ``splits``."""
+    """``load_corpus(path, splits)`` checks every block but keeps only ``splits``."""
 
     @pytest.mark.parametrize("splits", [
         (), ("eval",), ("labeled-train", "labeled-val"),
         ("labeled-train", "labeled-val", "unlabeled"), ("eval", "unlabeled"), SPLITS,
     ])
-    def test_kept_records_equal_a_full_load(self, tmp_path, tiny_synth, splits):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        full = load_corpus(path)
-        kept = load_corpus(path, splits)
+    def test_kept_records_equal_a_full_load(self, corpus_file, splits):
+        full = load_corpus(corpus_file)
+        kept = load_corpus(corpus_file, splits)
         assert kept.splits == tuple(s for s in SPLITS if s in splits)
         assert _records(kept) == [r for r in _records(full) if r[2] in splits]
         for split in kept.splits:
             assert kept.videos(split) == [r for r in kept.records
                                           if r.split == split and r.kind == "video"]
-        assert kept.sha256 == full.sha256 == sha256_file(path)
+        assert kept.sha256 == full.sha256 == sha256_file(corpus_file)
 
     @pytest.mark.parametrize("accessor", ["videos", "texts", "paired", "unpaired"])
     @pytest.mark.parametrize("split", ["labeled-train", "labeled-val", "unlabeled"])
-    def test_unloaded_split_is_a_usage_error_naming_it(self, tmp_path, tiny_synth, accessor,
-                                                       split):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        corpus = load_corpus(path, ("eval",))
+    def test_unloaded_split_is_a_usage_error_naming_it(self, corpus_file, accessor, split):
+        corpus = load_corpus(corpus_file, ("eval",))
         with pytest.raises(UsageError, match=f"split '{split}'"):
             getattr(corpus, accessor)(split)
         getattr(corpus, accessor)("eval")  # the loaded split is served
 
-    def test_unknown_split_is_a_usage_error(self, tmp_path, tiny_synth):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
+    def test_unknown_split_is_a_usage_error(self, corpus_file):
         with pytest.raises(UsageError, match="unknown split 'test'"):
-            load_corpus(path, ("eval", "test"))
+            load_corpus(corpus_file, ("eval", "test"))
         with pytest.raises(UsageError, match="unknown split 'test'"):
-            load_corpus(path, ("eval",)).videos("test")
+            load_corpus(corpus_file, ("eval",)).videos("test")
 
-    @pytest.mark.parametrize("fault", _RECORD_FAULTS)
+    @pytest.mark.parametrize("fault", _BLOCK_FAULTS)
     @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval"])
-    def test_a_dropped_record_is_checked_as_a_kept_one(self, tmp_path, tiny_synth, split,
-                                                       fault):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        lines = _split_first(path, split).read_bytes().splitlines(keepends=True)
-        error, edit = _RECORD_FAULTS[fault]
-        lines[1] = edit(lines[1].rstrip(b"\n")) + b"\n"
-        path.write_bytes(b"".join(lines))
-        with pytest.raises(error) as full:
-            load_corpus(path)
+    def test_a_dropped_block_is_checked_as_a_kept_one(self, corpus_file, split, fault):
+        corpus_file.write_bytes(_BLOCK_FAULTS[fault](corpus_file.read_bytes(), split))
+        with pytest.raises((CorpusFormatError, CorpusRecordError)) as full:
+            load_corpus(corpus_file)
         for splits in [("eval",), ("labeled-train", "labeled-val"), ()]:
-            with pytest.raises(error) as kept:
-                load_corpus(path, splits)
+            with pytest.raises(full.type) as kept:
+                load_corpus(corpus_file, splits)
             assert str(kept.value) == str(full.value)
 
     @pytest.mark.parametrize("fault,message", [
@@ -531,177 +514,30 @@ class TestSplitRetention:
         ("duplicate", "split 'labeled-val': duplicate pair_index"),
         ("unmatched", "split 'labeled-val': unmatched video/text pair indices"),
     ])
-    def test_pairing_of_a_dropped_split_is_checked(self, tmp_path, tiny_synth, fault, message):
-        path = tmp_path / "corpus.jsonl"
-        gen_corpus(tiny_synth, path)
-        lines = path.read_text().splitlines()
-        index = next(i for i, line in enumerate(lines) if '"vid-labeled-val-00000"' in line)
-        payload = json.loads(lines[index])
-        if fault == "concept":
-            payload["concept_id"] += 1
-        else:
-            payload["pair_index"] = 1 if fault == "duplicate" else 10**6
-        lines[index] = json.dumps(payload)
-        path.write_text("\n".join(lines) + "\n")
+    def test_pairing_of_a_dropped_split_is_checked(self, corpus_file, fault, message):
+        change = ({"concept_id": 1} if fault == "concept" else
+                  {"pair_index": 1 if fault == "duplicate" else 10**6})
+        data = edit_row(corpus_file.read_bytes(), "labeled-val video metadata", 0, **change)
         for splits in [SPLITS, ("eval",), ("labeled-train", "unlabeled")]:
-            with pytest.raises(CorpusRecordError) as info:
-                load_corpus(path, splits)
-            assert str(info.value) == message
+            _fails(corpus_file, data, CorpusRecordError, message, splits)
 
-
-def _exact_halfway(x: float) -> str:
-    """The decimal exactly halfway between ``x`` and the next double up."""
-    with localcontext() as ctx:
-        ctx.prec = 1200
-        return str((Decimal(x) + Decimal(float(np.nextafter(x, np.inf)))) / 2)
-
-
-def _feature_tokens(rng) -> list[str]:
-    bits = rng.integers(0, 2**64, size=2000, dtype=np.uint64, endpoint=False)
-    doubles = bits.view(np.float64)
-    subnormal_bits = rng.integers(1, 2**52, size=400, dtype=np.uint64)
-    subnormal_bits[::2] |= np.uint64(1 << 63)
-    special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
-                        2.2250738585072014e-308, 1.7976931348623157e308, 1.0, 0.1])
-    values = np.concatenate([doubles[np.isfinite(doubles)], subnormal_bits.view(np.float64),
-                             special])
-    tokens = [fmt(float(v)) for v in values for fmt in (
-        repr, "%.17g".__mod__, "%.20e".__mod__, "%.25g".__mod__, "%.16g".__mod__,
-        "%.3e".__mod__,
-    )]
-    moderate = values[(np.abs(values) > 1e-40) & (np.abs(values) < 1e40)][:600]
-    tokens += [_exact_halfway(float(v)) for v in moderate]
-    tokens += [_exact_halfway(float(v)) for v in subnormal_bits[:40].view(np.float64)]
-    tokens += [str(int(v)) for v in rng.integers(-(2**62), 2**62, size=200)]
-    tokens += [str(int(v) << int(s)) for v, s in zip(rng.integers(1, 2**62, size=200),
-                                                      rng.integers(2, 960, size=200))]
-    tokens += [str(2**64 - 1), str(2**64), str(2**64 + 1), str(-(2**63) - 1), str(2**63)]
-    # short spellings of the largest doubles round up to infinity, which no corpus holds
-    return [t for t in tokens if np.isfinite(float(t))]
-
-
-def _writer_values(rng) -> np.ndarray:
-    """Doubles whose spelling by orjson and by ``repr`` differ, or nearly do."""
-    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64, endpoint=False)
-    subnormal_bits = rng.integers(1, 2**52, size=400, dtype=np.uint64)
-    subnormal_bits[::2] |= np.uint64(1 << 63)
-    # repr switches notation at 1e-4 and 1e16, orjson at 1e-5 (below it writes 9.2e-6)
-    neighbours = []
-    for edge in (1e-5, 1e-4, 1e16):
-        for direction in (0.0, np.inf):
-            steps = [float(np.nextafter(edge, direction))]
-            for _ in range(5):
-                steps.append(float(np.nextafter(steps[-1], direction)))
-            neighbours += steps + [-x for x in steps]
-    exponents = np.arange(-1074, 1024)
-    return np.concatenate([
-        np.ldexp(1.0, exponents),
-        np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents),
-        -np.ldexp(rng.uniform(1.0, 2.0, exponents.size), exponents),
-        bits.view(np.float64),
-        subnormal_bits.view(np.float64),
-        neighbours,
-        rng.standard_normal(1200) * 10.0 ** rng.integers(-4, 16, 1200),
-    ])
-
-
-# Each written alone, so that no other value on the line decides its branch.
-_LONE_VALUES = [1e-5, 1e-4, 1e16, 0.0, -0.0, 260.00007701747694,
-                -5309780.000098817, 0.1, 1.0]
-
-
-class TestFeatureBits:
-    def test_load_matches_stdlib_json_bit_for_bit(self, tmp_path):
-        tokens = _feature_tokens(np.random.default_rng(4242))
-        d_v, rows_per_record = 64, 32
-        tokens += ["0"] * (-len(tokens) % d_v)
-        rows = ["[" + ", ".join(tokens[i:i + d_v]) + "]" for i in range(0, len(tokens), d_v)]
-        chunks = [rows[i:i + rows_per_record] for i in range(0, len(rows), rows_per_record)]
-        synth = SynthConfig(d_v=d_v, d_t=d_v, n_labeled_train=0, n_labeled_val=0,
-                            n_unlabeled=len(chunks), n_eval=0)
-        header = {"record": "header", "format": "dfuse-corpus-v1",
-                  "synth": dataclasses.asdict(synth)}
-        lines = [json.dumps(header)]
-        for i, chunk in enumerate(chunks):
-            lines.append(
-                f'{{"record": "item", "id": "vid-unlabeled-{i:05d}", "kind": "video", '
-                f'"split": "unlabeled", "concept_id": 0, "pair_index": null, '
-                f'"class_name": null, "features": [{", ".join(chunk)}]}}'
-            )
-        path = tmp_path / "bits.jsonl"
-        path.write_text("\n".join(lines) + "\n")
-        loaded = load_corpus(path)
-        assert len(loaded.records) == len(chunks)
-        for rec, line in zip(loaded.records, lines[1:]):
-            orjson.loads(line)  # every line takes the orjson path
-            expected = np.asarray(json.loads(line)["features"], dtype=np.float64)
-            assert rec.features.shape == expected.shape
-            assert np.array_equal(rec.features.view(np.uint64), expected.view(np.uint64))
-
-    def test_writer_matches_json_dumps_line_for_line(self, monkeypatch):
-        values = _writer_values(np.random.default_rng(1312))
-        values = values[np.isfinite(values)]  # the writer rejects the rest (next test)
-        values = np.concatenate([values, np.zeros(-len(values) % 6)])
-        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
-        records = []
-        for i, start in enumerate(range(0, len(values), 6)):
-            video, text = values[start:start + 4].reshape(2, 2), values[start + 4:start + 6]
-            records.append(CorpusRecord(f"vid-{i}", "video", "eval", i, video, f"c{i}", i))
-            records.append(CorpusRecord(f"txt-{i}", "text", "unlabeled", i, text))
-        for i, x in enumerate(_LONE_VALUES):
-            records.append(CorpusRecord(f"lone-{i}", "text", "unlabeled", 0, np.array([x, 0.5])))
-        splices = []  # per json.dumps call: did the writer leave "features" out of it?
-        dumps = json.dumps
-
-        def spy(obj):
-            splices.append("features" not in obj)
-            return dumps(obj)
-
-        monkeypatch.setattr(json, "dumps", spy)
-        written = list(corpus_lines(Corpus(synth, records)))
-        monkeypatch.undo()
-        header = {"record": "header", "format": "dfuse-corpus-v1",
-                  "synth": dataclasses.asdict(synth)}
-        expected = [json.dumps(header)]
-        for rec in records:
-            expected.append(json.dumps({
-                "record": "item", "id": rec.id, "kind": rec.kind, "split": rec.split,
-                "concept_id": rec.concept_id, "pair_index": rec.pair_index,
-                "class_name": rec.class_name, "features": rec.features.tolist(),
-            }))
-        assert written == [(line + "\n").encode() for line in expected]
-        record_splices = splices[1:]
-        assert len(record_splices) == len(records)
-        assert 0 < sum(record_splices) < len(records)  # both branches of the writer ran
-
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_writer_rejects_non_finite_features_naming_the_record(self, bad):
-        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
-        records = [CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25])),
-                   CorpusRecord("txt-1", "text", "unlabeled", 0, np.array([0.5, bad]))]
-        lines = corpus_lines(Corpus(synth, records))
-        assert len([next(lines), next(lines)]) == 2  # header and the finite record
-        with pytest.raises(CorpusRecordError, match=r"^record 'txt-1': non-finite features$"):
-            next(lines)
-
-
-    @pytest.mark.parametrize("x", [1e16, 5.05e-05, -0.0])
-    @pytest.mark.parametrize("layout", ["row view", "strided", "float32"])
-    def test_writer_spells_hard_values_as_json_dumps(self, x, layout):
-        # orjson spells the first two differently (exponent, below 1e-4), so the
-        # writer must hand those lines to json.dumps; -0.0 both spell alike.
-        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
-        split = np.array([[[0.5, 0.25], [x, 1.5]], [[2.0, x], [0.75, -3.0]]])
-        features = {"row view": split[1], "strided": split[:, 1].T,
-                    "float32": split[1].astype(np.float32)}[layout]
-        rec = CorpusRecord("vid-0", "video", "unlabeled", 0, features)
-        _, line = corpus_lines(Corpus(synth, [rec]))
-        assert line == (json.dumps({
-            "record": "item", "id": "vid-0", "kind": "video", "split": "unlabeled",
-            "concept_id": 0, "pair_index": None, "class_name": None,
-            "features": features.tolist(),
-        }) + "\n").encode()
+    def test_a_dropped_block_is_read_in_bounded_chunks(self, tmp_path):
+        cfg = SynthConfig(n_labeled_train=8, n_labeled_val=8, n_unlabeled=1024, n_eval=8)
+        path = tmp_path / "corpus.jsonl"
+        gen_corpus(cfg, path)
+        tracemalloc.start()
+        try:
+            load_corpus(path, ("eval",))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the unlabeled video block alone is 2 MiB
+        # The last value lies in the last chunk; both ways name its record.
+        data = edit_values(path.read_bytes(), "unlabeled video features",
+                           lambda v: v.__setitem__(-1, np.nan))
+        for splits in (SPLITS, ("eval",)):
+            _fails(path, data, CorpusRecordError,
+                   "record 'vid-unlabeled-01023': non-finite features", splits)
 
 
 def prompt_feature(synth, prompt_text, class_idx):

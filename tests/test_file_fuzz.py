@@ -1,4 +1,4 @@
-"""Seeded mutation fuzzing of checkpoint and report files on the command line.
+"""Seeded mutation fuzzing of checkpoint, report and config files on the command line.
 
 Each case mutates one copy of a good file and runs ``fuse`` (checkpoints) or
 ``report-class-delta`` (reports) with it in one input slot and a good file in
@@ -7,6 +7,12 @@ eight header bytes overwritten; reports are truncated, get flipped bits, or
 get one record's key retyped or dropped. The command must either succeed,
 writing its output and manifest, or end in exit 1 or 2 with one ``error:``
 line and no output. Either way no temp file is left behind.
+
+Config files set every option of a command but its paths, and each mutation
+makes one of them malformed: cut inside a ``key =``, a byte of a key
+replaced, a non-UTF-8 byte, a repeated or unknown key, or a value its
+option cannot read. Each case must end in exit 1 with one ``error:`` line
+naming the file and the line, before any input is read and with no output.
 """
 
 import json
@@ -177,4 +183,117 @@ def test_mutated_reports_compare_or_fail_cleanly(good, tmp_path, capsys):
                      tmp_path, capsys)
     for expected in ("ok", "invalid JSON", "not UTF-8 text", "is missing",
                      "malformed", "missing its summary or ranks record"):
+        assert any(expected in message for message in messages), expected
+
+
+# --- config files ---------------------------------------------------------------
+
+# Commands whose config file sets every option but the paths, which the
+# command line gives; none of the paths exists, since no input may be read.
+CONFIG_COMMANDS = {
+    "gen-corpus": ["--out", "c.jsonl"],
+    "train-student": ["--teacher", "t.ckpt", "--corpus", "c.jsonl", "--out", "s.ckpt"],
+    "sweep-alpha": ["--teacher", "t.ckpt", "--student", "s.ckpt", "--corpus", "c.jsonl",
+                    "--out", "sweep"],
+    "report-class-delta": ["--report-a", "a.jsonl", "--report-b", "b.jsonl", "--out", "d.tsv"],
+}
+# Values each kind of option cannot read.
+BAD_VALUES = {"int": ("1.5", "x", "", "1e3", "0x10", "--1"),
+              "float": ("x", "", "1,5", "1.0.0", "one"),
+              "bool": ("maybe", "2", "", "yes please")}
+CASES_PER_CONFIG_MUTATION = 12
+
+
+def _config_lines(command):
+    """``(option, line)`` for each option ``command`` takes from a config file."""
+    from dfuse.cli import _COMMANDS
+
+    return [(o, f"{o.key} = {o.default}") for o in _COMMANDS[command][2] if not o.required]
+
+
+# Each mutation: (lines, options, rng) -> (file bytes, the line its error names or None).
+# ``lines`` starts with a comment line; ``options[i]`` is line i's option.
+
+def _cut_key(lines, options, rng):
+    """The file ends inside a line's ``key =``, before any value."""
+    i = int(rng.integers(1, len(lines)))
+    key_end = len(options[i].key) + (2 if options[i].kind != "str" else 1)
+    lines = lines[:i] + [lines[i][: int(rng.integers(1, key_end + 1))]]
+    return "\n".join(lines).encode(), i + 1
+
+
+def _flip_key_byte(lines, options, rng):
+    """One byte of a line's ``key =`` replaced by another printable one."""
+    i = int(rng.integers(1, len(lines)))
+    at = int(rng.integers(len(options[i].key) + 2))
+    byte = _pick(rng, [c for c in "abcdefghijklmnopqrstuvwxyz_0123456789 =-.!"
+                       if c != lines[i][at]])
+    lines = [*lines[:i], lines[i][:at] + byte + lines[i][at + 1:], *lines[i + 1:]]
+    return "\n".join(lines).encode(), None  # a duplicate key names the later line
+
+
+def _non_utf8(lines, options, rng):
+    i = int(rng.integers(len(lines)))
+    at = int(rng.integers(len(lines[i]) + 1))
+    data = [line.encode() for line in lines]
+    data[i] = data[i][:at] + bytes([int(rng.integers(0x80, 0x100))]) + data[i][at:]
+    return b"\n".join(data), i + 1
+
+
+def _repeat_key(lines, options, rng):
+    i = int(rng.integers(1, len(lines)))
+    j = int(rng.integers(i + 1, len(lines) + 1))
+    return "\n".join([*lines[:j], lines[i], *lines[j:]]).encode(), j + 1
+
+
+def _unknown_key(lines, options, rng):
+    i = int(rng.integers(1, len(lines) + 1))
+    extra = _pick(rng, ["mystery_knob = 3", f"{options[i - 1].key}x = 1", "seeds = 5"]
+                  if i > 1 else ["mystery_knob = 3"])
+    return "\n".join([*lines[:i], extra, *lines[i:]]).encode(), i + 1
+
+
+def _bad_value(lines, options, rng):
+    i = _pick(rng, [i for i, o in enumerate(options) if o is not None and o.kind != "str"])
+    lines = [*lines[:i], f"{options[i].key} = {_pick(rng, BAD_VALUES[options[i].kind])}",
+             *lines[i + 1:]]
+    return "\n".join(lines).encode(), i + 1
+
+
+CONFIG_MUTATIONS = {f.__name__[1:]: f for f in (
+    _cut_key, _flip_key_byte, _non_utf8, _repeat_key, _unknown_key, _bad_value)}
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_mutated_config_files_are_one_error_line_naming_the_line(command, tmp_path,
+                                                                monkeypatch, capsys):
+    import re
+
+    import dfuse.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("an input was read before the config file was checked")
+
+    for name in ("gen_corpus", "load_corpus", "load_checkpoint", "_read_report"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    options, lines = zip(*[(None, f"# {command} settings"), *_config_lines(command)])
+    cfg = tmp_path / "run.cfg"
+    messages = set()
+    for m, (name, mutate) in enumerate(CONFIG_MUTATIONS.items()):
+        for case in range(CASES_PER_CONFIG_MUTATION):
+            rng = np.random.default_rng([SEED, len(command), m, case])
+            data, line = mutate(list(lines), list(options), rng)
+            cfg.write_bytes(data)
+            capsys.readouterr()
+            code = cli_dispatch([command, "--config", str(cfg), *CONFIG_COMMANDS[command]])
+            out, err = capsys.readouterr()
+            found = re.fullmatch(rf"error: {re.escape(str(cfg))}: line (\d+): (.+)\n", err)
+            assert (code, out) == (1, "") and found, (name, case, err)
+            if line is not None:
+                assert int(found.group(1)) == line, (name, case, err)
+            assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+            messages.add(found.group(2))
+    for expected in ("expected 'key = value'", "unknown config key", "is already set on line",
+                     "bad value for", "not UTF-8 text"):
         assert any(expected in message for message in messages), expected
