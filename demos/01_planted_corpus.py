@@ -20,20 +20,22 @@ cfg = SynthConfig(
     n_labeled_train=64, n_labeled_val=16, n_unlabeled=64, n_eval=32, seed=42,
 )
 corpus = build_corpus(cfg)
-print(f"{len(corpus.records)} records over splits:")
-for split in ("labeled-train", "labeled-val", "unlabeled", "eval"):
-    print(f"  {split:14s} {len(corpus.videos(split)):4d} videos  "
-          f"{len(corpus.texts(split)):4d} texts")
+counts = {split: (len(corpus.videos(split)), len(corpus.texts(split))) for split in corpus.splits}
+print(f"{sum(v + t for v, t in counts.values())} records over splits:")
+for split, (n_videos, n_texts) in counts.items():
+    print(f"  {split:14s} {n_videos:4d} videos  {n_texts:4d} texts")
 
-rec = corpus.videos("labeled-train")[0]
-print(f"\nfirst video record: id={rec.id} concept={rec.concept_id} "
-      f"features shape={rec.features.shape}")
+# Each split holds its records as columns; the features are one block per kind.
+train = corpus.videos("labeled-train")
+print(f"\nfirst video record: id={train.ids[0]} concept={train.concept_id[0]} "
+      f"features shape={train.features[0].shape}")
+print(f"labeled-train video block: {train.features.shape}")
 
 # --- planted correspondence ----------------------------------------------------
 
+# A paired split is stored in pair order: row i of both blocks is pair i.
 videos, texts = corpus.paired("labeled-train")
-concepts = [r.concept_id for r in sorted(corpus.videos("labeled-train"),
-                                         key=lambda r: r.pair_index)]
+concepts = train.concept_id
 
 
 def cosine(a, b):

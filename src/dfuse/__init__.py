@@ -10,7 +10,6 @@ classification with diagnostic exports.
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import (
     Corpus,
-    CorpusRecord,
     SynthConfig,
     build_corpus,
     gen_corpus,

@@ -230,7 +230,8 @@ def _cmd_gen_corpus(values: dict) -> int:
     out = Path(values["out"])
     corpus = gen_corpus(cfg, out)
     _write_manifest(out, "gen-corpus", values, [], [out.name])
-    print(f"wrote {out} with {len(corpus.records)} records")
+    n = sum(len(corpus.videos(split)) + len(corpus.texts(split)) for split in corpus.splits)
+    print(f"wrote {out} with {n} records")
     return 0
 
 

@@ -16,10 +16,11 @@ a multi-frame video corpus end up in the same planted world.
 Only the random draws are per record: record i's own generator draws its
 latent offset and then its feature noise (a pair: video, then text) into
 row i of its split's arrays. The jittered latents, their norms, the feature
-maps and the noise scaling then run once per split, and the features are
-written over the noise draws in place, so each record's features are a row
-view of its split's array. This gives the bits of computing every record on
-its own.
+maps and the noise scaling then run once per split, over the noise draws in
+place, with the bits of computing every record on its own. A ``Corpus`` holds
+each split and kind as ``Columns`` in file order: ids, int64 ``concept_id``
+and ``pair_index``, class names and the whole features block, never split
+into rows.
 
 File format (``dfuse-corpus-v2``), little-endian binary: the magic tag
 ``DFCORP02``; a header block, the JSON object ``{"format": "dfuse-corpus-v2",
@@ -32,15 +33,17 @@ an int64 length (bytes, or values for features), the payload and its
 CRC-32. Kind, split and shape come from the block's place, the header and
 the row count. A changed length misaligns the CRC read after it or fails
 the check of the row count against the block size, so every byte is checked.
+A paired split stores its videos and its texts in one strictly increasing
+pair order, so row i of both blocks is pair i; an unpaired split's pair
+indices are not kept.
 
-``gen_corpus`` streams each record's features to the atomic temp-file writer
-as a memoryview, with a running CRC; no block is stacked. ``load_corpus(path,
-splits)`` hashes the whole file (``Corpus.sha256``) and checks every CRC,
-metadata row and pairing. A features block of a split in ``splits`` is read
-into one array whose rows are its records' features; any other is read in
-chunks of ``_CHUNK_VALUES`` through the same checks and dropped, so a file
-fails the same way whichever splits are kept. The returned ``Corpus`` holds
-only the named splits and raises ``UsageError`` for any other.
+``gen_corpus`` streams each features block to the atomic temp-file writer as
+one memoryview, with a running CRC. ``load_corpus(path, splits)`` hashes the
+whole file (``Corpus.sha256``) and checks every CRC, metadata row and
+pairing. A features block of a split in ``splits`` is read into one array; any
+other is read in chunks of ``_CHUNK_VALUES`` through the same checks and
+dropped, so a file fails the same way whichever splits are kept. The returned
+``Corpus`` holds only the named splits and raises ``UsageError`` for any other.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
+from collections import namedtuple
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -128,24 +132,32 @@ class SynthConfig:
             raise UsageError("identity_maps is incompatible with a video domain shift")
 
 
-@dataclass(eq=False, slots=True)
-class CorpusRecord:
-    id: str
-    kind: str    # "video" | "text"
-    split: str
-    concept_id: int
-    features: np.ndarray  # video: (T, d_v); text: (d_t,)
-    class_name: str | None = None
-    pair_index: int | None = None
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """One split's records of one kind in file order: ids, int64 ``concept_id`` and
+    ``pair_index`` (None in an unpaired split), class names, the features block."""
+
+    ids: list[str]
+    concept_id: np.ndarray
+    pair_index: np.ndarray | None
+    class_name: list[str | None]
+    features: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def rows(self) -> list[tuple]:
+        """``(id, concept_id, pair_index, class_name)`` of each record, as Python values."""
+        pairs = [None] * len(self) if self.pair_index is None else self.pair_index.tolist()
+        return list(zip(self.ids, self.concept_id.tolist(), pairs, self.class_name))
+
+
+Record = namedtuple("Record", "id kind split concept_id features class_name pair_index")
 
 
 def class_name_for(concept_id: int, n_concepts: int) -> str:
     width = len(str(n_concepts - 1))
     return f"concept_{concept_id:0{width}d}"
-
-
-def _unit(v: np.ndarray) -> np.ndarray:
-    return v / math.sqrt(float(np.einsum("i,i->", v, v)))
 
 
 def concept_vectors(cfg: SynthConfig) -> np.ndarray:
@@ -184,8 +196,8 @@ def text_feature_map(cfg: SynthConfig) -> np.ndarray:
 
 
 def _jittered_latent(base: np.ndarray, scale: float, rng: np.random.Generator) -> np.ndarray:
-    offset = rng.standard_normal(base.shape[0]) * (scale / math.sqrt(base.shape[0]))
-    return _unit(base + offset)
+    latent = base + rng.standard_normal(base.shape[0]) * (scale / math.sqrt(base.shape[0]))
+    return latent / math.sqrt(float(np.einsum("i,i->", latent, latent)))
 
 
 def _split_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, n: int, maps) -> list:
@@ -211,17 +223,13 @@ def _split_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, n: int, 
 
 
 def build_corpus(cfg: SynthConfig) -> "Corpus":
-    """Generate all records in memory, deterministically from the seed.
-
-    Records come in file order: per split, its videos, then its texts. Each
-    record's features are a row view of its split's feature array.
-    """
+    """Generate all records in memory, deterministically from the seed."""
     concepts = concept_vectors(cfg)
     video = (video_feature_map(cfg), (cfg.frames_per_video, cfg.d_v))
     text = (text_feature_map(cfg), (cfg.d_t,))
     counts = {"labeled-train": cfg.n_labeled_train, "labeled-val": cfg.n_labeled_val,
               "unlabeled": cfg.n_unlabeled, "eval": cfg.n_eval}
-    records: list[CorpusRecord] = []
+    columns = {}
     for split in SPLITS:
         n, paired = counts[split], split in PAIRED_SPLITS
         if paired:
@@ -232,14 +240,15 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
                                         (video,))
             (texts,) = _split_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), n,
                                        (text,))
-        for kind, tag, features in (("video", "vid", videos), ("text", "txt", texts)):
-            for i in range(n):
-                concept = i % cfg.n_concepts
-                cls = (class_name_for(concept, cfg.n_concepts)
-                       if split == "eval" and kind == "video" else None)
-                records.append(CorpusRecord(f"{tag}-{split}-{i:05d}", kind, split, concept,
-                                            features[i], cls, i if paired else None))
-    return Corpus(cfg, records)
+        concept = np.arange(n, dtype=np.int64) % cfg.n_concepts
+        pair = np.arange(n, dtype=np.int64) if paired else None
+        names = ([class_name_for(c, cfg.n_concepts) for c in concept.tolist()]
+                 if split == "eval" else [None] * n)
+        ids = [f"{split}-{i:05d}" for i in range(n)]
+        columns[split] = {
+            "video": Columns(["vid-" + i for i in ids], concept, pair, names, videos),
+            "text": Columns(["txt-" + i for i in ids], concept, pair, [None] * n, texts)}
+    return Corpus(cfg, columns)
 
 
 def _json_block(payload) -> Iterator:
@@ -247,24 +256,20 @@ def _json_block(payload) -> Iterator:
     return framed(len(data), (data,))
 
 
-def _row(rec: CorpusRecord) -> memoryview:
-    values = np.ascontiguousarray(rec.features, dtype="<f8")
-    if not np.isfinite(values).all():
-        raise CorpusRecordError(f"record {rec.id!r}: non-finite features")
-    return memoryview(values)
-
-
 def _file_chunks(corpus: "Corpus") -> Iterator:
-    """The corpus file, block by block; each record's features are one chunk."""
+    """The corpus file, block by block; each features block is one chunk."""
     yield MAGIC
     yield from _json_block({"format": FORMAT_TAG, "synth": asdict(corpus.synth)})
     for split in SPLITS:
         for kind in KINDS:
-            records = corpus._by_split[split][kind]
-            yield from _json_block([[r.id, r.concept_id, r.pair_index, r.class_name]
-                                    for r in records])
-            row_len = math.prod(_row_shape(corpus.synth, kind))
-            yield from framed(len(records) * row_len, map(_row, records))
+            col = corpus._columns[split][kind]
+            yield from _json_block(col.rows())
+            values = np.ascontiguousarray(col.features, dtype="<f8")
+            finite = np.isfinite(values)
+            if not finite.all():
+                bad = int(np.argmin(finite.reshape(-1))) // values[0].size
+                raise CorpusRecordError(f"record {col.ids[bad]!r}: non-finite features")
+            yield from framed(values.size, (memoryview(values),))
 
 
 def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
@@ -281,62 +286,46 @@ def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
 
 
 class Corpus:
-    """Loaded corpus: generation config plus validated records, indexed by split.
+    """Generation config plus validated records, held per split and kind as ``Columns``.
 
     ``splits`` are the splits it holds, in ``SPLITS`` order; ``videos``,
-    ``texts``, ``paired`` and ``unpaired`` raise ``UsageError`` for any
-    other. ``sha256`` is the hex SHA-256 of the whole file ``load_corpus``
-    read, or None for a corpus built in memory.
+    ``texts`` and ``paired`` raise ``UsageError`` for any other. ``sha256``
+    is the hex SHA-256 of the whole file ``load_corpus`` read, or None for a
+    corpus built in memory.
     """
 
-    def __init__(self, synth: SynthConfig, records: list[CorpusRecord], sha256: str | None = None,
-                 splits=SPLITS):
+    def __init__(self, synth: SynthConfig, columns: dict[str, dict[str, Columns]],
+                 sha256: str | None = None):
         self.synth = synth
-        self.records = records
         self.sha256 = sha256
-        self.splits = _known_splits(splits)
-        self._by_split: dict[str, dict[str, list[CorpusRecord]]] = {
-            split: {"video": [], "text": []} for split in self.splits
-        }
-        for rec in records:
-            self._check_split(rec.split)
-            self._by_split[rec.split][rec.kind].append(rec)
-        self._pairs: dict[str, tuple[list[np.ndarray], np.ndarray]] = {}
+        self.splits = _known_splits(columns)
+        self._columns = {split: columns[split] for split in self.splits}
 
-    def videos(self, split: str) -> list[CorpusRecord]:
-        self._check_split(split)
-        return self._by_split[split]["video"]
+    def videos(self, split: str) -> Columns:
+        return self._split(split)["video"]
 
-    def texts(self, split: str) -> list[CorpusRecord]:
-        self._check_split(split)
-        return self._by_split[split]["text"]
+    def texts(self, split: str) -> Columns:
+        return self._split(split)["text"]
 
-    def paired(self, split: str):
-        """Aligned (video stacks, text feature matrix) ordered by pair index."""
+    def paired(self, split: str) -> tuple[np.ndarray, np.ndarray]:
+        """The (video, text) features blocks of a paired split; row i of both is pair i."""
         if split not in PAIRED_SPLITS:
             raise UsageError(f"split {split!r} holds no aligned pairs")
-        if split not in self._pairs:
-            vids = sorted(self.videos(split), key=lambda r: r.pair_index)
-            txts = sorted(self.texts(split), key=lambda r: r.pair_index)
-            stacks = [r.features for r in vids]
-            texts = (
-                np.stack([r.features for r in txts])
-                if txts else np.zeros((0, self.synth.d_t))
-            )
-            self._pairs[split] = (stacks, texts)
-        return self._pairs[split]
+        return self.videos(split).features, self.texts(split).features
 
-    def unpaired(self, split: str):
-        """(video stacks, text feature matrix) with no alignment between them."""
-        stacks = [r.features for r in self.videos(split)]
-        txts = self.texts(split)
-        texts = np.stack([r.features for r in txts]) if txts else np.zeros((0, self.synth.d_t))
-        return stacks, texts
+    @property
+    def records(self) -> list[Record]:
+        """Every record held as a ``Record`` in file order, built from the columns on each
+        read; ``features`` is a row view. ``perfbench/checks.py`` reads this view."""
+        return [Record(rec_id, kind, split, concept, features, name, pair)
+                for split, kinds in self._columns.items() for kind, col in kinds.items()
+                for (rec_id, concept, pair, name), features in zip(col.rows(), col.features)]
 
-    def _check_split(self, split: str) -> None:
-        if split not in self._by_split:
+    def _split(self, split: str) -> dict[str, Columns]:
+        if split not in self._columns:
             _known_splits((split,))
             raise UsageError(f"split {split!r} was not loaded; this corpus holds {self.splits}")
+        return self._columns[split]
 
 
 def _known_splits(splits) -> tuple[str, ...]:
@@ -347,35 +336,28 @@ def _known_splits(splits) -> tuple[str, ...]:
     return tuple(split for split in SPLITS if split in splits)
 
 
-def _row_shape(synth: SynthConfig, kind: str) -> tuple[int, ...]:
-    return (synth.frames_per_video, synth.d_v) if kind == "video" else (synth.d_t,)
-
-
 def _is_int64(value) -> bool:
     # A JSON integer is a Python int of any size; a boolean is not one.
     return type(value) is int and -(1 << 63) <= value < (1 << 63)
 
 
-def _validate_pairing(rows: dict) -> None:
-    """Check each paired split's video/text pairing.
-
-    ``rows[split][kind]`` holds the metadata rows of that split and kind,
-    whether or not its features were kept.
-    """
-    for split in PAIRED_SPLITS:
-        listed_videos, listed_texts = rows[split]["video"], rows[split]["text"]
-        videos = {index: (concept, rec_id) for rec_id, concept, index, _ in listed_videos}
-        texts = {index: (concept, rec_id) for rec_id, concept, index, _ in listed_texts}
-        if len(videos) != len(listed_videos) or len(texts) != len(listed_texts):
-            raise CorpusRecordError(f"split {split!r}: duplicate pair_index")
-        if videos.keys() != texts.keys():
-            raise CorpusRecordError(f"split {split!r}: unmatched video/text pair indices")
-        for idx, (concept, vid_id) in videos.items():
-            if concept != texts[idx][0]:
-                raise CorpusRecordError(
-                    f"pair {idx} in split {split!r}: concept mismatch "
-                    f"({vid_id!r} vs {texts[idx][1]!r})"
-                )
+def _check_pairing(split: str, videos: Columns, texts: Columns) -> None:
+    """Videos and texts list each pair index once, in one increasing order, with one concept."""
+    v, t = np.sort(videos.pair_index), np.sort(texts.pair_index)
+    if (v[1:] == v[:-1]).any() or (t[1:] == t[:-1]).any():
+        raise CorpusRecordError(f"split {split!r}: duplicate pair_index")
+    if not np.array_equal(v, t):
+        raise CorpusRecordError(f"split {split!r}: unmatched video/text pair indices")
+    for col in (videos, texts):
+        late = np.flatnonzero(col.pair_index[1:] < col.pair_index[:-1])
+        if late.size:
+            rec_id = col.ids[int(late[0]) + 1]
+            raise CorpusRecordError(f"split {split!r}: record {rec_id!r} is out of pair order")
+    bad = np.flatnonzero(videos.concept_id != texts.concept_id)
+    if bad.size:
+        i = int(bad[0])
+        raise CorpusRecordError(f"pair {v[i]} in split {split!r}: concept mismatch "
+                                f"({videos.ids[i]!r} vs {texts.ids[i]!r})")
 
 
 def _check_crc(r: FrameReader, crc: int) -> None:
@@ -395,8 +377,9 @@ def _read_json(r: FrameReader, section: str):
         raise CorpusFormatError(f"{r.source}: {section}: invalid JSON") from None
 
 
-def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) -> list:
-    """A block's checked ``[id, concept_id, pair_index, class_name]`` rows."""
+def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) -> tuple:
+    """A block's checked rows as the ``ids``, ``concept_id``, ``pair_index``
+    (None in an unpaired split) and ``class_name`` columns."""
     rows = _read_json(r, section)
     if type(rows) is not list:
         raise CorpusFormatError(f"{r.source}: {section}: expected a JSON list")
@@ -420,17 +403,21 @@ def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) ->
             raise CorpusRecordError(f"record {rec_id!r}: class_name must be a string")
         if paired and pair_index is None:
             raise CorpusRecordError(f"record {rec_id!r}: paired split needs a pair_index")
-    return rows
+    ids, concepts, pairs, names = zip(*rows) if rows else ((), (), (), ())
+    return (list(ids), np.array(concepts, dtype=np.int64),
+            np.array(pairs, dtype=np.int64) if paired else None, list(names))
 
 
-def _read_features(r: FrameReader, section: str, rows: list, row_len: int,
+def _read_features(r: FrameReader, section: str, ids: list, shape: tuple,
                    keep: bool) -> np.ndarray | None:
-    """A features block as one flat array if ``keep``, else read in chunks and
-    dropped. Both ways every value is hashed, CRC-checked and checked finite."""
+    """A features block as one ``(len(ids), *shape)`` array if ``keep``; else it is
+    read in chunks and dropped (None). Both ways every value is hashed,
+    CRC-checked and checked finite."""
     r.section = section
+    row_len = math.prod(shape)
     (count,) = r.unpack("<q")
-    if count != len(rows) * row_len:
-        raise CorpusFormatError(f"{r.source}: {section}: {count} values, but {len(rows)} "
+    if count != len(ids) * row_len:
+        raise CorpusFormatError(f"{r.source}: {section}: {count} values, but {len(ids)} "
                                 f"records of {row_len} values")
     r.need(8 * count)
     values = np.empty(count if keep else min(count, _CHUNK_VALUES), dtype="<f8")
@@ -443,8 +430,8 @@ def _read_features(r: FrameReader, section: str, rows: list, row_len: int,
             bad = start + int(np.argmin(np.isfinite(chunk)))
     _check_crc(r, crc)
     if bad is not None:
-        raise CorpusRecordError(f"record {rows[bad // row_len][0]!r}: non-finite features")
-    return values if keep else None
+        raise CorpusRecordError(f"record {ids[bad // row_len]!r}: non-finite features")
+    return values.reshape(len(ids), *shape) if keep else None
 
 
 def load_corpus(path, splits=SPLITS) -> Corpus:
@@ -456,8 +443,7 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
     """
     path = Path(path)
     splits = _known_splits(splits)
-    records: list[CorpusRecord] = []
-    paired_rows = {split: {} for split in PAIRED_SPLITS}
+    columns: dict[str, dict[str, Columns]] = {}
     seen_ids: set[str] = set()
     with open(path, "rb") as fh:
         r = FrameReader(fh, str(path), CorpusFormatError, "magic tag")
@@ -472,22 +458,19 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
         except (TypeError, UsageError) as exc:
             raise CorpusFormatError(f"{path}: header: bad generation config: {exc}") from exc
         for split in SPLITS:
-            paired = split in PAIRED_SPLITS
+            columns[split] = {}
             for kind in KINDS:
-                rows = _read_metadata(r, f"{split} {kind} metadata", paired, seen_ids)
-                shape = _row_shape(synth, kind)
-                values = _read_features(r, f"{split} {kind} features", rows, math.prod(shape),
-                                        split in splits)
-                if paired:
-                    paired_rows[split][kind] = rows
-                if values is not None:
-                    features = values.reshape(len(rows), *shape)
-                    records.extend(CorpusRecord(rec_id, kind, split, concept, row, name, pair)
-                                   for (rec_id, concept, pair, name), row in zip(rows, features))
+                meta = _read_metadata(r, f"{split} {kind} metadata", split in PAIRED_SPLITS,
+                                      seen_ids)
+                shape = (synth.frames_per_video, synth.d_v) if kind == "video" else (synth.d_t,)
+                # A dropped split keeps its metadata, for the pairing check only.
+                columns[split][kind] = Columns(*meta, _read_features(
+                    r, f"{split} {kind} features", meta[0], shape, split in splits))
         if not r.at_end():
             raise CorpusFormatError(f"{path}: trailing bytes after the corpus")
-    _validate_pairing(paired_rows)
-    return Corpus(synth, records, r.digest.hexdigest(), splits)
+    for split in PAIRED_SPLITS:
+        _check_pairing(split, columns[split]["video"], columns[split]["text"])
+    return Corpus(synth, {split: columns[split] for split in splits}, r.digest.hexdigest())
 
 
 def prompt_feature_fn(synth: SynthConfig):

@@ -6,22 +6,23 @@ outputs, and L2-normalize; texts are single feature vectors through the text
 tower. Teacher and student share this architecture, so their flat parameter
 vectors always have identical layouts (the prerequisite for weight fusion).
 
-Raw frame stacks are validated and frame-sampled once, by ``sample_frames``,
-into one dense ``(N, n_frames, d_v)`` array; training samples each split once
-per run and gathers batch rows from it. ``video_forward`` only ever sees such
-arrays. It and ``text_forward`` are the unchecked forward cores: they neither
-check their inputs nor reject zero-norm embeddings. The checked entries are
-``encode_sampled``, ``encode_video_batch`` (which takes raw stacks and
-samples them on the way in) and ``encode_text_batch``; each checks its
-inputs before the forward and the embedding norms after it. They run the
-forward on fixed blocks of ``ENCODE_BLOCK_ROWS`` videos or texts and write
-each block's embeddings into one output array, so a whole split (the teacher
-encodes the unlabeled pool at once) costs one block's transient arrays, not
-the split's. Rows pass through the towers independently, and the still-image
-test below is made per block, so the bits are those of one unblocked
-forward. The norms are checked once, over the whole batch, so an error names
-a row by its index in the batch. The loss encodes several batches in one
-call per tower and runs those checks itself, per batch.
+A split's ``(n, T, d_v)`` block of clips is checked and frame-sampled once,
+by ``sample_frames``, into one dense ``(n, n_frames, d_v)`` array; training
+samples each split once per run and gathers batch rows from it.
+``video_forward`` only ever sees such arrays. It and ``text_forward`` are the
+unchecked forward cores: they neither check their inputs nor reject
+zero-norm embeddings. The checked entries are ``encode_sampled``,
+``encode_video_batch`` (which samples a block on the way in) and
+``encode_text_batch``; each checks its inputs before the forward and the
+embedding norms after it. They run the forward on fixed blocks of
+``ENCODE_BLOCK_ROWS`` videos or texts and write each block's embeddings into
+one output array, so a whole split (the teacher encodes the unlabeled pool at
+once) costs one block's transient arrays, not the split's. Rows pass through
+the towers independently, and the still-image test below is made per block,
+so the bits are those of one unblocked forward. The norms are checked once,
+over the whole batch, so an error names a row by its index in the batch. The
+loss encodes several batches in one call per tower and runs those checks
+itself, per batch.
 
 Still images (T=1 records, sampled to ``n_frames`` copies) share one tower
 pass: when every frame slot of every video in a batch has slot 0's bits,
@@ -45,7 +46,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,36 +213,24 @@ def _normalize_with_cache(x, h, pooled) -> TowerCache:
     return TowerCache(x, h, pooled, norms, z)
 
 
-def _check_stack(stack, dim: int, index: int) -> np.ndarray:
-    arr = np.asarray(stack, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise UsageError(f"frame stack {index} must be (T, dim) with T >= 1")
-    if arr.shape[1] != dim:
-        raise UsageError(
-            f"frame stack {index} has dim {arr.shape[1]}, encoder expects {dim}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise UsageError(f"frame stack {index} contains non-finite entries")
-    return arr
+def sample_frames(block: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Check an ``(n, T, d_v)`` block of clips and sample ``cfg.n_frames`` frames of each.
 
-
-def sample_frames(stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
-    """Validate raw (T, d_v) frame stacks and sample ``cfg.n_frames`` frames of each.
-
-    Returns a C-contiguous ``(N, n_frames, d_v)`` float64 array: the only input
+    Returns a C-contiguous ``(n, n_frames, d_v)`` float64 array: the only input
     ``video_forward`` accepts. Call once per split and gather rows per batch.
+    ``np.take`` writes a new C-contiguous array; ``block[:, idx]`` would not.
     """
-    if len(stacks) == 0:
-        raise UsageError("empty video batch")
-    frames = np.empty((len(stacks), cfg.n_frames, cfg.input_dim_video))
-    indices = {}  # clip length T -> its frame indices
-    for i, stack in enumerate(stacks):
-        arr = _check_stack(stack, cfg.input_dim_video, i)
-        t = arr.shape[0]
-        if t not in indices:
-            indices[t] = sample_frame_indices(t, cfg.n_frames)
-        frames[i] = arr[indices[t]]
-    return frames
+    d = cfg.input_dim_video
+    if not (isinstance(block, np.ndarray) and block.ndim == 3 and min(block.shape[:2]) >= 1
+            and block.shape[2] == d):
+        got = block.shape if isinstance(block, np.ndarray) else type(block).__name__
+        raise UsageError(f"video block must be an (n, T, {d}) array with n, T >= 1, got {got}")
+    block = np.asarray(block, dtype=np.float64)
+    finite = np.isfinite(block)
+    if not finite.all():
+        bad = int(np.argmin(finite.reshape(-1))) // block[0].size
+        raise UsageError(f"clip {bad} of the video block contains non-finite entries")
+    return np.take(block, sample_frame_indices(block.shape[1], cfg.n_frames), axis=1)
 
 
 def _is_still(videos: np.ndarray) -> bool:
@@ -323,9 +312,9 @@ def _encode_in_blocks(params: ParamVector, forward, rows: np.ndarray,
     return z
 
 
-def encode_video_batch(params: ParamVector, stacks: Sequence, cfg: EncoderConfig) -> np.ndarray:
-    """Unit-norm embeddings of raw frame stacks, sampled on the way in."""
-    return _encode_in_blocks(params, video_forward, sample_frames(stacks, cfg), cfg)
+def encode_video_batch(params: ParamVector, block: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
+    """Unit-norm embeddings of an ``(n, T, d_v)`` block of clips, sampled on the way in."""
+    return _encode_in_blocks(params, video_forward, sample_frames(block, cfg), cfg)
 
 
 def encode_text_batch(params: ParamVector, features, cfg: EncoderConfig) -> np.ndarray:

@@ -9,13 +9,13 @@ metrics never flatter the model. The even-count median returns the lower
 middle element, keeping median ranks integral.
 
 Evaluation has two steps. ``prepare_eval`` does the work that does not depend
-on the weights, once per corpus and prompt set: it samples the eval frames,
-stacks the eval texts and turns each eval video's ``class_name`` into a class
-index. ``evaluate_model`` then does only the weight-dependent work for one
-model: two tower forwards over the eval pairs, one text forward over every
-(class, template) prompt row, the ranks and the metrics. A ``PromptSet``
-holds its raw prompt features as one ``(classes, templates, d_t)`` array,
-built once by ``build_prompt_set``.
+on the weights, once per corpus and prompt set: it samples the eval frames
+and looks up each eval video's ``class_name`` as a class index.
+``evaluate_model`` then does only the weight-dependent work for one model:
+two tower forwards over the eval pairs, one text forward over every (class,
+template) prompt row, the ranks and the metrics. A ``PromptSet`` holds its
+raw prompt features as one ``(classes, templates, d_t)`` array, built once by
+``build_prompt_set``.
 """
 
 from __future__ import annotations
@@ -256,12 +256,12 @@ def prepare_eval(corpus: Corpus, enc_cfg: EncoderConfig, prompts: PromptSet) -> 
         raise UsageError("corpus has no eval pairs")
     frames = sample_frames(videos, enc_cfg)
     class_index = {name: i for i, name in enumerate(prompts.classes)}
-    labels = []
-    for rec in sorted(corpus.videos("eval"), key=lambda r: r.pair_index):
-        if rec.class_name is None or rec.class_name not in class_index:
-            raise UsageError(f"eval video {rec.id!r} has no usable class_name")
-        labels.append(class_index[rec.class_name])
-    return EvalInputs(frames, texts, np.asarray(labels, dtype=np.intp), prompts)
+    names = corpus.videos("eval").class_name
+    labels = np.array([class_index.get(name, -1) for name in names], dtype=np.intp)
+    if (labels < 0).any():
+        bad = corpus.videos("eval").ids[int(np.argmin(labels))]
+        raise UsageError(f"eval video {bad!r} has no usable class_name")
+    return EvalInputs(frames, texts, labels, prompts)
 
 
 def evaluate_model(params: ParamVector, inputs: EvalInputs, enc_cfg: EncoderConfig) -> EvalReport:

@@ -17,11 +17,11 @@ noise (~1e-7 absolute at h=1e-5) stays orders of magnitude below it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .encoder import EncoderConfig, ParamVector, encode_sampled, init_params, sample_frames
+from .encoder import EncoderConfig, ParamVector, encode_sampled, init_params, sample_frame_indices
 from .errors import UsageError
 from .losses import LossConfig, loss_forward, total_loss_grad
 from .training import make_pseudo_labels
@@ -76,6 +76,12 @@ class GradCheckTrial:
         return self.max_rel_err < tol
 
 
+def _sampled_clips(rng: np.random.Generator, b: int, dim: int, n_frames: int) -> np.ndarray:
+    """``(b, n_frames, dim)`` frames sampled from b clips of 1 to 6 frames, drawn one by one."""
+    clips = (rng.standard_normal((int(rng.integers(1, 7)), dim)) for _ in range(b))
+    return np.stack([clip[sample_frame_indices(len(clip), n_frames)] for clip in clips])
+
+
 def _random_instance(trial: int, seed: int):
     rng = np.random.default_rng([seed, trial])
     dv, dt, hidden, embed = (int(d) for d in rng.integers(2, 9, size=4))
@@ -85,25 +91,16 @@ def _random_instance(trial: int, seed: int):
         embed_dim=embed, n_frames=n_frames, seed=int(rng.integers(0, 2**31)),
     )
     b = 4
-    labeled_videos = [
-        rng.standard_normal((int(rng.integers(1, 7)), dv)) for _ in range(b)
-    ]
+    labeled_frames = _sampled_clips(rng, b, dv, n_frames)
     labeled_texts = rng.standard_normal((b, dt))
-    unlabeled_videos = [
-        rng.standard_normal((int(rng.integers(1, 7)), dv)) for _ in range(b)
-    ]
+    unlabeled_frames = _sampled_clips(rng, b, dv, n_frames)
     unlabeled_texts = rng.standard_normal((b, dt))
     sigma = float(np.exp(rng.uniform(np.log(0.05), 0.0)))
     # Cycle the distillation weight through off, the working default, and random.
     lambda_ = (0.0, 0.999, float(rng.uniform(0.1, 2.0)))[trial % 3]
     cfg = LossConfig(sigma=sigma, lambda_=lambda_)
     params = init_params(enc_cfg)
-    teacher = init_params(EncoderConfig(
-        input_dim_video=dv, input_dim_text=dt, hidden_dim=hidden,
-        embed_dim=embed, n_frames=n_frames, seed=int(rng.integers(0, 2**31)),
-    ))
-    labeled_frames = sample_frames(labeled_videos, enc_cfg)
-    unlabeled_frames = sample_frames(unlabeled_videos, enc_cfg)
+    teacher = init_params(replace(enc_cfg, seed=int(rng.integers(0, 2**31))))
     pseudo = make_pseudo_labels(
         *encode_sampled(teacher, unlabeled_frames, unlabeled_texts, enc_cfg), sigma
     )

@@ -9,7 +9,7 @@ batches, and keeps the weights with the lowest labeled validation loss. Both
 return a ``checkpointio.Checkpoint``. Everything is seeded; identical inputs
 give bit-identical outputs.
 
-Each run validates and frame-samples every split once (``sample_frames``)
+Each run frame-samples every split's features block once (``sample_frames``)
 and gathers batch rows from the dense arrays; the frozen teacher encodes the
 unlabeled pool (and the labeled-train split, when distilling on it) once per
 run, and each step's pseudo-labels are the logits of the gathered rows.
@@ -190,7 +190,8 @@ def _evaluations(init: ParamVector, corpus, enc_cfg: EncoderConfig, loss_cfg: Lo
         )
     use_distill = False
     if loss_cfg.lambda_ != 0.0:
-        unlabeled_videos, unlabeled_texts = corpus.unpaired("unlabeled")
+        unlabeled_videos = corpus.videos("unlabeled").features
+        unlabeled_texts = corpus.texts("unlabeled").features
         use_distill = len(unlabeled_videos) > 0
     train_frames = sample_frames(train_videos, enc_cfg)
     val_frames = sample_frames(val_videos, enc_cfg)

@@ -7,6 +7,7 @@ random instances; the oracles never share code with it.
 """
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -229,6 +230,10 @@ def _text_features(latent, a_t, cfg, rng):
     return base + rng.standard_normal(cfg.d_t) * cfg.noise_sigma
 
 
+Record = namedtuple("Record", "id kind split concept_id features class_name pair_index",
+                    defaults=(None, None))
+
+
 def naive_build_corpus(cfg):
     """Per-record reference for ``corpus.build_corpus``: the same records in the
     same (file) order, each with its own feature array computed from its own
@@ -239,8 +244,6 @@ def naive_build_corpus(cfg):
         _STREAM_UNLABELED_VIDEO,
         PAIRED_SPLITS,
         SPLITS,
-        Corpus,
-        CorpusRecord,
         class_name_for,
         concept_vectors,
         text_feature_map,
@@ -265,11 +268,11 @@ def naive_build_corpus(cfg):
             video = _video_features(latent, a_v, cfg, rng)
             text = _text_features(latent, a_t, cfg, rng)
             cls = class_name_for(concept, cfg.n_concepts) if split == "eval" else None
-            records.append(CorpusRecord(
+            records.append(Record(
                 id=f"vid-{split}-{i:05d}", kind="video", split=split,
                 concept_id=concept, features=video, class_name=cls, pair_index=i,
             ))
-            records.append(CorpusRecord(
+            records.append(Record(
                 id=f"txt-{split}-{i:05d}", kind="text", split=split,
                 concept_id=concept, features=text, pair_index=i,
             ))
@@ -278,7 +281,7 @@ def naive_build_corpus(cfg):
         concept = i % cfg.n_concepts
         rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_VIDEO, i])
         latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
-        records.append(CorpusRecord(
+        records.append(Record(
             id=f"vid-unlabeled-{i:05d}", kind="video", split="unlabeled",
             concept_id=concept, features=_video_features(latent, a_v, cfg, rng),
         ))
@@ -286,13 +289,25 @@ def naive_build_corpus(cfg):
         concept = i % cfg.n_concepts
         rng = np.random.default_rng([cfg.seed, _STREAM_UNLABELED_TEXT, i])
         latent = _jittered_latent(concepts[concept], cfg.concept_jitter, rng)
-        records.append(CorpusRecord(
+        records.append(Record(
             id=f"txt-unlabeled-{i:05d}", kind="text", split="unlabeled",
             concept_id=concept, features=_text_features(latent, a_t, cfg, rng),
         ))
     # File order: per split, its videos, then its texts (a stable sort).
     records.sort(key=lambda r: (SPLITS.index(r.split), r.kind != "video"))
-    return Corpus(cfg, records)
+    return records
+
+
+def naive_sample_frames(clips, n_frames):
+    """Loop reference for ``encoder.sample_frames``, clip by clip and frame by
+    frame: frame i of a clip of T frames is frame floor((i + 0.5) * T / n_frames).
+    The clips may differ in length; returns ``(len(clips), n_frames, d)``."""
+    out = np.empty((len(clips), n_frames, len(clips[0][0])))
+    for c, clip in enumerate(clips):
+        t = len(clip)
+        for i in range(n_frames):
+            out[c, i] = clip[math.floor((i + 0.5) * t / n_frames)]
+    return out
 
 
 def naive_ranks(sims, true_index):

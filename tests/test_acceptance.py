@@ -163,7 +163,7 @@ def test_ac3_distillation_fixed_point():
     # logits bit-exactly, so the fixed point holds through the encoders too
     enc = EncoderConfig(6, 5, 8, 4, n_frames=2, seed=1)
     params = init_params(enc)
-    videos = [rng.standard_normal((3, 6)) for _ in range(4)]
+    videos = np.stack([rng.standard_normal((3, 6)) for _ in range(4)])
     texts = rng.standard_normal((4, 5))
     from dfuse.encoder import encode_text_batch, encode_video_batch
     from dfuse.numerics import similarity_matrix

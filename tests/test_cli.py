@@ -965,10 +965,11 @@ class TestSplitsKept:
         assert corpus.splits == kept
         assert {r.split for r in corpus.records} == set(kept)
         if unlabeled:
-            assert len(corpus.videos("unlabeled")) == 16
+            assert len(corpus.videos("unlabeled")) == len(corpus.texts("unlabeled")) == 16
         else:
-            with pytest.raises(UsageError, match="split 'unlabeled' was not loaded"):
-                corpus.unpaired("unlabeled")
+            for accessor in (corpus.videos, corpus.texts):
+                with pytest.raises(UsageError, match="split 'unlabeled' was not loaded"):
+                    accessor("unlabeled")
 
     def test_commands_keep_the_splits_they_read(self, mini_pipeline, tmp_path, monkeypatch):
         root, images, videos = mini_pipeline

@@ -12,8 +12,8 @@ from dfuse.corpus import (
     FORMAT_TAG,
     MAGIC,
     SPLITS,
+    Columns,
     Corpus,
-    CorpusRecord,
     SynthConfig,
     build_corpus,
     concept_vectors,
@@ -25,7 +25,7 @@ from dfuse.corpus import (
 )
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
 from dfuse.fileio import sha256_file
-from naive import naive_build_corpus
+from naive import naive_build_corpus, same_bits
 
 
 def _written(cfg, path):
@@ -51,26 +51,32 @@ class TestGeneration:
 
     def test_paired_records_share_concepts(self, tiny_corpus):
         for split in ("labeled-train", "labeled-val", "eval"):
-            videos = sorted(tiny_corpus.videos(split), key=lambda r: r.pair_index)
-            texts = sorted(tiny_corpus.texts(split), key=lambda r: r.pair_index)
-            for v, t in zip(videos, texts):
-                assert v.concept_id == t.concept_id
+            videos, texts = tiny_corpus.videos(split), tiny_corpus.texts(split)
+            assert videos.pair_index.tolist() == texts.pair_index.tolist() \
+                == list(range(len(videos)))
+            assert videos.concept_id.tolist() == texts.concept_id.tolist()
 
     def test_unlabeled_has_no_pairing(self, tiny_corpus):
-        assert all(r.pair_index is None for r in tiny_corpus.videos("unlabeled"))
+        assert tiny_corpus.videos("unlabeled").pair_index is None
+        assert tiny_corpus.texts("unlabeled").pair_index is None
         with pytest.raises(UsageError):
             tiny_corpus.paired("unlabeled")
 
-    def test_video_shapes(self, tiny_corpus, tiny_synth):
-        for rec in tiny_corpus.videos("labeled-train"):
-            assert rec.features.shape == (tiny_synth.frames_per_video, tiny_synth.d_v)
-        for rec in tiny_corpus.texts("labeled-train"):
-            assert rec.features.shape == (tiny_synth.d_t,)
+    def test_column_types_and_block_shapes(self, tiny_corpus, tiny_synth):
+        videos, texts = tiny_corpus.videos("labeled-train"), tiny_corpus.texts("labeled-train")
+        n = tiny_synth.n_labeled_train
+        assert videos.features.shape == (n, tiny_synth.frames_per_video, tiny_synth.d_v)
+        assert texts.features.shape == (n, tiny_synth.d_t)
+        for col in (videos, texts):
+            assert len(col) == len(col.ids) == len(col.class_name) == n
+            assert col.concept_id.dtype == col.pair_index.dtype == np.int64
+            assert col.features.dtype == np.float64 and col.features.flags["C_CONTIGUOUS"]
 
     def test_eval_videos_carry_class_names(self, tiny_corpus, tiny_synth):
-        names = {r.class_name for r in tiny_corpus.videos("eval")}
+        names = set(tiny_corpus.videos("eval").class_name)
         assert len(names) == tiny_synth.n_concepts
         assert all(n is not None for n in names)
+        assert set(tiny_corpus.texts("eval").class_name) == {None}
 
     def test_identity_maps_forced_alignment(self):
         # with zero noise and identity maps, a video's mean frame equals the
@@ -110,7 +116,7 @@ class TestGeneratorOracle:
     @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
     def test_records_equal_the_per_record_generator(self, name):
         cfg = _ORACLE_CONFIGS[name]
-        got, want = build_corpus(cfg).records, naive_build_corpus(cfg).records
+        got, want = build_corpus(cfg).records, naive_build_corpus(cfg)
         assert len(got) == len(want)
         for a, b in zip(got, want):
             assert (a.id, a.kind, a.split, a.concept_id, a.class_name, a.pair_index) \
@@ -152,6 +158,50 @@ def _records(corpus):
              r.features.dtype, r.features.shape, r.features.tobytes()) for r in corpus.records]
 
 
+def _unlabeled_only(synth, videos, texts):
+    """A corpus whose unlabeled split holds the ``videos`` and ``texts`` blocks
+    (ids ``vid-i`` and ``txt-i``, concept 0) and whose other splits are empty."""
+    def columns(tag, features):
+        n = len(features)
+        return Columns([f"{tag}-{i}" for i in range(n)], np.zeros(n, dtype=np.int64), None,
+                       [None] * n, features)
+
+    empty = build_corpus(dataclasses.replace(synth, n_labeled_train=0, n_labeled_val=0,
+                                             n_unlabeled=0, n_eval=0))
+    splits = {split: {"video": empty.videos(split), "text": empty.texts(split)}
+              for split in SPLITS}
+    splits["unlabeled"] = {"video": columns("vid", videos), "text": columns("txt", texts)}
+    return Corpus(synth, splits)
+
+
+class TestRecordsView:
+    """``Corpus.records`` builds one record per row of the columns, in file order."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded", "loaded eval"])
+    def test_records_are_the_columns_in_file_order(self, corpus_file, tiny_synth, source):
+        corpus = {"built": lambda: build_corpus(tiny_synth),
+                  "loaded": lambda: load_corpus(corpus_file),
+                  "loaded eval": lambda: load_corpus(corpus_file, ("eval",))}[source]()
+        want = []
+        for split in corpus.splits:
+            for kind, col in (("video", corpus.videos(split)), ("text", corpus.texts(split))):
+                for i in range(len(col)):
+                    pair = None if col.pair_index is None else int(col.pair_index[i])
+                    want.append((col.ids[i], kind, split, int(col.concept_id[i]),
+                                 col.class_name[i], pair, col.features[i]))
+        records = corpus.records
+        assert len(records) == len(want) == sum(
+            len(corpus.videos(s)) + len(corpus.texts(s)) for s in corpus.splits)
+        for r, (rec_id, kind, split, concept, name, pair, features) in zip(records, want):
+            assert (r.id, r.kind, r.split, r.concept_id, r.class_name, r.pair_index) \
+                == (rec_id, kind, split, concept, name, pair)
+            assert type(r.concept_id) is int and type(r.pair_index) in (int, type(None))
+            assert r.features.shape == features.shape
+            assert np.shares_memory(r.features, features) and same_bits(r.features, features)
+        with pytest.raises(AttributeError):
+            corpus.records = []
+
+
 @pytest.fixture
 def corpus_file(tmp_path, tiny_synth):
     path = tmp_path / "corpus.jsonl"
@@ -189,7 +239,8 @@ class TestRoundTrip:
             "format": FORMAT_TAG, "synth": dataclasses.asdict(tiny_synth)}
         built = build_corpus(tiny_synth)
         for split in SPLITS:
-            for kind, records in (("video", built.videos(split)), ("text", built.texts(split))):
+            for kind in ("video", "text"):
+                records = [r for r in built.records if (r.split, r.kind) == (split, kind)]
                 rows = json.loads(parts[f"{split} {kind} metadata"][1])
                 assert rows == [[r.id, r.concept_id, r.pair_index, r.class_name]
                                 for r in records]
@@ -197,11 +248,11 @@ class TestRoundTrip:
                 assert payload == b"".join(r.features.astype("<f8").tobytes() for r in records)
                 assert count == len(payload) // 8 == len(records) * records[0].features.size
 
-    def test_kept_features_are_writable_row_views_of_one_block(self, corpus_file, tiny_synth):
+    def test_a_kept_features_block_is_one_writable_array(self, corpus_file, tiny_synth):
         videos = load_corpus(corpus_file, ("eval",)).videos("eval")
-        block = videos[0].features.base
-        assert block.shape == (tiny_synth.n_eval * tiny_synth.frames_per_video * tiny_synth.d_v,)
-        assert all(r.features.base is block and r.features.flags.writeable for r in videos)
+        assert videos.features.shape == (tiny_synth.n_eval, tiny_synth.frames_per_video,
+                                         tiny_synth.d_v)
+        assert videos.features.flags.writeable and videos.features.flags["C_CONTIGUOUS"]
 
     def test_any_finite_double_round_trips(self, corpus_file):
         name = "unlabeled video features"
@@ -213,41 +264,41 @@ class TestRoundTrip:
         values = np.concatenate([special, doubles[np.isfinite(doubles)]])[:count]
         corpus_file.write_bytes(edit_values(corpus_file.read_bytes(), name,
                                             lambda v: v.__setitem__(slice(None), values)))
-        loaded = load_corpus(corpus_file).videos("unlabeled")
-        got = np.concatenate([r.features.ravel() for r in loaded])
+        got = load_corpus(corpus_file).videos("unlabeled").features.ravel()
         assert got.view(np.uint64).tolist() == values.view(np.uint64).tolist()
 
-    @pytest.mark.parametrize("layout", ["row view", "strided", "float32"])
+    @pytest.mark.parametrize("layout", ["view", "strided", "float32"])
     def test_the_writer_writes_any_layout_as_float64(self, tmp_path, monkeypatch, layout):
         synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2, n_labeled_train=0,
                             n_labeled_val=0, n_unlabeled=1, n_eval=0)
         split = np.array([[[0.5, 0.25], [1e16, 1.5]], [[2.0, 5.05e-05], [0.75, -0.0]]])
-        features = {"row view": split[1], "strided": split[:, 1].T,
-                    "float32": split[1].astype(np.float32)}[layout]
-        records = [CorpusRecord("vid-0", "video", "unlabeled", 0, features),
-                   CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25]))]
-        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: Corpus(cfg, records))
+        features = {"view": split[1:], "strided": split[:, 1].T[None],
+                    "float32": split[1:].astype(np.float32)}[layout]
+        corpus = _unlabeled_only(synth, features, np.array([[0.5, 0.25]]))
+        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: corpus)
         path = tmp_path / "corpus.jsonl"
         gen_corpus(synth, path)
         expected = np.asarray(features, dtype=np.float64)
         assert blocks(path.read_bytes())["unlabeled video features"][1] == expected.tobytes()
-        [video] = load_corpus(path).videos("unlabeled")
-        assert video.features.tobytes() == expected.tobytes()
+        assert load_corpus(path).videos("unlabeled").features.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("at", [1, 5])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_the_writer_rejects_non_finite_features_naming_the_record(self, tmp_path,
-                                                                     monkeypatch, bad):
+                                                                     monkeypatch, bad, at):
         synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
-        records = [CorpusRecord("txt-0", "text", "unlabeled", 0, np.array([0.5, 0.25])),
-                   CorpusRecord("txt-1", "text", "unlabeled", 0, np.array([0.5, bad]))]
-        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: Corpus(cfg, records))
-        with pytest.raises(CorpusRecordError, match=r"^record 'txt-1': non-finite features$"):
+        texts = np.full((3, 2), 0.5)
+        texts.flat[at] = bad
+        corpus = _unlabeled_only(synth, np.zeros((0, 2, 2)), texts)
+        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: corpus)
+        with pytest.raises(CorpusRecordError, match=rf"^record 'txt-{at // 2}': non-finite "
+                                                    "features$"):
             gen_corpus(synth, tmp_path / "corpus.jsonl")
         assert list(tmp_path.iterdir()) == []
 
     def test_the_writer_stacks_no_block(self, tmp_path):
-        # Each record's features are written as a view of its split's array,
-        # so writing costs far less than the largest block (2 MiB here).
+        # Each features block is written as one view of its split's array, so
+        # writing costs far less than the largest block (2 MiB here).
         cfg = SynthConfig(n_labeled_train=8, n_labeled_val=8, n_unlabeled=1024, n_eval=8)
         tracemalloc.start()
         try:
@@ -255,7 +306,7 @@ class TestRoundTrip:
             retained, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = corpus.videos("unlabeled")[0].features.base.nbytes
+        block = corpus.videos("unlabeled").features.nbytes
         assert block == 2 << 20
         assert peak - retained < block // 2
 
@@ -479,11 +530,11 @@ class TestSplitRetention:
         assert kept.splits == tuple(s for s in SPLITS if s in splits)
         assert _records(kept) == [r for r in _records(full) if r[2] in splits]
         for split in kept.splits:
-            assert kept.videos(split) == [r for r in kept.records
-                                          if r.split == split and r.kind == "video"]
+            assert kept.videos(split).ids == [r.id for r in kept.records
+                                              if r.split == split and r.kind == "video"]
         assert kept.sha256 == full.sha256 == sha256_file(corpus_file)
 
-    @pytest.mark.parametrize("accessor", ["videos", "texts", "paired", "unpaired"])
+    @pytest.mark.parametrize("accessor", ["videos", "texts", "paired"])
     @pytest.mark.parametrize("split", ["labeled-train", "labeled-val", "unlabeled"])
     def test_unloaded_split_is_a_usage_error_naming_it(self, corpus_file, accessor, split):
         corpus = load_corpus(corpus_file, ("eval",))
@@ -513,11 +564,17 @@ class TestSplitRetention:
                     "('vid-labeled-val-00000' vs 'txt-labeled-val-00000')"),
         ("duplicate", "split 'labeled-val': duplicate pair_index"),
         ("unmatched", "split 'labeled-val': unmatched video/text pair indices"),
+        ("order", "split 'labeled-val': record 'vid-labeled-val-00000' is out of pair order"),
     ])
     def test_pairing_of_a_dropped_split_is_checked(self, corpus_file, fault, message):
-        change = ({"concept_id": 1} if fault == "concept" else
-                  {"pair_index": 1 if fault == "duplicate" else 10**6})
-        data = edit_row(corpus_file.read_bytes(), "labeled-val video metadata", 0, **change)
+        name = "labeled-val video metadata"
+        if fault == "order":  # rows 0 and 1 swapped
+            data = edit_json(corpus_file.read_bytes(), name, lambda rows: [rows[1], rows[0],
+                                                                            *rows[2:]])
+        else:
+            change = ({"concept_id": 1} if fault == "concept" else
+                      {"pair_index": 1 if fault == "duplicate" else 10**6})
+            data = edit_row(corpus_file.read_bytes(), name, 0, **change)
         for splits in [SPLITS, ("eval",), ("labeled-train", "unlabeled")]:
             _fails(corpus_file, data, CorpusRecordError, message, splits)
 

@@ -5,8 +5,8 @@ loads the file twice: keeping only ``eval`` and keeping every split. The two
 loads must end in the same error class and message, or both load and agree
 on every kept record, bit for bit. Byte mutations (truncation, flipped bits,
 an overwritten length field) leave the CRCs as they were. Value mutations
-(metadata values retyped, nulled, copied, renumbered or dropped, rows dropped
-or added, non-finite or changed features, bad JSON) are framed again with
+(metadata values retyped, nulled, copied, renumbered or dropped, rows dropped,
+added or swapped, non-finite or changed features, bad JSON) are framed again with
 fresh CRCs, so that they reach the checks behind the checksum. A sample of
 the failing files then goes through the CLI, which must end in one
 ``error:`` line and no output.
@@ -115,6 +115,14 @@ def _drop_or_add_row(data, name, rng):
     return edit_json(data, name, change)
 
 
+def _swap_rows(data, name, rng):
+    """Two rows swapped: a paired split out of pair order."""
+    def change(rows):
+        i, j = rng.choice(len(rows), size=2, replace=False)
+        rows[i], rows[j] = rows[j], rows[i]
+    return edit_json(data, name, change)
+
+
 def _nest(data, name, rng):
     def change(rows):
         if rng.integers(4) == 0:
@@ -154,7 +162,7 @@ MUTATIONS = {f.__name__[1:]: (f, part) for f, part in (
     (_retype_value, "metadata"), (_null_value, "metadata"), (_copy_value, "metadata"),
     (_renumber_value, "metadata"), (_drop_value, "metadata"), (_drop_or_add_row, "metadata"),
     (_nest, "metadata"), (_bad_json, "metadata"), (_non_finite, "features"),
-    (_new_values, "features"), (_unchanged, ""))}
+    (_new_values, "features"), (_unchanged, ""), (_swap_rows, "metadata"))}
 
 
 def _outcome(path, splits):
@@ -164,9 +172,8 @@ def _outcome(path, splits):
     except DfuseError as exc:
         return type(exc), str(exc)
     return corpus.synth, corpus.sha256, [
-        (r.id, r.kind, r.split, r.concept_id, r.pair_index, r.class_name,
-         r.features.dtype, r.features.shape, r.features.tobytes())
-        for r in corpus.records if r.split in KEPT]
+        (col.rows(), col.features.dtype, col.features.shape, col.features.tobytes())
+        for split in KEPT for col in (corpus.videos(split), corpus.texts(split))]
 
 
 @pytest.fixture(scope="module")
@@ -213,7 +220,7 @@ def test_the_mutations_reach_every_outcome(base):
         "record id must be a string", "duplicate id", "concept_id must be a 64-bit integer",
         "pair_index must be a 64-bit integer", "class_name must be a string",
         "paired split needs a pair_index", "non-finite features", "concept mismatch",
-        "duplicate pair_index", "unmatched video/text pair indices",
+        "duplicate pair_index", "unmatched video/text pair indices", "out of pair order",
     ):
         assert any(expected in message for message in messages), expected
 

@@ -18,7 +18,7 @@ from dfuse.encoder import (
     video_forward,
 )
 from dfuse.errors import DegenerateEmbeddingError, UsageError
-from naive import naive_video_forward, same_bits
+from naive import naive_sample_frames, naive_video_forward, same_bits
 
 
 class TestSampleFrameIndices:
@@ -121,7 +121,7 @@ class TestStackedParams:
     def test_every_slice_has_the_one_vector_bits(self, params, enc_cfg):
         rng = np.random.default_rng(41)
         stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in (1, 2, 5, 9)]
-        frames = sample_frames(stacks, enc_cfg)
+        frames = naive_sample_frames(stacks, enc_cfg.n_frames)
         texts = rng.standard_normal((4, enc_cfg.input_dim_text))
         stack = self._stack(params)
         cache_v = video_forward(stack, frames, enc_cfg)
@@ -137,8 +137,8 @@ class TestStackedParams:
 
 
 def encode_video(params, frames, cfg):
-    """Unit-norm embedding of one (T, input_dim_video) frame stack."""
-    return encode_video_batch(params, [frames], cfg)[0]
+    """Unit-norm embedding of one (T, input_dim_video) clip."""
+    return encode_video_batch(params, frames[None], cfg)[0]
 
 
 def encode_text(params, feature, cfg):
@@ -169,12 +169,13 @@ class TestEncodeVideo:
             encode_video(params, stack[::-1].copy(), enc_cfg),
         )
 
-    def test_batch_matches_singles(self, params, enc_cfg):
+    @pytest.mark.parametrize("t", [1, 3, 7])
+    def test_batch_matches_singles(self, params, enc_cfg, t):
         rng = np.random.default_rng(3)
-        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in (1, 3, 7)]
-        batch = encode_video_batch(params, stacks, enc_cfg)
-        for i, stack in enumerate(stacks):
-            np.testing.assert_allclose(batch[i], encode_video(params, stack, enc_cfg), atol=1e-12)
+        block = rng.standard_normal((3, t, enc_cfg.input_dim_video))
+        batch = encode_video_batch(params, block, enc_cfg)
+        for i, clip in enumerate(block):
+            np.testing.assert_allclose(batch[i], encode_video(params, clip, enc_cfg), atol=1e-12)
 
     def test_dimension_mismatch(self, params, enc_cfg):
         with pytest.raises(UsageError):
@@ -182,21 +183,24 @@ class TestEncodeVideo:
 
     def test_empty_batch(self, params, enc_cfg):
         with pytest.raises(UsageError):
-            encode_video_batch(params, [], enc_cfg)
+            encode_video_batch(params, np.zeros((0, 2, enc_cfg.input_dim_video)), enc_cfg)
 
 
 class TestSampleFrames:
-    def test_shape_and_rows(self, enc_cfg):
-        rng = np.random.default_rng(6)
-        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in (1, 5)]
-        frames = sample_frames(stacks, enc_cfg)
-        assert frames.shape == (2, enc_cfg.n_frames, enc_cfg.input_dim_video)
+    @pytest.mark.parametrize("layout", ["contiguous", "strided"])
+    @pytest.mark.parametrize("t,n_frames", [(1, 4), (3, 4), (8, 4), (8, 8)])
+    def test_equals_the_loop_oracle(self, t, n_frames, layout):
+        cfg = EncoderConfig(6, 5, 7, 4, n_frames=n_frames, seed=1)
+        rng = np.random.default_rng([6, t, n_frames])
+        block = rng.standard_normal((5, t, 12 if layout == "strided" else 6))
+        if layout == "strided":
+            block = block[:, :, ::2]
+        frames = sample_frames(block, cfg)
+        assert frames.shape == (5, n_frames, 6) and frames.dtype == np.float64
         assert frames.flags["C_CONTIGUOUS"]
-        for stack, sampled in zip(stacks, frames):
-            idx = sample_frame_indices(len(stack), enc_cfg.n_frames)
-            np.testing.assert_array_equal(sampled, stack[idx])
+        assert same_bits(frames, naive_sample_frames(block, n_frames))
 
-    def test_indices_computed_once_per_clip_length(self, enc_cfg, monkeypatch):
+    def test_indices_computed_once_per_block(self, enc_cfg, monkeypatch):
         calls = []
         real = encoder.sample_frame_indices
 
@@ -205,29 +209,24 @@ class TestSampleFrames:
             return real(t, n)
 
         monkeypatch.setattr(encoder, "sample_frame_indices", counting)
-        rng = np.random.default_rng(9)
-        lengths = (1, 5, 1, 2, 5, 5, 1, 9)
-        stacks = [rng.standard_normal((t, enc_cfg.input_dim_video)) for t in lengths]
-        frames = sample_frames(stacks, enc_cfg)
-        assert sorted(calls) == [1, 2, 5, 9]
-        for stack, sampled in zip(stacks, frames):
-            assert sampled.tobytes() == stack[real(len(stack), enc_cfg.n_frames)].tobytes()
+        sample_frames(np.zeros((9, 5, enc_cfg.input_dim_video)), enc_cfg)
+        assert calls == [5]
 
-    def test_rejects_non_finite_stack(self, enc_cfg):
-        bad = np.zeros((3, enc_cfg.input_dim_video))
-        bad[1, 2] = np.nan
-        with pytest.raises(UsageError, match="frame stack 1 contains non-finite"):
-            sample_frames([np.zeros((2, enc_cfg.input_dim_video)), bad], enc_cfg)
+    def test_rejects_non_finite_clip(self, enc_cfg):
+        block = np.zeros((3, 2, enc_cfg.input_dim_video))
+        block[1, 1, 2] = np.nan
+        with pytest.raises(UsageError, match="^clip 1 of the video block contains non-finite"):
+            sample_frames(block, enc_cfg)
 
-    def test_rejects_wrong_dim(self, enc_cfg):
-        with pytest.raises(UsageError, match="frame stack 0 has dim"):
-            sample_frames([np.zeros((2, enc_cfg.input_dim_video + 1))], enc_cfg)
-
-    def test_rejects_empty_stack_and_batch(self, enc_cfg):
-        with pytest.raises(UsageError, match="T >= 1"):
-            sample_frames([np.zeros((0, enc_cfg.input_dim_video))], enc_cfg)
-        with pytest.raises(UsageError, match="empty video batch"):
-            sample_frames([], enc_cfg)
+    @pytest.mark.parametrize("block,got", [
+        (np.zeros((2, 3, 7)), "(2, 3, 7)"), (np.zeros((2, 6)), "(2, 6)"),
+        (np.zeros((0, 3, 6)), "(0, 3, 6)"), (np.zeros((2, 0, 6)), "(2, 0, 6)"),
+        ([np.zeros((3, 6))], "list")], ids=["dim", "2-d", "no-clips", "no-frames", "list"])
+    def test_rejects_anything_but_a_non_empty_block(self, enc_cfg, block, got):
+        with pytest.raises(UsageError) as info:
+            sample_frames(block, enc_cfg)
+        assert str(info.value) == ("video block must be an (n, T, 6) array with n, T >= 1, "
+                                   f"got {got}")
 
     def test_encode_sampled_takes_only_sampled_arrays(self, params, enc_cfg):
         stack = np.zeros((enc_cfg.n_frames, enc_cfg.input_dim_video))
@@ -264,7 +263,7 @@ class TestDensePath:
         params = init_params(cfg)
         stacks = [rng.standard_normal((int(rng.choice(lengths)), 6)) for _ in range(batch)]
         want_frames, want_z = _per_stack_video_embeddings(params, stacks, cfg)
-        cache = video_forward(params, sample_frames(stacks, cfg), cfg)
+        cache = video_forward(params, naive_sample_frames(stacks, n_frames), cfg)
         assert cache.x.tobytes() == want_frames.tobytes()
         assert cache.z.tobytes() == want_z.tobytes()
 
@@ -276,12 +275,13 @@ class TestDensePath:
         n = 3 * batch + 1
         stacks = [rng.standard_normal((int(rng.choice(lengths)), 7)) for _ in range(n)]
         texts = rng.standard_normal((n, 3))
-        pool = sample_frames(stacks, cfg)
+        pool = naive_sample_frames(stacks, n_frames)
         z_v = video_forward(params, pool, cfg).z
         z_t = text_forward(params, texts, cfg).z
         for _ in range(4):
             idx = rng.permutation(n)[:batch]
-            per_batch_v = encode_video_batch(params, [stacks[i] for i in idx], cfg)
+            per_batch_v = encode_video_batch(
+                params, naive_sample_frames([stacks[i] for i in idx], n_frames), cfg)
             assert per_batch_v.tobytes() == z_v[idx].tobytes()
             assert encode_text_batch(params, texts[idx], cfg).tobytes() == z_t[idx].tobytes()
 
@@ -300,7 +300,7 @@ def still_batch(kind: str, rng) -> np.ndarray:
         pair = np.repeat(stacks[3], 2, axis=0)
         pair[0, 2], pair[1, 2] = 0.0, -0.0
         stacks[3] = pair
-    frames = sample_frames(stacks, STILL_CFG)
+    frames = naive_sample_frames(stacks, STILL_CFG.n_frames)
     if kind == "nan-payload":
         # Not a valid input, but the bit test must not call two NaNs equal.
         bits = frames.view(np.uint64)
@@ -360,7 +360,7 @@ class TestStillBatches:
 
     def test_one_frame_slot_never_takes_the_shared_pass(self, tower_rows):
         cfg = EncoderConfig(6, 5, 9, 4, n_frames=1, seed=3)
-        frames = sample_frames([np.ones((1, 6))] * 3, cfg)
+        frames = sample_frames(np.ones((3, 1, 6)), cfg)
         video_forward(init_params(cfg), frames, cfg)
         assert tower_rows == [3]
 
@@ -375,7 +375,7 @@ def _sizes(block):
 
 
 def _block_stacks(kind, n, block, rng):
-    """Raw frame stacks of ``n`` videos: clips, stills, or stills through the
+    """Raw frame stacks (a list) of ``n`` videos: clips, stills, or stills through the
     first block and half the second, then clips (a mixed block when n allows)."""
     d = BLOCK_CFG.input_dim_video
     stills = {"clips": 0, "stills": n, "mix": block + block // 2 + 1}[kind]
@@ -416,15 +416,14 @@ class TestBlockedEncode:
         params = init_params(BLOCK_CFG)
         for n in _sizes(block):
             rng = np.random.default_rng([43, block, n, len(kind)])
-            stacks = _block_stacks(kind, n, block, rng)
-            frames = sample_frames(stacks, BLOCK_CFG)
+            frames = naive_sample_frames(_block_stacks(kind, n, block, rng), BLOCK_CFG.n_frames)
             texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
             want_v = video_forward(params, frames, BLOCK_CFG).z.tobytes()
             want_t = text_forward(params, texts, BLOCK_CFG).z.tobytes()
             forward_rows.clear()
             z_v, z_t = encode_sampled(params, frames, texts, BLOCK_CFG)
             assert (z_v.tobytes(), z_t.tobytes()) == (want_v, want_t), (kind, n)
-            assert encode_video_batch(params, stacks, BLOCK_CFG).tobytes() == want_v
+            assert encode_video_batch(params, frames, BLOCK_CFG).tobytes() == want_v
             assert encode_text_batch(params, texts, BLOCK_CFG).tobytes() == want_t
             blocks = [min(block, n - start) for start in range(0, n, block)]
             video, text = [("video", b) for b in blocks], [("text", b) for b in blocks]
@@ -438,7 +437,7 @@ class TestBlockedEncode:
         stack = ParamVector(params.values + 1e-3 * rng.standard_normal((2, params.n_params)),
                             params.layout)
         n = 2 * block + 1
-        frames = sample_frames(_block_stacks("mix", n, block, rng), BLOCK_CFG)
+        frames = naive_sample_frames(_block_stacks("mix", n, block, rng), BLOCK_CFG.n_frames)
         texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
         z_v, z_t = encode_sampled(stack, frames, texts, BLOCK_CFG)
         assert z_v.shape == z_t.shape == (2, n, BLOCK_CFG.embed_dim)
@@ -452,7 +451,7 @@ class TestBlockedEncode:
         rng = np.random.default_rng(45)
         n = 2 * block + 1
         bad = block + block // 2  # mid-way through the second block
-        frames = sample_frames(_block_stacks("clips", n, block, rng), BLOCK_CFG)
+        frames = sample_frames(np.stack(_block_stacks("clips", n, block, rng)), BLOCK_CFG)
         texts = rng.standard_normal((n, BLOCK_CFG.input_dim_text))
         frames[bad] = 0.0
         texts[bad] = 0.0
@@ -474,7 +473,7 @@ class TestBlockedEncode:
     def test_the_video_error_comes_before_a_malformed_text_batch(self, monkeypatch):
         monkeypatch.setattr(encoder, "ENCODE_BLOCK_ROWS", 3)
         params = _zero_bias(init_params(BLOCK_CFG))
-        frames = sample_frames(_block_stacks("clips", 7, 3, np.random.default_rng(46)),
+        frames = sample_frames(np.stack(_block_stacks("clips", 7, 3, np.random.default_rng(46))),
                                BLOCK_CFG)
         frames[5] = 0.0
         malformed = np.zeros((7, BLOCK_CFG.input_dim_text + 1))

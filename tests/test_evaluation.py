@@ -201,7 +201,7 @@ def _tied_tower_params(enc_cfg):
 
 def classify_zero_shot(params, frames, prompts, enc_cfg, k):
     """Top-k class names for one video, ranked as ``evaluate_model`` ranks them."""
-    z = encode_video_batch(params, [frames], enc_cfg)[0]
+    z = encode_video_batch(params, frames[None], enc_cfg)[0]
     scores = np.einsum("ce,e->c", class_embeddings(params, prompts, enc_cfg), z)[None, :]
     return [prompts.classes[i] for i in ranked_classes(scores)[0][:k]]
 

@@ -7,7 +7,13 @@ from dfuse import gradcheck
 from dfuse.encoder import ParamVector, encode_sampled
 from dfuse.errors import UsageError
 from dfuse.losses import loss_forward, total_loss_grad
-from naive import naive_finite_difference_grad, naive_total, per_batch_loss_grad
+from naive import (
+    naive_finite_difference_grad,
+    naive_sample_frames,
+    naive_total,
+    per_batch_loss_grad,
+    same_bits,
+)
 
 SEED = 20240
 TRIALS = range(6)
@@ -26,16 +32,40 @@ def _reference_loss(pv, enc_cfg, batches, terms, sigma):
 
 def test_trials_cover_every_lambda_setting_and_short_clips(monkeypatch):
     lengths = []
-    real = gradcheck.sample_frames
+    real = gradcheck.sample_frame_indices
 
-    def recording(stacks, cfg):
-        lengths.extend((len(s), cfg.n_frames) for s in stacks)
-        return real(stacks, cfg)
+    def recording(t, n_frames):
+        lengths.append((t, n_frames))
+        return real(t, n_frames)
 
-    monkeypatch.setattr(gradcheck, "sample_frames", recording)
+    monkeypatch.setattr(gradcheck, "sample_frame_indices", recording)
     lambdas = {_instance(trial)[5].lambda_ for trial in TRIALS}
     assert 0.0 in lambdas and 0.999 in lambdas and len(lambdas) >= 3
+    assert len(lengths) == 8 * len(TRIALS)  # one draw per clip
     assert any(t < n_frames for t, n_frames in lengths)
+    assert len({t for t, _ in lengths}) > 1  # clips of varied length
+
+
+def _listed_instance(trial, seed):
+    """A trial's ``(lv, lt, uv, ut)``, each batch's clips drawn as a list of raw
+    clips and then sampled with the loop oracle."""
+    rng = np.random.default_rng([seed, trial])
+    dv, dt = (int(d) for d in rng.integers(2, 9, size=4)[:2])
+    n_frames = int(rng.integers(1, 5))
+    rng.integers(0, 2**31)  # the encoder's init seed
+    out = []
+    for _ in range(2):
+        clips = [rng.standard_normal((int(rng.integers(1, 7)), dv)) for _ in range(4)]
+        out += [naive_sample_frames(clips, n_frames), rng.standard_normal((4, dt))]
+    return out
+
+
+@pytest.mark.parametrize("trial", TRIALS)
+def test_ragged_clips_are_sampled_with_the_loop_oracle_bits(trial):
+    _, _, _, lv, lt, uv, ut, _ = gradcheck._random_instance(trial, SEED)
+    want = _listed_instance(trial, SEED)
+    for got, ref in zip((lv, lt, uv, ut), want):
+        assert got.flags["C_CONTIGUOUS"] and same_bits(got, ref)
 
 
 @pytest.mark.parametrize("trial", TRIALS)

@@ -8,10 +8,8 @@ from dfuse import encoder, losses
 from dfuse.encoder import (
     EncoderConfig,
     ParamVector,
-    encode_text_batch,
-    encode_video_batch,
+    encode_sampled,
     init_params,
-    sample_frames,
 )
 from dfuse.errors import DegenerateEmbeddingError, UsageError
 from dfuse.gradcheck import relative_errors
@@ -27,6 +25,7 @@ from naive import (
     naive_contrastive,
     naive_distillation,
     naive_finite_difference_grad,
+    naive_sample_frames,
     naive_total,
     naive_video_forward,
     per_batch_loss_grad,
@@ -149,12 +148,12 @@ class TestTeacherTarget:
 
 
 def _encoded_pair(rng, params, enc_cfg, b):
-    """Raw stacks and texts of one batch, its sampled frames and its embeddings."""
+    """One batch of clips of 1 to 4 frames, sampled, with its texts and its embeddings."""
     stacks = [rng.standard_normal((int(rng.integers(1, 5)), enc_cfg.input_dim_video))
               for _ in range(b)]
     texts = rng.standard_normal((b, enc_cfg.input_dim_text))
-    z = (encode_video_batch(params, stacks, enc_cfg), encode_text_batch(params, texts, enc_cfg))
-    return (sample_frames(stacks, enc_cfg), texts), z
+    frames = naive_sample_frames(stacks, enc_cfg.n_frames)
+    return (frames, texts), encode_sampled(params, frames, texts, enc_cfg)
 
 
 class TestTermList:
@@ -253,16 +252,16 @@ class TestTotalLossGrad:
               for _ in range(b)]
         ut = rng.standard_normal((b, enc_cfg.input_dim_text))
         x = rng.uniform(-8, 8, size=(b, b))
-        batches = [(sample_frames(lv, enc_cfg), lt), (sample_frames(uv, enc_cfg), ut)]
-        return batches, (lv, lt, uv, ut), x
+        lv, uv = (naive_sample_frames(v, enc_cfg.n_frames) for v in (lv, uv))
+        return [(lv, lt), (uv, ut)], (lv, lt, uv, ut), x
 
     def test_loss_equals_the_term_sum_on_encoded_batches(self, enc_cfg, params):
         rng = np.random.default_rng(24)
         batches, (lv, lt, uv, ut), pseudo = self._instance(rng, enc_cfg)
         cfg = LossConfig(sigma=0.2, lambda_=0.7)
         loss, grad = total_loss_grad(params, batches, cfg.terms(pseudo), cfg.sigma, enc_cfg)
-        labeled = (encode_video_batch(params, lv, enc_cfg), encode_text_batch(params, lt, enc_cfg))
-        student = (encode_video_batch(params, uv, enc_cfg), encode_text_batch(params, ut, enc_cfg))
+        labeled = encode_sampled(params, lv, lt, enc_cfg)
+        student = encode_sampled(params, uv, ut, enc_cfg)
         assert loss == ce(*labeled, cfg.sigma) + cfg.lambda_ * ce(*student, cfg.sigma, pseudo)
         assert grad.layout == params.layout
         assert grad.n_params == params.n_params
@@ -313,7 +312,7 @@ def _videos(kind, rng, b=5):
         pair = np.repeat(stacks[1], 2, axis=0)
         pair[0, 4], pair[1, 4] = 0.0, -0.0
         stacks[1] = pair
-    return sample_frames(stacks, SHARED_CFG)
+    return naive_sample_frames(stacks, SHARED_CFG.n_frames)
 
 
 class TestSharedRows:
@@ -389,7 +388,7 @@ def _clips(rng, b, cfg=SHARED_CFG):
     """Sampled frames of b clips of 1 to 8 frames (short ones repeat frames)."""
     stacks = [rng.standard_normal((int(rng.integers(1, 9)), cfg.input_dim_video))
               for _ in range(b)]
-    return sample_frames(stacks, cfg)
+    return naive_sample_frames(stacks, cfg.n_frames)
 
 
 def _one_pass_instance(seed, labeled="clip", b_l=5, b_u=5):

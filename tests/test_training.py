@@ -101,10 +101,14 @@ class TestIndexBatcher:
             _IndexBatcher(3, 4, np.random.default_rng(0))
 
 
+def _unlabeled(corpus):
+    return corpus.videos("unlabeled").features, corpus.texts("unlabeled").features
+
+
 class TestMakePseudoLabels:
     def test_matches_student_logits_bit_exactly(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
-        videos, texts = tiny_corpus.unpaired("unlabeled")
+        videos, texts = _unlabeled(tiny_corpus)
         videos, texts = videos[:5], texts[:5]
         pseudo = make_pseudo_labels(
             encode_video_batch(params, videos, tiny_enc),
@@ -119,7 +123,7 @@ class TestMakePseudoLabels:
 
     def test_rejects_singleton(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
-        videos, texts = tiny_corpus.unpaired("unlabeled")
+        videos, texts = _unlabeled(tiny_corpus)
         with pytest.raises(UsageError):
             make_pseudo_labels(
                 encode_video_batch(params, videos[:1], tiny_enc),
@@ -128,7 +132,7 @@ class TestMakePseudoLabels:
 
     def test_rejects_count_mismatch(self, tiny_corpus, tiny_enc):
         params = init_params(tiny_enc)
-        videos, texts = tiny_corpus.unpaired("unlabeled")
+        videos, texts = _unlabeled(tiny_corpus)
         with pytest.raises(UsageError):
             make_pseudo_labels(
                 encode_video_batch(params, videos[:3], tiny_enc),
@@ -143,7 +147,7 @@ class TestMakePseudoLabels:
             params.tensor(f"text.{name}")[...] = params.tensor(f"video.{name}")
         rng = np.random.default_rng(2)
         feats = rng.standard_normal((4, tiny_enc.input_dim_video))
-        videos = [feats[i:i + 1] for i in range(4)]
+        videos = feats[:, None, :]  # four one-frame clips
         pseudo = make_pseudo_labels(
             encode_video_batch(params, videos, tiny_enc),
             encode_text_batch(params, feats, tiny_enc), 0.05,
@@ -249,11 +253,14 @@ class TestTrainStudent:
 
     def test_unlabeled_split_is_not_read_without_distillation(self, tiny_corpus, tiny_enc,
                                                               monkeypatch):
-        def unread(split):
-            raise AssertionError(f"read the {split} split")
+        for accessor in ("videos", "texts"):
+            def guarded(split, _real=getattr(tiny_corpus, accessor)):
+                if split == "unlabeled":
+                    raise AssertionError(f"read the {split} split")
+                return _real(split)
 
+            monkeypatch.setattr(tiny_corpus, accessor, guarded)
         teacher = init_params(tiny_enc)
-        monkeypatch.setattr(tiny_corpus, "unpaired", unread)
         ckpt = train_student(teacher, tiny_corpus, tiny_enc, LossConfig(lambda_=0.0),
                              _small_train_cfg(lr=3e-4))
         assert ckpt.loss_cfg.lambda_ == 0.0
