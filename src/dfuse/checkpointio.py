@@ -1,27 +1,27 @@
-"""Binary checkpoint format with checksum, bit-exact round trips.
+"""Binary checkpoint format with checksums, bit-exact round trips.
 
 Text floats cannot guarantee the bit-exact weight round trips that fusion
-endpoint comparisons rely on, so checkpoints are little-endian binary:
+endpoint comparisons rely on, so a checkpoint (``dfuse-checkpoint-v2``) is
+binary, written and read through the ``fileio`` framing corpus files use:
 
-    magic "DFCK0001" | encoder config (6 x int64) | sigma, lambda (float64)
-    | step (int64) | val_loss (float64) | tensor count (int64)
-    | per tensor: name length (uint16), name utf-8, ndim (uint8), dims (int64 each)
-    | value count (int64) | values (float64 each) | crc32 of the value bytes (uint32)
+    magic "DFCK0002" | header: ``fileio.json_block`` of {"format", "encoder",
+    "loss", "step", "val_loss", "layout"} | values: ``fileio.framed`` float64s
 
-The last three parts are one ``fileio.framed`` block, the framing corpus
-files use too; its CRC-32 covers the values only, not the header before them.
-
-``load_checkpoint`` rejects a file whose weights are not all finite. The
-validation loss may be NaN: a fused checkpoint carries none of its own.
+A CRC-32 covers each payload, and a changed length misaligns the CRC read
+after it or fails the value count check, so every byte is checked. A NaN
+``val_loss`` (a fused checkpoint carries none of its own) is stored as ``null``.
+``load_checkpoint`` requires each header value's JSON type (``32.0`` is no
+integer), the layout the stored encoder configuration implies, and finite
+weights. v1 checkpoints (``DFCK0001``, whose struct header no CRC covered)
+are not read.
 """
 
 from __future__ import annotations
 
-import io
-import struct
+import json
+import math
 import zlib
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -33,11 +33,19 @@ from .errors import (
     CheckpointMagicError,
     UsageError,
 )
-from .fileio import FrameReader, atomic_write_bytes, framed
+from .fileio import FrameReader, atomic_write_bytes, framed, json_block
 from .losses import LossConfig
 
-MAGIC = b"DFCK0001"
-_MAX_TENSORS = 1_000_000
+MAGIC = b"DFCK0002"
+FORMAT_TAG = "dfuse-checkpoint-v2"
+
+# Each key of a JSON object in the header, with the types its value may have.
+_INT = ((int,), "an integer")
+_HEADER = {"format": ((str,), "a string"), "encoder": ((dict,), "an object"),
+           "loss": ((dict,), "an object"), "step": _INT,
+           "val_loss": ((float, type(None)), "a float or null"), "layout": ((list,), "a list")}
+_ENCODER = {f.name: _INT for f in fields(EncoderConfig)}
+_LOSS = {f.name: ((float,), "a float") for f in fields(LossConfig)}
 
 
 @dataclass(eq=False)
@@ -50,86 +58,72 @@ class Checkpoint:
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
-    enc = ckpt.enc_cfg
-    parts = [MAGIC]
-    parts.append(struct.pack(
-        "<6q", enc.input_dim_video, enc.input_dim_text, enc.hidden_dim,
-        enc.embed_dim, enc.n_frames, enc.seed,
-    ))
-    parts.append(struct.pack("<2d", ckpt.loss_cfg.sigma, ckpt.loss_cfg.lambda_))
-    parts.append(struct.pack("<q", ckpt.step))
-    parts.append(struct.pack("<d", ckpt.val_loss))
-    parts.append(struct.pack("<q", len(ckpt.params.layout)))
-    for name, shape in ckpt.params.layout:
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<B", len(shape)))
-        parts.append(struct.pack(f"<{len(shape)}q", *shape))
-    values = np.ascontiguousarray(ckpt.params.values, dtype="<f8").tobytes()
-    parts.extend(framed(ckpt.params.n_params, (values,)))
-    return b"".join(parts)
+    # The configs accept numpy scalars and an int sigma; the header holds the
+    # JSON types the loader requires.
+    header = {"format": FORMAT_TAG,
+              "encoder": {k: int(v) for k, v in asdict(ckpt.enc_cfg).items()},
+              "loss": {k: float(v) for k, v in asdict(ckpt.loss_cfg).items()},
+              "step": int(ckpt.step),
+              "val_loss": None if math.isnan(ckpt.val_loss) else float(ckpt.val_loss),
+              "layout": [[name, [int(d) for d in shape]] for name, shape in ckpt.params.layout]}
+    values = np.ascontiguousarray(ckpt.params.values, dtype="<f8")
+    return b"".join([MAGIC, *json_block(header), *framed(values.size, (memoryview(values),))])
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     atomic_write_bytes(path, checkpoint_bytes(ckpt))
 
 
+def _check_object(r: FrameReader, value, name: str, spec: dict) -> dict:
+    """``value`` if it is a JSON object with exactly the keys of ``spec``, each
+    value of a type ``spec`` gives it; ``name`` names a nested object."""
+    if type(value) is not dict or value.keys() != spec.keys():
+        raise CheckpointFormatError(f"{r.source}: header: {name or 'the header'} must be "
+                                    f"an object with the keys {', '.join(spec)}")
+    for key, (types, kind) in spec.items():
+        if type(value[key]) not in types:
+            raise CheckpointFormatError(f"{r.source}: header: {name + '.' if name else ''}"
+                                        f"{key} must be {kind}, got {value[key]!r}")
+    return value
+
+
 def load_checkpoint(path) -> Checkpoint:
     source = str(path)
-    r = FrameReader(io.BytesIO(Path(path).read_bytes()), source, CheckpointFormatError,
-                    "checkpoint")
-    if r.take(len(MAGIC)) != MAGIC:
-        raise CheckpointMagicError(f"{source}: bad magic tag")
-    dv, dt, hidden, embed, n_frames, seed = r.unpack("<6q")
-    sigma, lambda_ = r.unpack("<2d")
-    (step,) = r.unpack("<q")
-    (val_loss,) = r.unpack("<d")
-    (n_tensors,) = r.unpack("<q")
-    if not 0 < n_tensors <= _MAX_TENSORS:
-        raise CheckpointFormatError(f"{source}: implausible tensor count {n_tensors}")
-    layout = []
-    declared = 0
-    for _ in range(n_tensors):
-        (name_len,) = r.unpack("<H")
+    with open(path, "rb") as fh:
+        r = FrameReader(fh, source, CheckpointFormatError, "checkpoint")
+        if r.take(len(MAGIC)) != MAGIC:
+            raise CheckpointMagicError(f"{source}: bad magic tag, not a {FORMAT_TAG} file")
+        header = r.read_json("header")
+        if type(header) is not dict or header.get("format") != FORMAT_TAG:
+            raise CheckpointFormatError(f"{source}: header: expected a {FORMAT_TAG} header")
+        _check_object(r, header, "", _HEADER)
+        if header["step"] < 0:
+            raise CheckpointFormatError(f"{source}: header: step must be >= 0, "
+                                        f"got {header['step']}")
         try:
-            name = r.take(name_len).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointFormatError(f"{source}: tensor name is not valid UTF-8") from None
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}q") if ndim else ()
-        if any(d < 1 for d in shape):
-            raise CheckpointLayoutError(f"{source}: tensor {name!r} has non-positive dims")
-        layout.append((name, tuple(int(d) for d in shape)))
-        declared += int(np.prod(shape)) if shape else 1
-    (n_values,) = r.unpack("<q")
-    if n_values < 0:
-        raise CheckpointFormatError(f"{source}: negative value count")
-    if declared != n_values:
-        raise CheckpointLayoutError(
-            f"{source}: layout declares {declared} values but file stores {n_values}"
-        )
-    value_bytes = r.take(8 * n_values)
-    (crc,) = r.unpack("<I")
-    if not r.at_end():
-        raise CheckpointFormatError(f"{source}: trailing bytes after checkpoint")
-    if zlib.crc32(value_bytes) != crc:
-        raise CheckpointChecksumError(f"{source}: value checksum mismatch")
-    values = np.frombuffer(value_bytes, dtype="<f8").astype(np.float64)
+            enc_cfg = EncoderConfig(**_check_object(r, header["encoder"], "encoder", _ENCODER))
+            loss_cfg = LossConfig(**_check_object(r, header["loss"], "loss", _LOSS))
+        except UsageError as exc:
+            raise CheckpointFormatError(f"{source}: invalid stored configuration: {exc}") from exc
+        layout = param_layout(enc_cfg)
+        # Compared as JSON text, so 32.0 or true cannot stand in for a dimension.
+        if json.dumps(header["layout"]) != json.dumps(layout):
+            raise CheckpointLayoutError(f"{source}: stored tensor layout does not match "
+                                        "the stored encoder configuration")
+        n_params = sum(math.prod(shape) for _, shape in layout)
+        r.section = "values"
+        (count,) = r.unpack("<q")
+        if count != n_params:
+            raise CheckpointLayoutError(f"{source}: layout declares {n_params} values "
+                                        f"but file stores {count}")
+        values = np.empty(count, dtype="<f8")
+        r.readinto(values)
+        r.check_crc(zlib.crc32(values), CheckpointChecksumError)
+        if not r.at_end():
+            raise CheckpointFormatError(f"{source}: trailing bytes after checkpoint")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise CheckpointFormatError(f"{source}: weight {int(bad[0])} is not finite")
-    try:
-        enc_cfg = EncoderConfig(
-            input_dim_video=dv, input_dim_text=dt, hidden_dim=hidden,
-            embed_dim=embed, n_frames=n_frames, seed=seed,
-        )
-        loss_cfg = LossConfig(sigma=sigma, lambda_=lambda_)
-        params = ParamVector(values, tuple(layout))
-    except UsageError as exc:
-        raise CheckpointFormatError(f"{source}: invalid stored configuration: {exc}") from exc
-    if params.layout != param_layout(enc_cfg):
-        raise CheckpointLayoutError(
-            f"{source}: stored tensor layout does not match the stored encoder configuration"
-        )
-    return Checkpoint(enc_cfg, loss_cfg, params, int(step), float(val_loss))
+    val_loss = header["val_loss"]
+    return Checkpoint(enc_cfg, loss_cfg, ParamVector(values, layout), header["step"],
+                      math.nan if val_loss is None else val_loss)

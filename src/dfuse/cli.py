@@ -333,24 +333,23 @@ def _cmd_sweep_alpha(values: dict) -> int:
     def evaluate(params):
         return evaluate_model(params, inputs, teacher.enc_cfg)
 
-    rows = [{"alpha": a, **rep.summary}
-            for a, rep in sweep_alpha(teacher.params, student.params, alphas, evaluate)]
+    impact = (("teacher", 0.0), ("student", 1.0), ("fused", values["impact_alpha"]))
+    # An impact alpha the grid lacks is evaluated for the impact table only.
+    extra = [a for a in dict.fromkeys(a for _, a in impact) if a not in alphas]
+    swept = [{"alpha": a, **rep.summary} for a, rep in
+             sweep_alpha(teacher.params, student.params, [*alphas, *extra], evaluate)]
+    rows, by_alpha = swept[:len(alphas)], {row["alpha"]: row for row in swept}
     stem = Path(values["out"])
-    outputs = [stem.name + ".tsv", stem.name + ".jsonl"]
+    outputs = [stem.name + suffix for suffix in (".tsv", ".jsonl", ".impact.tsv")]
     atomic_write_text(str(stem) + ".tsv",
                       tsv(("alpha", *SUMMARY_METRICS), [row.values() for row in rows]))
     jsonl = "".join(json.dumps({"record": "alpha_row", **row}) + "\n" for row in rows)
     jsonl += json.dumps(_sweep_summary(rows)) + "\n"
     atomic_write_text(str(stem) + ".jsonl", jsonl)
-    by_alpha = {row["alpha"]: row for row in rows}
-    impact = (("teacher", 0.0), ("student", 1.0), ("fused", values["impact_alpha"]))
-    if all(alpha in by_alpha for _, alpha in impact):
-        table = [(label, *by_alpha[alpha].values()) for label, alpha in impact]
-        fused, base = by_alpha[values["impact_alpha"]], by_alpha[0.0]
-        table.append(("delta", "-", *(fused[m] - base[m] for m in SUMMARY_METRICS)))
-        atomic_write_text(str(stem) + ".impact.tsv",
-                          tsv(("model", "alpha", *SUMMARY_METRICS), table))
-        outputs.append(stem.name + ".impact.tsv")
+    table = [(label, *by_alpha[alpha].values()) for label, alpha in impact]
+    fused, base = by_alpha[values["impact_alpha"]], by_alpha[0.0]
+    table.append(("delta", "-", *(fused[m] - base[m] for m in SUMMARY_METRICS)))
+    atomic_write_text(str(stem) + ".impact.tsv", tsv(("model", "alpha", *SUMMARY_METRICS), table))
     _write_manifest(stem, "sweep-alpha", values,
                     [Path(values["teacher"]), Path(values["student"])], outputs, corpus)
     print(f"wrote {stem}.tsv with {len(rows)} rows")

@@ -28,11 +28,12 @@ File format (``dfuse-corpus-v2``), little-endian binary: the magic tag
 (video, then text), a metadata block, a JSON list with one ``[id,
 concept_id, pair_index, class_name]`` row per record, and a features block of
 the records' float64 values, ``(n, frames_per_video, d_v)`` or ``(n, d_t)``.
-Each block is framed as checkpoints frame their values (``fileio.framed``):
-an int64 length (bytes, or values for features), the payload and its
-CRC-32. Kind, split and shape come from the block's place, the header and
-the row count. A changed length misaligns the CRC read after it or fails
-the check of the row count against the block size, so every byte is checked.
+Each block is ``fileio.framed`` (JSON through ``fileio.json_block``) and read
+through ``fileio.FrameReader``, as checkpoints are: an int64 length (bytes,
+or values for features), the payload and its CRC-32. Kind, split and shape
+come from the block's place, the header and the row count. A changed length
+misaligns the CRC read after it or fails the check of the row count against
+the block size, so every byte is checked.
 A paired split stores its videos and its texts in one strictly increasing
 pair order, so row i of both blocks is pair i; an unpaired split's pair
 indices are not kept.
@@ -48,7 +49,6 @@ dropped, so a file fails the same way whichever splits are kept. The returned
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from collections import namedtuple
@@ -59,7 +59,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CorpusFormatError, CorpusRecordError, UsageError
-from .fileio import FrameReader, atomic_write_chunks, framed
+from .fileio import FrameReader, atomic_write_chunks, framed, json_block
 
 SPLITS = ("labeled-train", "labeled-val", "unlabeled", "eval")
 PAIRED_SPLITS = ("labeled-train", "labeled-val", "eval")
@@ -251,19 +251,14 @@ def build_corpus(cfg: SynthConfig) -> "Corpus":
     return Corpus(cfg, columns)
 
 
-def _json_block(payload) -> Iterator:
-    data = json.dumps(payload).encode()
-    return framed(len(data), (data,))
-
-
 def _file_chunks(corpus: "Corpus") -> Iterator:
     """The corpus file, block by block; each features block is one chunk."""
     yield MAGIC
-    yield from _json_block({"format": FORMAT_TAG, "synth": asdict(corpus.synth)})
+    yield from json_block({"format": FORMAT_TAG, "synth": asdict(corpus.synth)})
     for split in SPLITS:
         for kind in KINDS:
             col = corpus._columns[split][kind]
-            yield from _json_block(col.rows())
+            yield from json_block(col.rows())
             values = np.ascontiguousarray(col.features, dtype="<f8")
             finite = np.isfinite(values)
             if not finite.all():
@@ -360,27 +355,10 @@ def _check_pairing(split: str, videos: Columns, texts: Columns) -> None:
                                 f"({videos.ids[i]!r} vs {texts.ids[i]!r})")
 
 
-def _check_crc(r: FrameReader, crc: int) -> None:
-    (stored,) = r.unpack("<I")
-    if stored != crc:
-        raise CorpusFormatError(f"{r.source}: {r.section}: checksum mismatch")
-
-
-def _read_json(r: FrameReader, section: str):
-    r.section = section
-    (n,) = r.unpack("<q")
-    data = r.take(n)
-    _check_crc(r, zlib.crc32(data))
-    try:
-        return json.loads(data)
-    except (ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deeply
-        raise CorpusFormatError(f"{r.source}: {section}: invalid JSON") from None
-
-
 def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) -> tuple:
     """A block's checked rows as the ``ids``, ``concept_id``, ``pair_index``
     (None in an unpaired split) and ``class_name`` columns."""
-    rows = _read_json(r, section)
+    rows = r.read_json(section)
     if type(rows) is not list:
         raise CorpusFormatError(f"{r.source}: {section}: expected a JSON list")
     for i, row in enumerate(rows):
@@ -428,7 +406,7 @@ def _read_features(r: FrameReader, section: str, ids: list, shape: tuple,
         crc = zlib.crc32(chunk, crc)
         if bad is None and not np.isfinite(chunk).all():
             bad = start + int(np.argmin(np.isfinite(chunk)))
-    _check_crc(r, crc)
+    r.check_crc(crc)
     if bad is not None:
         raise CorpusRecordError(f"record {ids[bad // row_len]!r}: non-finite features")
     return values.reshape(len(ids), *shape) if keep else None
@@ -449,7 +427,7 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
         r = FrameReader(fh, str(path), CorpusFormatError, "magic tag")
         if r.size < len(MAGIC) or r.take(len(MAGIC)) != MAGIC:
             raise CorpusFormatError(f"{path}: bad magic tag, not a {FORMAT_TAG} file")
-        header = _read_json(r, "header")
+        header = r.read_json("header")
         if type(header) is not dict or header.get("format") != FORMAT_TAG \
                 or type(header.get("synth")) is not dict:
             raise CorpusFormatError(f"{path}: header: expected a {FORMAT_TAG} header")

@@ -76,7 +76,8 @@ class EncoderConfig:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed a checkpoint cannot store: it is written as a signed 64-bit integer."""
+    """Reject a seed outside [0, 2**63). A checkpoint's JSON header could hold more; the
+    bound keeps a seed within the int64 that JSON readers outside Python parse into."""
     if not 0 <= seed < 2**63:
         raise UsageError(f"seed must be >= 0 and < 2**63, got {seed}")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import struct
 import tempfile
@@ -77,6 +78,12 @@ def framed(count: int, chunks: Iterable) -> Iterator:
     yield struct.pack("<I", crc)
 
 
+def json_block(payload) -> Iterator:
+    """``payload`` as JSON text in one ``framed`` block whose count is its byte length."""
+    data = json.dumps(payload).encode()
+    return framed(len(data), (data,))
+
+
 class FrameReader:
     """Exact-size reads of a binary file, each fed to a SHA-256 digest.
 
@@ -119,6 +126,23 @@ class FrameReader:
 
     def at_end(self) -> bool:
         return self.off == self.size
+
+    def check_crc(self, crc: int, error: type[Exception] | None = None) -> None:
+        """Read a stored CRC-32; unless it is ``crc``, raise ``error`` or ``self.error``."""
+        (stored,) = self.unpack("<I")
+        if stored != crc:
+            raise (error or self.error)(f"{self.source}: {self.section}: checksum mismatch")
+
+    def read_json(self, section: str):
+        """The value of a ``json_block``, CRC-checked; ``section`` names it in errors."""
+        self.section = section
+        (n,) = self.unpack("<q")
+        data = self.take(n)
+        self.check_crc(zlib.crc32(data))
+        try:
+            return json.loads(data)
+        except (ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deeply
+            raise self.error(f"{self.source}: {section}: invalid JSON") from None
 
 
 def tsv(header: Sequence[str], rows: Iterable[Sequence]) -> str:

@@ -1,9 +1,10 @@
-"""Take a ``dfuse-corpus-v2`` file apart and frame it again, for tests that
-corrupt one.
+"""Take a framed file (a ``dfuse-corpus-v2`` corpus or a ``dfuse-checkpoint-v2``
+checkpoint) apart and frame it again, for tests that corrupt one.
 
 ``blocks`` splits a well-formed file into its framed blocks, and
 ``assemble`` joins blocks with fresh CRC-32s, so a test can change what a
 block holds and still get past its checksum to the check it means to reach.
+The magic tag at the start of the file says which blocks it holds.
 """
 
 import json
@@ -12,20 +13,27 @@ import zlib
 
 import numpy as np
 
-from dfuse.corpus import KINDS, MAGIC, SPLITS
+from dfuse import checkpointio, corpus
 
-NAMES = ("header", *(f"{split} {kind} {part}" for split in SPLITS for kind in KINDS
-                     for part in ("metadata", "features")))
+CORPUS_NAMES = ("header", *(f"{split} {kind} {part}" for split in corpus.SPLITS
+                            for kind in corpus.KINDS for part in ("metadata", "features")))
+CHECKPOINT_NAMES = ("header", "values")
+FORMATS = {corpus.MAGIC: CORPUS_NAMES, checkpointio.MAGIC: CHECKPOINT_NAMES}
+
+
+def _unit(name: str) -> int:
+    """Bytes per unit of a block's count: values blocks count float64s."""
+    return 8 if name.endswith(("features", "values")) else 1
 
 
 def blocks(data: bytes) -> dict:
     """Block name -> ``[count, payload, start]``; ``start`` is the offset of
-    the block's length field, in ``NAMES`` order."""
-    assert data.startswith(MAGIC)
-    out, off = {}, len(MAGIC)
-    for name in NAMES:
+    the block's length field, in file order."""
+    magic = bytes(data[:8])
+    out, off = {}, len(magic)
+    for name in FORMATS[magic]:
         (count,) = struct.unpack_from("<q", data, off)
-        size = count * (8 if name.endswith("features") else 1)
+        size = count * _unit(name)
         out[name] = [count, data[off + 8:off + 8 + size], off]
         off += 8 + size + 4
     assert off == len(data)
@@ -33,9 +41,9 @@ def blocks(data: bytes) -> dict:
 
 
 def assemble(parts: dict) -> bytes:
-    chunks = [MAGIC]
-    for name in NAMES:
-        count, payload = parts[name][:2]
+    (magic,) = [magic for magic, names in FORMATS.items() if tuple(parts) == names]
+    chunks = [magic]
+    for count, payload, *_ in parts.values():
         chunks += [struct.pack("<q", count), payload, struct.pack("<I", zlib.crc32(payload))]
     return b"".join(chunks)
 
@@ -44,8 +52,7 @@ def replace(data: bytes, name: str, payload: bytes, count=None) -> bytes:
     """``data`` with block ``name`` holding ``payload`` (and ``count``, by
     default the payload's length in the block's unit), framed again."""
     parts = blocks(data)
-    unit = 8 if name.endswith("features") else 1
-    parts[name][:2] = [len(payload) // unit if count is None else count, payload]
+    parts[name][:2] = [len(payload) // _unit(name) if count is None else count, payload]
     return assemble(parts)
 
 
@@ -58,7 +65,7 @@ def edit_json(data: bytes, name: str, change) -> bytes:
 
 
 def edit_row(data: bytes, name: str, index: int, **fields) -> bytes:
-    """``data`` with fields of row ``index`` of metadata block ``name`` set."""
+    """``data`` with fields of row ``index`` of corpus metadata block ``name`` set."""
     columns = ("id", "concept_id", "pair_index", "class_name")
 
     def change(rows):
@@ -68,8 +75,8 @@ def edit_row(data: bytes, name: str, index: int, **fields) -> bytes:
 
 
 def edit_values(data: bytes, name: str, change) -> bytes:
-    """``data`` with features block ``name``'s values, a flat float64 array,
-    passed through ``change``, which edits them in place."""
+    """``data`` with features or values block ``name``'s values, a flat float64
+    array, passed through ``change``, which edits them in place."""
     values = np.frombuffer(blocks(data)[name][1], dtype="<f8").copy()
     change(values)
     return replace(data, name, values.tobytes())

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from corpusfile import blocks, edit_json, edit_row, edit_values, replace
+from framedfile import blocks, edit_json, edit_row, edit_values, replace
 from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import load_corpus
@@ -771,6 +771,22 @@ class TestPipelineCommands:
         impact = (root / "sweep.impact.tsv").read_text().strip().split("\n")
         assert [row.split("\t")[0] for row in impact] == \
             ["model", "teacher", "student", "fused", "delta"]
+
+    @pytest.mark.parametrize("alphas", ["0,1", "0.4", "1", "0,0.5"])
+    def test_impact_table_evaluates_alphas_the_grid_lacks(self, mini_pipeline, tmp_path,
+                                                          alphas):
+        root, _, videos = mini_pipeline
+        for stem, grid in (("full", "0,0.4,1"), ("part", alphas)):
+            assert cli_dispatch([
+                "sweep-alpha", "--teacher", str(root / "teacher.ckpt"),
+                "--student", str(root / "student.ckpt"), "--corpus", str(videos),
+                "--alphas", grid, "--out", str(tmp_path / stem)]) == 0
+        impact = (tmp_path / "full.impact.tsv").read_bytes()
+        assert (tmp_path / "part.impact.tsv").read_bytes() == impact
+        rows = (tmp_path / "part.tsv").read_text().splitlines()[1:]
+        assert [float(row.split("\t")[0]) for row in rows] == [float(a) for a in alphas.split(",")]
+        manifest = json.loads((tmp_path / "part.manifest.json").read_text())
+        assert manifest["outputs"] == ["part.tsv", "part.jsonl", "part.impact.tsv"]
 
     def test_sweep_endpoints_equal_standalone_reports(self, mini_pipeline, tmp_path):
         root, _, videos = mini_pipeline

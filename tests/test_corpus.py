@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import dfuse.corpus as corpus_module
-from corpusfile import NAMES, assemble, blocks, edit_json, edit_row, edit_values, replace
+from framedfile import (CORPUS_NAMES, assemble, blocks, edit_json, edit_row, edit_values,
+                        replace)
 from dfuse.corpus import (
     FORMAT_TAG,
     MAGIC,
@@ -320,7 +321,7 @@ class TestFraming:
                f"{corpus_file}: bad magic tag, not a dfuse-corpus-v2 file")
 
     @pytest.mark.parametrize("where", ["length", "payload", "crc"])
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_truncation_names_the_section(self, corpus_file, name, where):
         data = corpus_file.read_bytes()
         _, payload, start = blocks(data)[name]
@@ -329,7 +330,7 @@ class TestFraming:
         _fails(corpus_file, data[:cut], CorpusFormatError, f"{corpus_file}: truncated {name}")
 
     @pytest.mark.parametrize("where", ["payload", "crc"])
-    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_a_flipped_bit_is_a_checksum_mismatch(self, corpus_file, name, where):
         data = bytearray(corpus_file.read_bytes())
         _, payload, start = blocks(bytes(data))[name]

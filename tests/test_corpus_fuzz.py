@@ -21,7 +21,7 @@ import struct
 import numpy as np
 import pytest
 
-from corpusfile import NAMES, blocks, edit_json, edit_values, replace
+from framedfile import CORPUS_NAMES, blocks, edit_json, edit_values, replace
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import MAGIC, SPLITS, SynthConfig, gen_corpus, load_corpus
@@ -32,7 +32,7 @@ from dfuse.losses import LossConfig
 SEED = 20_221
 CASES_PER_MUTATION = 24
 KEPT = ("eval",)
-DROPPED_BLOCKS = [name for name in NAMES if name.split()[0] in
+DROPPED_BLOCKS = [name for name in CORPUS_NAMES if name.split()[0] in
                   ("labeled-train", "labeled-val", "unlabeled")]
 # Values a metadata field is retyped to.
 OTHER_VALUES = (None, True, False, 0, 1, -1, 1.5, 2**63, 2**64, "", "x", "vid-labeled-val-00000",
@@ -276,9 +276,9 @@ def test_every_framing_bit_flip_is_one_error(teacher, tmp_path, capsys):
     data = path.read_bytes()
     spans = {name: range(start, start + len(payload) + 12)
              for name, (_, payload, start) in blocks(data).items()}
-    framing = [*range(len(MAGIC)), *(at for name in NAMES if not name.endswith("features")
-                                     for at in spans[name])]
-    values = [at for name in NAMES if name.endswith("features") for at in spans[name]]
+    framing = [*range(len(MAGIC)), *(at for name in CORPUS_NAMES
+                                     if not name.endswith("features") for at in spans[name])]
+    values = [at for name in CORPUS_NAMES if name.endswith("features") for at in spans[name]]
     rng = np.random.default_rng(SEED)
     bits = [(at, bit) for at in framing for bit in range(8)]
     bits += [(int(at), int(bit)) for at, bit in zip(rng.choice(values, 256),
@@ -291,9 +291,9 @@ def test_every_framing_bit_flip_is_one_error(teacher, tmp_path, capsys):
                 load_corpus(path, KEPT)
             os.pwrite(fh.fileno(), data[at:at + 1], at)
             assert "\n" not in str(info.value), (at, bit)
-            section = next((name for name in NAMES if at in spans[name]), "magic tag")
+            section = next((name for name in CORPUS_NAMES if at in spans[name]), "magic tag")
             failures.setdefault(section, []).append((at, bit, str(info.value)))
-    assert set(failures) == {"magic tag", *NAMES}
+    assert set(failures) == {"magic tag", *CORPUS_NAMES}
     for section, cases in failures.items():
         for index in {0, *(int(i) for i in rng.integers(len(cases), size=3))}:
             at, bit, message = cases[index]

@@ -3,10 +3,13 @@
 Each case mutates one copy of a good file and runs ``fuse`` (checkpoints) or
 ``report-class-delta`` (reports) with it in one input slot and a good file in
 the other. Checkpoints are truncated, get one to three flipped bits, or get
-eight header bytes overwritten; reports are truncated, get flipped bits, or
-get one record's key retyped or dropped. The command must either succeed,
-writing its output and manifest, or end in exit 1 or 2 with one ``error:``
-line and no output. Either way no temp file is left behind.
+eight bytes before the values overwritten; reports are truncated, get flipped
+bits, or get one record's key retyped or dropped. The command must either
+succeed, writing its output and manifest, or end in exit 1 or 2 with one
+``error:`` line and no output. Either way no temp file is left behind. A
+CRC-32 covers every part of a checkpoint but its magic tag and two lengths,
+so no mutated checkpoint may load. A second checkpoint test flips each bit
+before the values, one at a time.
 
 Config files set every option of a command but its paths, and each mutation
 makes one of them malformed: cut inside a ``key =``, a byte of a key
@@ -22,10 +25,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dfuse.checkpointio import Checkpoint, save_checkpoint
+from framedfile import blocks
+from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import SynthConfig, gen_corpus
 from dfuse.encoder import EncoderConfig, init_params
+from dfuse.errors import CheckpointFormatError
 from dfuse.losses import LossConfig
 
 SEED = 20_231
@@ -59,7 +64,7 @@ def _flip_bits(data, rng, hot=None):
 
 
 def _header_length(data):
-    """Bytes before the weight values: everything but values and the CRC-32."""
+    """Bytes before the weight values: the magic tag, the header block and the value count."""
     return len(data) - 8 * init_params(ENC).n_params - 4
 
 
@@ -172,10 +177,37 @@ def _fuzz(good, kind, mutations, command, out, tmp_path, capsys):
 def test_mutated_checkpoints_fuse_or_fail_cleanly(good, tmp_path, capsys):
     messages = _fuzz(good, "checkpoint", CHECKPOINT_MUTATIONS, "fuse", "fused.ckpt",
                      tmp_path, capsys)
-    for expected in ("ok", "truncated checkpoint", "bad magic tag", "value checksum mismatch",
-                     "invalid stored configuration", "implausible tensor count",
-                     "cannot fuse"):
+    assert "ok" not in messages
+    for expected in ("truncated header", "truncated values", "bad magic tag",
+                     "header: checksum mismatch", "values: checksum mismatch"):
         assert any(expected in message for message in messages), expected
+
+
+def test_every_flipped_bit_before_the_values_fails(good, tmp_path, capsys):
+    """Each bit of the magic tag, the header block and the value count, flipped
+    on its own, fails the load with one line naming the file; a sample of the
+    flips also fails ``fuse`` with that line."""
+    data = good["checkpoint"]
+    n_bits = 8 * (blocks(data)["values"][2] + 8)
+    path, workdir = tmp_path / "flipped.ckpt", tmp_path / "cli"
+    workdir.mkdir()
+    sampled = set(np.random.default_rng(SEED).choice(n_bits, 48, replace=False).tolist())
+    kinds = set()
+    for bit in range(n_bits):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << bit % 8
+        path.write_bytes(flipped)
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(path)
+        message = str(info.value)
+        assert message.startswith(f"{path}: ") and "\n" not in message, (bit, message)
+        kinds.add(type(info.value).__name__)
+        if bit in sampled:
+            code, cli_message = _run_case(workdir, "fuse", {"good": data, "mutated": flipped},
+                                          "fused.ckpt", capsys)
+            assert code == 2 and cli_message == message.replace(str(path),
+                                                                 str(workdir / "mutated"))
+    assert kinds == {"CheckpointMagicError", "CheckpointFormatError", "CheckpointLayoutError"}
 
 
 def test_mutated_reports_compare_or_fail_cleanly(good, tmp_path, capsys):
