@@ -16,9 +16,9 @@ from dfuse import (
     TrainConfig,
     build_corpus,
     build_prompt_set,
+    delta_table,
     evaluate_model,
     fuse_weights,
-    per_class_delta,
     prepare_eval,
     pretrain_teacher,
     rank_distribution,
@@ -58,7 +58,7 @@ for label, report in (("teacher:", report_teacher), ("fused:  ", report_fused)):
 
 # --- which classes moved ------------------------------------------------------
 
-deltas = per_class_delta(report_fused, report_teacher)
+deltas = delta_table(report_fused.per_class_acc, report_teacher.per_class_acc)
 moved = [(name, d) for name, d in deltas if d != 0.0]
 print(f"\n{len(moved)} of {len(deltas)} classes changed top-1 accuracy (fused - teacher):")
 for name, d in moved[:5]:

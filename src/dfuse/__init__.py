@@ -47,7 +47,6 @@ from .evaluation import (
     delta_table,
     evaluate_model,
     median_rank,
-    per_class_delta,
     prepare_eval,
     rank_distribution,
     recall_at_k,

@@ -9,7 +9,8 @@ binary, written and read through the ``fileio`` framing corpus files use:
 
 A CRC-32 covers each payload, and a changed length misaligns the CRC read
 after it or fails the value count check, so every byte is checked. A NaN
-``val_loss`` (a fused checkpoint carries none of its own) is stored as ``null``.
+``val_loss`` (a fused checkpoint carries none of its own) is stored as ``null``;
+an infinite one is refused, since strict JSON has no spelling for it.
 ``load_checkpoint`` requires each header value's JSON type (``32.0`` is no
 integer), the layout the stored encoder configuration implies, and finite
 weights. v1 checkpoints (``DFCK0001``, whose struct header no CRC covered)
@@ -32,6 +33,7 @@ from .errors import (
     CheckpointLayoutError,
     CheckpointMagicError,
     UsageError,
+    ValidationError,
 )
 from .fileio import FrameReader, atomic_write_bytes, framed, json_block
 from .losses import LossConfig
@@ -58,6 +60,8 @@ class Checkpoint:
 
 
 def checkpoint_bytes(ckpt: Checkpoint) -> bytes:
+    if math.isinf(ckpt.val_loss):
+        raise ValidationError(f"cannot store an infinite val_loss ({ckpt.val_loss})")
     # The configs accept numpy scalars and an int sigma; the header holds the
     # JSON types the loader requires.
     header = {"format": FORMAT_TAG,

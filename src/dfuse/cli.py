@@ -295,19 +295,12 @@ def _sweep_summary(rows: list[dict]) -> dict:
     interior = {}
     has_endpoints = 0.0 in by_alpha and 1.0 in by_alpha
     for metric in SUMMARY_METRICS:
-        prefer_low = metric == "mdr"
-        ordered = sorted(rows, key=lambda r: (r[metric] if prefer_low else -r[metric]))
-        best_alpha[metric] = ordered[0]["alpha"]
+        sign = 1 if metric == "mdr" else -1  # a lower sign * value is better
+        best_alpha[metric] = min(rows, key=lambda r: sign * r[metric])["alpha"]
         if has_endpoints:
-            t_val, s_val = by_alpha[0.0][metric], by_alpha[1.0][metric]
-            if prefer_low:
-                interior[metric] = any(
-                    r[metric] < min(t_val, s_val) for r in rows if r["alpha"] not in (0.0, 1.0)
-                )
-            else:
-                interior[metric] = any(
-                    r[metric] > max(t_val, s_val) for r in rows if r["alpha"] not in (0.0, 1.0)
-                )
+            ends = min(sign * by_alpha[0.0][metric], sign * by_alpha[1.0][metric])
+            interior[metric] = any(sign * r[metric] < ends
+                                   for r in rows if r["alpha"] not in (0.0, 1.0))
         else:
             interior[metric] = None
     return {

@@ -18,33 +18,37 @@ latent offset and then its feature noise (a pair: video, then text) into
 row i of its split's arrays. The jittered latents, their norms, the feature
 maps and the noise scaling then run once per split, over the noise draws in
 place, with the bits of computing every record on its own. A ``Corpus`` holds
-each split and kind as ``Columns`` in file order: ids, int64 ``concept_id``
-and ``pair_index``, class names and the whole features block, never split
-into rows.
+each split and kind as ``Columns`` in file order: ids, int64 ``concept_id``,
+class names and the whole features block, never split into rows.
 
-File format (``dfuse-corpus-v2``), little-endian binary: the magic tag
-``DFCORP02``; a header block, the JSON object ``{"format": "dfuse-corpus-v2",
+Every field of a record but its features follows from the ``SynthConfig``
+and its row through one rule, ``_split_columns``, which ``build_corpus`` and
+``load_corpus`` share: row i of a split is record ``vid-<split>-<i:05d>``
+(``txt-`` for a text) of concept ``i % n_concepts``, pair i in a paired
+split, and an eval video's class name is its concept's ``class_name_for``.
+
+File format (``dfuse-corpus-v3``), little-endian binary: the magic tag
+``DFCORP03``; a header block, the JSON object ``{"format": "dfuse-corpus-v3",
 "synth": <SynthConfig>}``; then, per split in ``SPLITS`` order and per kind
-(video, then text), a metadata block, a JSON list with one ``[id,
-concept_id, pair_index, class_name]`` row per record, and a features block of
-the records' float64 values, ``(n, frames_per_video, d_v)`` or ``(n, d_t)``.
-Each block is ``fileio.framed`` (JSON through ``fileio.json_block``) and read
-through ``fileio.FrameReader``, as checkpoints are: an int64 length (bytes,
-or values for features), the payload and its CRC-32. Kind, split and shape
-come from the block's place, the header and the row count. A changed length
-misaligns the CRC read after it or fails the check of the row count against
-the block size, so every byte is checked.
-A paired split stores its videos and its texts in one strictly increasing
-pair order, so row i of both blocks is pair i; an unpaired split's pair
-indices are not kept.
+(video, then text), a features block of the records' float64 values,
+``(n, frames_per_video, d_v)`` or ``(n, d_t)``, whose ``n`` is the header's
+split size. Each block is ``fileio.framed`` (the header through
+``fileio.json_block``) and read through ``fileio.FrameReader``, as
+checkpoints are: an int64 length (bytes, or values for features), the
+payload and its CRC-32. A changed length misaligns the CRC read after it or
+fails the check of the value count against the header, so every byte is
+checked. A v2 file (``DFCORP02``, a JSON metadata block of ``[id,
+concept_id, pair_index, class_name]`` rows before each features block) or a
+v1 file fails at the magic tag.
 
 ``gen_corpus`` streams each features block to the atomic temp-file writer as
 one memoryview, with a running CRC. ``load_corpus(path, splits)`` hashes the
-whole file (``Corpus.sha256``) and checks every CRC, metadata row and
-pairing. A features block of a split in ``splits`` is read into one array; any
-other is read in chunks of ``_CHUNK_VALUES`` through the same checks and
-dropped, so a file fails the same way whichever splits are kept. The returned
-``Corpus`` holds only the named splits and raises ``UsageError`` for any other.
+whole file (``Corpus.sha256``) and checks every block's count, CRC and
+finiteness. A features block of a split in ``splits`` is read into one
+array; any other is read in chunks of ``_CHUNK_VALUES`` through the same
+checks and dropped, so a file fails the same way whichever splits are kept.
+The returned ``Corpus`` holds only the named splits and raises
+``UsageError`` for any other.
 """
 
 from __future__ import annotations
@@ -64,8 +68,8 @@ from .fileio import FrameReader, atomic_write_chunks, framed, json_block
 SPLITS = ("labeled-train", "labeled-val", "unlabeled", "eval")
 PAIRED_SPLITS = ("labeled-train", "labeled-val", "eval")
 KINDS = ("video", "text")
-MAGIC = b"DFCORP02"
-FORMAT_TAG = "dfuse-corpus-v2"
+MAGIC = b"DFCORP03"
+FORMAT_TAG = "dfuse-corpus-v3"
 # A dropped features block is read and checked this many values (256 KiB) at a time.
 _CHUNK_VALUES = 1 << 15
 
@@ -134,22 +138,16 @@ class SynthConfig:
 
 @dataclass(frozen=True, eq=False)
 class Columns:
-    """One split's records of one kind in file order: ids, int64 ``concept_id`` and
-    ``pair_index`` (None in an unpaired split), class names, the features block."""
+    """One split's records of one kind in file order: ids, int64 ``concept_id``,
+    class names and the features block. In a paired split, row i is pair i."""
 
     ids: list[str]
     concept_id: np.ndarray
-    pair_index: np.ndarray | None
     class_name: list[str | None]
     features: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def rows(self) -> list[tuple]:
-        """``(id, concept_id, pair_index, class_name)`` of each record, as Python values."""
-        pairs = [None] * len(self) if self.pair_index is None else self.pair_index.tolist()
-        return list(zip(self.ids, self.concept_id.tolist(), pairs, self.class_name))
 
 
 Record = namedtuple("Record", "id kind split concept_id features class_name pair_index")
@@ -200,54 +198,71 @@ def _jittered_latent(base: np.ndarray, scale: float, rng: np.random.Generator) -
     return latent / math.sqrt(float(np.einsum("i,i->", latent, latent)))
 
 
-def _split_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, n: int, maps) -> list:
-    """One ``(n, *shape)`` feature array per ``(feature map, noise shape)`` of
-    ``maps`` for a split's ``n`` records; record i's generator is keyed
-    ``(*key, i)``."""
+def _block_shape(cfg: SynthConfig, split: str, kind: str) -> tuple[int, ...]:
+    """``(n, frames_per_video, d_v)`` or ``(n, d_t)``: the shape of a split's
+    features block of ``kind``, ``n`` being the split's size (``n_eval`` ...)."""
+    n = getattr(cfg, "n_" + split.replace("-", "_"))
+    return (n, cfg.frames_per_video, cfg.d_v) if kind == "video" else (n, cfg.d_t)
+
+
+def _id_format(split: str, kind: str) -> str:
+    """Row i of a split's records of ``kind`` has the id ``_id_format(split, kind).format(i)``."""
+    return ("vid" if kind == "video" else "txt") + f"-{split}-{{:05d}}"
+
+
+def _split_columns(cfg: SynthConfig, split: str, kind: str, features: np.ndarray) -> Columns:
+    """A split's records of ``kind`` around their features block: row i is the
+    record ``vid-<split>-<i:05d>`` (``txt-`` for a text) of concept
+    ``i % n_concepts`` (and pair i in a paired split); an eval video is named
+    after its concept."""
+    n = len(features)
+    concept = np.arange(n, dtype=np.int64) % cfg.n_concepts
+    names = ([class_name_for(c, cfg.n_concepts) for c in concept.tolist()]
+             if (split, kind) == ("eval", "video") else [None] * n)
+    ids = list(map(_id_format(split, kind).format, range(n)))
+    return Columns(ids, concept, names, features)
+
+
+def _draw_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, concept_id: np.ndarray,
+                   maps) -> None:
+    """Fill the ``(n, *shape)`` array of each ``(feature map, array)`` of
+    ``maps`` with the features of a split's records of concepts
+    ``concept_id``; record i's generator is keyed ``(*key, i)``."""
+    n = len(concept_id)
     offsets = np.empty((n, cfg.latent_dim))
-    features = [np.empty((n, *shape)) for _, shape in maps]
     for i in range(n):
         rng = np.random.default_rng([*key, i])
         rng.standard_normal(out=offsets[i])
-        for out in features:
+        for _, out in maps:
             rng.standard_normal(out=out[i])
     offsets *= cfg.concept_jitter / math.sqrt(cfg.latent_dim)
-    latents = concepts[np.arange(n) % cfg.n_concepts]
+    latents = concepts[concept_id]
     latents += offsets
     latents /= np.sqrt(np.einsum("ni,ni->n", latents, latents))[:, None]
-    for (a, shape), out in zip(maps, features):
+    for a, out in maps:
         base = np.einsum("ij,nj->ni", a, latents)
         out *= cfg.noise_sigma
-        out += base[:, None, :] if len(shape) == 2 else base
-    return features
+        out += base[:, None, :] if out.ndim == 3 else base
 
 
 def build_corpus(cfg: SynthConfig) -> "Corpus":
     """Generate all records in memory, deterministically from the seed."""
     concepts = concept_vectors(cfg)
-    video = (video_feature_map(cfg), (cfg.frames_per_video, cfg.d_v))
-    text = (text_feature_map(cfg), (cfg.d_t,))
-    counts = {"labeled-train": cfg.n_labeled_train, "labeled-val": cfg.n_labeled_val,
-              "unlabeled": cfg.n_unlabeled, "eval": cfg.n_eval}
+    a_v, a_t = video_feature_map(cfg), text_feature_map(cfg)
     columns = {}
     for split in SPLITS:
-        n, paired = counts[split], split in PAIRED_SPLITS
-        if paired:
+        videos, texts = (_split_columns(cfg, split, kind, np.empty(_block_shape(cfg, split, kind)))
+                         for kind in KINDS)
+        if split in PAIRED_SPLITS:
             key = (cfg.seed, _STREAM_PAIR, PAIRED_SPLITS.index(split))
-            videos, texts = _split_features(cfg, concepts, key, n, (video, text))
+            _draw_features(cfg, concepts, key, videos.concept_id,
+                           ((a_v, videos.features), (a_t, texts.features)))
         else:
-            (videos,) = _split_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_VIDEO), n,
-                                        (video,))
-            (texts,) = _split_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), n,
-                                       (text,))
-        concept = np.arange(n, dtype=np.int64) % cfg.n_concepts
-        pair = np.arange(n, dtype=np.int64) if paired else None
-        names = ([class_name_for(c, cfg.n_concepts) for c in concept.tolist()]
-                 if split == "eval" else [None] * n)
-        ids = [f"{split}-{i:05d}" for i in range(n)]
-        columns[split] = {
-            "video": Columns(["vid-" + i for i in ids], concept, pair, names, videos),
-            "text": Columns(["txt-" + i for i in ids], concept, pair, [None] * n, texts)}
+            _draw_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_VIDEO), videos.concept_id,
+                           ((a_v, videos.features),))
+            _draw_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), texts.concept_id,
+                           ((a_t, texts.features),))
+        columns[split] = {"video": videos, "text": texts}
     return Corpus(cfg, columns)
 
 
@@ -258,7 +273,6 @@ def _file_chunks(corpus: "Corpus") -> Iterator:
     for split in SPLITS:
         for kind in KINDS:
             col = corpus._columns[split][kind]
-            yield from json_block(col.rows())
             values = np.ascontiguousarray(col.features, dtype="<f8")
             finite = np.isfinite(values)
             if not finite.all():
@@ -311,10 +325,13 @@ class Corpus:
     @property
     def records(self) -> list[Record]:
         """Every record held as a ``Record`` in file order, built from the columns on each
-        read; ``features`` is a row view. ``perfbench/checks.py`` reads this view."""
-        return [Record(rec_id, kind, split, concept, features, name, pair)
+        read; ``features`` is a row view, and ``pair_index`` the row in a paired split
+        (None in ``unlabeled``). ``perfbench/checks.py`` reads this view."""
+        return [Record(rec_id, kind, split, concept, features, name,
+                       row if split in PAIRED_SPLITS else None)
                 for split, kinds in self._columns.items() for kind, col in kinds.items()
-                for (rec_id, concept, pair, name), features in zip(col.rows(), col.features)]
+                for row, (rec_id, concept, name, features) in enumerate(
+                    zip(col.ids, col.concept_id.tolist(), col.class_name, col.features))]
 
     def _split(self, split: str) -> dict[str, Columns]:
         if split not in self._columns:
@@ -331,72 +348,18 @@ def _known_splits(splits) -> tuple[str, ...]:
     return tuple(split for split in SPLITS if split in splits)
 
 
-def _is_int64(value) -> bool:
-    # A JSON integer is a Python int of any size; a boolean is not one.
-    return type(value) is int and -(1 << 63) <= value < (1 << 63)
-
-
-def _check_pairing(split: str, videos: Columns, texts: Columns) -> None:
-    """Videos and texts list each pair index once, in one increasing order, with one concept."""
-    v, t = np.sort(videos.pair_index), np.sort(texts.pair_index)
-    if (v[1:] == v[:-1]).any() or (t[1:] == t[:-1]).any():
-        raise CorpusRecordError(f"split {split!r}: duplicate pair_index")
-    if not np.array_equal(v, t):
-        raise CorpusRecordError(f"split {split!r}: unmatched video/text pair indices")
-    for col in (videos, texts):
-        late = np.flatnonzero(col.pair_index[1:] < col.pair_index[:-1])
-        if late.size:
-            rec_id = col.ids[int(late[0]) + 1]
-            raise CorpusRecordError(f"split {split!r}: record {rec_id!r} is out of pair order")
-    bad = np.flatnonzero(videos.concept_id != texts.concept_id)
-    if bad.size:
-        i = int(bad[0])
-        raise CorpusRecordError(f"pair {v[i]} in split {split!r}: concept mismatch "
-                                f"({videos.ids[i]!r} vs {texts.ids[i]!r})")
-
-
-def _read_metadata(r: FrameReader, section: str, paired: bool, seen_ids: set) -> tuple:
-    """A block's checked rows as the ``ids``, ``concept_id``, ``pair_index``
-    (None in an unpaired split) and ``class_name`` columns."""
-    rows = r.read_json(section)
-    if type(rows) is not list:
-        raise CorpusFormatError(f"{r.source}: {section}: expected a JSON list")
-    for i, row in enumerate(rows):
-        if type(row) is not list or len(row) != 4:
-            raise CorpusFormatError(f"{r.source}: {section}: row {i}: expected "
-                                    "[id, concept_id, pair_index, class_name]")
-        rec_id, concept_id, pair_index, class_name = row
-        if not isinstance(rec_id, str):
-            raise CorpusFormatError(f"{r.source}: {section}: row {i}: record id must be a string")
-        if rec_id in seen_ids:
-            raise CorpusRecordError(f"record {rec_id!r}: duplicate id")
-        seen_ids.add(rec_id)
-        if not _is_int64(concept_id):
-            raise CorpusRecordError(f"record {rec_id!r}: concept_id must be a 64-bit integer")
-        if concept_id < 0:
-            raise CorpusRecordError(f"record {rec_id!r}: negative concept_id")
-        if pair_index is not None and not _is_int64(pair_index):
-            raise CorpusRecordError(f"record {rec_id!r}: pair_index must be a 64-bit integer")
-        if class_name is not None and not isinstance(class_name, str):
-            raise CorpusRecordError(f"record {rec_id!r}: class_name must be a string")
-        if paired and pair_index is None:
-            raise CorpusRecordError(f"record {rec_id!r}: paired split needs a pair_index")
-    ids, concepts, pairs, names = zip(*rows) if rows else ((), (), (), ())
-    return (list(ids), np.array(concepts, dtype=np.int64),
-            np.array(pairs, dtype=np.int64) if paired else None, list(names))
-
-
-def _read_features(r: FrameReader, section: str, ids: list, shape: tuple,
-                   keep: bool) -> np.ndarray | None:
-    """A features block as one ``(len(ids), *shape)`` array if ``keep``; else it is
-    read in chunks and dropped (None). Both ways every value is hashed,
+def _read_features(r: FrameReader, synth: SynthConfig, split: str, kind: str,
+                   keep: bool) -> Columns | None:
+    """A split's features block of ``kind`` as its ``Columns`` if ``keep``; else
+    it is read in chunks and dropped (None). Both ways every value is hashed,
     CRC-checked and checked finite."""
-    r.section = section
+    r.section = f"{split} {kind} features"
+    n, *shape = _block_shape(synth, split, kind)
     row_len = math.prod(shape)
     (count,) = r.unpack("<q")
-    if count != len(ids) * row_len:
-        raise CorpusFormatError(f"{r.source}: {section}: {count} values, but {len(ids)} "
-                                f"records of {row_len} values")
+    if count != n * row_len:
+        raise CorpusFormatError(f"{r.source}: {r.section}: {count} values, but the header "
+                                f"gives {n} records of {row_len} values")
     r.need(8 * count)
     values = np.empty(count if keep else min(count, _CHUNK_VALUES), dtype="<f8")
     crc, bad = 0, None
@@ -408,21 +371,20 @@ def _read_features(r: FrameReader, section: str, ids: list, shape: tuple,
             bad = start + int(np.argmin(np.isfinite(chunk)))
     r.check_crc(crc)
     if bad is not None:
-        raise CorpusRecordError(f"record {ids[bad // row_len]!r}: non-finite features")
-    return values.reshape(len(ids), *shape) if keep else None
+        rec_id = _id_format(split, kind).format(bad // row_len)
+        raise CorpusRecordError(f"record {rec_id!r}: non-finite features")
+    return _split_columns(synth, split, kind, values.reshape(n, *shape)) if keep else None
 
 
 def load_corpus(path, splits=SPLITS) -> Corpus:
     """Read and check a corpus file; keep the records of ``splits``.
 
-    Every block is read and checked, and every paired split's pairing, so a
-    file fails here exactly as it would with all splits kept. Framing errors
-    name the file and the section; record errors name the record id.
+    Every block is read and checked, so a file fails here exactly as it
+    would with all splits kept. Framing errors name the file and the
+    section; a non-finite value names its record.
     """
     path = Path(path)
     splits = _known_splits(splits)
-    columns: dict[str, dict[str, Columns]] = {}
-    seen_ids: set[str] = set()
     with open(path, "rb") as fh:
         r = FrameReader(fh, str(path), CorpusFormatError, "magic tag")
         if r.size < len(MAGIC) or r.take(len(MAGIC)) != MAGIC:
@@ -435,19 +397,10 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
             synth = SynthConfig(**header["synth"])
         except (TypeError, UsageError) as exc:
             raise CorpusFormatError(f"{path}: header: bad generation config: {exc}") from exc
-        for split in SPLITS:
-            columns[split] = {}
-            for kind in KINDS:
-                meta = _read_metadata(r, f"{split} {kind} metadata", split in PAIRED_SPLITS,
-                                      seen_ids)
-                shape = (synth.frames_per_video, synth.d_v) if kind == "video" else (synth.d_t,)
-                # A dropped split keeps its metadata, for the pairing check only.
-                columns[split][kind] = Columns(*meta, _read_features(
-                    r, f"{split} {kind} features", meta[0], shape, split in splits))
+        columns = {split: {kind: _read_features(r, synth, split, kind, split in splits)
+                           for kind in KINDS} for split in SPLITS}
         if not r.at_end():
             raise CorpusFormatError(f"{path}: trailing bytes after the corpus")
-    for split in PAIRED_SPLITS:
-        _check_pairing(split, columns[split]["video"], columns[split]["text"])
     return Corpus(synth, {split: columns[split] for split in splits}, r.digest.hexdigest())
 
 

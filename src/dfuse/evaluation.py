@@ -316,12 +316,6 @@ def delta_table(
     return rows
 
 
-def per_class_delta(
-    report_a: EvalReport, report_b: EvalReport, limit: int | None = None
-) -> list[tuple[str, float]]:
-    return delta_table(report_a.per_class_acc, report_b.per_class_acc, limit=limit)
-
-
 def rank_distribution(ranks_a: RankList, ranks_b: RankList) -> np.ndarray:
     """(position, sorted rank of a, sorted rank of b) rows for plotting.
 

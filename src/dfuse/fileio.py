@@ -79,9 +79,14 @@ def framed(count: int, chunks: Iterable) -> Iterator:
 
 
 def json_block(payload) -> Iterator:
-    """``payload`` as JSON text in one ``framed`` block whose count is its byte length."""
-    data = json.dumps(payload).encode()
+    """``payload`` as strict JSON text in one ``framed`` block whose count is its
+    byte length; a NaN or infinite float raises ``ValueError``."""
+    data = json.dumps(payload, allow_nan=False).encode()
     return framed(len(data), (data,))
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not JSON")
 
 
 class FrameReader:
@@ -134,13 +139,14 @@ class FrameReader:
             raise (error or self.error)(f"{self.source}: {self.section}: checksum mismatch")
 
     def read_json(self, section: str):
-        """The value of a ``json_block``, CRC-checked; ``section`` names it in errors."""
+        """The value of a ``json_block``, CRC-checked; ``section`` names it in errors.
+        JSON's non-standard ``NaN``, ``Infinity`` and ``-Infinity`` are invalid."""
         self.section = section
         (n,) = self.unpack("<q")
         data = self.take(n)
         self.check_crc(zlib.crc32(data))
         try:
-            return json.loads(data)
+            return json.loads(data, parse_constant=_reject_constant)
         except (ValueError, RecursionError):  # bad UTF-8 or JSON, or nested too deeply
             raise self.error(f"{self.source}: {section}: invalid JSON") from None
 

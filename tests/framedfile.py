@@ -1,4 +1,4 @@
-"""Take a framed file (a ``dfuse-corpus-v2`` corpus or a ``dfuse-checkpoint-v2``
+"""Take a framed file (a ``dfuse-corpus-v3`` corpus or a ``dfuse-checkpoint-v2``
 checkpoint) apart and frame it again, for tests that corrupt one.
 
 ``blocks`` splits a well-formed file into its framed blocks, and
@@ -15,8 +15,8 @@ import numpy as np
 
 from dfuse import checkpointio, corpus
 
-CORPUS_NAMES = ("header", *(f"{split} {kind} {part}" for split in corpus.SPLITS
-                            for kind in corpus.KINDS for part in ("metadata", "features")))
+CORPUS_NAMES = ("header", *(f"{split} {kind} features" for split in corpus.SPLITS
+                            for kind in corpus.KINDS))
 CHECKPOINT_NAMES = ("header", "values")
 FORMATS = {corpus.MAGIC: CORPUS_NAMES, checkpointio.MAGIC: CHECKPOINT_NAMES}
 
@@ -62,16 +62,6 @@ def edit_json(data: bytes, name: str, change) -> bytes:
     value = json.loads(blocks(data)[name][1])
     new = change(value)
     return replace(data, name, json.dumps(value if new is None else new).encode())
-
-
-def edit_row(data: bytes, name: str, index: int, **fields) -> bytes:
-    """``data`` with fields of row ``index`` of corpus metadata block ``name`` set."""
-    columns = ("id", "concept_id", "pair_index", "class_name")
-
-    def change(rows):
-        for key, value in fields.items():
-            rows[index][columns.index(key)] = value
-    return edit_json(data, name, change)
 
 
 def edit_values(data: bytes, name: str, change) -> bytes:

@@ -18,6 +18,7 @@ from dfuse.errors import (
     CheckpointFormatError,
     CheckpointLayoutError,
     CheckpointMagicError,
+    ValidationError,
 )
 from dfuse.losses import LossConfig
 
@@ -70,6 +71,15 @@ class TestRoundTrip:
         ))
         assert np.isnan(load_checkpoint(path).val_loss)
         assert json.loads(blocks(path.read_bytes())["header"][1])["val_loss"] is None
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf")])
+    def test_an_infinite_val_loss_is_refused_and_writes_no_file(self, tmp_path, ckpt, value):
+        # Strict JSON has no spelling for it, and null already means "none".
+        with pytest.raises(ValidationError) as info:
+            save_checkpoint(tmp_path / "model.ckpt", Checkpoint(
+                ckpt.enc_cfg, ckpt.loss_cfg, ckpt.params, step=0, val_loss=value))
+        assert str(info.value) == f"cannot store an infinite val_loss ({value})"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCorruption:
@@ -232,7 +242,7 @@ class TestHeaderValidation:
         data = checkpoint_bytes(ckpt)
         header = json.loads(blocks(data)["header"][1])
         header = {"v1": {**header, "format": "dfuse-checkpoint-v1"},
-                  "corpus": {**header, "format": "dfuse-corpus-v2"},
+                  "corpus": {**header, "format": "dfuse-corpus-v3"},
                   "number": {**header, "format": 2},
                   "missing": {key: value for key, value in header.items() if key != "format"},
                   "list": list(header), "string": "dfuse-checkpoint-v2"}[fault]
@@ -270,6 +280,19 @@ class TestHeaderValidation:
         path.write_bytes(replace(checkpoint_bytes(ckpt), "header", payload))
         with pytest.raises(CheckpointFormatError, match=f"^{path}: header: invalid JSON$"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_standard_json_constant_is_invalid_json(self, tmp_path, ckpt, constant):
+        # Python's json module reads these as floats; "val_loss": NaN would load
+        # as a second spelling of null.
+        text = json.dumps(json.loads(blocks(checkpoint_bytes(ckpt))["header"][1]))
+        text = text.replace('"val_loss": 0.25', f'"val_loss": {constant}')
+        assert constant in text
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(replace(checkpoint_bytes(ckpt), "header", text.encode()))
+        with pytest.raises(CheckpointFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: header: invalid JSON"
 
     def test_an_edited_but_valid_header_loads(self, tmp_path, ckpt):
         # The check is on types and values, not on the header's bytes.

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framedfile import blocks, edit_json, edit_row, edit_values, replace
+from framedfile import blocks, edit_json, edit_values, replace
 from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import load_corpus
@@ -366,7 +366,7 @@ def test_subcommand_help_lists_its_flags(command, monkeypatch, capsys):
     assert listed == {"--config": "CONFIG", **HELP_FLAGS[command]}
 
 def _flip_bit(data, split):
-    _, payload, start = blocks(data)[f"{split} video metadata"]
+    _, payload, start = blocks(data)[f"{split} video features"]
     at = start + 8 + len(payload) // 2
     return data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:]
 
@@ -374,21 +374,14 @@ def _flip_bit(data, split):
 # Faults of a split's video blocks in a corpus file, each caught by a
 # different check; tiny video records are 3 frames of 8 features.
 CORPUS_EDITS = {
-    "list-id": lambda data, s: edit_row(data, f"{s} video metadata", 0, id=["vid", 0]),
-    "float-concept-id": lambda data, s: edit_row(data, f"{s} video metadata", 0,
-                                                 concept_id=0.5),
-    "string-pair-index": lambda data, s: edit_row(data, f"{s} video metadata", 0,
-                                                  pair_index="x"),
-    "list-class-name": lambda data, s: edit_row(data, f"{s} video metadata", 0,
-                                                class_name=["concept_0"]),
-    "non-utf8-metadata": lambda data, s: replace(data, f"{s} video metadata", b'[["\xff"]]'),
-    "deeply-nested-metadata": lambda data, s: replace(data, f"{s} video metadata",
-                                                      b"[" * 100_000),
     "non-finite-feature": lambda data, s: edit_values(data, f"{s} video features",
                                                       lambda v: v.__setitem__(30, np.nan)),
-    "row-count": lambda data, s: edit_json(data, f"{s} video metadata", lambda rows: rows[1:]),
+    "row-count": lambda data, s: replace(data, f"{s} video features",
+                                         blocks(data)[f"{s} video features"][1][24 * 8:]),
     "flipped-bit": _flip_bit,
     "truncated": lambda data, s: data[:blocks(data)[f"{s} video features"][2] + 20],
+    "header-split-size": lambda data, s: edit_json(
+        data, "header", lambda h: h["synth"].update({f"n_{s.replace('-', '_')}": 1})),
 }
 
 
@@ -890,20 +883,6 @@ class TestPipelineCommands:
         ])
         assert code == 2
         assert capsys.readouterr().err == f"error: {full.value}\n"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
-
-    def test_pairing_fault_in_a_dropped_split_is_rejected(self, mini_pipeline, tmp_path,
-                                                         capsys):
-        root, _, videos = mini_pipeline
-        bad = tmp_path / "bad.jsonl"
-        bad.write_bytes(edit_row(videos.read_bytes(), "labeled-train video metadata", 0,
-                                 concept_id=3))
-        capsys.readouterr()
-        assert cli_dispatch(["eval-classify", "--ckpt", str(root / "teacher.ckpt"),
-                             "--corpus", str(bad), "--out", str(tmp_path / "cls")]) == 2
-        assert capsys.readouterr().err == (
-            "error: pair 0 in split 'labeled-train': concept mismatch "
-            "('vid-labeled-train-00000' vs 'txt-labeled-train-00000')\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
     def test_checkpoint_layout_mismatch_is_one_error_line(self, mini_pipeline, tmp_path,

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import dfuse.corpus as corpus_module
-from framedfile import (CORPUS_NAMES, assemble, blocks, edit_json, edit_row, edit_values,
-                        replace)
+from framedfile import CORPUS_NAMES, assemble, blocks, edit_json, edit_values, replace
 from dfuse.corpus import (
     FORMAT_TAG,
     MAGIC,
+    PAIRED_SPLITS,
     SPLITS,
     Columns,
     Corpus,
@@ -25,7 +25,7 @@ from dfuse.corpus import (
     video_feature_map,
 )
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
-from dfuse.fileio import sha256_file
+from dfuse.fileio import json_block, sha256_file
 from naive import naive_build_corpus, same_bits
 
 
@@ -53,13 +53,13 @@ class TestGeneration:
     def test_paired_records_share_concepts(self, tiny_corpus):
         for split in ("labeled-train", "labeled-val", "eval"):
             videos, texts = tiny_corpus.videos(split), tiny_corpus.texts(split)
-            assert videos.pair_index.tolist() == texts.pair_index.tolist() \
-                == list(range(len(videos)))
+            assert [i[4:] for i in videos.ids] == [i[4:] for i in texts.ids]
             assert videos.concept_id.tolist() == texts.concept_id.tolist()
+            pairs = [r.pair_index for r in tiny_corpus.records if r.split == split]
+            assert pairs == [*range(len(videos)), *range(len(texts))]
 
     def test_unlabeled_has_no_pairing(self, tiny_corpus):
-        assert tiny_corpus.videos("unlabeled").pair_index is None
-        assert tiny_corpus.texts("unlabeled").pair_index is None
+        assert {r.pair_index for r in tiny_corpus.records if r.split == "unlabeled"} == {None}
         with pytest.raises(UsageError):
             tiny_corpus.paired("unlabeled")
 
@@ -70,7 +70,7 @@ class TestGeneration:
         assert texts.features.shape == (n, tiny_synth.d_t)
         for col in (videos, texts):
             assert len(col) == len(col.ids) == len(col.class_name) == n
-            assert col.concept_id.dtype == col.pair_index.dtype == np.int64
+            assert col.concept_id.dtype == np.int64
             assert col.features.dtype == np.float64 and col.features.flags["C_CONTIGUOUS"]
 
     def test_eval_videos_carry_class_names(self, tiny_corpus, tiny_synth):
@@ -164,7 +164,7 @@ def _unlabeled_only(synth, videos, texts):
     (ids ``vid-i`` and ``txt-i``, concept 0) and whose other splits are empty."""
     def columns(tag, features):
         n = len(features)
-        return Columns([f"{tag}-{i}" for i in range(n)], np.zeros(n, dtype=np.int64), None,
+        return Columns([f"{tag}-{i}" for i in range(n)], np.zeros(n, dtype=np.int64),
                        [None] * n, features)
 
     empty = build_corpus(dataclasses.replace(synth, n_labeled_train=0, n_labeled_val=0,
@@ -187,7 +187,7 @@ class TestRecordsView:
         for split in corpus.splits:
             for kind, col in (("video", corpus.videos(split)), ("text", corpus.texts(split))):
                 for i in range(len(col)):
-                    pair = None if col.pair_index is None else int(col.pair_index[i])
+                    pair = i if split in PAIRED_SPLITS else None
                     want.append((col.ids[i], kind, split, int(col.concept_id[i]),
                                  col.class_name[i], pair, col.features[i]))
         records = corpus.records
@@ -238,13 +238,11 @@ class TestRoundTrip:
         assert assemble(parts) == data  # each CRC-32 is its payload's
         assert json.loads(parts["header"][1]) == {
             "format": FORMAT_TAG, "synth": dataclasses.asdict(tiny_synth)}
+        assert tuple(parts) == CORPUS_NAMES  # the header, then one block per split and kind
         built = build_corpus(tiny_synth)
         for split in SPLITS:
             for kind in ("video", "text"):
                 records = [r for r in built.records if (r.split, r.kind) == (split, kind)]
-                rows = json.loads(parts[f"{split} {kind} metadata"][1])
-                assert rows == [[r.id, r.concept_id, r.pair_index, r.class_name]
-                                for r in records]
                 count, payload, _ = parts[f"{split} {kind} features"]
                 assert payload == b"".join(r.features.astype("<f8").tobytes() for r in records)
                 assert count == len(payload) // 8 == len(records) * records[0].features.size
@@ -314,11 +312,16 @@ class TestRoundTrip:
 
 class TestFraming:
     @pytest.mark.parametrize("data", [
-        b'{"record": "header", "format": "dfuse-corpus-v1", "synth": {}}\n', b"", MAGIC[:5]],
-        ids=["v1-file", "empty", "short"])
-    def test_anything_but_a_v2_file_is_bad_magic(self, corpus_file, data):
+        b'{"record": "header", "format": "dfuse-corpus-v1", "synth": {}}\n',
+        # A v2 file's start: its tag and header; a JSON metadata block of
+        # [id, concept_id, pair_index, class_name] rows came before each features block.
+        b"".join([b"DFCORP02", *json_block({"format": "dfuse-corpus-v2", "synth": {}}),
+                  *json_block([["vid-labeled-train-00000", 0, 0, None]])]),
+        b"", MAGIC[:5]],
+        ids=["v1-file", "v2-file", "empty", "short"])
+    def test_anything_but_a_v3_file_is_bad_magic(self, corpus_file, data):
         _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: bad magic tag, not a dfuse-corpus-v2 file")
+               f"{corpus_file}: bad magic tag, not a dfuse-corpus-v3 file")
 
     @pytest.mark.parametrize("where", ["length", "payload", "crc"])
     @pytest.mark.parametrize("name", CORPUS_NAMES)
@@ -356,19 +359,26 @@ class TestFraming:
         ("labeled-train", "video", 24, 24), ("unlabeled", "text", 16, 8)])
     def test_the_row_count_must_match_the_block_size(self, corpus_file, split, kind, n,
                                                      row_len):
-        data = edit_json(corpus_file.read_bytes(), f"{split} {kind} metadata",
-                         lambda rows: rows[:-1])
+        # The header says one record fewer than the block holds.
+        good, size = corpus_file.read_bytes(), "n_" + split.replace("-", "_")
+        data = edit_json(good, "header", lambda h: h["synth"].update({size: n - 1}))
         _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: {split} {kind} features: {n * row_len} values, but {n - 1} "
+               f"{corpus_file}: {split} video features: {n * 24} values, but the header "
+               f"gives {n - 1} records of 24 values")
+        # A block's count says one value fewer than the header's records hold.
+        name = f"{split} {kind} features"
+        data = replace(good, name, blocks(good)[name][1][:-8])
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: {name}: {n * row_len - 1} values, but the header gives {n} "
                f"records of {row_len} values")
 
     @pytest.mark.parametrize("header", [
-        [], {"format": "dfuse-corpus-v1", "synth": {}}, {"synth": {}}, {"format": FORMAT_TAG},
+        [], {"format": "dfuse-corpus-v2", "synth": {}}, {"synth": {}}, {"format": FORMAT_TAG},
         {"format": FORMAT_TAG, "synth": [1]}])
-    def test_the_header_must_be_a_v2_object(self, corpus_file, header):
+    def test_the_header_must_be_a_v3_object(self, corpus_file, header):
         data = edit_json(corpus_file.read_bytes(), "header", lambda _: header)
         _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: header: expected a dfuse-corpus-v2 header")
+               f"{corpus_file}: header: expected a dfuse-corpus-v3 header")
 
     def test_an_unknown_config_key_is_a_bad_generation_config(self, corpus_file):
         data = edit_json(corpus_file.read_bytes(), "header",
@@ -381,98 +391,23 @@ class TestFraming:
 
     @pytest.mark.parametrize("payload", [b'{"format": ', b'["\xff"]', b"[" * 100_000, b""],
                              ids=["cut", "not-utf8", "nested-too-deeply", "empty"])
-    @pytest.mark.parametrize("name", ["header", "eval video metadata"])
+    @pytest.mark.parametrize("name", ["header"])
     def test_invalid_json_names_the_section(self, corpus_file, name, payload):
         _fails(corpus_file, replace(corpus_file.read_bytes(), name, payload), CorpusFormatError,
                f"{corpus_file}: {name}: invalid JSON")
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_a_non_standard_json_constant_is_invalid_json(self, corpus_file, constant):
+        # Python's json module would read these as floats; strict JSON has no such values.
+        text = json.dumps(json.loads(blocks(corpus_file.read_bytes())["header"][1]))
+        text = text.replace('"noise_sigma": 0.05', f'"noise_sigma": {constant}')
+        assert constant in text
+        _fails(corpus_file, replace(corpus_file.read_bytes(), "header", text.encode()),
+               CorpusFormatError, f"{corpus_file}: header: invalid JSON")
+
 
 class TestRecords:
-    """Each metadata row is checked, in the order of the checks below."""
-
-    def test_metadata_must_be_a_list(self, corpus_file):
-        data = edit_json(corpus_file.read_bytes(), "eval text metadata", lambda r: {"rows": r})
-        _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: eval text metadata: expected a JSON list")
-
-    @pytest.mark.parametrize("row", [None, "vid", ["vid-x", 0, 0], ["vid-x", 0, 0, None, 1],
-                                     {"id": "vid-x"}])
-    def test_a_row_must_be_a_list_of_four(self, corpus_file, row):
-        data = edit_json(corpus_file.read_bytes(), "labeled-val video metadata",
-                         lambda rows: rows.__setitem__(2, row))
-        _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: labeled-val video metadata: row 2: expected "
-               "[id, concept_id, pair_index, class_name]")
-
-    @pytest.mark.parametrize("value", [["vid", 0], 7, None])
-    def test_id_must_be_a_string(self, corpus_file, value):
-        data = edit_row(corpus_file.read_bytes(), "labeled-train video metadata", 1, id=value)
-        _fails(corpus_file, data, CorpusFormatError,
-               f"{corpus_file}: labeled-train video metadata: row 1: record id must be a string")
-
-    @pytest.mark.parametrize("name,index", [("eval text metadata", 3),
-                                            ("labeled-train video metadata", 2)])
-    def test_duplicate_id(self, corpus_file, name, index):
-        data = edit_row(corpus_file.read_bytes(), name, index, id="vid-labeled-train-00000")
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'vid-labeled-train-00000': duplicate id")
-
-    @pytest.mark.parametrize("value", [0.5, True, "0", None, 2**63, 2**64])
-    def test_concept_id_must_be_a_64_bit_integer(self, corpus_file, value):
-        data = edit_row(corpus_file.read_bytes(), "unlabeled video metadata", 1,
-                        concept_id=value)
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'vid-unlabeled-00001': concept_id must be a 64-bit integer")
-
-    def test_negative_concept_id(self, corpus_file):
-        data = edit_row(corpus_file.read_bytes(), "unlabeled text metadata", 4, concept_id=-1)
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'txt-unlabeled-00004': negative concept_id")
-
-    @pytest.mark.parametrize("value", ["x", 0.0, False, -(2**64), [1]])
-    def test_pair_index_must_be_a_64_bit_integer(self, corpus_file, value):
-        data = edit_row(corpus_file.read_bytes(), "labeled-train video metadata", 1,
-                        pair_index=value)
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'vid-labeled-train-00001': pair_index must be a 64-bit integer")
-
-    @pytest.mark.parametrize("value", [["concept_0"], 3, True])
-    def test_class_name_must_be_a_string(self, corpus_file, value):
-        data = edit_row(corpus_file.read_bytes(), "eval video metadata", 0, class_name=value)
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'vid-eval-00000': class_name must be a string")
-
-    def test_a_paired_record_needs_a_pair_index(self, corpus_file):
-        data = edit_row(corpus_file.read_bytes(), "labeled-val text metadata", 2,
-                        pair_index=None)
-        _fails(corpus_file, data, CorpusRecordError,
-               "record 'txt-labeled-val-00002': paired split needs a pair_index")
-
-    def test_the_checks_of_a_row_keep_their_order(self, corpus_file):
-        # Mend the row's faults one at a time; each reveals the next check.
-        name, rid = "eval video metadata", "vid-eval-00001"
-        faults = [("id", 9, CorpusFormatError,
-                   f"{corpus_file}: {name}: row 1: record id must be a string"),
-                  ("id", "vid-eval-00000", CorpusRecordError,
-                   "record 'vid-eval-00000': duplicate id"),
-                  ("concept_id", 0.5, CorpusRecordError,
-                   f"record '{rid}': concept_id must be a 64-bit integer"),
-                  ("concept_id", -1, CorpusRecordError, f"record '{rid}': negative concept_id"),
-                  ("pair_index", "1", CorpusRecordError,
-                   f"record '{rid}': pair_index must be a 64-bit integer"),
-                  ("class_name", 1, CorpusRecordError,
-                   f"record '{rid}': class_name must be a string"),
-                  ("pair_index", None, CorpusRecordError,
-                   f"record '{rid}': paired split needs a pair_index")]
-        fields = {"id": rid, "concept_id": 1, "pair_index": 1, "class_name": "concept_1"}
-        for step in range(len(faults)):
-            bad = {**fields}
-            for key, value, _, _ in faults[step:]:
-                if bad[key] == fields[key]:
-                    bad[key] = value
-            error, message = faults[step][2:]
-            _fails(corpus_file, edit_row(corpus_file.read_bytes(), name, 1, **bad), error,
-                   message)
+    """A record's features are its only stored field; a non-finite value names it."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval"])
@@ -482,12 +417,6 @@ class TestRecords:
         for splits in (SPLITS, ("eval",), ()):
             _fails(corpus_file, data, CorpusRecordError,
                    f"record 'vid-{split}-00005': non-finite features", splits)
-
-    def test_metadata_is_checked_before_its_features(self, corpus_file):
-        data = edit_values(corpus_file.read_bytes(), "eval text features",
-                           lambda v: v.__setitem__(0, np.nan))
-        data = edit_row(data, "eval text metadata", 9, concept_id=-3)
-        _fails(corpus_file, data, CorpusRecordError, "record 'txt-eval-00009': negative concept_id")
 
 
 def _flip(data, name):
@@ -507,19 +436,14 @@ _BLOCK_FAULTS = {
     "truncated": lambda data, s: data[:blocks(data)[f"{s} video features"][2] + 20],
     "flipped-bit": lambda data, s: _flip(data, f"{s} video features"),
     "count": lambda data, s: _features_count(data, f"{s} video features", -1),
-    "invalid-json": lambda data, s: replace(data, f"{s} video metadata", b"[["),
-    "list-id": lambda data, s: edit_row(data, f"{s} video metadata", 0, id=["vid", 0]),
-    "duplicate-id": lambda data, s: edit_row(data, f"{s} video metadata", 1,
-                                             id=f"vid-{s}-00000"),
-    "negative-concept": lambda data, s: edit_row(data, f"{s} video metadata", 0,
-                                                 concept_id=-1),
     "non-finite": lambda data, s: edit_values(data, f"{s} video features",
                                               lambda v: v.__setitem__(-1, np.inf)),
 }
 
 
 class TestSplitRetention:
-    """``load_corpus(path, splits)`` checks every block but keeps only ``splits``."""
+    """``load_corpus(path, splits)`` checks every block but keeps only ``splits``;
+    a dropped split keeps nothing."""
 
     @pytest.mark.parametrize("splits", [
         (), ("eval",), ("labeled-train", "labeled-val"),
@@ -559,25 +483,6 @@ class TestSplitRetention:
             with pytest.raises(full.type) as kept:
                 load_corpus(corpus_file, splits)
             assert str(kept.value) == str(full.value)
-
-    @pytest.mark.parametrize("fault,message", [
-        ("concept", "pair 0 in split 'labeled-val': concept mismatch "
-                    "('vid-labeled-val-00000' vs 'txt-labeled-val-00000')"),
-        ("duplicate", "split 'labeled-val': duplicate pair_index"),
-        ("unmatched", "split 'labeled-val': unmatched video/text pair indices"),
-        ("order", "split 'labeled-val': record 'vid-labeled-val-00000' is out of pair order"),
-    ])
-    def test_pairing_of_a_dropped_split_is_checked(self, corpus_file, fault, message):
-        name = "labeled-val video metadata"
-        if fault == "order":  # rows 0 and 1 swapped
-            data = edit_json(corpus_file.read_bytes(), name, lambda rows: [rows[1], rows[0],
-                                                                            *rows[2:]])
-        else:
-            change = ({"concept_id": 1} if fault == "concept" else
-                      {"pair_index": 1 if fault == "duplicate" else 10**6})
-            data = edit_row(corpus_file.read_bytes(), name, 0, **change)
-        for splits in [SPLITS, ("eval",), ("labeled-train", "unlabeled")]:
-            _fails(corpus_file, data, CorpusRecordError, message, splits)
 
     def test_a_dropped_block_is_read_in_bounded_chunks(self, tmp_path):
         cfg = SynthConfig(n_labeled_train=8, n_labeled_val=8, n_unlabeled=1024, n_eval=8)

@@ -19,7 +19,6 @@ from dfuse.evaluation import (
     evaluate_model,
     median_rank,
     parse_report_records,
-    per_class_delta,
     prepare_eval,
     rank_distribution,
     ranked_classes,
@@ -402,7 +401,7 @@ class TestEvaluateModel:
         inputs = prepare_eval(tiny_corpus, tiny_enc, build_prompt_set(tiny_corpus.synth))
         rep_a = evaluate_model(params_a, inputs, tiny_enc)
         rep_b = evaluate_model(params_b, inputs, tiny_enc)
-        rows = dict(per_class_delta(rep_a, rep_b))
+        rows = dict(delta_table(rep_a.per_class_acc, rep_b.per_class_acc))
         counts = rep_a.per_class_count
         weighted = sum(rows[c] * counts[c] for c in rows) / sum(counts.values())
         assert weighted == pytest.approx(rep_a.summary["top1"] - rep_b.summary["top1"],

@@ -7,7 +7,7 @@ import pytest
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.corpus import gen_corpus
 from dfuse.encoder import init_params
-from dfuse.fileio import atomic_write_chunks, tsv
+from dfuse.fileio import atomic_write_chunks, json_block, tsv
 from dfuse.losses import LossConfig
 
 
@@ -78,3 +78,10 @@ def test_tsv_writes_header_then_rows_with_str():
     rows = [("a", 0.1, 3), (np.int64(2), np.float64(0.25), 1e-05)]
     assert tsv(("name", "x", "y"), rows) == "name\tx\ty\na\t0.1\t3\n2\t0.25\t1e-05\n"
     assert tsv(("position", "rank_a", "rank_b"), []) == "position\trank_a\trank_b\n"
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_json_block_refuses_non_finite_floats(value):
+    # Python's json module would write NaN or Infinity, which strict JSON lacks.
+    with pytest.raises(ValueError):
+        json_block({"val_loss": value})
