@@ -8,11 +8,11 @@ import pytest
 
 from framedfile import blocks, edit_json, edit_values, replace
 from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
-from dfuse.cli import cli_dispatch
+from dfuse.cli import _sweep_summary, cli_dispatch
 from dfuse.corpus import load_corpus
 from dfuse.encoder import ParamVector
 from dfuse.errors import DfuseError, UsageError
-from dfuse.evaluation import parse_report_records
+from dfuse.evaluation import SUMMARY_METRICS, parse_report_records
 from dfuse.fileio import sha256_file
 
 TINY_CORPUS_ARGS = [
@@ -984,6 +984,106 @@ class TestSplitsKept:
             [corpus] = loaded
             assert corpus.splits == kept, argv[0]
             assert {r.split for r in corpus.records} == set(kept), argv[0]
+
+
+# Each command that reads a corpus, with a split it drops.
+_CORPUS_COMMANDS = {
+    "pretrain-teacher": (["pretrain-teacher", "--max-steps", "2", "--eval-every", "1",
+                          "--batch-size-labeled", "4", "--hidden-dim", "10", "--embed-dim", "6"],
+                         "eval"),
+    "train-student": (["train-student", "--teacher", "{teacher}", "--max-steps", "2",
+                       "--eval-every", "1", "--batch-size-labeled", "4",
+                       "--batch-size-unlabeled", "4"], "eval"),
+    "train-student-lambda-0": (["train-student", "--teacher", "{teacher}", "--lambda", "0",
+                                "--max-steps", "2", "--eval-every", "1",
+                                "--batch-size-labeled", "4"], "unlabeled"),
+    "eval-retrieval": (["eval-retrieval", "--ckpt", "{teacher}"], "labeled-val"),
+    "eval-classify": (["eval-classify", "--ckpt", "{teacher}"], "labeled-val"),
+    "sweep-alpha": (["sweep-alpha", "--teacher", "{teacher}", "--student", "{student}",
+                     "--alphas", "0,1"], "labeled-val"),
+}
+
+
+class TestCorpusCommands:
+    """Every command that reads a corpus fails on a bad one with one line, the
+    load's own message, however few splits it keeps."""
+
+    @staticmethod
+    def _run(mini_pipeline, tmp_path, capsys, command, corpus) -> tuple[int, str, str]:
+        root = mini_pipeline[0]
+        argv = [arg.format(teacher=root / "teacher.ckpt", student=root / "student.ckpt")
+                for arg in _CORPUS_COMMANDS[command][0]]
+        capsys.readouterr()
+        code = cli_dispatch([*argv, "--corpus", str(corpus), "--out", str(tmp_path / "out")])
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("command", _CORPUS_COMMANDS)
+    def test_a_v2_corpus_is_one_error_line(self, mini_pipeline, tmp_path, capsys, command):
+        # A v2 file starts with its own tag and the same framed header.
+        _, _, videos = mini_pipeline
+        data = videos.read_bytes()
+        header = blocks(data)["header"]
+        bad = tmp_path / "v2.jsonl"
+        bad.write_bytes(b"DFCORP02" + data[8:header[2] + len(header[1]) + 20])
+        assert self._run(mini_pipeline, tmp_path, capsys, command, bad) == (
+            2, "", f"error: {bad}: bad magic tag, not a dfuse-corpus-v3 file\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["v2.jsonl"]
+
+    @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
+    @pytest.mark.parametrize("command", _CORPUS_COMMANDS)
+    def test_a_fault_in_a_dropped_split_fails_as_in_a_full_load(self, mini_pipeline, tmp_path,
+                                                                capsys, command, edit):
+        _, _, videos = mini_pipeline
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(edit(videos.read_bytes(), _CORPUS_COMMANDS[command][1]))
+        with pytest.raises(DfuseError) as full:
+            load_corpus(bad)
+        assert self._run(mini_pipeline, tmp_path, capsys, command, bad) == (
+            2, "", f"error: {full.value}\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.jsonl"]
+
+
+def _sweep_rows(metric, values, alphas=(0.0, 0.5, 1.0)):
+    """Sweep rows over ``alphas`` in which only ``metric`` varies, taking ``values``."""
+    flat = {m: 4 if m == "mdr" else 0.5 for m in SUMMARY_METRICS}
+    return [{"alpha": a, **flat, metric: v} for a, v in zip(alphas, values)]
+
+
+class TestSweepSummary:
+    """A lower median rank is better; a higher value of any other metric is."""
+
+    @pytest.mark.parametrize("metric", SUMMARY_METRICS)
+    def test_best_alpha_follows_the_metric_s_direction(self, metric):
+        # The largest value is at alpha 0, the smallest at alpha 0.5.
+        values = (3, 1, 2) if metric == "mdr" else (0.3, 0.1, 0.2)
+        summary = _sweep_summary(_sweep_rows(metric, values))
+        assert summary["best_alpha"][metric] == (0.5 if metric == "mdr" else 0.0)
+        assert summary["alphas"] == [0.0, 0.5, 1.0] and summary["record"] == "summary"
+
+    @pytest.mark.parametrize("metric", SUMMARY_METRICS)
+    def test_interior_beats_endpoints_only_when_strictly_better(self, metric):
+        def interior(values):
+            return _sweep_summary(_sweep_rows(metric, values, (0.0, 0.25, 0.75, 1.0))
+                                  )["interior_beats_endpoints"][metric]
+
+        if metric == "mdr":
+            assert interior((3, 5, 2, 4)) is True
+            assert interior((3, 5, 3, 4)) is False  # a tie with the better endpoint
+            assert interior((3, 5, 6, 4)) is False
+        else:
+            assert interior((0.4, 0.1, 0.5, 0.3)) is True
+            assert interior((0.4, 0.1, 0.4, 0.3)) is False
+            assert interior((0.4, 0.1, 0.2, 0.3)) is False
+
+    def test_a_tie_goes_to_the_first_alpha(self):
+        summary = _sweep_summary(_sweep_rows("top1", (0.5, 0.5, 0.5), (0.75, 0.25, 0.5)))
+        assert set(summary["best_alpha"].values()) == {0.75}
+
+    @pytest.mark.parametrize("alphas", [(0.0, 0.5), (0.5, 1.0)])
+    def test_without_both_endpoints_interior_is_unknown(self, alphas):
+        summary = _sweep_summary(_sweep_rows("top1", (0.2, 0.3), alphas))
+        assert summary["interior_beats_endpoints"] == dict.fromkeys(SUMMARY_METRICS)
+        assert summary["best_alpha"]["top1"] == alphas[1]
 
 
 class TestManifestDigests:

@@ -203,6 +203,62 @@ class TestRecordsView:
             corpus.records = []
 
 
+class TestDerivedColumns:
+    """Every field of a record but its features follows from the config and its
+    row, the same way for a built corpus and a loaded one."""
+
+    @pytest.mark.parametrize("source", ["built", "loaded"])
+    @pytest.mark.parametrize("kind", ["video", "text"])
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_a_split_s_records_follow_from_the_config(self, corpus_file, tiny_synth, split,
+                                                       kind, source):
+        corpus = build_corpus(tiny_synth) if source == "built" else load_corpus(corpus_file)
+        col = corpus.videos(split) if kind == "video" else corpus.texts(split)
+        n = getattr(tiny_synth, "n_" + split.replace("-", "_"))
+        tag = "vid" if kind == "video" else "txt"
+        assert col.ids == [f"{tag}-{split}-{i:05d}" for i in range(n)]
+        assert col.concept_id.dtype == np.int64
+        assert col.concept_id.tolist() == [i % tiny_synth.n_concepts for i in range(n)]
+        if (split, kind) == ("eval", "video"):
+            assert col.class_name == [f"concept_{i % tiny_synth.n_concepts}" for i in range(n)]
+        else:
+            assert col.class_name == [None] * n
+        assert len(col) == len(col.features) == n
+
+    @pytest.mark.parametrize("split", PAIRED_SPLITS)
+    def test_row_i_of_a_paired_split_is_pair_i(self, corpus_file, split):
+        corpus = load_corpus(corpus_file, (split,))
+        videos, texts = corpus.videos(split), corpus.texts(split)
+        assert [i.split("-", 1)[1] for i in videos.ids] == [i.split("-", 1)[1] for i in texts.ids]
+        assert videos.concept_id.tolist() == texts.concept_id.tolist()
+        pairs = {(r.kind, r.id): r.pair_index for r in corpus.records}
+        assert [pairs["video", i] for i in videos.ids] == [*range(len(videos))]
+        assert [pairs["text", i] for i in texts.ids] == [*range(len(texts))]
+
+    @pytest.mark.parametrize("n_concepts,width", [(2, 1), (10, 1), (11, 2), (100, 2),
+                                                  (101, 3)])
+    def test_class_names_are_padded_to_the_widest_concept(self, n_concepts, width):
+        cfg = SynthConfig(n_concepts=n_concepts, latent_dim=2, d_v=2, d_t=2, frames_per_video=1,
+                          n_labeled_train=0, n_labeled_val=0, n_unlabeled=0, n_eval=n_concepts)
+        names = build_corpus(cfg).videos("eval").class_name
+        assert names == [f"concept_{c:0{width}d}" for c in range(n_concepts)]
+        assert names == sorted(names) and len(set(names)) == n_concepts
+
+    @pytest.mark.parametrize("n_eval", [0, 3, 4, 5, 9])
+    def test_concepts_cycle_through_a_split_of_any_size(self, tmp_path, tiny_synth, n_eval):
+        cfg = dataclasses.replace(tiny_synth, n_eval=n_eval)
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(cfg, path)
+        videos = load_corpus(path, ("eval",)).videos("eval")
+        assert videos.concept_id.tolist() == [i % 4 for i in range(n_eval)]
+        assert videos.features.shape == (n_eval, cfg.frames_per_video, cfg.d_v)
+        assert videos.ids == [f"vid-eval-{i:05d}" for i in range(n_eval)]
+
+    def test_ids_are_unique_across_the_corpus(self, corpus_file):
+        ids = [(r.kind, r.id) for r in load_corpus(corpus_file).records]
+        assert len({rec_id for _, rec_id in ids}) == len(ids)
+
+
 @pytest.fixture
 def corpus_file(tmp_path, tiny_synth):
     path = tmp_path / "corpus.jsonl"
@@ -246,6 +302,15 @@ class TestRoundTrip:
                 count, payload, _ = parts[f"{split} {kind} features"]
                 assert payload == b"".join(r.features.astype("<f8").tobytes() for r in records)
                 assert count == len(payload) // 8 == len(records) * records[0].features.size
+
+    @pytest.mark.parametrize("name", list(_ORACLE_CONFIGS))
+    def test_every_config_round_trips(self, tmp_path, name):
+        cfg = _ORACLE_CONFIGS[name]
+        path = tmp_path / "corpus.dfc"
+        built = gen_corpus(cfg, path)
+        loaded = load_corpus(path)
+        assert loaded.synth == cfg and loaded.sha256 == sha256_file(path)
+        assert _records(loaded) == _records(built)
 
     def test_a_kept_features_block_is_one_writable_array(self, corpus_file, tiny_synth):
         videos = load_corpus(corpus_file, ("eval",)).videos("eval")
@@ -372,6 +437,35 @@ class TestFraming:
                f"{corpus_file}: {name}: {n * row_len - 1} values, but the header gives {n} "
                f"records of {row_len} values")
 
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_a_header_split_size_must_match_its_blocks(self, corpus_file, tiny_synth, split,
+                                                       delta):
+        size = "n_" + split.replace("-", "_")
+        n = getattr(tiny_synth, size)
+        data = edit_json(corpus_file.read_bytes(), "header",
+                         lambda h: h["synth"].update({size: n + delta}))
+        row_len = tiny_synth.frames_per_video * tiny_synth.d_v
+        _fails(corpus_file, data, CorpusFormatError,
+               f"{corpus_file}: {split} video features: {n * row_len} values, but the header "
+               f"gives {n + delta} records of {row_len} values")
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    @pytest.mark.parametrize("name", CORPUS_NAMES[1:])
+    def test_every_block_s_count_must_match_the_header(self, corpus_file, tiny_synth, name,
+                                                       delta):
+        # The payload is framed again, so only the count check can catch it.
+        split, kind, _ = name.split()
+        n = getattr(tiny_synth, "n_" + split.replace("-", "_"))
+        row_len = (tiny_synth.frames_per_video * tiny_synth.d_v if kind == "video"
+                   else tiny_synth.d_t)
+        good = corpus_file.read_bytes()
+        payload = blocks(good)[name][1]
+        payload = payload[:-8] if delta < 0 else payload + struct.pack("<d", 0.5)
+        _fails(corpus_file, replace(good, name, payload), CorpusFormatError,
+               f"{corpus_file}: {name}: {n * row_len + delta} values, but the header gives "
+               f"{n} records of {row_len} values")
+
     @pytest.mark.parametrize("header", [
         [], {"format": "dfuse-corpus-v2", "synth": {}}, {"synth": {}}, {"format": FORMAT_TAG},
         {"format": FORMAT_TAG, "synth": [1]}])
@@ -417,6 +511,31 @@ class TestRecords:
         for splits in (SPLITS, ("eval",), ()):
             _fails(corpus_file, data, CorpusRecordError,
                    f"record 'vid-{split}-00005': non-finite features", splits)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_non_finite_text_features_name_the_record(self, corpus_file, split, value):
+        # A text row is 8 values: value 8 * 6 + 7 is the last of record 6.
+        data = edit_values(corpus_file.read_bytes(), f"{split} text features",
+                           lambda v: v.__setitem__(8 * 6 + 7, value))
+        for splits in (SPLITS, (split,), ()):
+            _fails(corpus_file, data, CorpusRecordError,
+                   f"record 'txt-{split}-00006': non-finite features", splits)
+
+    @pytest.mark.parametrize("splits", [SPLITS, ("eval",)], ids=["kept", "dropped"])
+    def test_the_first_non_finite_value_of_a_block_is_named(self, tmp_path, splits):
+        # Two bad records in different chunks of a dropped block's read.
+        cfg = SynthConfig(d_v=2, d_t=2, frames_per_video=2, n_labeled_train=0, n_labeled_val=0,
+                          n_unlabeled=10_000, n_eval=1)
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(cfg, path)
+
+        def change(v):
+            v[4 * 9000] = np.inf
+            v[4 * 20] = np.nan
+        data = edit_values(path.read_bytes(), "unlabeled video features", change)
+        _fails(path, data, CorpusRecordError,
+               "record 'vid-unlabeled-00020': non-finite features", splits)
 
 
 def _flip(data, name):
@@ -474,7 +593,7 @@ class TestSplitRetention:
             load_corpus(corpus_file, ("eval",)).videos("test")
 
     @pytest.mark.parametrize("fault", _BLOCK_FAULTS)
-    @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval"])
+    @pytest.mark.parametrize("split", ["labeled-train", "unlabeled", "eval", "labeled-val"])
     def test_a_dropped_block_is_checked_as_a_kept_one(self, corpus_file, split, fault):
         corpus_file.write_bytes(_BLOCK_FAULTS[fault](corpus_file.read_bytes(), split))
         with pytest.raises((CorpusFormatError, CorpusRecordError)) as full:

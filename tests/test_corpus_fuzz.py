@@ -5,22 +5,25 @@ drops and loads the file twice: keeping only ``eval`` and keeping every
 split. The two loads must end in the same error class and message, or both
 load and agree on every kept record, bit for bit. Byte mutations
 (truncation, flipped bits, an overwritten length field) leave the CRCs as
-they were. Value mutations (non-finite or changed features) are framed
-again with fresh CRCs, so that they reach the checks behind the checksum. A
-sample of the failing files then goes through the CLI, which must end in one
+they were. Value mutations (non-finite, changed, swapped, dropped or added
+rows of features, or a resized split in the header) are framed again with
+fresh CRCs, so that they reach the checks behind the checksum. A sample of
+the failing files then goes through the CLI, which must end in one
 ``error:`` line and no output.
 
-A second test flips every bit of a tiny corpus's magic tag, header and
-block-length fields, and a seeded sample of the bits of its features blocks.
+The framing tests flip every bit of a tiny corpus's magic tag, header and
+block-length fields, one field to a case, and a seeded sample of the bits of
+its features blocks.
 """
 
+import json
 import os
 import struct
 
 import numpy as np
 import pytest
 
-from framedfile import CORPUS_NAMES, blocks, edit_values
+from framedfile import CORPUS_NAMES, blocks, edit_json, edit_values, replace
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.cli import cli_dispatch
 from dfuse.corpus import MAGIC, SPLITS, SynthConfig, gen_corpus, load_corpus
@@ -77,13 +80,45 @@ def _new_values(data, name, rng):
     return edit_values(data, name, change)
 
 
+def _row_len(data, name):
+    """Values per record of features block ``name``, from the file's header."""
+    synth = json.loads(blocks(data)["header"][1])["synth"]
+    return synth["frames_per_video"] * synth["d_v"] if "video" in name else synth["d_t"]
+
+
+def _drop_or_add_row(data, name, rng):
+    """One record's values fewer or more: the count no longer fits the header."""
+    payload, size = blocks(data)[name][1], _row_len(data, name)
+    extra = rng.standard_normal(size).astype("<f8").tobytes()
+    return replace(data, name, payload[:-8 * size] if rng.integers(2) else payload + extra)
+
+
+def _swap_rows(data, name, rng):
+    """Two records' values swapped: the file still loads."""
+    def change(values):
+        rows = values.reshape(-1, _row_len(data, name))
+        i, j = rng.choice(len(rows), 2, replace=False)
+        rows[[i, j]] = rows[[j, i]]
+    return edit_values(data, name, change)
+
+
+def _resize_split(data, name, rng):
+    """The header's size of the block's split moved by one to three records."""
+    size = "n_" + name.split()[0].replace("-", "_")
+    delta = int(rng.integers(1, 4)) * (1 if rng.integers(2) else -1)
+    return edit_json(data, "header", lambda h: h["synth"].update({size: h["synth"][size] + delta}))
+
+
 def _unchanged(data, name, rng):
     return data
 
 
 # mutation name -> mutate
 MUTATIONS = {f.__name__[1:]: f for f in (_truncate, _flip_bits, _overwrite_length, _non_finite,
-                                         _new_values, _unchanged)}
+                                         _new_values, _drop_or_add_row, _swap_rows,
+                                         _resize_split, _unchanged)}
+# The mutations whose every case still loads.
+LOADING = ("new_values", "swap_rows", "unchanged")
 
 
 def _outcome(path, splits):
@@ -123,7 +158,7 @@ def test_a_dropped_block_loads_or_fails_as_in_a_full_load(base, name):
         path.write_bytes(data)
         full = _outcome(path, SPLITS)
         assert _outcome(path, KEPT) == full, (name, case)
-        if name in ("unchanged", "new_values"):
+        if name in LOADING:
             assert not isinstance(full[0], type), full
 
 
@@ -171,58 +206,88 @@ def test_failing_cases_are_one_error_line_on_the_command_line(base, teacher, tmp
                 _fails_on_the_command_line(data, full[1], teacher, tmp_path, capsys)
                 ran += 1
                 break
-    assert ran == len(MUTATIONS) - 2  # all but "unchanged" and "new_values"
+    assert ran == len(MUTATIONS) - len(LOADING)
 
 
-def test_every_framing_bit_flip_is_one_error(teacher, tmp_path, capsys):
-    """Each single-bit flip of the magic tag, the header block (its length and
-    CRC fields too) and every features block's length field fails the load
-    that ``eval-retrieval`` makes, with one line naming the file. So does a
-    seeded sample of flips of the features blocks' values and CRCs.
-
-    The command line turns that error into exit 2 and one ``error:`` line
-    (the mutation cases above show that the load fails the same way whatever
-    splits it keeps); a seeded sample of the framing flips, at least one per
-    field, goes through it.
-    """
-    path = tmp_path / "corpus.jsonl"
+@pytest.fixture(scope="module")
+def flip_base(tmp_path_factory):
+    """The bytes of a tiny corpus, every block a few dozen bytes."""
+    path = tmp_path_factory.mktemp("flip") / "corpus.jsonl"
     gen_corpus(SynthConfig(n_concepts=2, latent_dim=2, d_v=8, d_t=8, frames_per_video=2,
                            n_labeled_train=1, n_labeled_val=1, n_unlabeled=1, n_eval=2, seed=3),
                path)
-    data = path.read_bytes()
+    return path.read_bytes()
+
+
+# The framing fields: the magic tag, the header block (its length and CRC
+# fields too) and each features block's length field.
+FRAMING_FIELDS = ("magic tag", "header", *(f"{name} length" for name in CORPUS_NAMES[1:]))
+
+
+def _spans(data):
+    """``(framing field -> byte offsets, offsets of the features blocks' values and CRCs)``."""
     parts = blocks(data)
-    header, features = parts.pop("header"), parts
-    # The bytes of each framing field: the magic tag, the header block, each length field.
+    header = parts.pop("header")
     fields = {"magic tag": range(len(MAGIC)),
               "header": range(header[2], header[2] + len(header[1]) + 12),
-              **{name: range(start, start + 8) for name, (_, _, start) in features.items()}}
-    values = [at for _, payload, start in features.values()
+              **{f"{name} length": range(start, start + 8)
+                 for name, (_, _, start) in parts.items()}}
+    values = [at for _, payload, start in parts.values()
               for at in range(start + 8, start + len(payload) + 12)]
-    assert sorted([*values, *(at for span in fields.values() for at in span)]) \
-        == [*range(len(data))]
-    rng = np.random.default_rng(SEED)
-    framing = {name: [(at, bit) for at in span for bit in range(8)] for name, span in fields.items()}
-    failures = {}
-    with open(path, "r+b", buffering=0) as fh:  # flip one byte in place, then restore it
-        def flipped_load(at, bit):
-            os.pwrite(fh.fileno(), bytes([data[at] ^ 1 << bit]), at)
-            with pytest.raises((CorpusFormatError, CorpusRecordError)) as info:
-                load_corpus(path, KEPT)
-            os.pwrite(fh.fileno(), data[at:at + 1], at)
-            assert "\n" not in str(info.value), (at, bit)
-            return str(info.value)
+    return fields, values
 
-        for name, bits in framing.items():
-            for at, bit in bits:
-                message = flipped_load(at, bit)
-                assert message.startswith(f"{path}: "), (name, at, bit, message)
-                failures.setdefault(name, []).append((at, bit, message))
+
+def test_the_framing_fields_and_the_values_cover_the_file(flip_base):
+    fields, values = _spans(flip_base)
+    assert tuple(fields) == FRAMING_FIELDS
+    assert sorted([*values, *(at for span in fields.values() for at in span)]) \
+        == [*range(len(flip_base))]
+
+
+def _flipped_load(fh, path, data, at, bit):
+    """The one-line message of loading ``path`` with bit ``bit`` of byte ``at``
+    flipped in place; the byte is restored after."""
+    os.pwrite(fh.fileno(), bytes([data[at] ^ 1 << bit]), at)
+    with pytest.raises((CorpusFormatError, CorpusRecordError)) as info:
+        load_corpus(path, KEPT)
+    os.pwrite(fh.fileno(), data[at:at + 1], at)
+    assert "\n" not in str(info.value), (at, bit)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("field", FRAMING_FIELDS)
+def test_every_framing_bit_flip_is_one_error(flip_base, teacher, tmp_path, capsys, field):
+    """Each single-bit flip of ``field`` fails the load that ``eval-retrieval``
+    makes, with one line naming the file.
+
+    The command line turns that error into exit 2 and one ``error:`` line
+    (the mutation cases above show that the load fails the same way whatever
+    splits it keeps); the first flip and a seeded sample of the others go
+    through it.
+    """
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(flip_base)
+    failures = []
+    with open(path, "r+b", buffering=0) as fh:  # flip one byte in place, then restore it
+        for at in _spans(flip_base)[0][field]:
+            for bit in range(8):
+                message = _flipped_load(fh, path, flip_base, at, bit)
+                assert message.startswith(f"{path}: "), (at, bit, message)
+                failures.append((at, bit, message))
+    rng = np.random.default_rng([SEED, FRAMING_FIELDS.index(field)])
+    for index in {0, *(int(i) for i in rng.integers(len(failures), size=3))}:
+        at, bit, message = failures[index]
+        flipped = bytearray(flip_base)
+        flipped[at] ^= 1 << bit
+        _fails_on_the_command_line(bytes(flipped), message, teacher, tmp_path, capsys)
+
+
+def test_a_sample_of_value_flips_is_one_error(flip_base, tmp_path):
+    """A seeded sample of flips of the features blocks' values and CRCs fails too."""
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(flip_base)
+    values = _spans(flip_base)[1]
+    rng = np.random.default_rng(SEED)
+    with open(path, "r+b", buffering=0) as fh:
         for at, bit in zip(rng.choice(values, 256), rng.integers(8, size=256)):
-            flipped_load(int(at), int(bit))
-    assert sum(map(len, failures.values())) == 8 * sum(map(len, fields.values()))
-    for name, cases in failures.items():
-        for index in {0, *(int(i) for i in rng.integers(len(cases), size=3))}:
-            at, bit, message = cases[index]
-            flipped = bytearray(data)
-            flipped[at] ^= 1 << bit
-            _fails_on_the_command_line(bytes(flipped), message, teacher, tmp_path, capsys)
+            _flipped_load(fh, path, flip_base, int(at), int(bit))

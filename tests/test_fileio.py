@@ -1,5 +1,9 @@
+import hashlib
+import io
 import os
 import stat
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ import pytest
 from dfuse.checkpointio import Checkpoint, save_checkpoint
 from dfuse.corpus import gen_corpus
 from dfuse.encoder import init_params
-from dfuse.fileio import atomic_write_chunks, json_block, tsv
+from dfuse.fileio import FrameReader, atomic_write_chunks, framed, json_block, tsv
 from dfuse.losses import LossConfig
 
 
@@ -85,3 +89,33 @@ def test_a_json_block_refuses_non_finite_floats(value):
     # Python's json module would write NaN or Infinity, which strict JSON lacks.
     with pytest.raises(ValueError):
         json_block({"val_loss": value})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_a_json_block_refuses_a_nested_non_finite_float(value):
+    with pytest.raises(ValueError):
+        json_block({"synth": {"noise_sigma": [0.5, value]}})
+
+
+def _reader(data: bytes) -> FrameReader:
+    return FrameReader(io.BytesIO(data), "f.bin", ValueError, "start")
+
+
+def test_a_json_block_reads_back_with_its_digest():
+    payload = {"format": "x", "synth": {"seed": 2**63 - 1, "noise_sigma": 5e-324, "a": [None]}}
+    data = b"".join(json_block(payload))
+    assert data[:8] == struct.pack("<q", len(data) - 12)
+    assert data[-4:] == struct.pack("<I", zlib.crc32(data[8:-4]))
+    r = _reader(data)
+    assert r.read_json("header") == payload
+    assert r.at_end() and r.digest.digest() == hashlib.sha256(data).digest()
+
+
+@pytest.mark.parametrize("where", ["bare", "in a list", "as an object value"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_read_json_refuses_a_non_standard_constant(constant, where):
+    text = {"bare": "{c}", "in a list": "[1, {c}]", "as an object value": '{{"x": {c}}}'}[where]
+    data = text.format(c=constant).encode()
+    with pytest.raises(ValueError) as info:
+        _reader(b"".join(framed(len(data), (data,)))).read_json("header")
+    assert str(info.value) == "f.bin: header: invalid JSON"
