@@ -11,8 +11,11 @@ Each run that writes files also writes a ``<output>.manifest.json`` with the
 resolved configuration and SHA-256 checksums of its inputs. A corpus input is
 hashed as ``load_corpus`` reads it, so its bytes are read once; any other
 input is hashed when the manifest is written. A command that reads a corpus
-keeps only the splits it uses, though every block is still checked. Exit codes:
-0 success, 1 usage error, 2 runtime or validation failure.
+keeps only the splits it uses, each video sampled to the encoder's
+``n_frames``, though every block and value is still checked. A value that
+fails its config's range check names the config file and line it came from,
+as one that fails to parse does. Exit codes: 0 success, 1 usage error, 2
+runtime or validation failure.
 """
 
 from __future__ import annotations
@@ -23,12 +26,13 @@ import io
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from .corpus import Corpus, SynthConfig, gen_corpus, load_corpus
-from .encoder import EncoderConfig, check_seed
+from .encoder import EncoderConfig
 from .errors import DfuseError, UsageError, ValidationError
 from .evaluation import (
     DEFAULT_TEMPLATE,
@@ -107,9 +111,50 @@ def _field_opts(cls, skip: tuple[str, ...] = (), **defaults) -> list[_Opt]:
             for f in fields(cls) if f.name not in skip]
 
 
-def _build(cls, values: dict, **fixed):
-    """``cls`` built from the resolved option values; ``fixed`` sets the fields no option sets."""
-    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name in values}, **fixed)
+class _Resolved(dict):
+    """Option name -> resolved value. ``lines`` maps the name of each value read
+    from the config file ``self["config_file"]`` to its line there, in line order."""
+
+    def __init__(self, values: dict, lines: dict[str, int]):
+        super().__init__(values)
+        self.lines = lines
+
+
+def _build(cls, values: _Resolved, **fixed):
+    """``cls`` built from the resolved option values; ``fixed`` sets the fields no option sets.
+
+    When a check of ``cls`` fails, and a value from the config file fails
+    that same check on its own (the other fields at their defaults), the
+    error names that value's file and line.
+    """
+    given = {f.name: values[f.name] for f in fields(cls) if f.name in values}
+    try:
+        return cls(**given, **fixed)
+    except UsageError as exc:
+        for name in values.lines:
+            if name in given:
+                try:
+                    cls(**{name: given[name]}, **fixed)
+                except UsageError as alone:
+                    if str(alone) == str(exc):
+                        raise _at_config_line(values, name, exc) from None
+        raise
+
+
+def _at_config_line(values: _Resolved, name: str, exc: UsageError) -> UsageError:
+    """``exc``, with the file and line in front if the config file set option ``name``."""
+    if name not in values.lines:
+        return exc
+    return UsageError(f"{values['config_file']}: line {values.lines[name]}: {exc}")
+
+
+@contextmanager
+def _checking(values: _Resolved, name: str):
+    """Raise a ``UsageError`` of the block through ``_at_config_line``."""
+    try:
+        yield
+    except UsageError as exc:
+        raise _at_config_line(values, name, exc) from None
 
 
 def _read_text(path: str, what: str) -> str:
@@ -123,8 +168,9 @@ def _read_text(path: str, what: str) -> str:
         raise UsageError(f"{path}: line {lineno}: not UTF-8 text") from None
 
 
-def _read_config_file(path: str, by_key: dict[str, _Opt]) -> dict:
-    """Option name -> value for each ``key = value`` line; errors name the file and line."""
+def _read_config_file(path: str, by_key: dict[str, _Opt]) -> tuple[dict, dict[str, int]]:
+    """Option name -> value for each ``key = value`` line, and option name ->
+    its line; errors name the file and line."""
     text = _read_text(path, "config file")
     values: dict = {}
     first_seen: dict[str, int] = {}
@@ -144,13 +190,13 @@ def _read_config_file(path: str, by_key: dict[str, _Opt]) -> dict:
             values[by_key[key].name] = _convert(by_key[key], raw)
         except UsageError as exc:
             raise UsageError(f"{path}: line {lineno}: {exc}") from None
-    return values
+    return values, {by_key[key].name: lineno for key, lineno in first_seen.items()}
 
 
-def _resolve(opts: list[_Opt], ns: argparse.Namespace) -> dict:
+def _resolve(opts: list[_Opt], ns: argparse.Namespace) -> _Resolved:
     values = {o.name: o.default for o in opts}
     by_key = {o.key: o for o in opts}
-    file_vals = {} if ns.config is None else _read_config_file(ns.config, by_key)
+    file_vals, lines = ({}, {}) if ns.config is None else _read_config_file(ns.config, by_key)
     values.update(file_vals)
     if "seed" in by_key and getattr(ns, "seed") is None and "seed" not in file_vals:
         env = os.environ.get(SEED_ENV_VAR)
@@ -160,11 +206,12 @@ def _resolve(opts: list[_Opt], ns: argparse.Namespace) -> dict:
         raw = getattr(ns, o.name)
         if raw is not None:
             values[o.name] = _convert(o, raw)
+            lines.pop(o.name, None)
     for o in opts:
         if o.required and values[o.name] is None:
             raise UsageError(f"missing required option {o.flag}")
     values["config_file"] = ns.config
-    return values
+    return _Resolved(values, lines)
 
 
 def _require_file(path, what: str) -> Path:
@@ -196,7 +243,8 @@ def _write_manifest(anchor: Path, command: str, values: dict, inputs: list[Path]
 
 
 def _load_corpus_for(enc_cfg: EncoderConfig, path: Path, splits: tuple[str, ...]) -> Corpus:
-    corpus = load_corpus(path, splits)
+    """The corpus at ``path`` with ``splits`` kept, each video sampled to the encoder's frames."""
+    corpus = load_corpus(path, splits, enc_cfg.n_frames)
     if corpus.synth.d_v != enc_cfg.input_dim_video or corpus.synth.d_t != enc_cfg.input_dim_text:
         raise UsageError(
             f"corpus feature dims ({corpus.synth.d_v}, {corpus.synth.d_t}) do not match "
@@ -228,21 +276,22 @@ def _parse_alphas(raw: str) -> list[float]:
 def _cmd_gen_corpus(values: dict) -> int:
     cfg = _build(SynthConfig, values)
     out = Path(values["out"])
-    corpus = gen_corpus(cfg, out)
+    gen_corpus(cfg, out)
     _write_manifest(out, "gen-corpus", values, [], [out.name])
-    n = sum(len(corpus.videos(split)) + len(corpus.texts(split)) for split in corpus.splits)
-    print(f"wrote {out} with {n} records")
+    n = 2 * (cfg.n_labeled_train + cfg.n_labeled_val + cfg.n_unlabeled + cfg.n_eval)
+    print(f"wrote {out} with {n} records")  # a video and a text per pair or unlabeled row
     return 0
 
 
 def _cmd_pretrain_teacher(values: dict) -> int:
-    # Every option is checked before the corpus read that EncoderConfig needs.
+    # Every option is checked before the corpus read; the encoder's input dims
+    # come from the corpus, so it is checked first with stand-in dims.
     train_cfg = _build(TrainConfig, values)
     loss_cfg = _build(LossConfig, values, lambda_=0.0)
-    check_seed(values["seed"])
-    corpus = load_corpus(_require_file(values["corpus"], "corpus file"), _TRAIN_SPLITS)
-    enc_cfg = _build(EncoderConfig, values,
-                     input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t)
+    enc_cfg = _build(EncoderConfig, values, input_dim_video=1, input_dim_text=1)
+    corpus = load_corpus(_require_file(values["corpus"], "corpus file"), _TRAIN_SPLITS,
+                         enc_cfg.n_frames)
+    enc_cfg = replace(enc_cfg, input_dim_video=corpus.synth.d_v, input_dim_text=corpus.synth.d_t)
     ckpt = pretrain_teacher(corpus, enc_cfg, train_cfg, sigma=loss_cfg.sigma, log=print)
     out = Path(values["out"])
     save_checkpoint(out, ckpt)
@@ -274,10 +323,11 @@ def _check_fusable(teacher: Checkpoint, student: Checkpoint) -> None:
 
 
 def _cmd_fuse(values: dict) -> int:
+    fusion_cfg = _build(FusionConfig, values)
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
-    fused = fuse_weights(teacher.params, student.params, _build(FusionConfig, values))
+    fused = fuse_weights(teacher.params, student.params, fusion_cfg)
     out = Path(values["out"])
     # A fused model carries no validation history of its own.
     save_checkpoint(out, Checkpoint(
@@ -312,9 +362,11 @@ def _sweep_summary(rows: list[dict]) -> dict:
 
 
 def _cmd_sweep_alpha(values: dict) -> int:
-    alphas = _parse_alphas(values["alphas"])
-    if not 0.0 <= values["impact_alpha"] <= 1.0:  # false for nan too
-        raise UsageError(f"impact_alpha must lie in [0, 1], got {values['impact_alpha']}")
+    with _checking(values, "alphas"):
+        alphas = _parse_alphas(values["alphas"])
+    with _checking(values, "impact_alpha"):
+        if not 0.0 <= values["impact_alpha"] <= 1.0:  # false for nan too
+            raise UsageError(f"impact_alpha must lie in [0, 1], got {values['impact_alpha']}")
     teacher = load_checkpoint(_require_file(values["teacher"], "teacher checkpoint"))
     student = load_checkpoint(_require_file(values["student"], "student checkpoint"))
     _check_fusable(teacher, student)
@@ -380,8 +432,9 @@ def _read_report(path: str):
 
 
 def _cmd_report_class_delta(values: dict) -> int:
-    if values["limit"] < 0:
-        raise UsageError(f"limit must be >= 0, got {values['limit']}")
+    with _checking(values, "limit"):
+        if values["limit"] < 0:
+            raise UsageError(f"limit must be >= 0, got {values['limit']}")
     a = _read_report(values["report_a"])
     b = _read_report(values["report_b"])
     limit = values["limit"] if values["limit"] > 0 else None

@@ -15,11 +15,15 @@ a multi-frame video corpus end up in the same planted world.
 
 Only the random draws are per record: record i's own generator draws its
 latent offset and then its feature noise (a pair: video, then text) into
-row i of its split's arrays. The jittered latents, their norms, the feature
-maps and the noise scaling then run once per split, over the noise draws in
-place, with the bits of computing every record on its own. A ``Corpus`` holds
-each split and kind as ``Columns`` in file order: ids, int64 ``concept_id``,
-class names and the whole features block, never split into rows.
+its row of a chunk of whole records (about ``_CHUNK_VALUES`` values). The
+jittered latents, their norms, the feature maps and the noise scaling then
+run once per chunk, over the noise draws in place, with the bits of
+computing every record on its own. ``_feature_blocks`` yields each features
+block in file order as such chunks; a paired split's texts are drawn with
+its videos into one text block, which follows its video chunks. A
+``Corpus`` holds each split and kind as ``Columns`` in file order: ids,
+int64 ``concept_id``, class names and the whole features block, never split
+into rows.
 
 Every field of a record but its features follows from the ``SynthConfig``
 and its row through one rule, ``_split_columns``, which ``build_corpus`` and
@@ -41,14 +45,20 @@ checked. A v2 file (``DFCORP02``, a JSON metadata block of ``[id,
 concept_id, pair_index, class_name]`` rows before each features block) or a
 v1 file fails at the magic tag.
 
-``gen_corpus`` streams each features block to the atomic temp-file writer as
-one memoryview, with a running CRC. ``load_corpus(path, splits)`` hashes the
-whole file (``Corpus.sha256``) and checks every block's count, CRC and
-finiteness. A features block of a split in ``splits`` is read into one
-array; any other is read in chunks of ``_CHUNK_VALUES`` through the same
-checks and dropped, so a file fails the same way whichever splits are kept.
-The returned ``Corpus`` holds only the named splits and raises
-``UsageError`` for any other.
+``gen_corpus`` writes those chunks to the atomic temp-file writer as they
+are drawn, each checked finite and framed with a running CRC, and returns
+no ``Corpus``: no split is held whole but a paired split's text block.
+``build_corpus`` joins the same chunks into a ``Corpus`` in memory.
+``load_corpus(path, splits, n_frames)`` hashes the whole file
+(``Corpus.sha256``) and checks every block's count, CRC and finiteness. A
+features block of a split in ``splits`` is read into one array; any other
+is read in chunks of whole records through the same checks and dropped, so
+a file fails the same way whichever splits are kept. With ``n_frames``, a
+kept video block is read through the same chunk buffer, and only each
+record's ``sample_frame_indices(T, n_frames)`` frames are kept: the bits
+of ``encoder.sample_frames`` of the whole block, without holding it. The
+returned ``Corpus`` holds only the named splits and raises ``UsageError``
+for any other.
 """
 
 from __future__ import annotations
@@ -56,12 +66,13 @@ from __future__ import annotations
 import math
 import zlib
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
+from .encoder import sample_frame_indices
 from .errors import CorpusFormatError, CorpusRecordError, UsageError
 from .fileio import FrameReader, atomic_write_chunks, framed, json_block
 
@@ -70,7 +81,8 @@ PAIRED_SPLITS = ("labeled-train", "labeled-val", "eval")
 KINDS = ("video", "text")
 MAGIC = b"DFCORP03"
 FORMAT_TAG = "dfuse-corpus-v3"
-# A dropped features block is read and checked this many values (256 KiB) at a time.
+# Features blocks are written, and read unless kept whole, in chunks of whole
+# records of about this many values (256 KiB).
 _CHUNK_VALUES = 1 << 15
 
 _STREAM_CONCEPTS = 0
@@ -223,20 +235,20 @@ def _split_columns(cfg: SynthConfig, split: str, kind: str, features: np.ndarray
     return Columns(ids, concept, names, features)
 
 
-def _draw_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, concept_id: np.ndarray,
+def _draw_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, start: int,
                    maps) -> None:
-    """Fill the ``(n, *shape)`` array of each ``(feature map, array)`` of
-    ``maps`` with the features of a split's records of concepts
-    ``concept_id``; record i's generator is keyed ``(*key, i)``."""
-    n = len(concept_id)
-    offsets = np.empty((n, cfg.latent_dim))
-    for i in range(n):
-        rng = np.random.default_rng([*key, i])
-        rng.standard_normal(out=offsets[i])
+    """Fill the ``(m, *shape)`` array of each ``(feature map, array)`` of ``maps``
+    with the features of a split's records ``start`` to ``start + m``; record
+    i's generator is keyed ``(*key, i)`` and its concept is ``i % n_concepts``."""
+    m = len(maps[0][1])
+    offsets = np.empty((m, cfg.latent_dim))
+    for row in range(m):
+        rng = np.random.default_rng([*key, start + row])
+        rng.standard_normal(out=offsets[row])
         for _, out in maps:
-            rng.standard_normal(out=out[i])
+            rng.standard_normal(out=out[row])
     offsets *= cfg.concept_jitter / math.sqrt(cfg.latent_dim)
-    latents = concepts[concept_id]
+    latents = concepts[np.arange(start, start + m) % cfg.n_concepts]
     latents += offsets
     latents /= np.sqrt(np.einsum("ni,ni->n", latents, latents))[:, None]
     for a, out in maps:
@@ -245,53 +257,85 @@ def _draw_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, concept_i
         out += base[:, None, :] if out.ndim == 3 else base
 
 
-def build_corpus(cfg: SynthConfig) -> "Corpus":
-    """Generate all records in memory, deterministically from the seed."""
+def _record_chunks(cfg: SynthConfig, concepts: np.ndarray, key: tuple, shape: tuple,
+                   a: np.ndarray, paired: tuple = ()) -> Iterator[np.ndarray]:
+    """The ``shape`` features block of one split and kind, drawn by map ``a`` in
+    chunks of whole records of about ``_CHUNK_VALUES`` values. ``paired`` is
+    ``((a_t, texts),)`` for a paired split: each record also draws its text
+    into its row of the whole ``texts`` block."""
+    n, *row = shape
+    step = max(1, _CHUNK_VALUES // math.prod(row))
+    for start in range(0, n, step):
+        out = np.empty((min(step, n - start), *row))
+        _draw_features(cfg, concepts, key, start, [
+            (a, out), *((b, block[start:start + len(out)]) for b, block in paired)])
+        yield out
+
+
+def _feature_blocks(cfg: SynthConfig) -> Iterator[tuple[str, str, Iterable[np.ndarray]]]:
+    """``(split, kind, chunks)`` for each features block in file order; ``chunks``
+    gives the block as C-contiguous float64 arrays of whole records and must
+    be used up before the next block. A paired split's video chunks draw its
+    texts into one text block, which then comes as one chunk."""
     concepts = concept_vectors(cfg)
     a_v, a_t = video_feature_map(cfg), text_feature_map(cfg)
-    columns = {}
     for split in SPLITS:
-        videos, texts = (_split_columns(cfg, split, kind, np.empty(_block_shape(cfg, split, kind)))
-                         for kind in KINDS)
+        v_shape, t_shape = (_block_shape(cfg, split, kind) for kind in KINDS)
         if split in PAIRED_SPLITS:
             key = (cfg.seed, _STREAM_PAIR, PAIRED_SPLITS.index(split))
-            _draw_features(cfg, concepts, key, videos.concept_id,
-                           ((a_v, videos.features), (a_t, texts.features)))
+            texts = np.empty(t_shape)
+            yield split, "video", _record_chunks(cfg, concepts, key, v_shape, a_v,
+                                                 ((a_t, texts),))
+            yield split, "text", (texts,)
         else:
-            _draw_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_VIDEO), videos.concept_id,
-                           ((a_v, videos.features),))
-            _draw_features(cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), texts.concept_id,
-                           ((a_t, texts.features),))
-        columns[split] = {"video": videos, "text": texts}
+            yield split, "video", _record_chunks(
+                cfg, concepts, (cfg.seed, _STREAM_UNLABELED_VIDEO), v_shape, a_v)
+            yield split, "text", _record_chunks(
+                cfg, concepts, (cfg.seed, _STREAM_UNLABELED_TEXT), t_shape, a_t)
+
+
+def build_corpus(cfg: SynthConfig) -> "Corpus":
+    """Generate all records in memory, deterministically from the seed."""
+    columns = {split: {} for split in SPLITS}
+    for split, kind, chunks in _feature_blocks(cfg):
+        shape = _block_shape(cfg, split, kind)
+        features = np.concatenate(list(chunks) or [np.empty(shape)])
+        columns[split][kind] = _split_columns(cfg, split, kind, features)
     return Corpus(cfg, columns)
 
 
-def _file_chunks(corpus: "Corpus") -> Iterator:
-    """The corpus file, block by block; each features block is one chunk."""
-    yield MAGIC
-    yield from json_block({"format": FORMAT_TAG, "synth": asdict(corpus.synth)})
-    for split in SPLITS:
-        for kind in KINDS:
-            col = corpus._columns[split][kind]
-            values = np.ascontiguousarray(col.features, dtype="<f8")
-            finite = np.isfinite(values)
-            if not finite.all():
-                bad = int(np.argmin(finite.reshape(-1))) // values[0].size
-                raise CorpusRecordError(f"record {col.ids[bad]!r}: non-finite features")
-            yield from framed(values.size, (memoryview(values),))
+def _finite_chunks(split: str, kind: str, chunks: Iterable[np.ndarray]) -> Iterator[memoryview]:
+    """Each chunk of a features block as little-endian float64 bytes, after
+    checking it; the first non-finite value raises ``CorpusRecordError`` naming
+    its record."""
+    row = 0
+    for chunk in chunks:
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            bad = row + int(np.argmin(finite.reshape(-1))) // chunk[0].size
+            raise CorpusRecordError(f"record {_id_format(split, kind).format(bad)!r}: "
+                                    "non-finite features")
+        row += len(chunk)
+        yield memoryview(np.ascontiguousarray(chunk, dtype="<f8"))
 
 
-def gen_corpus(cfg: SynthConfig, path) -> "Corpus":
-    """Generate and write a corpus file; returns the in-memory corpus.
+def gen_corpus(cfg: SynthConfig, path) -> None:
+    """Generate a corpus and write its file, one chunk of records at a time.
 
-    A record whose features are not all finite (noise large enough to
-    overflow) ends in ``CorpusRecordError`` naming it and no file, instead
-    of numpy overflow warnings.
+    No split is ever held whole, but a paired split's text block. A record
+    whose features are not all finite (noise large enough to overflow) ends
+    in ``CorpusRecordError`` naming it and no file, instead of numpy
+    overflow warnings.
     """
+    def file_chunks():
+        yield MAGIC
+        yield from json_block({"format": FORMAT_TAG, "synth": asdict(cfg)})
+        for split, kind, chunks in _feature_blocks(cfg):
+            n, *row = _block_shape(cfg, split, kind)
+            yield from framed(n * math.prod(row), _finite_chunks(split, kind, chunks))
+
     with np.errstate(over="ignore"):
-        corpus = build_corpus(cfg)
-    atomic_write_chunks(path, _file_chunks(corpus))
-    return corpus
+        atomic_write_chunks(path, file_chunks())
 
 
 class Corpus:
@@ -348,11 +392,16 @@ def _known_splits(splits) -> tuple[str, ...]:
     return tuple(split for split in SPLITS if split in splits)
 
 
-def _read_features(r: FrameReader, synth: SynthConfig, split: str, kind: str,
-                   keep: bool) -> Columns | None:
-    """A split's features block of ``kind`` as its ``Columns`` if ``keep``; else
-    it is read in chunks and dropped (None). Both ways every value is hashed,
-    CRC-checked and checked finite."""
+def _read_features(r: FrameReader, synth: SynthConfig, split: str, kind: str, keep: bool,
+                   n_frames: int | None) -> Columns | None:
+    """A split's features block of ``kind`` as its ``Columns`` if ``keep``, else None.
+
+    The block is read in chunks of whole records of about ``_CHUNK_VALUES``
+    values: straight into the kept array, or, for a dropped block or a kept
+    video block sampled to ``n_frames`` frames, into one chunk buffer, of
+    which a sampled block keeps each record's ``sample_frame_indices``
+    frames. Every way, every value is hashed, CRC-checked and checked finite.
+    """
     r.section = f"{split} {kind} features"
     n, *shape = _block_shape(synth, split, kind)
     row_len = math.prod(shape)
@@ -361,27 +410,41 @@ def _read_features(r: FrameReader, synth: SynthConfig, split: str, kind: str,
         raise CorpusFormatError(f"{r.source}: {r.section}: {count} values, but the header "
                                 f"gives {n} records of {row_len} values")
     r.need(8 * count)
-    values = np.empty(count if keep else min(count, _CHUNK_VALUES), dtype="<f8")
+    step = max(1, _CHUNK_VALUES // row_len)
+    # T = n_frames samples a block to itself, so it is read straight in.
+    sampled = keep and kind == "video" and n_frames not in (None, shape[0])
+    if keep:
+        out = np.empty((n, n_frames, shape[1]) if sampled else (n, *shape), dtype="<f8")
+    if sampled:
+        frames = sample_frame_indices(shape[0], n_frames)
+    buffer = np.empty((min(n, step), *shape), dtype="<f8") if sampled or not keep else None
     crc, bad = 0, None
-    for start in range(0, count, _CHUNK_VALUES):
-        chunk = values[start:start + _CHUNK_VALUES] if keep else values[:count - start]
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        chunk = out[start:stop] if buffer is None else buffer[:stop - start]
         r.readinto(chunk)
         crc = zlib.crc32(chunk, crc)
         if bad is None and not np.isfinite(chunk).all():
-            bad = start + int(np.argmin(np.isfinite(chunk)))
+            bad = start + int(np.argmin(np.isfinite(chunk).reshape(-1))) // row_len
+        if sampled:
+            out[start:stop] = chunk[:, frames]
     r.check_crc(crc)
     if bad is not None:
-        rec_id = _id_format(split, kind).format(bad // row_len)
+        rec_id = _id_format(split, kind).format(bad)
         raise CorpusRecordError(f"record {rec_id!r}: non-finite features")
-    return _split_columns(synth, split, kind, values.reshape(n, *shape)) if keep else None
+    return _split_columns(synth, split, kind, out) if keep else None
 
 
-def load_corpus(path, splits=SPLITS) -> Corpus:
+def load_corpus(path, splits=SPLITS, n_frames: int | None = None) -> Corpus:
     """Read and check a corpus file; keep the records of ``splits``.
 
     Every block is read and checked, so a file fails here exactly as it
     would with all splits kept. Framing errors name the file and the
-    section; a non-finite value names its record.
+    section; a non-finite value names its record. With ``n_frames``, each
+    kept video block holds only the ``sample_frame_indices(T, n_frames)``
+    frames of each record, ``(n, n_frames, d_v)``, the bits of
+    ``sample_frames`` of the whole block, which then samples it again as
+    the identity, without a copy.
     """
     path = Path(path)
     splits = _known_splits(splits)
@@ -397,7 +460,7 @@ def load_corpus(path, splits=SPLITS) -> Corpus:
             synth = SynthConfig(**header["synth"])
         except (TypeError, UsageError) as exc:
             raise CorpusFormatError(f"{path}: header: bad generation config: {exc}") from exc
-        columns = {split: {kind: _read_features(r, synth, split, kind, split in splits)
+        columns = {split: {kind: _read_features(r, synth, split, kind, split in splits, n_frames)
                            for kind in KINDS} for split in SPLITS}
         if not r.at_end():
             raise CorpusFormatError(f"{path}: trailing bytes after the corpus")

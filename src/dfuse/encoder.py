@@ -72,14 +72,10 @@ class EncoderConfig:
         for name in ("input_dim_video", "input_dim_text", "hidden_dim", "embed_dim", "n_frames"):
             if int(getattr(self, name)) < 1:
                 raise UsageError(f"EncoderConfig.{name} must be >= 1")
-        check_seed(self.seed)
-
-
-def check_seed(seed: int) -> None:
-    """Reject a seed outside [0, 2**63). A checkpoint's JSON header could hold more; the
-    bound keeps a seed within the int64 that JSON readers outside Python parse into."""
-    if not 0 <= seed < 2**63:
-        raise UsageError(f"seed must be >= 0 and < 2**63, got {seed}")
+        # A checkpoint's JSON header could hold a larger seed; the bound keeps it
+        # within the int64 that JSON readers outside Python parse into.
+        if not 0 <= self.seed < 2**63:
+            raise UsageError(f"seed must be >= 0 and < 2**63, got {self.seed}")
 
 
 @dataclass(eq=False)
@@ -220,6 +216,9 @@ def sample_frames(block: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     Returns a C-contiguous ``(n, n_frames, d_v)`` float64 array: the only input
     ``video_forward`` accepts. Call once per split and gather rows per batch.
     ``np.take`` writes a new C-contiguous array; ``block[:, idx]`` would not.
+    When T is ``n_frames`` the indices are the identity, and a C-contiguous
+    float64 block (such as a video block ``load_corpus`` sampled to
+    ``n_frames``) is returned as it is, not copied: callers only read it.
     """
     d = cfg.input_dim_video
     if not (isinstance(block, np.ndarray) and block.ndim == 3 and min(block.shape[:2]) >= 1
@@ -231,6 +230,8 @@ def sample_frames(block: np.ndarray, cfg: EncoderConfig) -> np.ndarray:
     if not finite.all():
         bad = int(np.argmin(finite.reshape(-1))) // block[0].size
         raise UsageError(f"clip {bad} of the video block contains non-finite entries")
+    if block.shape[1] == cfg.n_frames and block.flags.c_contiguous:
+        return block
     return np.take(block, sample_frame_indices(block.shape[1], cfg.n_frames), axis=1)
 
 

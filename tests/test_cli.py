@@ -9,7 +9,7 @@ import pytest
 from framedfile import blocks, edit_json, edit_values, replace
 from dfuse.checkpointio import Checkpoint, load_checkpoint, save_checkpoint
 from dfuse.cli import _sweep_summary, cli_dispatch
-from dfuse.corpus import load_corpus
+from dfuse.corpus import SPLITS, load_corpus
 from dfuse.encoder import ParamVector
 from dfuse.errors import DfuseError, UsageError
 from dfuse.evaluation import SUMMARY_METRICS, parse_report_records
@@ -125,6 +125,108 @@ class TestConfigResolution:
         assert cli_dispatch([command, "--config", str(cfg), *required]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: line {lineno}: {reason}\n"
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+# A value that reads but fails a range check: the command, the option's config
+# key, the value and the check's message. Each config dataclass is here.
+_RANGE_ERRORS = [
+    ("gen-corpus", "n_concepts", "1", "n_concepts must be >= 2"),  # SynthConfig
+    ("gen-corpus", "noise_sigma", "nan",
+     "SynthConfig.noise_sigma must be >= 0 and finite, got nan"),
+    ("pretrain-teacher", "lr", "-1", "lr must be positive, got -1.0"),  # TrainConfig
+    ("pretrain-teacher", "n_frames", "0", "EncoderConfig.n_frames must be >= 1"),  # EncoderConfig
+    ("pretrain-teacher", "seed", str(2**63), f"seed must be >= 0 and < 2**63, got {2**63}"),
+    ("pretrain-teacher", "sigma", "0", "sigma must be positive and finite, got 0.0"),  # LossConfig
+    ("train-student", "lambda", "-1", "lambda must be >= 0 and finite, got -1.0"),
+    ("train-student", "batch_size_unlabeled", "1", "batch sizes must be >= 2"),
+    ("fuse", "alpha", "2", "alpha must lie in [0, 1], got 2.0"),  # FusionConfig
+    ("sweep-alpha", "impact_alpha", "1.5", "impact_alpha must lie in [0, 1], got 1.5"),
+    ("sweep-alpha", "alphas", "0,2", "alpha must lie in [0, 1], got 2.0"),
+    ("report-class-delta", "limit", "-3", "limit must be >= 0, got -3"),
+]
+# The options each command needs besides the one under test.
+_REQUIRED = {
+    "gen-corpus": ["--out", "o"],
+    "pretrain-teacher": ["--corpus", "c", "--out", "o"],
+    "train-student": ["--teacher", "t", "--corpus", "c", "--out", "o"],
+    "fuse": ["--teacher", "t", "--student", "s", "--out", "o"],
+    "sweep-alpha": ["--teacher", "t", "--student", "s", "--corpus", "c", "--out", "o"],
+    "report-class-delta": ["--report-a", "a", "--report-b", "b", "--out", "o"],
+}
+
+
+class TestConfigRangeErrors:
+    """A value that fails its config's range check names the config file and
+    line it came from; given as a flag, it keeps the check's own message."""
+
+    @staticmethod
+    def _run(monkeypatch, tmp_path, argv, config=None) -> int:
+        import dfuse.cli as cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an input was read before the options were checked")
+
+        for name in ("gen_corpus", "load_corpus", "load_checkpoint", "_read_report"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.delenv("DFUSE_SEED", raising=False)
+        monkeypatch.chdir(tmp_path)
+        extra = []
+        if config is not None:
+            (tmp_path / "g.cfg").write_text(config, encoding="utf-8")
+            extra = ["--config", "g.cfg"]
+        return cli_dispatch([*argv, *extra, *_REQUIRED[argv[0]]])
+
+    @pytest.mark.parametrize("command,key,value,message", _RANGE_ERRORS)
+    def test_a_config_file_value_names_the_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                                         command, key, value, message):
+        config = f"# a comment\n\n{key} = {value}\n"
+        assert self._run(monkeypatch, tmp_path, [command], config) == 1
+        assert capsys.readouterr().err == f"error: g.cfg: line 3: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.cfg"]
+
+    @pytest.mark.parametrize("command,key,value,message", _RANGE_ERRORS)
+    def test_a_flag_value_keeps_the_message(self, tmp_path, monkeypatch, capsys,
+                                            command, key, value, message):
+        flag = f"--{key.replace('_', '-')}={value}"
+        assert self._run(monkeypatch, tmp_path, [command, flag]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command,key,value,message", _RANGE_ERRORS)
+    def test_a_flag_over_a_config_file_value_keeps_the_message(
+            self, tmp_path, monkeypatch, capsys, command, key, value, message):
+        # The file's value is replaced, so its line is not named.
+        flag = f"--{key.replace('_', '-')}={value}"
+        config = f"{key} = {value}\n"
+        assert self._run(monkeypatch, tmp_path, [command, flag], config) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_a_flag_replaces_a_bad_config_file_value(self, tmp_path, monkeypatch):
+        import dfuse.cli as cli
+
+        def stand_in(cfg, path):
+            raise _Stop(cfg)
+
+        monkeypatch.setattr(cli, "gen_corpus", stand_in)
+        (tmp_path / "g.cfg").write_text("n_concepts = 1\n", encoding="utf-8")
+        with pytest.raises(_Stop) as built:
+            cli_dispatch(["gen-corpus", "--config", str(tmp_path / "g.cfg"), "--n-concepts", "3",
+                          "--out", str(tmp_path / "o")])
+        assert built.value.args[0].n_concepts == 3
+
+    @pytest.mark.parametrize("command,config,flags,message", [
+        # The file's value passes alone; the check fails on the flag's.
+        ("gen-corpus", "d_v = 16\n", ["--identity-maps", "true"],
+         "identity_maps requires d_v = d_t = latent_dim"),
+        ("train-student", "batch_size_labeled = 4\n", ["--batch-size-unlabeled", "1"],
+         "batch sizes must be >= 2"),
+        # Both fail; the check that runs first fails on the flag's value.
+        ("gen-corpus", "d_v = 0\n", ["--n-concepts", "1"], "n_concepts must be >= 2"),
+    ], ids=["cross-field", "shared-message", "flag-checked-first"])
+    def test_an_error_of_a_flag_value_names_no_line(self, tmp_path, monkeypatch, capsys,
+                                                    command, config, flags, message):
+        assert self._run(monkeypatch, tmp_path, [command, *flags], config) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class _Stop(Exception):
@@ -826,6 +928,22 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl"]
 
+    @pytest.mark.parametrize("split", SPLITS)
+    @pytest.mark.parametrize("edit", CORPUS_EDITS.values(), ids=CORPUS_EDITS.keys())
+    def test_a_sampled_load_fails_as_a_raw_one(self, mini_pipeline, tmp_path, edit, split):
+        # Each command loads its splits sampled to its encoder's frames.
+        _, _, videos = mini_pipeline
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(edit(videos.read_bytes(), split))
+        with pytest.raises(DfuseError) as raw:
+            load_corpus(bad)
+        assert str(raw.value).count("\n") == 0
+        for splits in (SPLITS, (split,), ("eval",)):
+            for n_frames in (2, 3, 4):
+                with pytest.raises(raw.type) as sampled:
+                    load_corpus(bad, splits, n_frames)
+                assert str(sampled.value) == str(raw.value)
+
     # A float where the header wants an int used to end in a traceback later
     # (n_concepts, latent_dim, seed) or to pass (n_eval).
     @pytest.mark.parametrize("field,value,reason", [
@@ -933,12 +1051,15 @@ class TestSplitsKept:
 
     @staticmethod
     def _loads(monkeypatch) -> list:
+        """The corpora the command loads; each one's videos are sampled to the
+        encoder's 4 frames (the tiny corpora's have 1 or 3)."""
         import dfuse.cli as cli
 
         loaded = []
 
-        def spy(path, splits):
-            loaded.append(load_corpus(path, splits))
+        def spy(path, splits, n_frames):
+            assert n_frames == 4
+            loaded.append(load_corpus(path, splits, n_frames))
             return loaded[-1]
 
         monkeypatch.setattr(cli, "load_corpus", spy)
@@ -1304,13 +1425,18 @@ class TestOutOfMemory:
     def test_part_way_through_a_write(self, tmp_path, monkeypatch, capsys):
         import dfuse.corpus as corpus
 
-        real = corpus._file_chunks
+        real = corpus._feature_blocks
 
-        def exhausted(c):
-            yield next(real(c))
-            raise MemoryError
+        def exhausted(cfg):  # the first chunk of the first features block, then no memory
+            split, kind, chunks = next(real(cfg))
 
-        monkeypatch.setattr(corpus, "_file_chunks", exhausted)
+            def failing():
+                yield next(chunks)
+                raise MemoryError
+
+            yield split, kind, failing()
+
+        monkeypatch.setattr(corpus, "_feature_blocks", exhausted)
         capsys.readouterr()
         code = cli_dispatch(["gen-corpus", *TINY_CORPUS_ARGS, "--out", str(tmp_path / "c.jsonl")])
         assert code == 2

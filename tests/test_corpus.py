@@ -13,8 +13,6 @@ from dfuse.corpus import (
     MAGIC,
     PAIRED_SPLITS,
     SPLITS,
-    Columns,
-    Corpus,
     SynthConfig,
     build_corpus,
     concept_vectors,
@@ -24,6 +22,7 @@ from dfuse.corpus import (
     text_feature_map,
     video_feature_map,
 )
+from dfuse.encoder import EncoderConfig, sample_frames
 from dfuse.errors import CorpusFormatError, CorpusRecordError, UsageError
 from dfuse.fileio import json_block, sha256_file
 from naive import naive_build_corpus, same_bits
@@ -159,20 +158,12 @@ def _records(corpus):
              r.features.dtype, r.features.shape, r.features.tobytes()) for r in corpus.records]
 
 
-def _unlabeled_only(synth, videos, texts):
-    """A corpus whose unlabeled split holds the ``videos`` and ``texts`` blocks
-    (ids ``vid-i`` and ``txt-i``, concept 0) and whose other splits are empty."""
-    def columns(tag, features):
-        n = len(features)
-        return Columns([f"{tag}-{i}" for i in range(n)], np.zeros(n, dtype=np.int64),
-                       [None] * n, features)
-
-    empty = build_corpus(dataclasses.replace(synth, n_labeled_train=0, n_labeled_val=0,
-                                             n_unlabeled=0, n_eval=0))
-    splits = {split: {"video": empty.videos(split), "text": empty.texts(split)}
-              for split in SPLITS}
-    splits["unlabeled"] = {"video": columns("vid", videos), "text": columns("txt", texts)}
-    return Corpus(synth, splits)
+def _edit_chunks(monkeypatch, edit):
+    """Make the writer write ``edit(split, kind, chunks)`` in place of the chunks
+    of each features block."""
+    real = corpus_module._feature_blocks
+    monkeypatch.setattr(corpus_module, "_feature_blocks",
+                        lambda cfg: ((s, k, edit(s, k, c)) for s, k, c in real(cfg)))
 
 
 class TestRecordsView:
@@ -307,10 +298,10 @@ class TestRoundTrip:
     def test_every_config_round_trips(self, tmp_path, name):
         cfg = _ORACLE_CONFIGS[name]
         path = tmp_path / "corpus.dfc"
-        built = gen_corpus(cfg, path)
+        gen_corpus(cfg, path)
         loaded = load_corpus(path)
         assert loaded.synth == cfg and loaded.sha256 == sha256_file(path)
-        assert _records(loaded) == _records(built)
+        assert _records(loaded) == _records(build_corpus(cfg))
 
     def test_a_kept_features_block_is_one_writable_array(self, corpus_file, tiny_synth):
         videos = load_corpus(corpus_file, ("eval",)).videos("eval")
@@ -338,8 +329,8 @@ class TestRoundTrip:
         split = np.array([[[0.5, 0.25], [1e16, 1.5]], [[2.0, 5.05e-05], [0.75, -0.0]]])
         features = {"view": split[1:], "strided": split[:, 1].T[None],
                     "float32": split[1:].astype(np.float32)}[layout]
-        corpus = _unlabeled_only(synth, features, np.array([[0.5, 0.25]]))
-        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: corpus)
+        _edit_chunks(monkeypatch, lambda split, kind, chunks:
+                     [features] if (split, kind) == ("unlabeled", "video") else chunks)
         path = tmp_path / "corpus.jsonl"
         gen_corpus(synth, path)
         expected = np.asarray(features, dtype=np.float64)
@@ -350,29 +341,104 @@ class TestRoundTrip:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_the_writer_rejects_non_finite_features_naming_the_record(self, tmp_path,
                                                                      monkeypatch, bad, at):
-        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2)
+        synth = SynthConfig(d_v=2, d_t=2, frames_per_video=2, n_labeled_train=0,
+                            n_labeled_val=0, n_unlabeled=3, n_eval=0)
         texts = np.full((3, 2), 0.5)
         texts.flat[at] = bad
-        corpus = _unlabeled_only(synth, np.zeros((0, 2, 2)), texts)
-        monkeypatch.setattr(corpus_module, "build_corpus", lambda cfg: corpus)
-        with pytest.raises(CorpusRecordError, match=rf"^record 'txt-{at // 2}': non-finite "
-                                                    "features$"):
+        _edit_chunks(monkeypatch, lambda split, kind, chunks:
+                     [texts] if (split, kind) == ("unlabeled", "text") else chunks)
+        with pytest.raises(CorpusRecordError, match=rf"^record 'txt-unlabeled-0000{at // 2}': "
+                                                    "non-finite features$"):
             gen_corpus(synth, tmp_path / "corpus.jsonl")
         assert list(tmp_path.iterdir()) == []
 
     def test_the_writer_stacks_no_block(self, tmp_path):
-        # Each features block is written as one view of its split's array, so
-        # writing costs far less than the largest block (2 MiB here).
-        cfg = SynthConfig(n_labeled_train=8, n_labeled_val=8, n_unlabeled=1024, n_eval=8)
+        # Writing the default corpus peaks below its raw unlabeled video block
+        # (4,096 x 8 x 32 float64 values): it holds one chunk of records at a time.
+        raw_block = 4096 * 8 * 32 * 8
+        assert raw_block == 8_388_608
         tracemalloc.start()
         try:
-            corpus = gen_corpus(cfg, tmp_path / "corpus.jsonl")
-            retained, peak = tracemalloc.get_traced_memory()
+            gen_corpus(SynthConfig(), tmp_path / "corpus.dfc")
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = corpus.videos("unlabeled").features.nbytes
-        assert block == 2 << 20
-        assert peak - retained < block // 2
+        assert peak < raw_block
+
+
+def _framed_corpus(cfg) -> bytes:
+    """The corpus file of ``cfg``, framed here from the per-record generator's records."""
+    records = naive_build_corpus(cfg)
+    parts = {"header": [None, json.dumps({"format": FORMAT_TAG,
+                                          "synth": dataclasses.asdict(cfg)}).encode()]}
+    for split in SPLITS:
+        for kind in ("video", "text"):
+            payload = b"".join(r.features.astype("<f8").tobytes() for r in records
+                               if (r.split, r.kind) == (split, kind))
+            parts[f"{split} {kind} features"] = [len(payload) // 8, payload]
+    parts["header"][0] = len(parts["header"][1])
+    return assemble(parts)
+
+
+# The writer's chunks at this size: 48 // (2 * frames) video records, 24 unlabeled texts.
+_SMALL_CHUNK_VALUES = 48
+
+
+class TestStreamedWriter:
+    """``gen_corpus`` draws and writes each block in chunks of whole records."""
+
+    @pytest.mark.parametrize("frames", [1, 3, 8])
+    @pytest.mark.parametrize("size", ["0", "1", "chunk-1", "chunk", "chunk+1", "3 chunks+2"])
+    def test_bytes_equal_the_framed_per_record_corpus(self, tmp_path, monkeypatch, frames,
+                                                      size):
+        monkeypatch.setattr(corpus_module, "_CHUNK_VALUES", _SMALL_CHUNK_VALUES)
+        chunk = _SMALL_CHUNK_VALUES // (2 * frames)
+        n = {"0": 0, "1": 1, "chunk-1": chunk - 1, "chunk": chunk, "chunk+1": chunk + 1,
+             "3 chunks+2": 3 * chunk + 2}[size]
+        cfg = SynthConfig(n_concepts=3, latent_dim=3, d_v=2, d_t=2, frames_per_video=frames,
+                          n_labeled_train=n, n_labeled_val=n, n_unlabeled=n, n_eval=n, seed=9)
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(cfg, path)
+        assert path.read_bytes() == _framed_corpus(cfg)
+
+    def test_a_block_is_drawn_in_chunks_of_whole_records(self, monkeypatch):
+        monkeypatch.setattr(corpus_module, "_CHUNK_VALUES", 50)
+        cfg = SynthConfig(d_v=7, d_t=3, frames_per_video=3, n_labeled_train=5,
+                          n_labeled_val=0, n_unlabeled=40, n_eval=0)
+        rows = {(split, kind): [chunk.shape for chunk in chunks]
+                for split, kind, chunks in corpus_module._feature_blocks(cfg)}
+        assert rows[("labeled-train", "video")] == [(2, 3, 7), (2, 3, 7), (1, 3, 7)]
+        assert rows[("labeled-train", "text")] == [(5, 3)]  # drawn with the videos
+        assert rows[("unlabeled", "video")] == [(2, 3, 7)] * 20
+        assert rows[("unlabeled", "text")] == [(16, 3), (16, 3), (8, 3)]
+        assert rows[("eval", "video")] == []
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("split,kind,record", [
+        ("labeled-train", "video", 9), ("unlabeled", "video", 10), ("unlabeled", "text", 50),
+        ("eval", "text", 4)])
+    def test_a_non_finite_record_in_a_later_chunk_is_named(self, tmp_path, monkeypatch,
+                                                          split, kind, record, bad):
+        monkeypatch.setattr(corpus_module, "_CHUNK_VALUES", _SMALL_CHUNK_VALUES)
+        cfg = SynthConfig(n_concepts=3, latent_dim=3, d_v=2, d_t=2, frames_per_video=3,
+                          n_labeled_train=12, n_labeled_val=12, n_unlabeled=60, n_eval=12)
+
+        def poison(chunks):
+            row = 0
+            for chunk in chunks:
+                if row <= record < row + len(chunk):
+                    chunk[record - row].flat[-1] = bad
+                    chunk[-1].flat[0] = np.nan  # a later record is not named
+                row += len(chunk)
+                yield chunk
+
+        _edit_chunks(monkeypatch, lambda s, k, chunks:
+                     poison(chunks) if (s, k) == (split, kind) else chunks)
+        prefix = "vid" if kind == "video" else "txt"
+        with pytest.raises(CorpusRecordError) as info:
+            gen_corpus(cfg, tmp_path / "corpus.dfc")
+        assert str(info.value) == f"record '{prefix}-{split}-{record:05d}': non-finite features"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFraming:
@@ -620,6 +686,63 @@ class TestSplitRetention:
         for splits in (SPLITS, ("eval",)):
             _fails(path, data, CorpusRecordError,
                    "record 'vid-unlabeled-01023': non-finite features", splits)
+
+
+class TestSampledLoad:
+    """``load_corpus(path, splits, n_frames)`` keeps each kept video block sampled
+    to ``n_frames`` frames, with the bits of ``sample_frames`` of a raw load."""
+
+    @pytest.mark.parametrize("chunk_values", [64, None], ids=["small-chunks", "default-chunks"])
+    @pytest.mark.parametrize("frames,n_frames", [(3, 4), (1, 4), (4, 4), (8, 4), (3, 2), (7, 3)],
+                             ids=["T<n", "still", "T=n", "T>n", "T>n-odd", "T>n-prime"])
+    def test_blocks_equal_sample_frames_of_the_raw_load(self, tmp_path, monkeypatch,
+                                                       frames, n_frames, chunk_values):
+        # 7 divides neither chunk size, so no chunk of whole records fills one.
+        n = 2000 if chunk_values is None else 40
+        cfg = SynthConfig(n_concepts=5, latent_dim=4, d_v=7, d_t=5, frames_per_video=frames,
+                          n_labeled_train=n // 4, n_labeled_val=3, n_unlabeled=n, n_eval=n // 8)
+        if chunk_values is not None:
+            monkeypatch.setattr(corpus_module, "_CHUNK_VALUES", chunk_values)
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(cfg, path)
+        raw = load_corpus(path)
+        enc = EncoderConfig(7, 5, n_frames=n_frames)
+        for splits in (SPLITS, ("unlabeled", "eval"), ("labeled-val",)):
+            sampled = load_corpus(path, splits, n_frames)
+            assert sampled.splits == splits and sampled.sha256 == raw.sha256
+            for split in splits:
+                got, want = sampled.videos(split), raw.videos(split)
+                assert got.features.shape == (len(want), n_frames, 7)
+                assert got.features.flags["C_CONTIGUOUS"] and got.features.dtype == np.float64
+                assert same_bits(got.features, sample_frames(want.features, enc))
+                assert (got.ids, got.class_name) == (want.ids, want.class_name)
+                assert got.concept_id.tolist() == want.concept_id.tolist()
+                assert same_bits(sampled.texts(split).features, raw.texts(split).features)
+
+    def test_an_empty_split_samples_to_an_empty_block(self, tmp_path, tiny_synth):
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(dataclasses.replace(tiny_synth, n_eval=0), path)
+        assert load_corpus(path, ("eval",), 5).videos("eval").features.shape == (0, 5, 8)
+
+    def test_no_kept_array_holds_the_raw_frames(self, tmp_path):
+        # The default corpus, loaded as train-student keeps it when distilling.
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(SynthConfig(), path)
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path, ("labeled-train", "labeled-val", "unlabeled"), 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_block = 4096 * 8 * 32 * 8  # the raw unlabeled video block
+        assert peak < raw_block
+        for split in corpus.splits:
+            videos = corpus.videos(split).features
+            assert videos.shape[1:] == (4, 32)
+            assert videos.base is None  # its own array, not a view of a raw block
+        assert not any(isinstance(value, np.ndarray) and value.ndim == 3 and value.shape[1] == 8
+                       for cols in corpus._columns.values() for col in cols.values()
+                       for value in vars(col).values())
 
 
 def prompt_feature(synth, prompt_text, class_idx):

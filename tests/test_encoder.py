@@ -212,6 +212,20 @@ class TestSampleFrames:
         sample_frames(np.zeros((9, 5, enc_cfg.input_dim_video)), enc_cfg)
         assert calls == [5]
 
+    @pytest.mark.parametrize("t,layout,same", [
+        (3, "contiguous", True), (3, "strided", False), (3, "float32", False),
+        (3, "fortran", False), (4, "contiguous", False), (1, "contiguous", False)])
+    def test_returns_its_input_only_on_the_identity_path(self, enc_cfg, t, layout, same):
+        # enc_cfg samples 3 frames: T = 3 is the identity.
+        block = np.random.default_rng(t).standard_normal((4, t, 2 * enc_cfg.input_dim_video))
+        block = {"contiguous": block[:, :, :6].copy(), "strided": block[:, :, ::2],
+                 "float32": block[:, :, :6].astype(np.float32),
+                 "fortran": np.asfortranarray(block[:, :, :6])}[layout]
+        frames = sample_frames(block, enc_cfg)
+        assert (frames is block) == same
+        assert frames.flags["C_CONTIGUOUS"] and frames.dtype == np.float64
+        assert same_bits(frames, naive_sample_frames(block, enc_cfg.n_frames))
+
     def test_rejects_non_finite_clip(self, enc_cfg):
         block = np.zeros((3, 2, enc_cfg.input_dim_video))
         block[1, 1, 2] = np.nan

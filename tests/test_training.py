@@ -7,7 +7,7 @@ import pytest
 
 import dfuse.training as training
 from dfuse.checkpointio import Checkpoint, checkpoint_bytes
-from dfuse.corpus import build_corpus
+from dfuse.corpus import SPLITS, build_corpus, gen_corpus, load_corpus
 from dfuse.encoder import (
     ParamVector,
     encode_text_batch,
@@ -16,6 +16,7 @@ from dfuse.encoder import (
     sample_frames,
 )
 from dfuse.errors import TrainingDivergedError, UsageError
+from dfuse.evaluation import DEFAULT_TEMPLATE, build_prompt_set, evaluate_model, prepare_eval
 from dfuse.losses import LossConfig
 from dfuse.numerics import similarity_matrix
 from dfuse.training import (
@@ -202,6 +203,36 @@ class TestPretrainTeacher:
         assert ckpt.val_loss == validation_loss(
             ckpt.params, sample_frames(val_videos, tiny_enc), val_texts, tiny_enc, 0.07
         )
+
+
+class TestSampledCorpus:
+    """A corpus loaded sampled to the encoder's frames trains and evaluates to
+    the bits of a raw load, and no run writes into its blocks, which
+    ``sample_frames`` hands on uncopied."""
+
+    def test_training_and_evaluation_leave_the_blocks_unchanged(self, tmp_path, tiny_synth,
+                                                               tiny_enc):
+        path = tmp_path / "corpus.dfc"
+        gen_corpus(tiny_synth, path)
+        raw = load_corpus(path)
+        sampled = load_corpus(path, n_frames=tiny_enc.n_frames)
+        blocks = {(split, kind): getattr(sampled, kind + "s")(split).features
+                  for split in SPLITS for kind in ("video", "text")}
+        before = {key: block.tobytes() for key, block in blocks.items()}
+        assert sample_frames(blocks[("eval", "video")], tiny_enc) is blocks[("eval", "video")]
+
+        def run(corpus):
+            teacher = pretrain_teacher(corpus, tiny_enc, _small_train_cfg())
+            student = train_student(teacher.params, corpus, tiny_enc,
+                                    LossConfig(sigma=0.05, lambda_=0.9),
+                                    _small_train_cfg(lr=3e-4, distill_on_labeled=True))
+            inputs = prepare_eval(corpus, tiny_enc, build_prompt_set(corpus.synth,
+                                                                     [DEFAULT_TEMPLATE]))
+            report = evaluate_model(student.params, inputs, tiny_enc)
+            return checkpoint_bytes(teacher), checkpoint_bytes(student), report.summary
+
+        assert run(sampled) == run(raw)
+        assert {key: block.tobytes() for key, block in blocks.items()} == before
 
 
 class TestTrainStudent:
