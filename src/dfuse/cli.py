@@ -48,7 +48,7 @@ from .evaluation import (
 )
 from .fileio import atomic_write_text, sha256_file, tsv
 from .fusion import FusionConfig, fuse_weights, sweep_alpha
-from .gradcheck import DEFAULT_TOLERANCE, run_gradcheck
+from .gradcheck import DEFAULT_TOLERANCE, check_option, run_gradcheck
 from .losses import LossConfig
 from .training import TrainConfig, pretrain_teacher, train_student
 
@@ -198,10 +198,11 @@ def _resolve(opts: list[_Opt], ns: argparse.Namespace) -> _Resolved:
     by_key = {o.key: o for o in opts}
     file_vals, lines = ({}, {}) if ns.config is None else _read_config_file(ns.config, by_key)
     values.update(file_vals)
-    if "seed" in by_key and getattr(ns, "seed") is None and "seed" not in file_vals:
+    if "seed" in by_key and ns.seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
             values["seed"] = _convert(by_key["seed"], env)
+            lines.pop("seed", None)
     for o in opts:
         raw = getattr(ns, o.name)
         if raw is not None:
@@ -460,7 +461,10 @@ def _cmd_report_rank_dist(values: dict) -> int:
     return 0
 
 
-def _cmd_gradcheck(values: dict) -> int:
+def _cmd_gradcheck(values: _Resolved) -> int:
+    for name in ("trials", "seed"):
+        with _checking(values, name):
+            check_option(name, values[name])
     results = run_gradcheck(trials=values["trials"], seed=values["seed"])
     for r in results:
         status = "ok" if r.passed() else "FAIL"

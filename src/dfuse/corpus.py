@@ -13,9 +13,13 @@ with the same seed share their concepts and feature maps regardless of split
 sizes or frames per video. That is how a single-frame pretraining corpus and
 a multi-frame video corpus end up in the same planted world.
 
-Only the random draws are per record: record i's own generator draws its
-latent offset and then its feature noise (a pair: video, then text) into
-its row of a chunk of whole records (about ``_CHUNK_VALUES`` values). The
+Only the random draws are per record: record i draws its latent offset and
+then its feature noise (a pair: video, then text) from its own stream,
+that of ``np.random.default_rng([*key, i])``, into its row of a chunk of
+whole records (about ``_CHUNK_VALUES`` values). No generator is built per
+record: ``_record_states`` runs numpy's SeedSequence hash and PCG64
+seeding for all of a chunk's records at once, on uint32 arrays, and each
+record's state is set on one generator reused for the chunk. The
 jittered latents, their norms, the feature maps and the noise scaling then
 run once per chunk, over the noise draws in place, with the bits of
 computing every record on its own. ``_feature_blocks`` yields each features
@@ -93,6 +97,15 @@ _STREAM_UNLABELED_VIDEO = 4
 _STREAM_UNLABELED_TEXT = 5
 _STREAM_PROMPT = 6
 _STREAM_MAP_VIDEO_SHIFT = 7
+
+# numpy's SeedSequence (a pool of 4 uint32 words) and PCG64 seeding constants.
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -235,15 +248,78 @@ def _split_columns(cfg: SynthConfig, split: str, kind: str, features: np.ndarray
     return Columns(ids, concept, names, features)
 
 
+def _hash_constants(value: int, mult: int) -> Iterator[tuple[int, int]]:
+    """SeedSequence's running hash constant: for each hash, the constant it
+    xors in and the next one, which it multiplies by."""
+    while True:
+        nxt = value * mult & _MASK32
+        yield value, nxt
+        value = nxt
+
+
+def _hashmix(words: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
+    xor, mult = next(constants)
+    words = words ^ xor
+    words *= mult
+    words ^= words >> 16
+    return words
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_MULT_L
+    out -= y * _MIX_MULT_R
+    out ^= out >> 16
+    return out
+
+
+def _record_states(key: tuple, start: int, m: int) -> list[tuple[int, int]]:
+    """The PCG64 ``(state, inc)`` of records ``start`` to ``start + m``: record
+    i's is ``np.random.default_rng([*key, i]).bit_generator.state["state"]``.
+
+    SeedSequence's hash runs on uint32 arrays of one word per record (arrays
+    wrap silently, where uint32 scalars warn on overflow). Each int of the
+    key splits into its little-endian 32-bit words (0 is one word), the same
+    for every record; i, below 2**32, is the last word. Words past the pool
+    of 4 take SeedSequence's remaining-entropy loop. PCG64 then seeds from
+    ``generate_state(4, uint64)`` words ``w0..w3``: ``inc = (w2 << 64 | w3)
+    << 1 | 1`` and ``state = ((w0 << 64 | w1) + inc) * M + inc``, mod 2**128.
+    """
+    entropy = [np.full(m, k >> shift & _MASK32, dtype=np.uint32)
+               for k in key for shift in range(0, max(k.bit_length(), 1), 32)]
+    entropy.append(np.arange(start, start + m, dtype=np.uint32))
+    entropy += [np.zeros(m, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    constants = _hash_constants(_INIT_A, _MULT_A)
+    pool = [_hashmix(words, constants) for words in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], constants))
+    for words in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(words, constants))
+    constants = _hash_constants(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[i % _POOL_SIZE], constants) for i in range(8)], axis=1)
+    states = []
+    for w0, w1, w2, w3 in state.astype("<u4").view("<u8").tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        states.append(((((w0 << 64 | w1) + inc) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
 def _draw_features(cfg: SynthConfig, concepts: np.ndarray, key: tuple, start: int,
                    maps) -> None:
     """Fill the ``(m, *shape)`` array of each ``(feature map, array)`` of ``maps``
     with the features of a split's records ``start`` to ``start + m``; record
-    i's generator is keyed ``(*key, i)`` and its concept is ``i % n_concepts``."""
+    i draws from the stream of ``np.random.default_rng([*key, i])``, set by
+    ``_record_states`` on one reused generator, and its concept is
+    ``i % n_concepts``."""
     m = len(maps[0][1])
     offsets = np.empty((m, cfg.latent_dim))
-    for row in range(m):
-        rng = np.random.default_rng([*key, start + row])
+    bits = np.random.PCG64(0)  # its state is replaced before each record's draws
+    rng = np.random.Generator(bits)
+    for row, (state, inc) in enumerate(_record_states(key, start, m)):
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                      "has_uint32": 0, "uinteger": 0}
         rng.standard_normal(out=offsets[row])
         for _, out in maps:
             rng.standard_normal(out=out[row])

@@ -125,10 +125,17 @@ def run_trial(trial: int, seed: int) -> GradCheckTrial:
     )
 
 
+_LEAST = {"trials": 1, "seed": 0}
+
+
+def check_option(name: str, value: int) -> None:
+    """``UsageError`` unless ``run_gradcheck``'s ``trials`` or ``seed`` (``name``) is in range."""
+    if value < _LEAST[name]:
+        raise UsageError(f"{name} must be >= {_LEAST[name]}, got {value}")
+
+
 def run_gradcheck(trials: int, seed: int) -> list[GradCheckTrial]:
     """Random-instance gradient check; every trial should pass ``DEFAULT_TOLERANCE``."""
-    if trials < 1:
-        raise UsageError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise UsageError(f"seed must be >= 0, got {seed}")
+    check_option("trials", trials)
+    check_option("seed", seed)
     return [run_trial(t, seed) for t in range(trials)]

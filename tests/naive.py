@@ -208,7 +208,8 @@ def per_batch_loss_grad(params, batches, terms, sigma, enc_cfg):
 
 
 # The corpus generator as it was before per-split generation: every record
-# draws and computes its own features, one record at a time.
+# draws and computes its own features, one record at a time, from its own
+# np.random.default_rng([*key, i]), the stream corpus._record_states seeds.
 
 def _unit(v):
     return v / math.sqrt(float(np.einsum("i,i->", v, v)))

@@ -84,6 +84,15 @@ class TestConfigResolution:
         explicit = gen_tiny_corpus(tmp_path / "flag.jsonl", seed="21")
         assert sha256_file(implicit) == sha256_file(explicit)
 
+    def test_env_seed_beats_config_file_and_flag_beats_both(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text("seed = 5\n")
+        monkeypatch.setenv("DFUSE_SEED", "21")
+        env = gen_tiny_corpus(tmp_path / "env.dfc", seed=None, extra=("--config", str(cfg)))
+        assert load_corpus(env).synth.seed == 21
+        flag = gen_tiny_corpus(tmp_path / "flag.dfc", seed="9", extra=("--config", str(cfg)))
+        assert load_corpus(flag).synth.seed == 9
+
     def test_flag_beats_env_seed(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DFUSE_SEED", "21")
         path = gen_tiny_corpus(tmp_path / "c.jsonl", seed="5")
@@ -143,6 +152,8 @@ _RANGE_ERRORS = [
     ("sweep-alpha", "impact_alpha", "1.5", "impact_alpha must lie in [0, 1], got 1.5"),
     ("sweep-alpha", "alphas", "0,2", "alpha must lie in [0, 1], got 2.0"),
     ("report-class-delta", "limit", "-3", "limit must be >= 0, got -3"),
+    ("gradcheck", "trials", "0", "trials must be >= 1, got 0"),
+    ("gradcheck", "seed", "-1", "seed must be >= 0, got -1"),
 ]
 # The options each command needs besides the one under test.
 _REQUIRED = {
@@ -152,6 +163,7 @@ _REQUIRED = {
     "fuse": ["--teacher", "t", "--student", "s", "--out", "o"],
     "sweep-alpha": ["--teacher", "t", "--student", "s", "--corpus", "c", "--out", "o"],
     "report-class-delta": ["--report-a", "a", "--report-b", "b", "--out", "o"],
+    "gradcheck": [],
 }
 
 
@@ -166,7 +178,8 @@ class TestConfigRangeErrors:
         def no_work(*args, **kwargs):
             raise AssertionError("an input was read before the options were checked")
 
-        for name in ("gen_corpus", "load_corpus", "load_checkpoint", "_read_report"):
+        for name in ("gen_corpus", "load_corpus", "load_checkpoint", "_read_report",
+                     "run_gradcheck"):
             monkeypatch.setattr(cli, name, no_work)
         monkeypatch.delenv("DFUSE_SEED", raising=False)
         monkeypatch.chdir(tmp_path)
@@ -213,6 +226,16 @@ class TestConfigRangeErrors:
             cli_dispatch(["gen-corpus", "--config", str(tmp_path / "g.cfg"), "--n-concepts", "3",
                           "--out", str(tmp_path / "o")])
         assert built.value.args[0].n_concepts == 3
+
+    @pytest.mark.parametrize("command", ["gen-corpus", "gradcheck"])
+    def test_an_env_seed_over_a_config_file_seed_names_no_line(self, tmp_path, monkeypatch,
+                                                                capsys, command):
+        (tmp_path / "g.cfg").write_text("seed = 5\n", encoding="utf-8")
+        monkeypatch.setenv("DFUSE_SEED", "-1")
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch([command, "--config", "g.cfg", *_REQUIRED[command]]) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["g.cfg"]
 
     @pytest.mark.parametrize("command,config,flags,message", [
         # The file's value passes alone; the check fails on the flag's.

@@ -107,6 +107,9 @@ _ORACLE_CONFIGS = {
                                  n_unlabeled=24, n_eval=16, seed=3),
     "seed past 32 bits": SynthConfig(n_labeled_train=16, n_labeled_val=4, n_unlabeled=12,
                                      n_eval=8, seed=2**32 + 11),
+    # Five key words or more: SeedSequence's remaining-entropy loop.
+    "seed past 64 bits": SynthConfig(n_labeled_train=16, n_labeled_val=4, n_unlabeled=12,
+                                     n_eval=8, seed=2**64 + 5),
 }
 
 
@@ -123,6 +126,65 @@ class TestGeneratorOracle:
                 == (b.id, b.kind, b.split, b.concept_id, b.class_name, b.pair_index)
             assert (a.features.dtype, a.features.shape) == (b.features.dtype, b.features.shape)
             assert a.features.tobytes() == b.features.tobytes(), a.id
+
+
+class TestRecordStates:
+    """``_record_states`` gives each record the PCG64 state of its own
+    ``default_rng([*key, i])``, for every key ``_feature_blocks`` uses."""
+
+    @staticmethod
+    def _keys_used(monkeypatch, cfg) -> set:
+        keys, real = set(), corpus_module._record_states
+
+        def spy(key, start, m):
+            keys.add(key)
+            return real(key, start, m)
+
+        monkeypatch.setattr(corpus_module, "_record_states", spy)
+        build_corpus(cfg)
+        return keys
+
+    @pytest.mark.parametrize("seed", [0, 2**32 + 11, 2**63 - 1, 2**64 + 5])
+    def test_states_equal_the_per_record_generator(self, monkeypatch, seed):
+        cfg = SynthConfig(n_labeled_train=2, n_labeled_val=2, n_unlabeled=2, n_eval=2, seed=seed)
+        keys = self._keys_used(monkeypatch, cfg)
+        assert keys == {(seed, corpus_module._STREAM_PAIR, 0), (seed, corpus_module._STREAM_PAIR, 1),
+                        (seed, corpus_module._STREAM_PAIR, 2),
+                        (seed, corpus_module._STREAM_UNLABELED_VIDEO),
+                        (seed, corpus_module._STREAM_UNLABELED_TEXT)}
+        # Record 0 and the default corpus's chunk edges (128 videos, 1024 texts).
+        for key in keys:
+            for start, m in [(0, 1), (0, 3), (126, 4), (1022, 4)]:
+                got = corpus_module._record_states(key, start, m)
+                want = [np.random.default_rng([*key, i]).bit_generator.state["state"]
+                        for i in range(start, start + m)]
+                assert [{"state": s, "inc": inc} for s, inc in got] == want, (key, start)
+
+
+class TestNoPerRecordGenerator:
+    """Records draw on one reused generator: building or writing the default
+    corpus calls ``np.random.default_rng`` only for the seed-level streams
+    (concepts and feature maps), never once per record."""
+
+    @pytest.mark.parametrize("write", [False, True], ids=["build_corpus", "gen_corpus"])
+    def test_only_seed_level_streams_build_a_generator(self, tmp_path, monkeypatch, write):
+        keys, real = [], np.random.default_rng
+
+        def counting(seed=None):
+            keys.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        cfg = SynthConfig()
+        if write:
+            gen_corpus(cfg, tmp_path / "c.dfc")
+        else:
+            build_corpus(cfg)
+        seed_level = {corpus_module._STREAM_CONCEPTS, corpus_module._STREAM_MAP_VIDEO,
+                      corpus_module._STREAM_MAP_TEXT, corpus_module._STREAM_MAP_VIDEO_SHIFT}
+        assert 1 <= len(keys) <= 4
+        assert all(len(key) == 2 and key[0] == cfg.seed and key[1] in seed_level
+                   for key in keys), keys
 
 
 class TestPlantedSharing:
